@@ -114,9 +114,6 @@ Status Database::OpenBody(bool after_crash) {
     waits_ = std::make_unique<WaitStatsTable>();
     waits_->Bind(stats_.get(), events, options_.wait_event_threshold_ns);
   }
-  if (stats_ != nullptr) {
-    c_deprecated_txn_api_ = stats_->counter("db.deprecated_txn_api");
-  }
 
   DeviceModel* disk_dev = nullptr;
   DeviceModel* ufs_dev = nullptr;
@@ -337,7 +334,6 @@ void Database::TearDown(bool crash) {
   if (stats_ != nullptr) stats_->SetRecorder(nullptr);
   recorder_.reset();
   waits_.reset();
-  c_deprecated_txn_api_ = nullptr;
   stats_.reset();
   cpu_.reset();
   clock_.reset();
@@ -383,27 +379,6 @@ Status Database::SimulateCrashAndReopen() {
     PGLO_RETURN_IF_ERROR(options_.fault_injector->ApplyVolatileLoss());
   }
   return OpenInternal(/*after_crash=*/true);
-}
-
-Transaction* Database::Begin() {
-  StatInc(c_deprecated_txn_api_);
-  return txns_->Begin();
-}
-
-Transaction* Database::BeginAsOf(CommitTime as_of) {
-  StatInc(c_deprecated_txn_api_);
-  return txns_->BeginAsOf(as_of);
-}
-
-Result<CommitTime> Database::Commit(Transaction* txn) {
-  PGLO_ASSIGN_OR_RETURN(CommitTime time, txns_->Commit(txn));
-  PGLO_RETURN_IF_ERROR(lo_->CollectGarbage());
-  return time;
-}
-
-Status Database::Abort(Transaction* txn) {
-  PGLO_RETURN_IF_ERROR(txns_->Abort(txn));
-  return lo_->CollectGarbage();
 }
 
 }  // namespace pglo

@@ -132,6 +132,8 @@ class Database {
 
   /// Drops every volatile structure (buffer pool, OS cache, WORM cache)
   /// without flushing, then reopens from stable storage — a power failure.
+  /// Connected Sessions survive; one caught mid-transaction must
+  /// Session::Abandon() it first, since its Transaction dies with the crash.
   Status SimulateCrashAndReopen();
 
   // --- backends ---------------------------------------------------------
@@ -144,18 +146,7 @@ class Database {
         new Session(this, next_backend_id_.fetch_add(1) + 1));
   }
 
-  // --- transactions ---------------------------------------------------
-  // Deprecated direct transaction control — prefer Connect() + Session,
-  // which rejects use-after-commit and attributes work per backend. Kept
-  // as shims because single-stream callers predate the Session API; each
-  // Begin bumps the `db.deprecated_txn_api` counter so stragglers show up
-  // in any stats snapshot. (Commit/Abort stay uncounted: Session routes
-  // through them for the LO garbage-collection step.)
-  Transaction* Begin();
-  Transaction* BeginAsOf(CommitTime as_of);
-  /// Commits and then runs large-object garbage collection (§5).
-  Result<CommitTime> Commit(Transaction* txn);
-  Status Abort(Transaction* txn);
+  /// The latest commit tick — the "now" that time-travel queries address.
   CommitTime Now() const { return txns_->Now(); }
 
   // --- subsystems -----------------------------------------------------
@@ -244,7 +235,6 @@ class Database {
   /// Lives across reopens (sessions are quiesced around control-plane
   /// operations, but the table itself is cheap to keep).
   BackendActivity activity_;
-  Counter* c_deprecated_txn_api_ = nullptr;
   std::unique_ptr<MagneticDiskModel> disk_device_;
   std::unique_ptr<MagneticDiskModel> ufs_device_;
   std::unique_ptr<MagneticDiskModel> worm_cache_device_;

@@ -14,12 +14,11 @@ Session::Session(Database* db, uint32_t backend_id)
 Session::~Session() {
   if (txn_ != nullptr) {
     // Connection dropped mid-transaction: roll back, like a backend exit.
-    Status s = db_->Abort(txn_);
+    Status s = Abort();
     if (!s.ok()) {
       PGLO_LOG(Error) << "session abort at destruction failed: "
                       << s.ToString();
     }
-    txn_ = nullptr;
   }
   if (slot_ != nullptr) {
     if (CurrentWaitSlot() == &slot_->wait) SetCurrentWaitSlot(nullptr);
@@ -74,32 +73,42 @@ Status Session::RequireTxn() const {
   return Status::OK();
 }
 
-Result<CommitTime> Session::Commit() {
-  PGLO_RETURN_IF_ERROR(RequireTxn());
-  PGLO_ASSIGN_OR_RETURN(CommitTime time, db_->Commit(txn_));
-  txn_ = nullptr;  // consumed only on success; on error the caller aborts
-  ++stats_.committed;
+void Session::EndTxn() {
+  txn_ = nullptr;
   if (slot_ != nullptr) {
     slot_->in_txn.store(0, std::memory_order_release);
     slot_->xid.store(0, std::memory_order_relaxed);
     MirrorStats();
+  }
+}
+
+Result<CommitTime> Session::Commit() {
+  PGLO_RETURN_IF_ERROR(RequireTxn());
+  // On failure the transaction is still open; the caller aborts or retries.
+  PGLO_ASSIGN_OR_RETURN(CommitTime time, db_->txns().Commit(txn_));
+  // The commit record is durable and the Transaction destroyed: from here
+  // the commit stands, whatever garbage collection reports.
+  ++stats_.committed;
+  EndTxn();
+  Status gc = db_->large_objects().CollectGarbage();
+  if (!gc.ok()) {
+    PGLO_LOG(Warning) << "post-commit garbage collection failed: "
+                      << gc.ToString();
   }
   return time;
 }
 
 Status Session::Abort() {
   PGLO_RETURN_IF_ERROR(RequireTxn());
-  Status s = db_->Abort(txn_);
+  Status s = db_->txns().Abort(txn_);
   // Even a failed abort record leaves the transaction unusable.
-  txn_ = nullptr;
   ++stats_.aborted;
-  if (slot_ != nullptr) {
-    slot_->in_txn.store(0, std::memory_order_release);
-    slot_->xid.store(0, std::memory_order_relaxed);
-    MirrorStats();
-  }
-  return s;
+  EndTxn();
+  PGLO_RETURN_IF_ERROR(s);
+  return db_->large_objects().CollectGarbage();
 }
+
+void Session::Abandon() { EndTxn(); }
 
 Result<Oid> Session::CreateLo(const LoSpec& spec) {
   PGLO_RETURN_IF_ERROR(RequireTxn());

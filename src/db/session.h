@@ -48,14 +48,24 @@ class Session {
   /// Starts a read-only time-travel transaction as of commit tick `as_of`.
   Transaction* BeginAsOf(CommitTime as_of);
 
-  /// Commits the session's transaction (running large-object garbage
-  /// collection afterwards, like Database::Commit) and consumes it. On
-  /// success returns the commit tick. On failure the transaction is still
-  /// open — Abort() it or retry.
+  /// Commits the session's transaction and consumes it, then runs
+  /// large-object garbage collection (§5). Returns the commit tick once the
+  /// commit record is durable, even if garbage collection then fails (the
+  /// failure is logged): a retry would apply the transaction twice. If the
+  /// commit itself fails, the transaction is still open — Abort() it or
+  /// retry.
   Result<CommitTime> Commit();
 
-  /// Aborts and consumes the session's transaction.
+  /// Aborts and consumes the session's transaction, then runs large-object
+  /// garbage collection.
   Status Abort();
+
+  /// Forgets the in-progress transaction without an abort attempt or any
+  /// commit-log record — what a power failure does to a backend. For tests
+  /// that crash with a transaction in flight: abandon it, then call
+  /// Database::SimulateCrashAndReopen, which discards the Transaction with
+  /// the rest of volatile state. No-op between transactions.
+  void Abandon();
 
   /// The in-progress transaction, or null between transactions. Pass this
   /// to APIs that take an explicit Transaction*.
@@ -97,6 +107,8 @@ class Session {
   void PublishThread();
   /// Mirrors the non-atomic SessionStats into the activity slot's atomics.
   void MirrorStats();
+  /// Clears the session's transaction and its activity-slot state.
+  void EndTxn();
 
   Database* db_;
   uint32_t backend_id_;

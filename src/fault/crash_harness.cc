@@ -69,8 +69,7 @@ class Replayer {
   Status OpenDb() {
     db_ = std::make_unique<Database>();
     PGLO_RETURN_IF_ERROR(db_->Open(dopts_));
-    inv_ = std::make_unique<InversionFs>(db_->context(),
-                                         &db_->large_objects());
+    Attach();
     return Status::OK();
   }
 
@@ -90,6 +89,11 @@ class Replayer {
   /// Power-cycle after an injected crash and resolve any in-doubt commit
   /// against the reopened commit log.
   Status Recover() {
+    // The power failure takes the in-flight transactions with it: no abort
+    // record, exactly as a crashed backend leaves them.
+    for (std::unique_ptr<Session>& backend : backends_) {
+      if (backend != nullptr) backend->Abandon();
+    }
     if (db_->is_open()) {
       injector_->Disarm();
       PGLO_RETURN_IF_ERROR(db_->SimulateCrashAndReopen());
@@ -98,14 +102,14 @@ class Replayer {
       // instance while the injector is still armed-and-crashed, so
       // destructor-path flushes (the UFS block cache flushes on teardown)
       // cannot leak post-crash state to disk; then reopen cleanly.
+      for (std::unique_ptr<Session>& backend : backends_) backend.reset();
       db_.reset();
       injector_->Disarm();
       PGLO_RETURN_IF_ERROR(injector_->ApplyVolatileLoss());
       db_ = std::make_unique<Database>();
       PGLO_RETURN_IF_ERROR(db_->Open(dopts_));
     }
-    inv_ = std::make_unique<InversionFs>(db_->context(),
-                                         &db_->large_objects());
+    Attach();
     if (in_doubt_.has_value()) {
       // The crash interrupted a commit: the log record either became
       // durable or it did not. The reopened commit log is the authority.
@@ -123,9 +127,9 @@ class Replayer {
   /// Oracle 1: every slot matches its last-committed image. Oracle 2:
   /// CheckIntegrity reports zero problems.
   Status Verify() {
-    Transaction* txn = db_->Begin();
-    Status s = VerifySlots(txn);
-    Status ab = db_->Abort(txn);
+    Session& backend = *backends_[0];
+    Status s = VerifySlots(backend.Begin());
+    Status ab = backend.Abort();
     PGLO_RETURN_IF_ERROR(s);
     PGLO_RETURN_IF_ERROR(ab);
     PGLO_ASSIGN_OR_RETURN(IntegrityReport rep, CheckIntegrity(db_.get()));
@@ -157,6 +161,7 @@ class Replayer {
 
  private:
   struct TxnRun {
+    Session* backend = nullptr;
     Transaction* txn = nullptr;
     Model view;              // committed state + this txn's own effects
     std::vector<int> slots;  // disjoint partition within the pair
@@ -168,10 +173,27 @@ class Replayer {
     bool setup = false;
   };
 
-  Status Setup() {
+  /// Connects the two backends a transaction pair runs on, and the
+  /// Inversion layer, to the freshly opened db_.
+  void Attach() {
+    for (std::unique_ptr<Session>& backend : backends_) {
+      backend = db_->Connect();
+    }
+    inv_ = std::make_unique<InversionFs>(db_->context(),
+                                         &db_->large_objects());
+  }
+
+  /// Begins a transaction on `backend` that sees the committed state.
+  TxnRun StartTxn(Session* backend) {
     TxnRun tr;
-    tr.txn = db_->Begin();
+    tr.backend = backend;
+    tr.txn = backend->Begin();
     tr.view = committed_;
+    return tr;
+  }
+
+  Status Setup() {
+    TxnRun tr = StartTxn(backends_[0].get());
     PGLO_RETURN_IF_ERROR(inv_->Bootstrap(tr.txn));
     PGLO_RETURN_IF_ERROR(inv_->MkDir(tr.txn, "/h").status());
     for (int s = 0; s < kNumSlots; ++s) {
@@ -201,11 +223,8 @@ class Replayer {
   }
 
   Status RunPair(uint32_t pair) {
-    TxnRun t0, t1;
-    t0.txn = db_->Begin();
-    t1.txn = db_->Begin();
-    t0.view = committed_;
-    t1.view = committed_;
+    TxnRun t0 = StartTxn(backends_[0].get());
+    TxnRun t1 = StartTxn(backends_[1].get());
     for (int s = 0; s < kNumSlots; ++s) {
       ((s + static_cast<int>(pair)) % 2 == 0 ? t0 : t1).slots.push_back(s);
     }
@@ -298,18 +317,20 @@ class Replayer {
     if (!force_commit && rng_.Uniform(100) >= 70) {
       // Abort. A crash during the abort leaves the transaction aborted
       // either way (no commit record), so the model needs no update.
-      return db_->Abort(tr.txn);
+      return tr.backend->Abort();
     }
     Xid xid = tr.txn->xid();
-    Result<CommitTime> r = db_->Commit(tr.txn);
+    Result<CommitTime> r = tr.backend->Commit();
     if (r.ok()) {
+      // Committed once the record is durable, even when the crash then
+      // hit post-commit garbage collection (the next write reports it).
       Fold(tr, setup);
       return Status::OK();
     }
     if (FaultInjector::IsInjectedCrash(r.status())) {
-      // The commit record may have landed in full before the tear (or the
-      // crash hit post-commit garbage collection). Stash both possible
-      // worlds; Recover() asks the reopened commit log which one is real.
+      // The commit record may have landed in full before the tear. Stash
+      // both possible worlds; Recover() asks the reopened commit log which
+      // one is real.
       InDoubt d;
       d.xid = xid;
       d.model = committed_;
@@ -462,6 +483,8 @@ class Replayer {
   Random rng_;
   DatabaseOptions dopts_;
   std::unique_ptr<Database> db_;
+  /// Declared after db_: sessions disconnect before the database closes.
+  std::array<std::unique_ptr<Session>, 2> backends_;
   std::unique_ptr<InversionFs> inv_;
 
   Model committed_{};

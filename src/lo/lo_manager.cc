@@ -343,7 +343,12 @@ Status LoManager::CollectGarbage() {
       }
     }
     if (any) {
-      PGLO_RETURN_IF_ERROR(ctx_.txns->Commit(txn).status());
+      Status commit = ctx_.txns->Commit(txn).status();
+      if (!commit.ok()) {
+        Status abort_status = ctx_.txns->Abort(txn);
+        (void)abort_status;
+        return commit;
+      }
     } else {
       PGLO_RETURN_IF_ERROR(ctx_.txns->Abort(txn));
     }

@@ -130,7 +130,7 @@ class LoManager {
   Result<std::unique_ptr<LargeObject>> Instantiate(Transaction* txn, Oid oid);
 
   /// Runs deferred physical destruction queued by Unlink/temp-GC. Called
-  /// by Database after each commit; safe to call any time.
+  /// by Session after each commit and abort; safe to call any time.
   Status CollectGarbage();
 
   /// Vacuums every large object: reclaims versions deleted at or before

@@ -81,36 +81,15 @@ void FlightRecorder::RecordSpanRing(const TraceEvent& event) {
 }
 
 void FlightRecorder::BuildSlowOpTree(const TraceEvent& event) {
-  // Same completion-order discipline as Profiler::OnSpan: everything at
-  // the pending tail that is deeper and began no earlier is our direct or
-  // transitive child.
-  SpanNode node;
-  node.name.assign(event.name.data(), event.name.size());
-  node.begin_ns = event.begin_ns;
-  node.end_ns = event.end_ns;
-  node.detail = event.detail;
-  while (!pending_.empty() && pending_depth_.back() > event.depth &&
-         pending_.back().begin_ns >= event.begin_ns) {
-    node.children.push_back(std::move(pending_.back()));
-    pending_.pop_back();
-    pending_depth_.pop_back();
-  }
-  std::reverse(node.children.begin(), node.children.end());
-
-  if (event.depth != 0) {
-    pending_.push_back(std::move(node));
-    pending_depth_.push_back(event.depth);
-    return;
-  }
-  pending_.clear();
-  pending_depth_.clear();
+  std::optional<SpanNode> root = slow_op_trees_.Add(event);
+  if (!root.has_value()) return;
   uint64_t dur = Duration(event.begin_ns, event.end_ns);
   // Strictly over budget: an op landing exactly on the budget is within
   // it, and must not be captured (tested boundary).
   if (dur <= options_.slow_op_budget_ns) return;
   SlowOp op;
   op.seq = total_slow_ops_++;
-  op.root = std::move(node);
+  op.root = std::move(*root);
   if (slow_ops_.size() < options_.slow_op_capacity) {
     slow_ops_.push_back(std::move(op));
   } else {

@@ -9,6 +9,7 @@
 
 #include "common/result.h"
 #include "obs/event_log.h"
+#include "obs/span_tree.h"
 #include "obs/stats.h"
 #include "obs/wait_event.h"
 
@@ -84,13 +85,7 @@ class FlightRecorder : public TraceSink {
   };
 
   /// A captured slow operation: the full reconstructed span tree.
-  struct SpanNode {
-    std::string name;
-    uint64_t begin_ns = 0;
-    uint64_t end_ns = 0;
-    uint64_t detail = 0;
-    std::vector<SpanNode> children;
-  };
+  using SpanNode = pglo::SpanNode;
   struct SlowOp {
     uint64_t seq = 0;  ///< capture index (total_slow_ops_ at capture time)
     SpanNode root;
@@ -193,9 +188,8 @@ class FlightRecorder : public TraceSink {
   uint64_t next_sample_ns_ = 0;
   StatsSnapshot prev_snapshot_;
 
-  // Slow-op capture (Profiler-style pending adoption).
-  std::vector<SpanNode> pending_;
-  std::vector<uint32_t> pending_depth_;
+  // Slow-op capture.
+  SpanTreeBuilder slow_op_trees_;
   std::vector<SlowOp> slow_ops_;
   size_t slow_head_ = 0;
   uint64_t total_slow_ops_ = 0;

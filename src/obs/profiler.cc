@@ -1,6 +1,5 @@
 #include "obs/profiler.h"
 
-#include <algorithm>
 #include <cstdio>
 
 #include "common/json.h"
@@ -35,40 +34,15 @@ uint64_t Profiler::OpProfile::ChildNs() const {
 }
 
 void Profiler::OnSpan(const TraceEvent& event) {
-  Node node;
-  node.name = std::string(event.name);
-  node.begin_ns = event.begin_ns;
-  node.end_ns = event.end_ns;
-  node.detail = event.detail;
-  node.depth = event.depth;
-
-  // Spans complete innermost-first, so every already-completed descendant of
-  // this span is sitting at the tail of pending_: deeper, and begun no
-  // earlier than us. Adopt them. Popping walks the tail backwards, so
-  // reverse afterwards to restore begin-time order.
-  while (!pending_.empty() && pending_.back().depth > node.depth &&
-         pending_.back().begin_ns >= node.begin_ns) {
-    node.children.push_back(std::move(pending_.back()));
-    pending_.pop_back();
-  }
-  std::reverse(node.children.begin(), node.children.end());
-
-  if (node.depth == 0) {
-    Aggregate(node);
-    // Nothing outer is live, and future spans all begin from now on — any
-    // still-pending span can never be adopted. Drop orphans so an
-    // instrumentation gap cannot leak memory across operations.
-    pending_.clear();
-  } else {
-    pending_.push_back(std::move(node));
-  }
+  std::optional<SpanNode> root = trees_.Add(event);
+  if (root.has_value()) Aggregate(*root);
 }
 
-void Profiler::Aggregate(const Node& root) {
+void Profiler::Aggregate(const SpanNode& root) {
   OpProfile& profile = profiles_[root.name];
   uint64_t dur = Duration(root.begin_ns, root.end_ns);
   uint64_t child_sum = 0;
-  for (const Node& child : root.children) {
+  for (const SpanNode& child : root.children) {
     child_sum += Duration(child.begin_ns, child.end_ns);
   }
   profile.calls += 1;
@@ -76,22 +50,22 @@ void Profiler::Aggregate(const Node& root) {
   profile.self_ns += dur >= child_sum ? dur - child_sum : 0;
   profile.detail += root.detail;
   profile.latency.Record(dur);
-  for (const Node& child : root.children) {
+  for (const SpanNode& child : root.children) {
     AttributeSubtree(child, &profile);
   }
 }
 
-void Profiler::AttributeSubtree(const Node& node, OpProfile* profile) {
+void Profiler::AttributeSubtree(const SpanNode& node, OpProfile* profile) {
   uint64_t dur = Duration(node.begin_ns, node.end_ns);
   uint64_t child_sum = 0;
-  for (const Node& child : node.children) {
+  for (const SpanNode& child : node.children) {
     child_sum += Duration(child.begin_ns, child.end_ns);
   }
   LayerStat& layer = profile->layers[LayerOf(node.name)];
   layer.calls += 1;
   layer.self_ns += dur >= child_sum ? dur - child_sum : 0;
   layer.detail += node.detail;
-  for (const Node& child : node.children) {
+  for (const SpanNode& child : node.children) {
     AttributeSubtree(child, profile);
   }
 }
@@ -178,7 +152,7 @@ std::string Profiler::ToJson() const {
 }
 
 void Profiler::Reset() {
-  pending_.clear();
+  trees_.Reset();
   profiles_.clear();
 }
 

@@ -7,6 +7,7 @@
 #include <string_view>
 #include <vector>
 
+#include "obs/span_tree.h"
 #include "obs/stats.h"
 
 namespace pglo {
@@ -22,11 +23,8 @@ namespace pglo {
 ///     -> bufpool             calls=5000 12.003 ms
 ///     -> device.disk         calls=38   26.119 ms (38 seeks)
 ///
-/// Reconstruction exploits the span discipline: spans are strictly nested
-/// and a TraceSink sees them at *completion*, innermost first. The profiler
-/// keeps completed spans pending until an enclosing span (lower depth,
-/// earlier begin) completes and adopts them; a depth-0 completion closes an
-/// operation tree, which is immediately folded into the per-op aggregate, so
+/// A SpanTreeBuilder rebuilds the trees from the completion stream; each
+/// closed operation tree is immediately folded into the per-op aggregate, so
 /// memory stays bounded by tree width rather than workload length.
 ///
 /// Attribution is by *self* time: each span's duration minus its direct
@@ -82,19 +80,10 @@ class Profiler : public TraceSink {
   static std::string LayerOf(std::string_view span_name);
 
  private:
-  struct Node {
-    std::string name;  // copied: the event's string_view dies with OnSpan
-    uint64_t begin_ns = 0;
-    uint64_t end_ns = 0;
-    uint64_t detail = 0;
-    uint32_t depth = 0;
-    std::vector<Node> children;  // begin-time order
-  };
+  void Aggregate(const SpanNode& root);
+  void AttributeSubtree(const SpanNode& node, OpProfile* profile);
 
-  void Aggregate(const Node& root);
-  void AttributeSubtree(const Node& node, OpProfile* profile);
-
-  std::vector<Node> pending_;  // completed spans awaiting an enclosing span
+  SpanTreeBuilder trees_;
   std::map<std::string, OpProfile> profiles_;
 };
 

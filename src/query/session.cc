@@ -7,7 +7,7 @@ namespace pglo {
 namespace query {
 
 Session::Session(Database* db)
-    : db_(db),
+    : backend_(db->Connect()),
       types_(&db->oids()),
       executor_(db->context(), &db->large_objects(), &types_, &fns_) {
   RegisterBuiltinFunctions(&fns_);
@@ -27,15 +27,13 @@ Result<QueryResult> Session::Run(Transaction* txn, const std::string& text) {
 }
 
 Result<QueryResult> Session::Run(const std::string& text) {
-  Transaction* txn = db_->Begin();
-  Result<QueryResult> result = Run(txn, text);
-  if (result.ok()) {
-    Result<CommitTime> commit = db_->Commit(txn);
-    if (!commit.ok()) return commit.status();
-  } else {
-    Status abort_status = db_->Abort(txn);
+  Result<QueryResult> result = Run(backend_->Begin(), text);
+  Status end = result.ok() ? backend_->Commit().status() : Status::OK();
+  if (backend_->in_txn()) {
+    Status abort_status = backend_->Abort();
     (void)abort_status;
   }
+  if (!end.ok()) return end;
   return result;
 }
 

@@ -16,7 +16,8 @@ namespace query {
 /// The session owns the in-process type and function registries (types and
 /// functions were "dynamically loaded" per backend in POSTGRES; here they
 /// are re-registered per session — persistent state lives in the class
-/// catalog and the heaps).
+/// catalog and the heaps) and one backend connection for auto-commit.
+/// Destroy it before the Database.
 class Session {
  public:
   explicit Session(Database* db);
@@ -26,8 +27,8 @@ class Session {
   /// last statement is returned.
   Result<QueryResult> Run(const std::string& text);
 
-  /// Runs statements under a caller-managed transaction. Use with
-  /// db->BeginAsOf(t) for time-travel queries.
+  /// Runs statements under a caller-managed transaction, e.g. one from
+  /// another backend's pglo::Session::BeginAsOf(t) for time-travel queries.
   Result<QueryResult> Run(Transaction* txn, const std::string& text);
 
   TypeRegistry& types() { return types_; }
@@ -35,7 +36,7 @@ class Session {
   Executor& executor() { return executor_; }
 
  private:
-  Database* db_;
+  std::unique_ptr<pglo::Session> backend_;
   TypeRegistry types_;
   FunctionRegistry fns_;
   Executor executor_;

@@ -210,11 +210,13 @@ Status TxnManager::Abort(Transaction* txn) {
   if (!IsActive(txn)) {
     return Status::InvalidArgument("transaction already finished");
   }
-  PGLO_RETURN_IF_ERROR(clog_->RecordAbort(txn->xid()));
+  // A transaction without a commit record is aborted, so one whose abort
+  // record is lost (a crash) is finished all the same.
+  Status s = clog_->RecordAbort(txn->xid());
   if (events_ != nullptr) events_->Append(EventType::kTxnAbort, "", txn->xid());
   txn->state_ = TxnState::kAborted;
   Finish(txn, /*committed=*/false);
-  return Status::OK();
+  return s;
 }
 
 }  // namespace pglo

@@ -76,7 +76,9 @@ class TxnManager {
   /// dereferenced.
   Result<CommitTime> Commit(Transaction* txn);
 
-  /// Aborts: records the abort; data pages are untouched.
+  /// Aborts: records the abort; data pages are untouched. Destroys the
+  /// Transaction even when the abort record cannot be written (the error
+  /// is returned): with no commit record it is aborted either way.
   Status Abort(Transaction* txn);
 
   /// The latest commit tick — the "now" that time-travel queries address.

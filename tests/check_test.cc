@@ -23,10 +23,11 @@ class CheckTest : public ::testing::Test {
     options.charge_devices = false;
     options.buffer_pool_frames = 64;
     ASSERT_OK(db_.Open(options));
+    session_ = db_.Connect();
   }
 
   Oid MakeObject(StorageKind kind, const char* codec, size_t bytes) {
-    Transaction* txn = db_.Begin();
+    Transaction* txn = session_->Begin();
     LoSpec spec;
     spec.kind = kind;
     spec.codec = codec;
@@ -35,12 +36,13 @@ class CheckTest : public ::testing::Test {
     Random rng(oid);
     Bytes data = rng.RandomBytes(bytes);
     EXPECT_OK(lo->Write(txn, 0, Slice(data)));
-    EXPECT_OK(db_.Commit(txn).status());
+    EXPECT_OK(session_->Commit().status());
     return oid;
   }
 
   TempDir dir_;
   Database db_;
+  std::unique_ptr<Session> session_;
 };
 
 TEST_F(CheckTest, CleanDatabasePasses) {
@@ -98,7 +100,8 @@ TEST_F(CheckTest, ReadPathRejectsCorruptPages) {
   options.charge_devices = false;
   Database db2;
   ASSERT_OK(db2.Open(options));
-  Transaction* txn = db2.Begin();
+  auto session2 = db2.Connect();
+  Transaction* txn = session2->Begin();
   auto lo = db2.large_objects().Instantiate(txn, oid);
   bool corruption_seen = false;
   if (lo.ok()) {
@@ -109,7 +112,7 @@ TEST_F(CheckTest, ReadPathRejectsCorruptPages) {
     corruption_seen = lo.status().IsCorruption();
   }
   EXPECT_TRUE(corruption_seen);
-  ASSERT_OK(db2.Abort(txn));
+  ASSERT_OK(session2->Abort());
 }
 
 // Torture: random transactional workloads punctuated by crashes and
@@ -124,15 +127,13 @@ TEST_P(CrashIntegrityFuzz, IntegrityHoldsThroughCrashes) {
   options.buffer_pool_frames = 64;
   Database db;
   ASSERT_OK(db.Open(options));
+  auto session = db.Connect();
 
   Random rng(GetParam());
   std::vector<Oid> committed_objects;
 
-  // Deliberately on the deprecated Database-level Begin(): case 2 below
-  // crashes mid-transaction, and a Session would abort the (by then
-  // dangling) transaction at scope exit.
   for (int round = 0; round < 12; ++round) {
-    Transaction* txn = db.Begin();
+    Transaction* txn = session->Begin();
     // Mutate: maybe create an object, write to a random committed one.
     bool created = false;
     Oid fresh = kInvalidOid;
@@ -154,16 +155,17 @@ TEST_P(CrashIntegrityFuzz, IntegrityHoldsThroughCrashes) {
     }
     switch (rng.Uniform(3)) {
       case 0:
-        ASSERT_OK(db.Commit(txn).status());
+        ASSERT_OK(session->Commit().status());
         if (created) committed_objects.push_back(fresh);
         break;
       case 1:
-        ASSERT_OK(db.Abort(txn));
+        ASSERT_OK(session->Abort());
         break;
       case 2:
         if (rng.OneInHundred(50)) {
           ASSERT_OK(db.pool().FlushAll());
         }
+        session->Abandon();
         ASSERT_OK(db.SimulateCrashAndReopen());
         break;
     }

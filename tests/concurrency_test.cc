@@ -311,9 +311,9 @@ TEST_F(ConcurrencyTest, CommitConsumesTheTransaction) {
   EXPECT_FALSE(session->Commit().ok());
   EXPECT_FALSE(session->Abort().ok());
 
-  // Even the deprecated Database-level shim refuses the stale pointer
-  // (membership check, no dereference of freed state).
-  Status stale = db.Commit(txn).status();
+  // The transaction manager itself refuses the stale pointer (membership
+  // check, no dereference of freed state).
+  Status stale = db.txns().Commit(txn).status();
   EXPECT_TRUE(stale.IsInvalidArgument()) << stale.ToString();
 
   // A fresh Begin works; stats counted both outcomes.

@@ -236,7 +236,8 @@ TEST(WormCrashTest, FsckReportsOrphanedBlocks) {
   opts.fault_injector = &inj;
   Database db;
   ASSERT_OK(db.Open(opts));
-  Transaction* txn = db.Begin();
+  auto session = db.Connect();
+  Transaction* txn = session->Begin();
   LoSpec spec;
   spec.kind = StorageKind::kFChunk;
   spec.smgr = kSmgrWorm;
@@ -246,7 +247,7 @@ TEST(WormCrashTest, FsckReportsOrphanedBlocks) {
   Bytes data(10 * 1024, 0x5C);
   ASSERT_OK(lo->Write(txn, 0, Slice(data)));
   lo.reset();
-  ASSERT_OK(db.Commit(txn).status());
+  ASSERT_OK(session->Commit().status());
   // Burn a block "by hand" whose map record the crash swallows: the burn
   // (tick 1) completes, the relocation-map append (tick 2) does not.
   ASSERT_OK(db.worm()->CreateFile(99));
@@ -288,7 +289,8 @@ TEST(AsyncCommitRegressionTest, UnsyncedCommitVanishesAtCrash) {
     opts.synchronous_commit = synchronous;
     Database db;
     ASSERT_OK(db.Open(opts));
-    Transaction* txn = db.Begin();
+    auto session = db.Connect();
+    Transaction* txn = session->Begin();
     Xid xid = txn->xid();
     LoSpec spec;
     spec.kind = StorageKind::kFChunk;
@@ -299,12 +301,12 @@ TEST(AsyncCommitRegressionTest, UnsyncedCommitVanishesAtCrash) {
     Bytes data(4096, 0x11);
     ASSERT_OK(lo->Write(txn, 0, Slice(data)));
     lo.reset();
-    ASSERT_OK(db.Commit(txn).status());  // reports success either way
+    ASSERT_OK(session->Commit().status());  // reports success either way
     ASSERT_OK(db.SimulateCrashAndReopen());
     // Read the log state before beginning another transaction, so a
     // recycled xid cannot shadow the verdict for the lost one.
     TxnState state = db.txns().commit_log().GetState(xid);
-    Transaction* probe = db.Begin();
+    Transaction* probe = session->Begin();
     ASSERT_OK_AND_ASSIGN(bool exists, db.large_objects().Exists(probe, oid));
     if (synchronous) {
       EXPECT_EQ(state, TxnState::kCommitted);
@@ -313,7 +315,7 @@ TEST(AsyncCommitRegressionTest, UnsyncedCommitVanishesAtCrash) {
       EXPECT_EQ(state, TxnState::kAborted);
       EXPECT_FALSE(exists) << "lost commit resurfaced as committed data";
     }
-    ASSERT_OK(db.Abort(probe));
+    ASSERT_OK(session->Abort());
   }
 }
 
@@ -331,6 +333,53 @@ TEST(AsyncCommitRegressionTest, HarnessCatchesTheRegression) {
   EXPECT_FALSE(report.ok())
       << "no-fsync commit log escaped the crash sweep: "
       << report.ToString();
+}
+
+TEST(PostCommitGcCrashTest, DurableCommitIsReportedAndConsumed) {
+  // Sweep crash points over the commit of a transaction that made a
+  // temporary object, until one lands after the commit record is durable
+  // but inside the post-commit garbage collection that unlinks the
+  // temporary (§5). The commit stands: Commit() must return its tick and
+  // consume the transaction, since a retry would apply it twice.
+  bool hit = false;
+  for (uint64_t point = 1; point <= 64 && !hit; ++point) {
+    TempDir td;
+    FaultInjector inj;
+    DatabaseOptions opts;
+    opts.dir = td.Sub("db");
+    opts.charge_devices = false;
+    opts.fault_injector = &inj;
+    Database db;
+    ASSERT_OK(db.Open(opts));
+    auto session = db.Connect();
+    Transaction* txn = session->Begin();
+    Xid xid = txn->xid();
+    ASSERT_OK_AND_ASSIGN(Oid temp,
+                         db.large_objects().CreateTemp(txn, LoSpec{}));
+    ASSERT_OK_AND_ASSIGN(LoDescriptor * fd,
+                         db.large_objects().Open(txn, temp, true));
+    ASSERT_OK(fd->Write(Slice("scratch")));
+    FaultPlan plan;
+    plan.crash_after_writes = point;
+    plan.torn_writes = false;
+    inj.Arm(plan);
+    Result<CommitTime> tick = session->Commit();
+    ASSERT_TRUE(inj.crashed()) << "point " << point
+                               << ": commit and GC finished uncrashed";
+    if (db.txns().commit_log().GetState(xid) == TxnState::kCommitted) {
+      hit = true;
+      ASSERT_TRUE(tick.ok()) << "point " << point << ": "
+                             << tick.status().ToString();
+      EXPECT_EQ(tick.value(), db.txns().commit_log().GetCommitTime(xid));
+      EXPECT_FALSE(session->in_txn());
+      EXPECT_EQ(db.txns().active_count(), 0u);
+      EXPECT_TRUE(session->Abort().IsInvalidArgument());
+    }
+    session->Abandon();
+    inj.Disarm();
+    ASSERT_OK(db.SimulateCrashAndReopen());
+  }
+  EXPECT_TRUE(hit) << "no crash point landed in post-commit GC";
 }
 
 TEST(InversionCrashTest, BootstrapIsCrashRepairable) {
@@ -351,9 +400,9 @@ TEST(InversionCrashTest, BootstrapIsCrashRepairable) {
     ASSERT_OK(db.Open(opts));
     uint64_t base = inj.writes_seen();
     InversionFs fs(db.context(), &db.large_objects());
-    Transaction* txn = db.Begin();
-    ASSERT_OK(fs.Bootstrap(txn));
-    ASSERT_OK(db.Commit(txn).status());
+    auto session = db.Connect();
+    ASSERT_OK(fs.Bootstrap(session->Begin()));
+    ASSERT_OK(session->Commit().status());
     total = inj.writes_seen();
     ASSERT_GT(total, base);
   }
@@ -372,9 +421,10 @@ TEST(InversionCrashTest, BootstrapIsCrashRepairable) {
     Status s = db->Open(opts);
     if (s.ok()) {
       InversionFs fs(db->context(), &db->large_objects());
-      Transaction* txn = db->Begin();
-      s = fs.Bootstrap(txn);
-      if (s.ok()) s = db->Commit(txn).status();
+      auto session = db->Connect();
+      s = fs.Bootstrap(session->Begin());
+      if (s.ok()) s = session->Commit().status();
+      session->Abandon();  // whatever the crash left in flight
     }
     ASSERT_TRUE(inj.crashed()) << "point " << point << ": " << s.ToString();
     if (db->is_open()) {
@@ -389,7 +439,8 @@ TEST(InversionCrashTest, BootstrapIsCrashRepairable) {
     }
     // Second bootstrap over the wreckage, then real use.
     InversionFs fs(db->context(), &db->large_objects());
-    Transaction* txn = db->Begin();
+    auto session = db->Connect();
+    Transaction* txn = session->Begin();
     Status boot_s = fs.Bootstrap(txn);
     ASSERT_TRUE(boot_s.ok())
         << "point " << point << ": " << boot_s.ToString();
@@ -403,14 +454,14 @@ TEST(InversionCrashTest, BootstrapIsCrashRepairable) {
     Bytes data(3000, 0x42);
     ASSERT_OK(fh->Write(Slice(data)));
     fh.reset();
-    ASSERT_OK(db->Commit(txn).status());
-    Transaction* probe = db->Begin();
+    ASSERT_OK(session->Commit().status());
+    Transaction* probe = session->Begin();
     ASSERT_OK_AND_ASSIGN(std::unique_ptr<InversionFile> back,
                          fs.Open(probe, "/d/f", /*writable=*/false));
     ASSERT_OK_AND_ASSIGN(Bytes got, back->Read(data.size()));
     EXPECT_EQ(got, data) << "point " << point;
     back.reset();
-    ASSERT_OK(db->Abort(probe));
+    ASSERT_OK(session->Abort());
     ASSERT_OK(db->Close());
   }
 }

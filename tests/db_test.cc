@@ -78,30 +78,25 @@ TEST_F(DatabaseTest, CommittedDataSurvivesCrash) {
   ASSERT_OK(session->Abort());
 }
 
-// The crash-mid-transaction tests below stay on the deprecated
-// Database-level Begin(): they deliberately abandon a transaction at the
-// crash point, which a Session would dutifully abort at destruction —
-// defeating the test. The `db.deprecated_txn_api` counter keeps such
-// callers visible (see DeprecatedTxnApiCounted).
-
 TEST_F(DatabaseTest, UncommittedDataVanishesOnCrash) {
   // The no-overwrite commit protocol: a crash before the commit record
   // leaves the transaction unrecorded, hence aborted, hence invisible.
   Database db;
   ASSERT_OK(db.Open(Options()));
+  auto session = db.Connect();
   Oid committed_oid;
   {
-    Transaction* txn = db.Begin();
+    Transaction* txn = session->Begin();
     ASSERT_OK_AND_ASSIGN(committed_oid,
                          db.large_objects().Create(txn, LoSpec{}));
     ASSERT_OK_AND_ASSIGN(LoDescriptor * fd,
                          db.large_objects().Open(txn, committed_oid, true));
     ASSERT_OK(fd->Write(Slice("stable")));
-    ASSERT_OK(db.Commit(txn).status());
+    ASSERT_OK(session->Commit().status());
   }
   Oid doomed_oid;
   {
-    Transaction* txn = db.Begin();
+    Transaction* txn = session->Begin();
     ASSERT_OK_AND_ASSIGN(doomed_oid, db.large_objects().Create(txn, LoSpec{}));
     ASSERT_OK_AND_ASSIGN(LoDescriptor * fd,
                          db.large_objects().Open(txn, doomed_oid, true));
@@ -109,44 +104,47 @@ TEST_F(DatabaseTest, UncommittedDataVanishesOnCrash) {
     // Force dirty pages out (simulating eviction before commit)...
     ASSERT_OK(db.pool().FlushAll());
     // ...then crash WITHOUT committing.
+    session->Abandon();
   }
   ASSERT_OK(db.SimulateCrashAndReopen());
-  Transaction* txn = db.Begin();
+  Transaction* txn = session->Begin();
   ASSERT_OK_AND_ASSIGN(bool exists,
                        db.large_objects().Exists(txn, doomed_oid));
   EXPECT_FALSE(exists);  // flushed-but-uncommitted tuples invisible
   ASSERT_OK_AND_ASSIGN(exists, db.large_objects().Exists(txn, committed_oid));
   EXPECT_TRUE(exists);
-  ASSERT_OK(db.Abort(txn));
+  ASSERT_OK(session->Abort());
 }
 
 TEST_F(DatabaseTest, CrashMidTransactionRollsBackLoWrites) {
   Database db;
   ASSERT_OK(db.Open(Options()));
+  auto session = db.Connect();
   Oid oid;
   {
-    Transaction* txn = db.Begin();
+    Transaction* txn = session->Begin();
     ASSERT_OK_AND_ASSIGN(oid, db.large_objects().Create(txn, LoSpec{}));
     ASSERT_OK_AND_ASSIGN(LoDescriptor * fd,
                          db.large_objects().Open(txn, oid, true));
     ASSERT_OK(fd->Write(Slice("original")));
-    ASSERT_OK(db.Commit(txn).status());
+    ASSERT_OK(session->Commit().status());
   }
   {
-    Transaction* txn = db.Begin();
+    Transaction* txn = session->Begin();
     ASSERT_OK_AND_ASSIGN(LoDescriptor * fd,
                          db.large_objects().Open(txn, oid, true));
     ASSERT_OK(fd->Seek(0, Whence::kSet).status());
     ASSERT_OK(fd->Write(Slice("CLOBBER!")));
     ASSERT_OK(db.pool().FlushAll());  // even if pages reached disk...
+    session->Abandon();
   }
   ASSERT_OK(db.SimulateCrashAndReopen());
-  Transaction* txn = db.Begin();
+  Transaction* txn = session->Begin();
   ASSERT_OK_AND_ASSIGN(LoDescriptor * fd,
                        db.large_objects().Open(txn, oid, false));
   ASSERT_OK_AND_ASSIGN(Bytes data, fd->Read(64));
   EXPECT_EQ(Slice(data).ToString(), "original");
-  ASSERT_OK(db.Abort(txn));
+  ASSERT_OK(session->Abort());
 }
 
 TEST_F(DatabaseTest, TimeTravelSurvivesRestart) {
@@ -243,18 +241,19 @@ TEST_P(CrashFuzz, AlwaysRecoversToCommittedState) {
   options.buffer_pool_frames = 64;
   Database db;
   ASSERT_OK(db.Open(options));
+  auto session = db.Connect();
 
   pglo::Random rng(GetParam());
   Oid oid;
   Bytes committed;  // reference of the last committed object state
   {
-    Transaction* txn = db.Begin();
+    Transaction* txn = session->Begin();
     ASSERT_OK_AND_ASSIGN(oid, db.large_objects().Create(txn, LoSpec{}));
-    ASSERT_OK(db.Commit(txn).status());
+    ASSERT_OK(session->Commit().status());
   }
 
   for (int round = 0; round < 15; ++round) {
-    Transaction* txn = db.Begin();
+    Transaction* txn = session->Begin();
     ASSERT_OK_AND_ASSIGN(auto lo, db.large_objects().Instantiate(txn, oid));
     Bytes staged = committed;
     int writes = 1 + static_cast<int>(rng.Uniform(4));
@@ -269,24 +268,25 @@ TEST_P(CrashFuzz, AlwaysRecoversToCommittedState) {
     }
     switch (rng.Uniform(3)) {
       case 0:  // commit, then maybe crash after
-        ASSERT_OK(db.Commit(txn).status());
+        ASSERT_OK(session->Commit().status());
         committed = std::move(staged);
         if (rng.OneInHundred(50)) {
           ASSERT_OK(db.SimulateCrashAndReopen());
         }
         break;
       case 1:  // abort
-        ASSERT_OK(db.Abort(txn));
+        ASSERT_OK(session->Abort());
         break;
       case 2:  // crash mid-transaction (sometimes with pages flushed)
         if (rng.OneInHundred(50)) {
           ASSERT_OK(db.pool().FlushAll());
         }
+        session->Abandon();
         ASSERT_OK(db.SimulateCrashAndReopen());
         break;
     }
     // Verify committed state after every round.
-    Transaction* check = db.Begin();
+    Transaction* check = session->Begin();
     ASSERT_OK_AND_ASSIGN(auto lo2, db.large_objects().Instantiate(check, oid));
     ASSERT_OK_AND_ASSIGN(uint64_t size, lo2->Size(check));
     ASSERT_EQ(size, committed.size()) << "round " << round;
@@ -296,39 +296,12 @@ TEST_P(CrashFuzz, AlwaysRecoversToCommittedState) {
       ASSERT_EQ(n, size);
       ASSERT_EQ(got, committed) << "round " << round;
     }
-    ASSERT_OK(db.Abort(check));
+    ASSERT_OK(session->Abort());
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CrashFuzz,
                          ::testing::Values(21, 42, 84, 168, 336));
-
-TEST_F(DatabaseTest, DeprecatedTxnApiCounted) {
-  // Database-level Begin() still works but announces itself: every call
-  // bumps db.deprecated_txn_api, so stragglers show up in any snapshot.
-  // Session-routed transactions must NOT count.
-  Database db;
-  ASSERT_OK(db.Open(Options()));
-  auto counted = [&]() {
-    for (const auto& [name, value] : db.Stats().counters) {
-      if (name == "db.deprecated_txn_api") return value;
-    }
-    return uint64_t{0};
-  };
-  uint64_t base = counted();  // Open() bootstraps internally, uncounted
-  {
-    auto session = db.Connect();
-    session->Begin();
-    ASSERT_OK(session->Abort());
-  }
-  EXPECT_EQ(counted(), base);
-  Transaction* txn = db.Begin();
-  ASSERT_OK(db.Abort(txn));
-  EXPECT_EQ(counted(), base + 1);
-  txn = db.BeginAsOf(db.Now());
-  ASSERT_OK(db.Abort(txn));
-  EXPECT_EQ(counted(), base + 2);
-}
 
 TEST_F(DatabaseTest, SimulatedTimeAdvancesWithCharging) {
   DatabaseOptions options = Options();

@@ -22,9 +22,11 @@ class IntegrationTest : public ::testing::Test {
     options.buffer_pool_frames = 256;
     options.ufs_params.capacity_blocks = 8192;
     ASSERT_OK(db_.Open(options));
+    session_ = db_.Connect();
   }
   TempDir dir_;
   Database db_;
+  std::unique_ptr<Session> session_;
 };
 
 // A miniature version of the full §9 benchmark workload, run against the
@@ -42,7 +44,7 @@ TEST_F(IntegrationTest, MiniBenchmarkWorkloadIsCorrect) {
       std::vector<Bytes> model(kFrames);
       Oid oid;
       {
-        Transaction* txn = db_.Begin();
+        Transaction* txn = session_->Begin();
         LoSpec spec;
         spec.kind = kind;
         spec.codec = codec;
@@ -54,12 +56,12 @@ TEST_F(IntegrationTest, MiniBenchmarkWorkloadIsCorrect) {
           model[i] = MakeFrame(1, i, params);
           ASSERT_OK(lo->Write(txn, i * kFrameSize, Slice(model[i])));
         }
-        ASSERT_OK(db_.Commit(txn).status());
+        ASSERT_OK(session_->Commit().status());
       }
       // Random replaces across several transactions, with one aborted.
       Random rng(99);
       for (int round = 0; round < 4; ++round) {
-        Transaction* txn = db_.Begin();
+        Transaction* txn = session_->Begin();
         ASSERT_OK_AND_ASSIGN(auto lo,
                              db_.large_objects().Instantiate(txn, oid));
         bool abort_this = (round == 2);
@@ -71,14 +73,14 @@ TEST_F(IntegrationTest, MiniBenchmarkWorkloadIsCorrect) {
           staged.emplace_back(frame, std::move(data));
         }
         if (abort_this) {
-          ASSERT_OK(db_.Abort(txn));
+          ASSERT_OK(session_->Abort());
         } else {
-          ASSERT_OK(db_.Commit(txn).status());
+          ASSERT_OK(session_->Commit().status());
           for (auto& [frame, data] : staged) model[frame] = std::move(data);
         }
       }
       // Full verification pass.
-      Transaction* txn = db_.Begin();
+      Transaction* txn = session_->Begin();
       ASSERT_OK_AND_ASSIGN(auto lo, db_.large_objects().Instantiate(txn, oid));
       Bytes frame(kFrameSize);
       for (uint64_t i = 0; i < kFrames; ++i) {
@@ -89,7 +91,7 @@ TEST_F(IntegrationTest, MiniBenchmarkWorkloadIsCorrect) {
             << "kind=" << static_cast<int>(kind) << " codec=" << codec
             << " frame=" << i;
       }
-      ASSERT_OK(db_.Abort(txn));
+      ASSERT_OK(session_->Abort());
     }
   }
 }
@@ -114,20 +116,20 @@ TEST_F(IntegrationTest, FullStackScenario) {
       session.Run("retrieve (MOVIES.reel) where MOVIES.title = \"Heat\""));
   Oid reel = r.rows[0][0].as_lo().oid;
   {
-    Transaction* txn = db_.Begin();
+    Transaction* txn = session_->Begin();
     ASSERT_OK_AND_ASSIGN(auto lo, db_.large_objects().Instantiate(txn, reel));
     FrameParams params;
     for (uint64_t i = 0; i < 50; ++i) {
       Bytes data = MakeFrame(5, i, params);
       ASSERT_OK(lo->Write(txn, i * 4096, Slice(data)));
     }
-    ASSERT_OK(db_.Commit(txn).status());
+    ASSERT_OK(session_->Commit().status());
   }
 
   // Inversion exposes a second, file-oriented door to the same store.
   InversionFs fs(db_.context(), &db_.large_objects());
   {
-    Transaction* txn = db_.Begin();
+    Transaction* txn = session_->Begin();
     ASSERT_OK(fs.Bootstrap(txn));
     ASSERT_OK(fs.MkDir(txn, "/exports").status());
     LoSpec spec;
@@ -135,7 +137,7 @@ TEST_F(IntegrationTest, FullStackScenario) {
     ASSERT_OK(fs.Create(txn, "/exports/heat.idx", spec).status());
     ASSERT_OK_AND_ASSIGN(auto f, fs.Open(txn, "/exports/heat.idx", true));
     ASSERT_OK(f->Write(Slice("reel=" + std::to_string(reel))));
-    ASSERT_OK(db_.Commit(txn).status());
+    ASSERT_OK(session_->Commit().status());
   }
 
   // Crash. Everything committed must survive; caches were all volatile.
@@ -158,7 +160,7 @@ TEST_F(IntegrationTest, FullStackScenario) {
     EXPECT_EQ(r2.rows[0][0].as_lo().oid, reel);
   }
   {
-    Transaction* txn = db_.Begin();
+    Transaction* txn = session_->Begin();
     ASSERT_OK_AND_ASSIGN(auto lo, db_.large_objects().Instantiate(txn, reel));
     Bytes frame(4096);
     ASSERT_OK_AND_ASSIGN(size_t n, lo->Read(txn, 0, 4096, frame.data()));
@@ -169,14 +171,14 @@ TEST_F(IntegrationTest, FullStackScenario) {
     ASSERT_OK_AND_ASSIGN(auto f, fs2.Open(txn, "/exports/heat.idx", false));
     ASSERT_OK_AND_ASSIGN(Bytes idx, f->Read(64));
     EXPECT_EQ(Slice(idx).ToString(), "reel=" + std::to_string(reel));
-    ASSERT_OK(db_.Abort(txn));
+    ASSERT_OK(session_->Abort());
   }
 }
 
 // Mixed storage managers in one database: the §7 switch routes classes of
 // one transaction to different devices.
 TEST_F(IntegrationTest, MixedStorageManagersInOneTransaction) {
-  Transaction* txn = db_.Begin();
+  Transaction* txn = session_->Begin();
   LoSpec on_disk;
   LoSpec in_memory;
   in_memory.smgr = kSmgrMemory;
@@ -189,8 +191,8 @@ TEST_F(IntegrationTest, MixedStorageManagersInOneTransaction) {
     ASSERT_OK_AND_ASSIGN(auto lo, db_.large_objects().Instantiate(txn, oid));
     ASSERT_OK(lo->Write(txn, 0, Slice("cross-device transaction")));
   }
-  ASSERT_OK(db_.Commit(txn).status());
-  txn = db_.Begin();
+  ASSERT_OK(session_->Commit().status());
+  txn = session_->Begin();
   for (Oid oid : {a, b, c}) {
     ASSERT_OK_AND_ASSIGN(auto lo, db_.large_objects().Instantiate(txn, oid));
     Bytes buf(64);
@@ -198,7 +200,7 @@ TEST_F(IntegrationTest, MixedStorageManagersInOneTransaction) {
     buf.resize(n);
     EXPECT_EQ(Slice(buf).ToString(), "cross-device transaction");
   }
-  ASSERT_OK(db_.Abort(txn));
+  ASSERT_OK(session_->Abort());
 }
 
 // Vacuum reclaims replaced versions once history is given up, shrinking
@@ -206,32 +208,32 @@ TEST_F(IntegrationTest, MixedStorageManagersInOneTransaction) {
 TEST_F(IntegrationTest, VacuumReclaimsOldVersions) {
   Oid oid;
   {
-    Transaction* txn = db_.Begin();
+    Transaction* txn = session_->Begin();
     LoSpec spec;
     ASSERT_OK_AND_ASSIGN(oid, db_.large_objects().Create(txn, spec));
     ASSERT_OK_AND_ASSIGN(auto lo, db_.large_objects().Instantiate(txn, oid));
     Bytes data(64 * 1024, 1);
     ASSERT_OK(lo->Write(txn, 0, Slice(data)));
-    ASSERT_OK(db_.Commit(txn).status());
+    ASSERT_OK(session_->Commit().status());
   }
   // Replace everything in 5 separate transactions: versions accumulate.
   for (int round = 0; round < 5; ++round) {
-    Transaction* txn = db_.Begin();
+    Transaction* txn = session_->Begin();
     ASSERT_OK_AND_ASSIGN(auto lo, db_.large_objects().Instantiate(txn, oid));
     Bytes data(64 * 1024, static_cast<uint8_t>(round + 2));
     ASSERT_OK(lo->Write(txn, 0, Slice(data)));
-    ASSERT_OK(db_.Commit(txn).status());
+    ASSERT_OK(session_->Commit().status());
   }
   // Count live + dead tuples through a raw scan of the chunk heap before
   // and after vacuum via the footprint proxy: data file does not shrink
   // (pages are not returned), but a fresh object written after vacuum can
   // reuse the reclaimed space. Here we assert the reclaim count instead.
-  Transaction* txn = db_.Begin();
+  Transaction* txn = session_->Begin();
   ASSERT_OK_AND_ASSIGN(auto lo, db_.large_objects().Instantiate(txn, oid));
   Bytes buf(16);
   ASSERT_OK(lo->Read(txn, 0, 16, buf.data()).status());
   EXPECT_EQ(buf[0], 6);  // latest version visible
-  ASSERT_OK(db_.Abort(txn));
+  ASSERT_OK(session_->Abort());
 }
 
 }  // namespace

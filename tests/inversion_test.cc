@@ -20,19 +20,21 @@ class InversionTest : public ::testing::Test {
     options.charge_devices = false;
     options.buffer_pool_frames = 128;
     ASSERT_OK(db_.Open(options));
+    session_ = db_.Connect();
     fs_ = std::make_unique<InversionFs>(db_.context(), &db_.large_objects());
-    Transaction* txn = db_.Begin();
+    Transaction* txn = session_->Begin();
     ASSERT_OK(fs_->Bootstrap(txn));
-    ASSERT_OK(db_.Commit(txn).status());
+    ASSERT_OK(session_->Commit().status());
   }
 
   TempDir dir_;
   Database db_;
+  std::unique_ptr<Session> session_;
   std::unique_ptr<InversionFs> fs_;
 };
 
 TEST_F(InversionTest, MkDirCreateStatReadDir) {
-  Transaction* txn = db_.Begin();
+  Transaction* txn = session_->Begin();
   ASSERT_OK(fs_->MkDir(txn, "/video").status());
   ASSERT_OK(fs_->Create(txn, "/video/clip.raw", LoSpec{}).status());
   ASSERT_OK_AND_ASSIGN(auto st, fs_->Stat(txn, "/video/clip.raw"));
@@ -48,11 +50,11 @@ TEST_F(InversionTest, MkDirCreateStatReadDir) {
   ASSERT_OK_AND_ASSIGN(entries, fs_->ReadDir(txn, "/video"));
   ASSERT_EQ(entries.size(), 1u);
   EXPECT_EQ(entries[0].name, "clip.raw");
-  ASSERT_OK(db_.Commit(txn).status());
+  ASSERT_OK(session_->Commit().status());
 }
 
 TEST_F(InversionTest, FileReadWriteSeek) {
-  Transaction* txn = db_.Begin();
+  Transaction* txn = session_->Begin();
   ASSERT_OK(fs_->Create(txn, "/notes.txt", LoSpec{}).status());
   ASSERT_OK_AND_ASSIGN(auto file, fs_->Open(txn, "/notes.txt", true));
   ASSERT_OK(file->Write(Slice("the standard file system calls")));
@@ -61,11 +63,11 @@ TEST_F(InversionTest, FileReadWriteSeek) {
   EXPECT_EQ(Slice(data).ToString(), "standard");
   ASSERT_OK_AND_ASSIGN(uint64_t size, file->Size());
   EXPECT_EQ(size, 30u);
-  ASSERT_OK(db_.Commit(txn).status());
+  ASSERT_OK(session_->Commit().status());
 }
 
 TEST_F(InversionTest, PathErrors) {
-  Transaction* txn = db_.Begin();
+  Transaction* txn = session_->Begin();
   EXPECT_TRUE(fs_->Stat(txn, "/nope").status().IsNotFound());
   EXPECT_TRUE(fs_->Create(txn, "relative", LoSpec{})
                   .status()
@@ -77,11 +79,11 @@ TEST_F(InversionTest, PathErrors) {
   EXPECT_TRUE(
       fs_->Create(txn, "/file/x", LoSpec{}).status().IsInvalidArgument());
   EXPECT_TRUE(fs_->Open(txn, "/", true).status().IsInvalidArgument());
-  ASSERT_OK(db_.Commit(txn).status());
+  ASSERT_OK(session_->Commit().status());
 }
 
 TEST_F(InversionTest, RemoveAndRmDir) {
-  Transaction* txn = db_.Begin();
+  Transaction* txn = session_->Begin();
   ASSERT_OK(fs_->MkDir(txn, "/d").status());
   ASSERT_OK(fs_->Create(txn, "/d/f", LoSpec{}).status());
   EXPECT_TRUE(fs_->RmDir(txn, "/d").IsInvalidArgument());  // not empty
@@ -93,11 +95,11 @@ TEST_F(InversionTest, RemoveAndRmDir) {
   ASSERT_OK_AND_ASSIGN(exists, fs_->Exists(txn, "/d"));
   EXPECT_FALSE(exists);
   EXPECT_TRUE(fs_->RmDir(txn, "/").IsInvalidArgument());
-  ASSERT_OK(db_.Commit(txn).status());
+  ASSERT_OK(session_->Commit().status());
 }
 
 TEST_F(InversionTest, RenameMovesAcrossDirectories) {
-  Transaction* txn = db_.Begin();
+  Transaction* txn = session_->Begin();
   ASSERT_OK(fs_->MkDir(txn, "/src").status());
   ASSERT_OK(fs_->MkDir(txn, "/dst").status());
   ASSERT_OK(fs_->Create(txn, "/src/f", LoSpec{}).status());
@@ -111,68 +113,68 @@ TEST_F(InversionTest, RenameMovesAcrossDirectories) {
   ASSERT_OK_AND_ASSIGN(auto file, fs_->Open(txn, "/dst/g", false));
   ASSERT_OK_AND_ASSIGN(Bytes data, file->Read(16));
   EXPECT_EQ(Slice(data).ToString(), "payload");
-  ASSERT_OK(db_.Commit(txn).status());
+  ASSERT_OK(session_->Commit().status());
 }
 
 TEST_F(InversionTest, TransactionAbortRollsBackEverything) {
   // §8: "files are database large ADTs, so security, transactions, time
   // travel and compression are readily available."
   {
-    Transaction* txn = db_.Begin();
+    Transaction* txn = session_->Begin();
     ASSERT_OK(fs_->Create(txn, "/keep", LoSpec{}).status());
     ASSERT_OK_AND_ASSIGN(auto file, fs_->Open(txn, "/keep", true));
     ASSERT_OK(file->Write(Slice("keep me")));
-    ASSERT_OK(db_.Commit(txn).status());
+    ASSERT_OK(session_->Commit().status());
   }
   {
-    Transaction* txn = db_.Begin();
+    Transaction* txn = session_->Begin();
     // Namespace change + content change, then abort.
     ASSERT_OK(fs_->Create(txn, "/phantom", LoSpec{}).status());
     ASSERT_OK_AND_ASSIGN(auto file, fs_->Open(txn, "/keep", true));
     ASSERT_OK(file->Seek(0, Whence::kSet).status());
     ASSERT_OK(file->Write(Slice("CLOBBER")));
-    ASSERT_OK(db_.Abort(txn));
+    ASSERT_OK(session_->Abort());
   }
-  Transaction* txn = db_.Begin();
+  Transaction* txn = session_->Begin();
   ASSERT_OK_AND_ASSIGN(bool exists, fs_->Exists(txn, "/phantom"));
   EXPECT_FALSE(exists);
   ASSERT_OK_AND_ASSIGN(auto file, fs_->Open(txn, "/keep", false));
   ASSERT_OK_AND_ASSIGN(Bytes data, file->Read(16));
   EXPECT_EQ(Slice(data).ToString(), "keep me");
-  ASSERT_OK(db_.Abort(txn));
+  ASSERT_OK(session_->Abort());
 }
 
 TEST_F(InversionTest, TimeTravelOverFileTree) {
   CommitTime before;
   {
-    Transaction* txn = db_.Begin();
+    Transaction* txn = session_->Begin();
     ASSERT_OK(fs_->Create(txn, "/report", LoSpec{}).status());
     ASSERT_OK_AND_ASSIGN(auto file, fs_->Open(txn, "/report", true));
     ASSERT_OK(file->Write(Slice("draft 1")));
-    ASSERT_OK_AND_ASSIGN(before, db_.Commit(txn));
+    ASSERT_OK_AND_ASSIGN(before, session_->Commit());
   }
   {
-    Transaction* txn = db_.Begin();
+    Transaction* txn = session_->Begin();
     ASSERT_OK_AND_ASSIGN(auto file, fs_->Open(txn, "/report", true));
     ASSERT_OK(file->Seek(0, Whence::kSet).status());
     ASSERT_OK(file->Write(Slice("draft 2")));
     ASSERT_OK(fs_->Create(txn, "/appendix", LoSpec{}).status());
-    ASSERT_OK(db_.Commit(txn).status());
+    ASSERT_OK(session_->Commit().status());
   }
   // Historical view: old contents, no /appendix.
-  Transaction* historical = db_.BeginAsOf(before);
+  Transaction* historical = session_->BeginAsOf(before);
   ASSERT_OK_AND_ASSIGN(auto file, fs_->Open(historical, "/report", false));
   ASSERT_OK_AND_ASSIGN(Bytes data, file->Read(16));
   EXPECT_EQ(Slice(data).ToString(), "draft 1");
   ASSERT_OK_AND_ASSIGN(bool exists, fs_->Exists(historical, "/appendix"));
   EXPECT_FALSE(exists);
-  ASSERT_OK(db_.Abort(historical));
+  ASSERT_OK(session_->Abort());
 }
 
 TEST_F(InversionTest, CompressedFileStorageKind) {
   // §10: "Inversion can use either the f-chunk or v-segment large object
   // implementations for file storage."
-  Transaction* txn = db_.Begin();
+  Transaction* txn = session_->Begin();
   LoSpec spec;
   spec.kind = StorageKind::kVSegment;
   spec.codec = "lzss";
@@ -180,77 +182,77 @@ TEST_F(InversionTest, CompressedFileStorageKind) {
   ASSERT_OK_AND_ASSIGN(auto file, fs_->Open(txn, "/compressed.dat", true));
   Bytes data(100'000, 0x77);  // highly compressible
   ASSERT_OK(file->Write(Slice(data)));
-  ASSERT_OK(db_.Commit(txn).status());
+  ASSERT_OK(session_->Commit().status());
 
-  txn = db_.Begin();
+  txn = session_->Begin();
   ASSERT_OK_AND_ASSIGN(Oid lo, fs_->LargeObjectOf(txn, "/compressed.dat"));
   ASSERT_OK_AND_ASSIGN(auto fp, db_.large_objects().Footprint(txn, lo));
   EXPECT_LT(fp.data_bytes, data.size() / 2);
   ASSERT_OK_AND_ASSIGN(auto file2, fs_->Open(txn, "/compressed.dat", false));
   ASSERT_OK_AND_ASSIGN(Bytes readback, file2->Read(data.size()));
   EXPECT_EQ(readback, data);
-  ASSERT_OK(db_.Abort(txn));
+  ASSERT_OK(session_->Abort());
 }
 
 TEST_F(InversionTest, MtimeUpdatedOnWrite) {
-  Transaction* txn = db_.Begin();
+  Transaction* txn = session_->Begin();
   ASSERT_OK(fs_->Create(txn, "/stamped", LoSpec{}).status());
-  ASSERT_OK(db_.Commit(txn).status());
+  ASSERT_OK(session_->Commit().status());
   ASSERT_OK_AND_ASSIGN(auto st0, [&] {
-    Transaction* t = db_.Begin();
+    Transaction* t = session_->Begin();
     auto r = fs_->Stat(t, "/stamped");
-    EXPECT_OK(db_.Abort(t));
+    EXPECT_OK(session_->Abort());
     return r;
   }());
   // Advance the simulated clock so the new mtime differs.
   db_.clock().Advance(1'000'000);
-  txn = db_.Begin();
+  txn = session_->Begin();
   ASSERT_OK_AND_ASSIGN(auto file, fs_->Open(txn, "/stamped", true));
   ASSERT_OK(file->Write(Slice("dirty")));
-  ASSERT_OK(db_.Commit(txn).status());
-  txn = db_.Begin();
+  ASSERT_OK(session_->Commit().status());
+  txn = session_->Begin();
   ASSERT_OK_AND_ASSIGN(auto st1, fs_->Stat(txn, "/stamped"));
   EXPECT_GT(st1.mtime_ns, st0.mtime_ns);
   EXPECT_EQ(st1.ctime_ns, st0.ctime_ns);
-  ASSERT_OK(db_.Abort(txn));
+  ASSERT_OK(session_->Abort());
 }
 
 TEST_F(InversionTest, ChmodChownAreTransactional) {
-  Transaction* txn = db_.Begin();
+  Transaction* txn = session_->Begin();
   ASSERT_OK(fs_->Create(txn, "/secured", LoSpec{}).status());
-  ASSERT_OK(db_.Commit(txn).status());
+  ASSERT_OK(session_->Commit().status());
   CommitTime before = db_.Now();
 
-  txn = db_.Begin();
+  txn = session_->Begin();
   ASSERT_OK(fs_->SetMode(txn, "/secured", 0600));
   ASSERT_OK(fs_->SetOwner(txn, "/secured", 1001));
-  ASSERT_OK(db_.Commit(txn).status());
+  ASSERT_OK(session_->Commit().status());
 
-  txn = db_.Begin();
+  txn = session_->Begin();
   ASSERT_OK_AND_ASSIGN(auto st, fs_->Stat(txn, "/secured"));
   EXPECT_EQ(st.mode, 0600);
   EXPECT_EQ(st.owner, 1001u);
-  ASSERT_OK(db_.Abort(txn));
+  ASSERT_OK(session_->Abort());
 
   // Aborted chmod does not stick.
-  txn = db_.Begin();
+  txn = session_->Begin();
   ASSERT_OK(fs_->SetMode(txn, "/secured", 0777));
-  ASSERT_OK(db_.Abort(txn));
-  txn = db_.Begin();
+  ASSERT_OK(session_->Abort());
+  txn = session_->Begin();
   ASSERT_OK_AND_ASSIGN(st, fs_->Stat(txn, "/secured"));
   EXPECT_EQ(st.mode, 0600);
-  ASSERT_OK(db_.Abort(txn));
+  ASSERT_OK(session_->Abort());
 
   // Permission history is time-traveled like everything else.
-  Transaction* historical = db_.BeginAsOf(before);
+  Transaction* historical = session_->BeginAsOf(before);
   ASSERT_OK_AND_ASSIGN(st, fs_->Stat(historical, "/secured"));
   EXPECT_EQ(st.mode, 0644);  // the creation default
   EXPECT_EQ(st.owner, 0u);
-  ASSERT_OK(db_.Abort(historical));
+  ASSERT_OK(session_->Abort());
 }
 
 TEST_F(InversionTest, DeepPathsResolve) {
-  Transaction* txn = db_.Begin();
+  Transaction* txn = session_->Begin();
   ASSERT_OK(fs_->MkDir(txn, "/a").status());
   ASSERT_OK(fs_->MkDir(txn, "/a/b").status());
   ASSERT_OK(fs_->MkDir(txn, "/a/b/c").status());
@@ -259,11 +261,11 @@ TEST_F(InversionTest, DeepPathsResolve) {
   ASSERT_OK(file->Write(Slice("deep")));
   ASSERT_OK_AND_ASSIGN(auto st, fs_->Stat(txn, "/a/b/c/leaf"));
   EXPECT_EQ(st.size, 4u);
-  ASSERT_OK(db_.Commit(txn).status());
+  ASSERT_OK(session_->Commit().status());
 }
 
 TEST_F(InversionTest, ManyFilesInOneDirectory) {
-  Transaction* txn = db_.Begin();
+  Transaction* txn = session_->Begin();
   for (int i = 0; i < 40; ++i) {
     ASSERT_OK(
         fs_->Create(txn, "/file" + std::to_string(i), LoSpec{}).status());
@@ -274,13 +276,13 @@ TEST_F(InversionTest, ManyFilesInOneDirectory) {
   for (const auto& e : entries) names.push_back(e.name);
   std::sort(names.begin(), names.end());
   EXPECT_EQ(names.end(), std::unique(names.begin(), names.end()));
-  ASSERT_OK(db_.Commit(txn).status());
+  ASSERT_OK(session_->Commit().status());
 }
 
 TEST_F(InversionTest, MetadataQueryableViaClasses) {
   // §8: "a user can use the query language to perform searches on the
   // DIRECTORY class" — here exercised through the raw class handle.
-  Transaction* txn = db_.Begin();
+  Transaction* txn = session_->Begin();
   ASSERT_OK(fs_->MkDir(txn, "/music").status());
   ASSERT_OK(fs_->Create(txn, "/music/a.au", LoSpec{}).status());
   ASSERT_OK(fs_->Create(txn, "/music/b.au", LoSpec{}).status());
@@ -295,7 +297,7 @@ TEST_F(InversionTest, MetadataQueryableViaClasses) {
   }
   // root + music + 2 files
   EXPECT_EQ(rows, 4);
-  ASSERT_OK(db_.Commit(txn).status());
+  ASSERT_OK(session_->Commit().status());
 }
 
 // Property test: random namespace + file operations against a reference
@@ -311,11 +313,12 @@ TEST_P(InversionFuzz, MatchesReferenceModel) {
   options.charge_devices = false;
   options.buffer_pool_frames = 128;
   ASSERT_OK(db.Open(options));
+  auto session = db.Connect();
   InversionFs fs(db.context(), &db.large_objects());
   {
-    Transaction* txn = db.Begin();
+    Transaction* txn = session->Begin();
     ASSERT_OK(fs.Bootstrap(txn));
-    ASSERT_OK(db.Commit(txn).status());
+    ASSERT_OK(session->Commit().status());
   }
 
   Random rng(GetParam());
@@ -323,10 +326,10 @@ TEST_P(InversionFuzz, MatchesReferenceModel) {
   std::map<std::string, Bytes> files;
   std::set<std::string> dirs = {"/d0", "/d1"};
   {
-    Transaction* txn = db.Begin();
+    Transaction* txn = session->Begin();
     ASSERT_OK(fs.MkDir(txn, "/d0").status());
     ASSERT_OK(fs.MkDir(txn, "/d1").status());
-    ASSERT_OK(db.Commit(txn).status());
+    ASSERT_OK(session->Commit().status());
   }
   auto random_path = [&](bool existing) -> std::string {
     if (existing && !files.empty()) {
@@ -340,7 +343,7 @@ TEST_P(InversionFuzz, MatchesReferenceModel) {
   };
 
   for (int round = 0; round < 60; ++round) {
-    Transaction* txn = db.Begin();
+    Transaction* txn = session->Begin();
     auto staged_files = files;
     bool failed = false;
     int ops = 1 + static_cast<int>(rng.Uniform(3));
@@ -395,15 +398,15 @@ TEST_P(InversionFuzz, MatchesReferenceModel) {
       }
     }
     if (rng.OneInHundred(25)) {
-      ASSERT_OK(db.Abort(txn));  // reference unchanged
+      ASSERT_OK(session->Abort());  // reference unchanged
     } else {
-      ASSERT_OK(db.Commit(txn).status());
+      ASSERT_OK(session->Commit().status());
       files = std::move(staged_files);
     }
   }
 
   // Verify the committed state exactly.
-  Transaction* txn = db.Begin();
+  Transaction* txn = session->Begin();
   for (const auto& [path, expected] : files) {
     ASSERT_OK_AND_ASSIGN(bool exists, fs.Exists(txn, path));
     ASSERT_TRUE(exists) << path;
@@ -421,7 +424,7 @@ TEST_P(InversionFuzz, MatchesReferenceModel) {
     }
   }
   EXPECT_EQ(found, files.size());
-  ASSERT_OK(db.Abort(txn));
+  ASSERT_OK(session->Abort());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, InversionFuzz,
@@ -429,20 +432,20 @@ INSTANTIATE_TEST_SUITE_P(Seeds, InversionFuzz,
 
 TEST_F(InversionTest, SurvivesReopen) {
   {
-    Transaction* txn = db_.Begin();
+    Transaction* txn = session_->Begin();
     ASSERT_OK(fs_->MkDir(txn, "/persist").status());
     ASSERT_OK(fs_->Create(txn, "/persist/f", LoSpec{}).status());
     ASSERT_OK_AND_ASSIGN(auto file, fs_->Open(txn, "/persist/f", true));
     ASSERT_OK(file->Write(Slice("across restart")));
-    ASSERT_OK(db_.Commit(txn).status());
+    ASSERT_OK(session_->Commit().status());
   }
   ASSERT_OK(db_.SimulateCrashAndReopen());
   InversionFs fs2(db_.context(), &db_.large_objects());
-  Transaction* txn = db_.Begin();
+  Transaction* txn = session_->Begin();
   ASSERT_OK_AND_ASSIGN(auto file, fs2.Open(txn, "/persist/f", false));
   ASSERT_OK_AND_ASSIGN(Bytes data, file->Read(32));
   EXPECT_EQ(Slice(data).ToString(), "across restart");
-  ASSERT_OK(db_.Abort(txn));
+  ASSERT_OK(session_->Abort());
 }
 
 }  // namespace

@@ -30,6 +30,7 @@ class LoTest : public ::testing::TestWithParam<LoCase> {
     options.charge_devices = false;
     options.buffer_pool_frames = 128;
     ASSERT_OK(db_.Open(options));
+    session_ = db_.Connect();
   }
 
   LoSpec SpecForParam(const std::string& ufile_path = "") {
@@ -54,11 +55,12 @@ class LoTest : public ::testing::TestWithParam<LoCase> {
 
   TempDir dir_;
   Database db_;
+  std::unique_ptr<Session> session_;
   int ufile_counter_ = 0;
 };
 
 TEST_P(LoTest, CreateOpenWriteReadClose) {
-  Transaction* txn = db_.Begin();
+  Transaction* txn = session_->Begin();
   ASSERT_OK_AND_ASSIGN(Oid oid, db_.large_objects().Create(txn, SpecForParam()));
   ASSERT_OK_AND_ASSIGN(LoDescriptor * fd,
                        db_.large_objects().Open(txn, oid, /*writable=*/true));
@@ -68,11 +70,11 @@ TEST_P(LoTest, CreateOpenWriteReadClose) {
   ASSERT_OK_AND_ASSIGN(Bytes data, fd->Read(1024));
   EXPECT_EQ(Slice(data).ToString(), "hello large object world");
   ASSERT_OK(db_.large_objects().Close(fd));
-  ASSERT_OK(db_.Commit(txn).status());
+  ASSERT_OK(session_->Commit().status());
 }
 
 TEST_P(LoTest, SeekSemantics) {
-  Transaction* txn = db_.Begin();
+  Transaction* txn = session_->Begin();
   ASSERT_OK_AND_ASSIGN(Oid oid, db_.large_objects().Create(txn, SpecForParam()));
   ASSERT_OK_AND_ASSIGN(LoDescriptor * fd,
                        db_.large_objects().Open(txn, oid, true));
@@ -87,13 +89,13 @@ TEST_P(LoTest, SeekSemantics) {
   ASSERT_OK_AND_ASSIGN(Bytes tail, fd->Read(100));
   EXPECT_EQ(Slice(tail).ToString(), "789");
   EXPECT_TRUE(fd->Seek(-1, Whence::kSet).status().IsInvalidArgument());
-  ASSERT_OK(db_.Commit(txn).status());
+  ASSERT_OK(session_->Commit().status());
 }
 
 TEST_P(LoTest, ByteRangeAccessWithoutFullBuffering) {
   // §4: "The application need not buffer the entire object; it can manage
   // only the bytes it actually needs at one time."
-  Transaction* txn = db_.Begin();
+  Transaction* txn = session_->Begin();
   ASSERT_OK_AND_ASSIGN(Oid oid, db_.large_objects().Create(txn, SpecForParam()));
   ASSERT_OK_AND_ASSIGN(LoDescriptor * fd,
                        db_.large_objects().Open(txn, oid, true));
@@ -108,11 +110,11 @@ TEST_P(LoTest, ByteRangeAccessWithoutFullBuffering) {
   ASSERT_OK(fd->Seek(54321, Whence::kSet).status());
   ASSERT_OK_AND_ASSIGN(Bytes got, fd->Read(1000));
   EXPECT_EQ(Slice(got), Slice(all).Sub(54321, 1000));
-  ASSERT_OK(db_.Commit(txn).status());
+  ASSERT_OK(session_->Commit().status());
 }
 
 TEST_P(LoTest, SizeTracksWrites) {
-  Transaction* txn = db_.Begin();
+  Transaction* txn = session_->Begin();
   ASSERT_OK_AND_ASSIGN(Oid oid, db_.large_objects().Create(txn, SpecForParam()));
   ASSERT_OK_AND_ASSIGN(LoDescriptor * fd,
                        db_.large_objects().Open(txn, oid, true));
@@ -131,11 +133,11 @@ TEST_P(LoTest, SizeTracksWrites) {
   ASSERT_OK(fd->Write(Slice("tail")));
   ASSERT_OK_AND_ASSIGN(size, fd->Size());
   EXPECT_EQ(size, 104u);
-  ASSERT_OK(db_.Commit(txn).status());
+  ASSERT_OK(session_->Commit().status());
 }
 
 TEST_P(LoTest, GapsReadAsZeros) {
-  Transaction* txn = db_.Begin();
+  Transaction* txn = session_->Begin();
   ASSERT_OK_AND_ASSIGN(Oid oid, db_.large_objects().Create(txn, SpecForParam()));
   ASSERT_OK_AND_ASSIGN(LoDescriptor * fd,
                        db_.large_objects().Open(txn, oid, true));
@@ -145,11 +147,11 @@ TEST_P(LoTest, GapsReadAsZeros) {
   ASSERT_OK_AND_ASSIGN(Bytes gap, fd->Read(100));
   ASSERT_EQ(gap.size(), 100u);
   for (uint8_t b : gap) EXPECT_EQ(b, 0);
-  ASSERT_OK(db_.Commit(txn).status());
+  ASSERT_OK(session_->Commit().status());
 }
 
 TEST_P(LoTest, TruncateShrinks) {
-  Transaction* txn = db_.Begin();
+  Transaction* txn = session_->Begin();
   ASSERT_OK_AND_ASSIGN(Oid oid, db_.large_objects().Create(txn, SpecForParam()));
   ASSERT_OK_AND_ASSIGN(LoDescriptor * fd,
                        db_.large_objects().Open(txn, oid, true));
@@ -163,49 +165,49 @@ TEST_P(LoTest, TruncateShrinks) {
   ASSERT_OK_AND_ASSIGN(Bytes got, fd->Read(100'000));
   ASSERT_EQ(got.size(), 10'000u);
   EXPECT_EQ(Slice(got), Slice(data).Sub(0, 10'000));
-  ASSERT_OK(db_.Commit(txn).status());
+  ASSERT_OK(session_->Commit().status());
 }
 
 TEST_P(LoTest, ReadOnlyDescriptorRejectsWrites) {
-  Transaction* txn = db_.Begin();
+  Transaction* txn = session_->Begin();
   ASSERT_OK_AND_ASSIGN(Oid oid, db_.large_objects().Create(txn, SpecForParam()));
   ASSERT_OK_AND_ASSIGN(LoDescriptor * fd,
                        db_.large_objects().Open(txn, oid, /*writable=*/false));
   EXPECT_TRUE(fd->Write(Slice("nope")).IsPermissionDenied());
   EXPECT_TRUE(fd->Truncate(0).IsPermissionDenied());
-  ASSERT_OK(db_.Commit(txn).status());
+  ASSERT_OK(session_->Commit().status());
 }
 
 TEST_P(LoTest, PersistsAcrossTransactions) {
   Oid oid;
   {
-    Transaction* txn = db_.Begin();
+    Transaction* txn = session_->Begin();
     ASSERT_OK_AND_ASSIGN(oid, db_.large_objects().Create(txn, SpecForParam()));
     ASSERT_OK_AND_ASSIGN(LoDescriptor * fd,
                          db_.large_objects().Open(txn, oid, true));
     ASSERT_OK(fd->Write(Slice("durable")));
-    ASSERT_OK(db_.Commit(txn).status());
+    ASSERT_OK(session_->Commit().status());
   }
-  Transaction* txn = db_.Begin();
+  Transaction* txn = session_->Begin();
   ASSERT_OK_AND_ASSIGN(LoDescriptor * fd,
                        db_.large_objects().Open(txn, oid, false));
   ASSERT_OK_AND_ASSIGN(Bytes data, fd->Read(64));
   EXPECT_EQ(Slice(data).ToString(), "durable");
-  ASSERT_OK(db_.Abort(txn));
+  ASSERT_OK(session_->Abort());
 }
 
 TEST_P(LoTest, UnlinkRemovesObject) {
-  Transaction* txn = db_.Begin();
+  Transaction* txn = session_->Begin();
   ASSERT_OK_AND_ASSIGN(Oid oid, db_.large_objects().Create(txn, SpecForParam()));
-  ASSERT_OK(db_.Commit(txn).status());
-  txn = db_.Begin();
+  ASSERT_OK(session_->Commit().status());
+  txn = session_->Begin();
   ASSERT_OK(db_.large_objects().Unlink(txn, oid));
-  ASSERT_OK(db_.Commit(txn).status());
-  txn = db_.Begin();
+  ASSERT_OK(session_->Commit().status());
+  txn = session_->Begin();
   ASSERT_OK_AND_ASSIGN(bool exists, db_.large_objects().Exists(txn, oid));
   EXPECT_FALSE(exists);
   EXPECT_TRUE(db_.large_objects().Open(txn, oid, false).status().IsNotFound());
-  ASSERT_OK(db_.Abort(txn));
+  ASSERT_OK(session_->Abort());
 }
 
 TEST_P(LoTest, AbortSemantics) {
@@ -214,22 +216,22 @@ TEST_P(LoTest, AbortSemantics) {
   // §6.1 calls out.
   Oid oid;
   {
-    Transaction* txn = db_.Begin();
+    Transaction* txn = session_->Begin();
     ASSERT_OK_AND_ASSIGN(oid, db_.large_objects().Create(txn, SpecForParam()));
     ASSERT_OK_AND_ASSIGN(LoDescriptor * fd,
                          db_.large_objects().Open(txn, oid, true));
     ASSERT_OK(fd->Write(Slice("committed")));
-    ASSERT_OK(db_.Commit(txn).status());
+    ASSERT_OK(session_->Commit().status());
   }
   {
-    Transaction* txn = db_.Begin();
+    Transaction* txn = session_->Begin();
     ASSERT_OK_AND_ASSIGN(LoDescriptor * fd,
                          db_.large_objects().Open(txn, oid, true));
     ASSERT_OK(fd->Seek(0, Whence::kSet).status());
     ASSERT_OK(fd->Write(Slice("OVERWRITE")));
-    ASSERT_OK(db_.Abort(txn));
+    ASSERT_OK(session_->Abort());
   }
-  Transaction* txn = db_.Begin();
+  Transaction* txn = session_->Begin();
   ASSERT_OK_AND_ASSIGN(LoDescriptor * fd,
                        db_.large_objects().Open(txn, oid, false));
   ASSERT_OK_AND_ASSIGN(Bytes data, fd->Read(64));
@@ -238,33 +240,34 @@ TEST_P(LoTest, AbortSemantics) {
   } else {
     EXPECT_EQ(Slice(data).ToString(), "OVERWRITE");  // no rollback
   }
-  ASSERT_OK(db_.Abort(txn));
+  ASSERT_OK(session_->Abort());
 }
 
 TEST_P(LoTest, UncommittedWritesInvisibleToOthers) {
   if (!transactional()) GTEST_SKIP() << "file implementations are unprotected";
   Oid oid;
   {
-    Transaction* txn = db_.Begin();
+    Transaction* txn = session_->Begin();
     ASSERT_OK_AND_ASSIGN(oid, db_.large_objects().Create(txn, SpecForParam()));
     ASSERT_OK_AND_ASSIGN(LoDescriptor * fd,
                          db_.large_objects().Open(txn, oid, true));
     ASSERT_OK(fd->Write(Slice("public")));
-    ASSERT_OK(db_.Commit(txn).status());
+    ASSERT_OK(session_->Commit().status());
   }
-  Transaction* writer = db_.Begin();
+  Transaction* writer = session_->Begin();
   ASSERT_OK_AND_ASSIGN(LoDescriptor * wfd,
                        db_.large_objects().Open(writer, oid, true));
   ASSERT_OK(wfd->Seek(0, Whence::kSet).status());
   ASSERT_OK(wfd->Write(Slice("SECRET")));
 
-  Transaction* reader = db_.Begin();
+  auto reader_session = db_.Connect();
+  Transaction* reader = reader_session->Begin();
   ASSERT_OK_AND_ASSIGN(LoDescriptor * rfd,
                        db_.large_objects().Open(reader, oid, false));
   ASSERT_OK_AND_ASSIGN(Bytes data, rfd->Read(64));
   EXPECT_EQ(Slice(data).ToString(), "public");
-  ASSERT_OK(db_.Abort(reader));
-  ASSERT_OK(db_.Commit(writer).status());
+  ASSERT_OK(reader_session->Abort());
+  ASSERT_OK(session_->Commit().status());
 }
 
 TEST_P(LoTest, TimeTravelReadsOldContents) {
@@ -272,38 +275,38 @@ TEST_P(LoTest, TimeTravelReadsOldContents) {
   Oid oid;
   CommitTime version1;
   {
-    Transaction* txn = db_.Begin();
+    Transaction* txn = session_->Begin();
     ASSERT_OK_AND_ASSIGN(oid, db_.large_objects().Create(txn, SpecForParam()));
     ASSERT_OK_AND_ASSIGN(LoDescriptor * fd,
                          db_.large_objects().Open(txn, oid, true));
     ASSERT_OK(fd->Write(Slice("version one")));
-    ASSERT_OK_AND_ASSIGN(version1, db_.Commit(txn));
+    ASSERT_OK_AND_ASSIGN(version1, session_->Commit());
   }
   {
-    Transaction* txn = db_.Begin();
+    Transaction* txn = session_->Begin();
     ASSERT_OK_AND_ASSIGN(LoDescriptor * fd,
                          db_.large_objects().Open(txn, oid, true));
     ASSERT_OK(fd->Seek(0, Whence::kSet).status());
     ASSERT_OK(fd->Write(Slice("version TWO")));
-    ASSERT_OK(db_.Commit(txn).status());
+    ASSERT_OK(session_->Commit().status());
   }
   // Historical snapshot sees the old bytes (§6.3/§6.4 time travel).
-  Transaction* historical = db_.BeginAsOf(version1);
+  Transaction* historical = session_->BeginAsOf(version1);
   ASSERT_OK_AND_ASSIGN(LoDescriptor * fd,
                        db_.large_objects().Open(historical, oid, false));
   ASSERT_OK_AND_ASSIGN(Bytes data, fd->Read(64));
   EXPECT_EQ(Slice(data).ToString(), "version one");
-  ASSERT_OK(db_.Abort(historical));
+  ASSERT_OK(session_->Abort());
   // Current snapshot sees the new bytes.
-  Transaction* current = db_.Begin();
+  Transaction* current = session_->Begin();
   ASSERT_OK_AND_ASSIGN(fd, db_.large_objects().Open(current, oid, false));
   ASSERT_OK_AND_ASSIGN(data, fd->Read(64));
   EXPECT_EQ(Slice(data).ToString(), "version TWO");
-  ASSERT_OK(db_.Abort(current));
+  ASSERT_OK(session_->Abort());
 }
 
 TEST_P(LoTest, RandomOpFuzzAgainstReference) {
-  Transaction* txn = db_.Begin();
+  Transaction* txn = session_->Begin();
   ASSERT_OK_AND_ASSIGN(Oid oid, db_.large_objects().Create(txn, SpecForParam()));
   ASSERT_OK_AND_ASSIGN(std::unique_ptr<LargeObject> lo,
                        db_.large_objects().Instantiate(txn, oid));
@@ -338,7 +341,7 @@ TEST_P(LoTest, RandomOpFuzzAgainstReference) {
   }
   ASSERT_OK_AND_ASSIGN(uint64_t size, lo->Size(txn));
   EXPECT_EQ(size, model.size());
-  ASSERT_OK(db_.Commit(txn).status());
+  ASSERT_OK(session_->Commit().status());
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -365,9 +368,11 @@ class LoManagerTest : public ::testing::Test {
     options.dir = dir_.Sub("db");
     options.charge_devices = false;
     ASSERT_OK(db_.Open(options));
+    session_ = db_.Connect();
   }
   TempDir dir_;
   Database db_;
+  std::unique_ptr<Session> session_;
 };
 
 TEST_F(LoManagerTest, TemporaryObjectsGarbageCollected) {
@@ -375,100 +380,100 @@ TEST_F(LoManagerTest, TemporaryObjectsGarbageCollected) {
   // query has completed."
   Oid temp_oid;
   {
-    Transaction* txn = db_.Begin();
+    Transaction* txn = session_->Begin();
     LoSpec spec;
     ASSERT_OK_AND_ASSIGN(temp_oid, db_.large_objects().CreateTemp(txn, spec));
     ASSERT_OK_AND_ASSIGN(LoDescriptor * fd,
                          db_.large_objects().Open(txn, temp_oid, true));
     ASSERT_OK(fd->Write(Slice("scratch")));
-    ASSERT_OK(db_.Commit(txn).status());  // commit triggers GC
+    ASSERT_OK(session_->Commit().status());  // commit triggers GC
   }
-  Transaction* txn = db_.Begin();
+  Transaction* txn = session_->Begin();
   ASSERT_OK_AND_ASSIGN(bool exists, db_.large_objects().Exists(txn, temp_oid));
   EXPECT_FALSE(exists);
-  ASSERT_OK(db_.Abort(txn));
+  ASSERT_OK(session_->Abort());
 }
 
 TEST_F(LoManagerTest, PromotedTemporarySurvives) {
   Oid temp_oid;
   {
-    Transaction* txn = db_.Begin();
+    Transaction* txn = session_->Begin();
     LoSpec spec;
     ASSERT_OK_AND_ASSIGN(temp_oid, db_.large_objects().CreateTemp(txn, spec));
     ASSERT_OK(db_.large_objects().Promote(txn, temp_oid));
-    ASSERT_OK(db_.Commit(txn).status());
+    ASSERT_OK(session_->Commit().status());
   }
-  Transaction* txn = db_.Begin();
+  Transaction* txn = session_->Begin();
   ASSERT_OK_AND_ASSIGN(bool exists, db_.large_objects().Exists(txn, temp_oid));
   EXPECT_TRUE(exists);
-  ASSERT_OK(db_.Abort(txn));
+  ASSERT_OK(session_->Abort());
 }
 
 TEST_F(LoManagerTest, AbortedCreateLeavesNoObject) {
   Oid oid;
   {
-    Transaction* txn = db_.Begin();
+    Transaction* txn = session_->Begin();
     LoSpec spec;
     ASSERT_OK_AND_ASSIGN(oid, db_.large_objects().Create(txn, spec));
-    ASSERT_OK(db_.Abort(txn));
+    ASSERT_OK(session_->Abort());
   }
-  Transaction* txn = db_.Begin();
+  Transaction* txn = session_->Begin();
   ASSERT_OK_AND_ASSIGN(bool exists, db_.large_objects().Exists(txn, oid));
   EXPECT_FALSE(exists);
-  ASSERT_OK(db_.Abort(txn));
+  ASSERT_OK(session_->Abort());
 }
 
 TEST_F(LoManagerTest, DescriptorsCloseAtTransactionEnd) {
-  Transaction* txn = db_.Begin();
+  Transaction* txn = session_->Begin();
   LoSpec spec;
   ASSERT_OK_AND_ASSIGN(Oid oid, db_.large_objects().Create(txn, spec));
   ASSERT_OK_AND_ASSIGN(LoDescriptor * fd,
                        db_.large_objects().Open(txn, oid, true));
-  ASSERT_OK(db_.Commit(txn).status());
+  ASSERT_OK(session_->Commit().status());
   // Closing an already-auto-closed descriptor is an error, not a crash.
   EXPECT_TRUE(db_.large_objects().Close(fd).IsInvalidArgument());
 }
 
 TEST_F(LoManagerTest, TimeTravelTxnCannotOpenForWrite) {
-  Transaction* txn = db_.Begin();
+  Transaction* txn = session_->Begin();
   LoSpec spec;
   ASSERT_OK_AND_ASSIGN(Oid oid, db_.large_objects().Create(txn, spec));
-  ASSERT_OK_AND_ASSIGN(CommitTime t, db_.Commit(txn));
-  Transaction* historical = db_.BeginAsOf(t);
+  ASSERT_OK_AND_ASSIGN(CommitTime t, session_->Commit());
+  Transaction* historical = session_->BeginAsOf(t);
   EXPECT_TRUE(db_.large_objects()
                   .Open(historical, oid, /*writable=*/true)
                   .status()
                   .IsPermissionDenied());
-  ASSERT_OK(db_.Abort(historical));
+  ASSERT_OK(session_->Abort());
 }
 
 TEST_F(LoManagerTest, UfileRequiresPath) {
-  Transaction* txn = db_.Begin();
+  Transaction* txn = session_->Begin();
   LoSpec spec;
   spec.kind = StorageKind::kUserFile;
   EXPECT_TRUE(
       db_.large_objects().Create(txn, spec).status().IsInvalidArgument());
-  ASSERT_OK(db_.Abort(txn));
+  ASSERT_OK(session_->Abort());
 }
 
 TEST_F(LoManagerTest, PfileGetsDbmsAllocatedName) {
   // §6.2: "the user must call the function newfilename in order to have
   // POSTGRES perform the allocation."
-  Transaction* txn = db_.Begin();
+  Transaction* txn = session_->Begin();
   LoSpec spec;
   spec.kind = StorageKind::kPostgresFile;
   ASSERT_OK_AND_ASSIGN(Oid oid, db_.large_objects().Create(txn, spec));
-  ASSERT_OK(db_.Commit(txn).status());
+  ASSERT_OK(session_->Commit().status());
   // The DBMS-owned file exists in the UNIX file system under its name.
   ASSERT_OK(db_.ufs().Lookup(LoManager::NewFileName(oid)).status());
 }
 
 TEST_F(LoManagerTest, UnknownCodecRejected) {
-  Transaction* txn = db_.Begin();
+  Transaction* txn = session_->Begin();
   LoSpec spec;
   spec.codec = "no-such-codec";
   EXPECT_TRUE(db_.large_objects().Create(txn, spec).status().IsNotFound());
-  ASSERT_OK(db_.Abort(txn));
+  ASSERT_OK(session_->Abort());
 }
 
 // §4: "A function can be written and debugged using files, and then moved
@@ -503,7 +508,7 @@ TEST_F(LoManagerTest, FunctionsPortBetweenFilesAndLargeObjects) {
 
   // ...then run unmodified against every DBMS implementation.
   for (StorageKind kind : {StorageKind::kFChunk, StorageKind::kVSegment}) {
-    Transaction* txn = db_.Begin();
+    Transaction* txn = session_->Begin();
     LoSpec spec;
     spec.kind = kind;
     spec.codec = "lzss";
@@ -513,7 +518,7 @@ TEST_F(LoManagerTest, FunctionsPortBetweenFilesAndLargeObjects) {
     LoByteStream lo_stream(lo.get(), txn);
     ASSERT_OK_AND_ASSIGN(uint64_t lo_sum, checksum(&lo_stream));
     EXPECT_EQ(lo_sum, file_sum) << static_cast<int>(kind);
-    ASSERT_OK(db_.Commit(txn).status());
+    ASSERT_OK(session_->Commit().status());
   }
 }
 
@@ -529,15 +534,15 @@ TEST_F(LoManagerTest, MigrateBetweenStorageManagers) {
   Bytes contents = rng.RandomBytes(60'000);
   Oid oid;
   {
-    Transaction* txn = db_.Begin();
+    Transaction* txn = session_->Begin();
     LoSpec spec;  // f-chunk on disk
     ASSERT_OK_AND_ASSIGN(oid, db_.large_objects().Create(txn, spec));
     ASSERT_OK_AND_ASSIGN(auto lo, db_.large_objects().Instantiate(txn, oid));
     ASSERT_OK(lo->Write(txn, 0, Slice(contents)));
-    ASSERT_OK(db_.Commit(txn).status());
+    ASSERT_OK(session_->Commit().status());
   }
   auto verify = [&]() {
-    Transaction* txn = db_.Begin();
+    Transaction* txn = session_->Begin();
     auto lo = db_.large_objects().Instantiate(txn, oid);
     ASSERT_OK(lo.status());
     Bytes got(contents.size());
@@ -545,47 +550,47 @@ TEST_F(LoManagerTest, MigrateBetweenStorageManagers) {
     ASSERT_OK(n.status());
     ASSERT_EQ(n.value(), contents.size());
     EXPECT_EQ(got, contents);
-    ASSERT_OK(db_.Abort(txn));
+    ASSERT_OK(session_->Abort());
   };
   // Disk -> WORM.
   {
-    Transaction* txn = db_.Begin();
+    Transaction* txn = session_->Begin();
     ASSERT_OK(db_.large_objects().Migrate(txn, oid, kSmgrWorm));
-    ASSERT_OK(db_.Commit(txn).status());
+    ASSERT_OK(session_->Commit().status());
   }
   verify();
   EXPECT_GT(db_.worm()->stats().optical_writes, 0u);
   // WORM -> main memory.
   {
-    Transaction* txn = db_.Begin();
+    Transaction* txn = session_->Begin();
     ASSERT_OK(db_.large_objects().Migrate(txn, oid, kSmgrMemory));
-    ASSERT_OK(db_.Commit(txn).status());
+    ASSERT_OK(session_->Commit().status());
   }
   verify();
   // An aborted migration leaves the object where it was.
   {
-    Transaction* txn = db_.Begin();
+    Transaction* txn = session_->Begin();
     ASSERT_OK(db_.large_objects().Migrate(txn, oid, kSmgrDisk));
-    ASSERT_OK(db_.Abort(txn));
+    ASSERT_OK(session_->Abort());
   }
   verify();
   // Same-device migration is a no-op; unknown slot is an error.
   {
-    Transaction* txn = db_.Begin();
+    Transaction* txn = session_->Begin();
     ASSERT_OK(db_.large_objects().Migrate(txn, oid, kSmgrMemory));
     EXPECT_TRUE(db_.large_objects().Migrate(txn, oid, 13).IsNotFound());
-    ASSERT_OK(db_.Abort(txn));
+    ASSERT_OK(session_->Abort());
   }
 }
 
 TEST_F(LoManagerTest, MigrateRejectsFileKinds) {
-  Transaction* txn = db_.Begin();
+  Transaction* txn = session_->Begin();
   LoSpec spec;
   spec.kind = StorageKind::kPostgresFile;
   ASSERT_OK_AND_ASSIGN(Oid oid, db_.large_objects().Create(txn, spec));
   EXPECT_TRUE(
       db_.large_objects().Migrate(txn, oid, kSmgrWorm).IsNotSupported());
-  ASSERT_OK(db_.Abort(txn));
+  ASSERT_OK(session_->Abort());
 }
 
 TEST_F(LoManagerTest, VacuumReclaimsReplacedVersions) {
@@ -593,32 +598,32 @@ TEST_F(LoManagerTest, VacuumReclaimsReplacedVersions) {
   // away the history: dead versions are physically removed.
   Oid oid;
   {
-    Transaction* txn = db_.Begin();
+    Transaction* txn = session_->Begin();
     LoSpec spec;
     ASSERT_OK_AND_ASSIGN(oid, db_.large_objects().Create(txn, spec));
     ASSERT_OK_AND_ASSIGN(auto lo, db_.large_objects().Instantiate(txn, oid));
     Bytes data(50'000, 1);
     ASSERT_OK(lo->Write(txn, 0, Slice(data)));
-    ASSERT_OK(db_.Commit(txn).status());
+    ASSERT_OK(session_->Commit().status());
   }
   for (int round = 0; round < 3; ++round) {
-    Transaction* txn = db_.Begin();
+    Transaction* txn = session_->Begin();
     ASSERT_OK_AND_ASSIGN(auto lo, db_.large_objects().Instantiate(txn, oid));
     Bytes data(50'000, static_cast<uint8_t>(round + 2));
     ASSERT_OK(lo->Write(txn, 0, Slice(data)));
-    ASSERT_OK(db_.Commit(txn).status());
+    ASSERT_OK(session_->Commit().status());
   }
   CommitTime now = db_.Now();
   ASSERT_OK_AND_ASSIGN(uint64_t removed, db_.large_objects().Vacuum(now));
   // 3 replacement rounds × 7 chunks each (plus size-record churn).
   EXPECT_GE(removed, 21u);
   // The object still reads its latest contents.
-  Transaction* txn = db_.Begin();
+  Transaction* txn = session_->Begin();
   ASSERT_OK_AND_ASSIGN(auto lo, db_.large_objects().Instantiate(txn, oid));
   Bytes buf(16);
   ASSERT_OK(lo->Read(txn, 0, 16, buf.data()).status());
   EXPECT_EQ(buf[0], 4);
-  ASSERT_OK(db_.Abort(txn));
+  ASSERT_OK(session_->Abort());
   // A second vacuum finds nothing more to do.
   ASSERT_OK_AND_ASSIGN(removed, db_.large_objects().Vacuum(now));
   EXPECT_EQ(removed, 0u);
@@ -628,28 +633,28 @@ TEST_F(LoManagerTest, VacuumWithZeroHorizonPreservesTimeTravel) {
   Oid oid;
   CommitTime v1;
   {
-    Transaction* txn = db_.Begin();
+    Transaction* txn = session_->Begin();
     LoSpec spec;
     ASSERT_OK_AND_ASSIGN(oid, db_.large_objects().Create(txn, spec));
     ASSERT_OK_AND_ASSIGN(auto lo, db_.large_objects().Instantiate(txn, oid));
     ASSERT_OK(lo->Write(txn, 0, Slice("version one")));
-    ASSERT_OK_AND_ASSIGN(v1, db_.Commit(txn));
+    ASSERT_OK_AND_ASSIGN(v1, session_->Commit());
   }
   {
-    Transaction* txn = db_.Begin();
+    Transaction* txn = session_->Begin();
     ASSERT_OK_AND_ASSIGN(auto lo, db_.large_objects().Instantiate(txn, oid));
     ASSERT_OK(lo->Write(txn, 0, Slice("version TWO")));
-    ASSERT_OK(db_.Commit(txn).status());
+    ASSERT_OK(session_->Commit().status());
   }
   // Horizon 0: only aborted garbage goes; history stays readable.
   ASSERT_OK(db_.large_objects().Vacuum(0).status());
-  Transaction* historical = db_.BeginAsOf(v1);
+  Transaction* historical = session_->BeginAsOf(v1);
   ASSERT_OK_AND_ASSIGN(auto lo,
                        db_.large_objects().Instantiate(historical, oid));
   Bytes buf(11);
   ASSERT_OK(lo->Read(historical, 0, 11, buf.data()).status());
   EXPECT_EQ(Slice(buf).ToString(), "version one");
-  ASSERT_OK(db_.Abort(historical));
+  ASSERT_OK(session_->Abort());
 }
 
 TEST_F(LoManagerTest, FootprintReflectsCompression) {
@@ -657,7 +662,7 @@ TEST_F(LoManagerTest, FootprintReflectsCompression) {
   // half the chunk storage of its uncompressed twin (Figure 1's
   // mechanism).
   auto create_and_fill = [&](const std::string& codec) -> Oid {
-    Transaction* txn = db_.Begin();
+    Transaction* txn = session_->Begin();
     LoSpec spec;
     spec.kind = StorageKind::kFChunk;
     spec.codec = codec;
@@ -667,16 +672,16 @@ TEST_F(LoManagerTest, FootprintReflectsCompression) {
       Bytes frame = MakeRunFrame(i);
       EXPECT_OK(lo->Write(txn, i * frame.size(), Slice(frame)));
     }
-    EXPECT_OK(db_.Commit(txn).status());
+    EXPECT_OK(session_->Commit().status());
     return oid;
   };
   Oid plain = create_and_fill("");
   Oid squeezed = create_and_fill("lzss");
-  Transaction* txn = db_.Begin();
+  Transaction* txn = session_->Begin();
   auto fp_plain = db_.large_objects().Footprint(txn, plain).value();
   auto fp_squeezed = db_.large_objects().Footprint(txn, squeezed).value();
   EXPECT_LT(fp_squeezed.data_bytes, fp_plain.data_bytes * 3 / 4);
-  ASSERT_OK(db_.Abort(txn));
+  ASSERT_OK(session_->Abort());
 }
 
 TEST(LoStatsTest, SequentialReadReportsExpectedCounterDeltas) {
@@ -691,10 +696,11 @@ TEST(LoStatsTest, SequentialReadReportsExpectedCounterDeltas) {
   options.charge_devices = false;
   Database db;
   ASSERT_OK(db.Open(options));
+  auto session = db.Connect();
 
   Oid oid;
   {
-    Transaction* txn = db.Begin();
+    Transaction* txn = session->Begin();
     LoSpec spec;
     spec.kind = StorageKind::kFChunk;
     auto created = db.large_objects().Create(txn, spec);
@@ -706,7 +712,7 @@ TEST(LoStatsTest, SequentialReadReportsExpectedCounterDeltas) {
       Bytes frame(kFrameBytes, static_cast<uint8_t>('a' + f));
       ASSERT_OK((*lo)->Write(txn, f * kFrameBytes, Slice(frame)));
     }
-    ASSERT_OK(db.Commit(txn).status());
+    ASSERT_OK(session->Commit().status());
   }
 
   // Reopen: fresh registry, cold buffer pool, so the read path's physical
@@ -714,7 +720,7 @@ TEST(LoStatsTest, SequentialReadReportsExpectedCounterDeltas) {
   ASSERT_OK(db.Close());
   ASSERT_OK(db.Open(options));
   {
-    Transaction* txn = db.Begin();
+    Transaction* txn = session->Begin();
     auto lo = db.large_objects().Instantiate(txn, oid);
     ASSERT_OK(lo.status());
     Bytes buf(kFrameBytes);
@@ -724,7 +730,7 @@ TEST(LoStatsTest, SequentialReadReportsExpectedCounterDeltas) {
       EXPECT_EQ(*got, kFrameBytes);
       EXPECT_EQ(buf[0], static_cast<uint8_t>('a' + f));
     }
-    ASSERT_OK(db.Abort(txn));
+    ASSERT_OK(session->Abort());
   }
 
   StatsSnapshot snap = db.Stats();

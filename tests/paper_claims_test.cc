@@ -30,10 +30,11 @@ class PaperClaimsTest : public ::testing::Test {
     options.worm_cache_blocks =
         worm_cache_blocks ? worm_cache_blocks : 125;
     ASSERT_OK(db_.Open(options));
+    session_ = db_.Connect();
   }
 
   Result<Oid> Create(const BenchConfig& config) {
-    Transaction* txn = db_.Begin();
+    Transaction* txn = session_->Begin();
     LoSpec spec;
     spec.kind = config.kind;
     spec.codec = config.codec;
@@ -50,7 +51,7 @@ class PaperClaimsTest : public ::testing::Test {
       PGLO_RETURN_IF_ERROR(lo->Write(txn, i * bench::kFrameSize,
                                      Slice(frame)));
     }
-    PGLO_RETURN_IF_ERROR(db_.Commit(txn).status());
+    PGLO_RETURN_IF_ERROR(session_->Commit().status());
     PGLO_RETURN_IF_ERROR(db_.ufs().Sync());
     return oid;
   }
@@ -58,7 +59,7 @@ class PaperClaimsTest : public ::testing::Test {
   double RunOp(Oid oid, Op op, uint64_t frames_limit) {
     // Scaled-down op runner: sequential ops touch 1/10 of the paper's
     // frame counts over the smaller object.
-    Transaction* txn = db_.Begin();
+    Transaction* txn = session_->Begin();
     auto lo = db_.large_objects().Instantiate(txn, oid);
     EXPECT_OK(lo.status());
     Random rng(500 + static_cast<uint64_t>(op));
@@ -79,7 +80,7 @@ class PaperClaimsTest : public ::testing::Test {
         EXPECT_OK(n.status());
       }
     }
-    EXPECT_OK(db_.Commit(txn).status());
+    EXPECT_OK(session_->Commit().status());
     if (bench::OpIsWrite(op)) {
       EXPECT_OK(db_.ufs().Sync());
     }
@@ -93,6 +94,7 @@ class PaperClaimsTest : public ::testing::Test {
 
   TempDir dir_;
   Database db_;
+  std::unique_ptr<Session> session_;
 };
 
 TEST_F(PaperClaimsTest, Figure1StorageShapes) {

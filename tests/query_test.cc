@@ -139,6 +139,7 @@ class QueryTest : public ::testing::Test {
     options.buffer_pool_frames = 128;
     ASSERT_OK(db_.Open(options));
     session_ = std::make_unique<Session>(&db_);
+    backend_ = db_.Connect();
   }
 
   QueryResult Run(const std::string& text) {
@@ -151,6 +152,8 @@ class QueryTest : public ::testing::Test {
   TempDir dir_;
   Database db_;
   std::unique_ptr<Session> session_;
+  /// For tests that drive a transaction of their own.
+  std::unique_ptr<pglo::Session> backend_;
 };
 
 TEST_F(QueryTest, CreateAppendRetrieve) {
@@ -226,9 +229,9 @@ TEST_F(QueryTest, CreateLargeTypeAndUseItInAClass) {
   ASSERT_TRUE(result.rows[0][0].is_lo());
   // The returned large object name is open-able through the API (§4).
   Oid lo_oid = result.rows[0][0].as_lo().oid;
-  Transaction* txn = db_.Begin();
+  Transaction* txn = backend_->Begin();
   ASSERT_OK(db_.large_objects().Open(txn, lo_oid, false).status());
-  ASSERT_OK(db_.Abort(txn));
+  ASSERT_OK(backend_->Abort());
 }
 
 TEST_F(QueryTest, UfileLargeTypeAcceptsPathLiteral) {
@@ -272,7 +275,7 @@ TEST_F(QueryTest, ClipExampleEndToEnd) {
       Run("retrieve (EMP.picture) where EMP.name = \"Mike\"");
   Oid img = result.rows[0][0].as_lo().oid;
   {
-    Transaction* txn = db_.Begin();
+    Transaction* txn = backend_->Begin();
     ASSERT_OK_AND_ASSIGN(auto lo, db_.large_objects().Instantiate(txn, img));
     Bytes image(8 + 64 * 64);
     EncodeFixed32(image.data(), 64);
@@ -283,7 +286,7 @@ TEST_F(QueryTest, ClipExampleEndToEnd) {
       }
     }
     ASSERT_OK(lo->Write(txn, 0, Slice(image)));
-    ASSERT_OK(db_.Commit(txn).status());
+    ASSERT_OK(backend_->Commit().status());
   }
 
   // The paper's query, §5 verbatim (modulo string quoting).
@@ -296,10 +299,10 @@ TEST_F(QueryTest, ClipExampleEndToEnd) {
 
   // The result was a temporary object; the query transaction has
   // committed, so §5's garbage collection has already reclaimed it.
-  Transaction* txn = db_.Begin();
+  Transaction* txn = backend_->Begin();
   ASSERT_OK_AND_ASSIGN(bool exists, db_.large_objects().Exists(txn, clipped));
   EXPECT_FALSE(exists);
-  ASSERT_OK(db_.Abort(txn));
+  ASSERT_OK(backend_->Abort());
 
   // Run the clip again but store the result into a class: the temporary
   // gets promoted and survives.
@@ -308,7 +311,7 @@ TEST_F(QueryTest, ClipExampleEndToEnd) {
       "clip(\"" + std::to_string(img) + "\"::image, \"4,4,16,16\"::rect))");
   result = Run("retrieve (CROPPED.thumb) where CROPPED.name = \"Mike\"");
   Oid thumb = result.rows[0][0].as_lo().oid;
-  txn = db_.Begin();
+  txn = backend_->Begin();
   ASSERT_OK_AND_ASSIGN(exists, db_.large_objects().Exists(txn, thumb));
   EXPECT_TRUE(exists);
   // And the clipped pixels match the source region.
@@ -320,7 +323,7 @@ TEST_F(QueryTest, ClipExampleEndToEnd) {
   uint8_t pixel;
   ASSERT_OK(lo->Read(txn, 8, 1, &pixel).status());  // (4,4) of the source
   EXPECT_EQ(pixel, 8);
-  ASSERT_OK(db_.Abort(txn));
+  ASSERT_OK(backend_->Abort());
 }
 
 TEST_F(QueryTest, ImageDimensionFunctions) {
@@ -329,13 +332,13 @@ TEST_F(QueryTest, ImageDimensionFunctions) {
   QueryResult created = Run("retrieve (img = lo_create(\"f-chunk\"))");
   Oid img = created.rows[0][0].as_oid();
   {
-    Transaction* txn = db_.Begin();
+    Transaction* txn = backend_->Begin();
     auto lo = db_.large_objects().Instantiate(txn, img).value();
     Bytes image(8 + 10 * 20);
     EncodeFixed32(image.data(), 20);
     EncodeFixed32(image.data() + 4, 10);
     ASSERT_OK(lo->Write(txn, 0, Slice(image)));
-    ASSERT_OK(db_.Commit(txn).status());
+    ASSERT_OK(backend_->Commit().status());
   }
   QueryResult result = Run("retrieve (w = image_width(" +
                            std::to_string(img) + "), h = image_height(" +
@@ -368,12 +371,12 @@ TEST_F(QueryTest, TimeTravelQuery) {
   EXPECT_EQ(now.rows[0][0].as_text(), "new hire");
 
   // Historical view through an as-of transaction.
-  Transaction* historical = db_.BeginAsOf(before);
+  Transaction* historical = backend_->BeginAsOf(before);
   ASSERT_OK_AND_ASSIGN(QueryResult then,
                        session_->Run(historical, "retrieve (EMP.name)"));
   ASSERT_EQ(then.rows.size(), 1u);
   EXPECT_EQ(then.rows[0][0].as_text(), "old guard");
-  ASSERT_OK(db_.Abort(historical));
+  ASSERT_OK(backend_->Abort());
 }
 
 TEST(IndexKeyTest, EncodingPreservesOrder) {
@@ -498,13 +501,13 @@ TEST_F(QueryTest, ClipErrorPaths) {
                    .ok());
   // Rectangle outside the image.
   {
-    Transaction* txn = db_.Begin();
+    Transaction* txn = backend_->Begin();
     auto lo = db_.large_objects().Instantiate(txn, img).value();
     Bytes image(8 + 4 * 4);
     EncodeFixed32(image.data(), 4);
     EncodeFixed32(image.data() + 4, 4);
     ASSERT_OK(lo->Write(txn, 0, Slice(image)));
-    ASSERT_OK(db_.Commit(txn).status());
+    ASSERT_OK(backend_->Commit().status());
   }
   EXPECT_FALSE(session_->Run("retrieve (clip(\"" + std::to_string(img) +
                              "\"::image, \"10,10,5,5\"::rect))")
@@ -686,9 +689,9 @@ TEST_F(QueryTest, IndexSurvivesAbortCorrectly) {
   // Aborted append: the index has a dangling entry, but the row is
   // invisible — the recheck must hide it.
   {
-    Transaction* txn = db_.Begin();
+    Transaction* txn = backend_->Begin();
     ASSERT_OK(session_->Run(txn, "append T (k = 2)").status());
-    ASSERT_OK(db_.Abort(txn));
+    ASSERT_OK(backend_->Abort());
   }
   QueryResult r = Run("retrieve (T.k) where T.k = 2");
   EXPECT_TRUE(r.rows.empty());

@@ -16,6 +16,11 @@
 # baseline deliberately (see bench/baselines/README.md) when one is
 # intended.
 #
+# An ablation gate then runs all five ablation axes (bench_ablation
+# --quick: chunk size, buffer pool, WORM cache, compression, read-ahead)
+# and compares each axis's simulated times against its committed baseline
+# bit for bit (bench_compare --tolerance=0.0): same code, same numbers.
+#
 # A crash-recovery gate follows: pglo_crashtest --quick sweeps a sample of
 # injected crash points through the full workload replay + recovery
 # verification (see DESIGN.md §11). Set PGLO_TEST_SEED to vary the seed;
@@ -81,6 +86,25 @@ crashtest_gate() {
   trap 'rm -rf "$workdir"' EXIT
   "$builddir/tools/pglo_crashtest" --quick --seed="${PGLO_TEST_SEED:-42}" \
       "$workdir/crashdb"
+  rm -rf "$workdir"
+  trap - EXIT
+}
+
+ablation_gate() {
+  builddir="$1"
+  echo "== ablation gate: bench_ablation --quick vs bench/baselines (exact) =="
+  workdir="$(mktemp -d /tmp/pglo_ablation_gate_XXXXXX)"
+  trap 'rm -rf "$workdir"' EXIT
+  root="$(pwd)"
+  # One run writes every axis's BENCH_ablation_<axis>_quick.json into the
+  # current directory.
+  (cd "$workdir" && "$root/$builddir/bench/bench_ablation" --quick \
+      "$workdir/db" > bench.log)
+  for axis in chunksize bufferpool wormcache compression readahead; do
+    "$builddir/tools/bench_compare" --tolerance=0.0 \
+        "bench/baselines/BENCH_ablation_${axis}_quick.json" \
+        "$workdir/BENCH_ablation_${axis}_quick.json"
+  done
   rm -rf "$workdir"
   trap - EXIT
 }
@@ -184,6 +208,7 @@ case "${1:-default}" in
   default)
     run_preset default
     bench_gate build
+    ablation_gate build
     obs_gate build
     crashtest_gate build
     concurrency_gate build
@@ -200,6 +225,7 @@ case "${1:-default}" in
   all)
     run_preset default
     bench_gate build
+    ablation_gate build
     obs_gate build
     crashtest_gate build
     concurrency_gate build
@@ -215,6 +241,7 @@ case "${1:-default}" in
     timeout="${PGLO_TEST_TIMEOUT:-600}"
     run_preset default "$timeout"
     bench_gate build
+    ablation_gate build
     obs_gate build
     crashtest_gate build
     concurrency_gate build
