@@ -133,7 +133,7 @@ void RunBackend(Database* db, Oid oid, uint64_t start, uint64_t txns,
     std::fprintf(stderr, "backend %d instantiate failed\n", backend);
     std::exit(1);
   }
-  std::unique_ptr<LargeObject> lo = std::move(lo_or).value();
+  std::shared_ptr<LargeObject> lo = std::move(lo_or).value();
   uint64_t off = start;
   for (uint64_t i = 0; i < txns; ++i) {
     session->Begin();

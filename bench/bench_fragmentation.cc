@@ -108,7 +108,7 @@ Result<LiveObject> CreateChurnObject(Database& db, StorageKind kind,
   auto session = db.Connect();
   Transaction* txn = session->Begin();
   PGLO_ASSIGN_OR_RETURN(Oid oid, db.large_objects().Create(txn, spec));
-  PGLO_ASSIGN_OR_RETURN(std::unique_ptr<LargeObject> lo,
+  PGLO_ASSIGN_OR_RETURN(std::shared_ptr<LargeObject> lo,
                         db.large_objects().Instantiate(txn, oid));
   Bytes buf(kUnit, fill);
   for (uint64_t u = 0; u < units; ++u) {
@@ -139,7 +139,7 @@ Result<PassResult> MeasureSeqRead(Database& db,
   SimTimer timer(&db.clock());
   Bytes buf(kUnit);
   for (const LiveObject& obj : objs) {
-    PGLO_ASSIGN_OR_RETURN(std::unique_ptr<LargeObject> lo,
+    PGLO_ASSIGN_OR_RETURN(std::shared_ptr<LargeObject> lo,
                           db.large_objects().Instantiate(txn, obj.oid));
     uint64_t size = obj.units * kUnit;
     for (uint64_t off = 0; off < size; off += kUnit) {
@@ -242,7 +242,7 @@ int RunConfig(const char* label, StorageKind kind, BenchRun& run,
     for (const LiveObject& obj : objs) {
       auto session = db.Connect();
       Transaction* txn = session->Begin();
-      Result<std::unique_ptr<LargeObject>> lo =
+      Result<std::shared_ptr<LargeObject>> lo =
           db.large_objects().Instantiate(txn, obj.oid);
       if (!lo.ok()) return fail("instantiate", lo.status());
       uint64_t rewrites = std::max<uint64_t>(1, obj.units / 4);

@@ -68,7 +68,7 @@ Result<Oid> LoBenchRunner::CreateObject(const BenchConfig& config) {
     spec.ufile_path = "bench_" + config.name;
   }
   PGLO_ASSIGN_OR_RETURN(Oid oid, db_->large_objects().Create(txn, spec));
-  PGLO_ASSIGN_OR_RETURN(std::unique_ptr<LargeObject> lo,
+  PGLO_ASSIGN_OR_RETURN(std::shared_ptr<LargeObject> lo,
                         db_->large_objects().Instantiate(txn, oid));
   FrameParams params;
   for (uint64_t frame = 0; frame < scale_.num_frames; ++frame) {
@@ -82,7 +82,7 @@ Result<Oid> LoBenchRunner::CreateObject(const BenchConfig& config) {
 
 Result<double> LoBenchRunner::RunOp(Oid oid, Op op, uint64_t seed) {
   Transaction* txn = session_->Begin();
-  PGLO_ASSIGN_OR_RETURN(std::unique_ptr<LargeObject> lo,
+  PGLO_ASSIGN_OR_RETURN(std::shared_ptr<LargeObject> lo,
                         db_->large_objects().Instantiate(txn, oid));
   Random rng(seed);
   FrameParams params;

@@ -43,7 +43,7 @@ Result<IntegrityReport> CheckIntegrity(Database* db) {
   for (const LoManager::ObjectInfo& obj : objects) {
     ++report.objects_checked;
     // 1. Instantiate and probe the object's readable surface.
-    Result<std::unique_ptr<LargeObject>> lo =
+    Result<std::shared_ptr<LargeObject>> lo =
         db->large_objects().Instantiate(txn, obj.oid);
     if (!lo.ok()) {
       note(obj.oid, "instantiate", lo.status());

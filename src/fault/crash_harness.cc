@@ -383,7 +383,7 @@ class Replayer {
           fh->Seek(static_cast<int64_t>(off), Whence::kSet).status());
       return fh->Write(Slice(data));
     }
-    PGLO_ASSIGN_OR_RETURN(std::unique_ptr<LargeObject> lo,
+    PGLO_ASSIGN_OR_RETURN(std::shared_ptr<LargeObject> lo,
                           db_->large_objects().Instantiate(txn, oids_[s]));
     return lo->Write(txn, off, Slice(data));
   }
@@ -394,7 +394,7 @@ class Replayer {
                             inv_->Open(txn, inv_paths_[s], /*writable=*/true));
       return fh->Truncate(size);
     }
-    PGLO_ASSIGN_OR_RETURN(std::unique_ptr<LargeObject> lo,
+    PGLO_ASSIGN_OR_RETURN(std::shared_ptr<LargeObject> lo,
                           db_->large_objects().Instantiate(txn, oids_[s]));
     return lo->Truncate(txn, size);
   }
@@ -415,7 +415,7 @@ class Replayer {
                             inv_->Open(txn, inv_paths_[s], /*writable=*/false));
       return fh->Size();
     }
-    PGLO_ASSIGN_OR_RETURN(std::unique_ptr<LargeObject> lo,
+    PGLO_ASSIGN_OR_RETURN(std::shared_ptr<LargeObject> lo,
                           db_->large_objects().Instantiate(txn, oids_[s]));
     return lo->Size(txn);
   }
@@ -431,7 +431,7 @@ class Replayer {
       if (n != size) return Status::Corruption("short inversion read");
       return buf;
     }
-    PGLO_ASSIGN_OR_RETURN(std::unique_ptr<LargeObject> lo,
+    PGLO_ASSIGN_OR_RETURN(std::shared_ptr<LargeObject> lo,
                           db_->large_objects().Instantiate(txn, oids_[s]));
     PGLO_ASSIGN_OR_RETURN(
         size_t n, lo->Read(txn, 0, static_cast<size_t>(size), buf.data()));

@@ -368,7 +368,7 @@ Result<std::unique_ptr<InversionFile>> InversionFs::Open(
     return Status::InvalidArgument("is a directory: " + path);
   }
   PGLO_ASSIGN_OR_RETURN(auto storage, FindStorage(txn, found.first.file_id));
-  PGLO_ASSIGN_OR_RETURN(std::unique_ptr<LargeObject> lo,
+  PGLO_ASSIGN_OR_RETURN(std::shared_ptr<LargeObject> lo,
                         lo_->Instantiate(txn, storage.first));
   return std::unique_ptr<InversionFile>(new InversionFile(
       this, txn, found.first.file_id, std::move(lo), writable));
@@ -434,7 +434,7 @@ Result<InversionFs::StatInfo> InversionFs::Stat(Transaction* txn,
   if (!found.first.is_dir) {
     PGLO_ASSIGN_OR_RETURN(auto storage, FindStorage(txn, found.first.file_id));
     info.large_object = storage.first;
-    PGLO_ASSIGN_OR_RETURN(std::unique_ptr<LargeObject> lo,
+    PGLO_ASSIGN_OR_RETURN(std::shared_ptr<LargeObject> lo,
                           lo_->Instantiate(txn, storage.first));
     PGLO_ASSIGN_OR_RETURN(info.size, lo->Size(txn));
   }

@@ -37,7 +37,7 @@ class InversionFile {
  private:
   friend class InversionFs;
   InversionFile(class InversionFs* fs, Transaction* txn, FileId file_id,
-                std::unique_ptr<LargeObject> lo, bool writable)
+                std::shared_ptr<LargeObject> lo, bool writable)
       : fs_(fs), txn_(txn), file_id_(file_id), lo_(std::move(lo)),
         stream_(lo_.get(), txn), cursor_(&stream_), writable_(writable) {}
 
@@ -47,7 +47,7 @@ class InversionFile {
   class InversionFs* fs_;
   Transaction* txn_;
   FileId file_id_;
-  std::unique_ptr<LargeObject> lo_;
+  std::shared_ptr<LargeObject> lo_;
   LoByteStream stream_;
   SeekableCursor cursor_;
   bool writable_;

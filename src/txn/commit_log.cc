@@ -219,18 +219,14 @@ Result<CommitTime> CommitLog::RecordCommitBatch(
 }
 
 Status CommitLog::RecordAbort(Xid xid) {
+  // No fdatasync: an abort lost to a crash is still an abort (a missing
+  // record reads as aborted), so the record rides on the next commit's sync.
+  WaitLockGuard lock(mu_, wp_mutex_);
   uint64_t end = 0;
-  {
-    WaitLockGuard lock(mu_, wp_mutex_);
-    PGLO_RETURN_IF_ERROR(
-        AppendRecordLocked(xid, TxnState::kAborted, kInvalidCommitTime, &end));
-    entries_[xid] = Entry{TxnState::kAborted, kInvalidCommitTime};
-    if (xid > max_xid_) max_xid_ = xid;
-  }
-  // An abort lost to a crash is still an abort (no record == aborted), but
-  // syncing keeps the injector's durable/volatile bookkeeping exact; under
-  // concurrency it piggybacks on commit syncs instead of paying its own.
-  PGLO_RETURN_IF_ERROR(SyncTo(end));
+  PGLO_RETURN_IF_ERROR(
+      AppendRecordLocked(xid, TxnState::kAborted, kInvalidCommitTime, &end));
+  entries_[xid] = Entry{TxnState::kAborted, kInvalidCommitTime};
+  if (xid > max_xid_) max_xid_ = xid;
   return Status::OK();
 }
 

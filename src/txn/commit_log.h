@@ -64,7 +64,9 @@ class CommitLog {
   Result<CommitTime> RecordCommitBatch(const std::vector<Xid>& xids,
                                        std::vector<CommitTime>* times_out);
 
-  /// Durably records `xid` as aborted.
+  /// Records `xid` as aborted without syncing: the record becomes durable
+  /// with the next commit's fdatasync, and until then a crash that loses it
+  /// still leaves `xid` aborted.
   Status RecordAbort(Xid xid);
 
   /// Notes `xid` as in progress (memory only — a crash forgets it, which

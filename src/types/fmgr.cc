@@ -110,7 +110,7 @@ Result<Datum> NewFileName(FunctionContext& ctx,
 /// lo_size(lo) -> int4.
 Result<Datum> LoSize(FunctionContext& ctx, const std::vector<Datum>& args) {
   PGLO_ASSIGN_OR_RETURN(Oid oid, LoOidOf(args[0]));
-  PGLO_ASSIGN_OR_RETURN(std::unique_ptr<LargeObject> lo,
+  PGLO_ASSIGN_OR_RETURN(std::shared_ptr<LargeObject> lo,
                         ctx.lo->Instantiate(ctx.txn, oid));
   PGLO_ASSIGN_OR_RETURN(uint64_t size, lo->Size(ctx.txn));
   return Datum::Int4(static_cast<int32_t>(size));
@@ -119,7 +119,7 @@ Result<Datum> LoSize(FunctionContext& ctx, const std::vector<Datum>& args) {
 /// lo_read(lo, off, len) -> text.
 Result<Datum> LoRead(FunctionContext& ctx, const std::vector<Datum>& args) {
   PGLO_ASSIGN_OR_RETURN(Oid oid, LoOidOf(args[0]));
-  PGLO_ASSIGN_OR_RETURN(std::unique_ptr<LargeObject> lo,
+  PGLO_ASSIGN_OR_RETURN(std::shared_ptr<LargeObject> lo,
                         ctx.lo->Instantiate(ctx.txn, oid));
   int32_t off = args[1].as_int4();
   int32_t len = args[2].as_int4();
@@ -137,7 +137,7 @@ Result<Datum> LoRead(FunctionContext& ctx, const std::vector<Datum>& args) {
 /// lo_write(lo, off, text) -> int4 bytes written.
 Result<Datum> LoWrite(FunctionContext& ctx, const std::vector<Datum>& args) {
   PGLO_ASSIGN_OR_RETURN(Oid oid, LoOidOf(args[0]));
-  PGLO_ASSIGN_OR_RETURN(std::unique_ptr<LargeObject> lo,
+  PGLO_ASSIGN_OR_RETURN(std::shared_ptr<LargeObject> lo,
                         ctx.lo->Instantiate(ctx.txn, oid));
   int32_t off = args[1].as_int4();
   if (off < 0) return Status::InvalidArgument("negative offset");
@@ -161,7 +161,7 @@ Result<Datum> LoImport(FunctionContext& ctx, const std::vector<Datum>& args) {
   }
   PGLO_ASSIGN_OR_RETURN(uint32_t ino, ctx.db.ufs->Lookup(path));
   PGLO_ASSIGN_OR_RETURN(Oid oid, ctx.lo->Create(ctx.txn, spec));
-  PGLO_ASSIGN_OR_RETURN(std::unique_ptr<LargeObject> lo,
+  PGLO_ASSIGN_OR_RETURN(std::shared_ptr<LargeObject> lo,
                         ctx.lo->Instantiate(ctx.txn, oid));
   Bytes buf(64 * 1024);
   uint64_t off = 0;
@@ -181,7 +181,7 @@ Result<Datum> LoImport(FunctionContext& ctx, const std::vector<Datum>& args) {
 Result<Datum> LoExport(FunctionContext& ctx, const std::vector<Datum>& args) {
   PGLO_ASSIGN_OR_RETURN(Oid oid, LoOidOf(args[0]));
   const std::string& path = args[1].as_text();
-  PGLO_ASSIGN_OR_RETURN(std::unique_ptr<LargeObject> lo,
+  PGLO_ASSIGN_OR_RETURN(std::shared_ptr<LargeObject> lo,
                         ctx.lo->Instantiate(ctx.txn, oid));
   PGLO_ASSIGN_OR_RETURN(uint32_t ino, ctx.db.ufs->Create(path));
   Bytes buf(64 * 1024);
@@ -212,7 +212,7 @@ Result<Datum> Clip(FunctionContext& ctx, const std::vector<Datum>& args) {
   if (r.x < 0 || r.y < 0 || r.w <= 0 || r.h <= 0) {
     return Status::InvalidArgument("clip rectangle out of range");
   }
-  PGLO_ASSIGN_OR_RETURN(std::unique_ptr<LargeObject> src,
+  PGLO_ASSIGN_OR_RETURN(std::shared_ptr<LargeObject> src,
                         ctx.lo->Instantiate(ctx.txn, src_oid));
   uint8_t header[kImageHeader];
   PGLO_ASSIGN_OR_RETURN(size_t got,
@@ -237,7 +237,7 @@ Result<Datum> Clip(FunctionContext& ctx, const std::vector<Datum>& args) {
                         ctx.types->ByOid(args[0].type()));
   LoSpec spec = type->is_large ? type->lo_spec : LoSpec{};
   PGLO_ASSIGN_OR_RETURN(Oid dst_oid, ctx.lo->CreateTemp(ctx.txn, spec));
-  PGLO_ASSIGN_OR_RETURN(std::unique_ptr<LargeObject> dst,
+  PGLO_ASSIGN_OR_RETURN(std::shared_ptr<LargeObject> dst,
                         ctx.lo->Instantiate(ctx.txn, dst_oid));
   uint8_t out_header[kImageHeader];
   EncodeFixed32(out_header, cw);
@@ -261,7 +261,7 @@ Result<Datum> Clip(FunctionContext& ctx, const std::vector<Datum>& args) {
 Result<Datum> ImageDim(FunctionContext& ctx, const std::vector<Datum>& args,
                        bool want_width) {
   PGLO_ASSIGN_OR_RETURN(Oid oid, LoOidOf(args[0]));
-  PGLO_ASSIGN_OR_RETURN(std::unique_ptr<LargeObject> lo,
+  PGLO_ASSIGN_OR_RETURN(std::shared_ptr<LargeObject> lo,
                         ctx.lo->Instantiate(ctx.txn, oid));
   uint8_t header[kImageHeader];
   PGLO_ASSIGN_OR_RETURN(size_t got, lo->Read(ctx.txn, 0, kImageHeader,

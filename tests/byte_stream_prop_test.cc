@@ -35,7 +35,7 @@ void RunDifferential(const char* label, LoSpec spec, uint64_t seed) {
   auto session = db.Connect();
   Transaction* txn = session->Begin();
   ASSERT_OK_AND_ASSIGN(Oid oid, db.large_objects().Create(txn, spec));
-  ASSERT_OK_AND_ASSIGN(std::unique_ptr<LargeObject> lo,
+  ASSERT_OK_AND_ASSIGN(std::shared_ptr<LargeObject> lo,
                        db.large_objects().Instantiate(txn, oid));
   LoByteStream stream(lo.get(), txn);
   SeekableCursor cursor(&stream);
@@ -162,7 +162,7 @@ void RunDifferential(const char* label, LoSpec spec, uint64_t seed) {
   // transaction (visibility across the commit boundary).
   auto compare_all = [&](Transaction* t) {
     Bytes buf(oracle.size());
-    ASSERT_OK_AND_ASSIGN(std::unique_ptr<LargeObject> check,
+    ASSERT_OK_AND_ASSIGN(std::shared_ptr<LargeObject> check,
                          db.large_objects().Instantiate(t, oid));
     if (!oracle.empty()) {
       ASSERT_OK_AND_ASSIGN(

@@ -242,7 +242,7 @@ TEST(WormCrashTest, FsckReportsOrphanedBlocks) {
   spec.kind = StorageKind::kFChunk;
   spec.smgr = kSmgrWorm;
   ASSERT_OK_AND_ASSIGN(Oid oid, db.large_objects().Create(txn, spec));
-  ASSERT_OK_AND_ASSIGN(std::unique_ptr<LargeObject> lo,
+  ASSERT_OK_AND_ASSIGN(std::shared_ptr<LargeObject> lo,
                        db.large_objects().Instantiate(txn, oid));
   Bytes data(10 * 1024, 0x5C);
   ASSERT_OK(lo->Write(txn, 0, Slice(data)));
@@ -296,7 +296,7 @@ TEST(AsyncCommitRegressionTest, UnsyncedCommitVanishesAtCrash) {
     spec.kind = StorageKind::kFChunk;
     spec.smgr = kSmgrDisk;
     ASSERT_OK_AND_ASSIGN(Oid oid, db.large_objects().Create(txn, spec));
-    ASSERT_OK_AND_ASSIGN(std::unique_ptr<LargeObject> lo,
+    ASSERT_OK_AND_ASSIGN(std::shared_ptr<LargeObject> lo,
                          db.large_objects().Instantiate(txn, oid));
     Bytes data(4096, 0x11);
     ASSERT_OK(lo->Write(txn, 0, Slice(data)));

@@ -250,7 +250,7 @@ TEST(FaultySmgrTest, CorruptionIsCaughtByChecksumPath) {
   spec.kind = StorageKind::kFChunk;
   spec.smgr = kSmgrDisk;
   ASSERT_OK_AND_ASSIGN(Oid oid, db.large_objects().Create(txn, spec));
-  ASSERT_OK_AND_ASSIGN(std::unique_ptr<LargeObject> lo,
+  ASSERT_OK_AND_ASSIGN(std::shared_ptr<LargeObject> lo,
                        db.large_objects().Instantiate(txn, oid));
   Random rng(7);
   Bytes data = rng.RandomBytes(24 * 1024);
@@ -300,7 +300,7 @@ TEST(FaultTest, TransientErrorsAreAbsorbedByRetries) {
   spec.kind = StorageKind::kUserFile;
   spec.ufile_path = "flaky.dat";
   ASSERT_OK_AND_ASSIGN(Oid oid, db.large_objects().Create(txn, spec));
-  ASSERT_OK_AND_ASSIGN(std::unique_ptr<LargeObject> lo,
+  ASSERT_OK_AND_ASSIGN(std::shared_ptr<LargeObject> lo,
                        db.large_objects().Instantiate(txn, oid));
   Random rng(9);
   Bytes data = rng.RandomBytes(40 * 1024);

@@ -66,6 +66,23 @@ TEST_F(InversionTest, FileReadWriteSeek) {
   ASSERT_OK(session_->Commit().status());
 }
 
+TEST_F(InversionTest, TwoHandlesOnOneFileShareWrites) {
+  Transaction* txn = session_->Begin();
+  ASSERT_OK(fs_->Create(txn, "/log.txt", LoSpec{}).status());
+  ASSERT_OK_AND_ASSIGN(auto first, fs_->Open(txn, "/log.txt", true));
+  ASSERT_OK(first->Write(Slice("short")));
+  ASSERT_OK_AND_ASSIGN(auto second, fs_->Open(txn, "/log.txt", true));
+  ASSERT_OK(second->Write(Slice("a longer line")));
+  ASSERT_OK(first->Seek(0, Whence::kSet).status());
+  ASSERT_OK_AND_ASSIGN(Bytes data, first->Read(64));
+  EXPECT_EQ(Slice(data).ToString(), "a longer line");
+  ASSERT_OK_AND_ASSIGN(uint64_t size, first->Size());
+  EXPECT_EQ(size, 13u);
+  ASSERT_OK_AND_ASSIGN(auto st, fs_->Stat(txn, "/log.txt"));
+  EXPECT_EQ(st.size, 13u);
+  ASSERT_OK(session_->Commit().status());
+}
+
 TEST_F(InversionTest, PathErrors) {
   Transaction* txn = session_->Begin();
   EXPECT_TRUE(fs_->Stat(txn, "/nope").status().IsNotFound());

@@ -290,7 +290,7 @@ TEST(DatabaseBlackboxTest, InjectedCrashLeavesParseableDumpWithFaultAndDelta) {
   spec.kind = StorageKind::kFChunk;
   spec.smgr = kSmgrWorm;
   ASSERT_OK_AND_ASSIGN(Oid oid, db.large_objects().Create(txn, spec));
-  ASSERT_OK_AND_ASSIGN(std::unique_ptr<LargeObject> lo,
+  ASSERT_OK_AND_ASSIGN(std::shared_ptr<LargeObject> lo,
                        db.large_objects().Instantiate(txn, oid));
   Bytes data(8 * 1024, 0x3A);
   ASSERT_OK(lo->Write(txn, 0, Slice(data)));

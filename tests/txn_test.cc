@@ -116,6 +116,21 @@ TEST_F(TxnTest, AbortLifecycle) {
   EXPECT_EQ(clog_.GetState(xid), TxnState::kAborted);
 }
 
+TEST_F(TxnTest, AbortsIssueNoFsync) {
+  // A missing record already reads as aborted, so an abort never pays an
+  // fdatasync of its own; its record rides on the next commit's sync.
+  uint64_t before = clog_.fsync_count();
+  for (int i = 0; i < 8; ++i) {
+    Transaction* txn = txns_->Begin();
+    Xid xid = txn->xid();
+    ASSERT_OK(txns_->Abort(txn));
+    EXPECT_EQ(clog_.GetState(xid), TxnState::kAborted);
+  }
+  EXPECT_EQ(clog_.fsync_count(), before);
+  ASSERT_OK(txns_->Commit(txns_->Begin()).status());
+  EXPECT_EQ(clog_.fsync_count(), before + 1);
+}
+
 TEST_F(TxnTest, FinishCallbacksFire) {
   Transaction* txn = txns_->Begin();
   bool fired = false, committed = false;
