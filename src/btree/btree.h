@@ -23,9 +23,8 @@ namespace pglo {
 /// nodes holding sorted fixed-size entries. Internal entries carry the
 /// minimum (key, value) of their child subtree; the first entry of a node
 /// acts as negative infinity. Leaves are chained left-to-right for range
-/// scans. Deletion is by simple entry removal (pages are never merged —
-/// acceptable for an index whose workload is insert/lookup heavy, and
-/// documented behaviour of the reproduction).
+/// scans. Deletion is by simple entry removal; underfull pages are merged
+/// only by MergeUnderfull, which Vacuum runs after its index sweep.
 ///
 /// Multi-backend: every public operation (and iterator step) holds the
 /// index file's exclusive relation latch from the pool's RelLatchRegistry

@@ -15,11 +15,7 @@ constexpr uint8_t kFlagCompressed = 0x1;
 Result<FChunkLo::Files> FChunkLo::CreateStorage(const DbContext& ctx,
                                                 Transaction* txn,
                                                 uint8_t smgr) {
-  Files files;
-  files.data = RelFileId{smgr, ctx.oids->Allocate()};
-  files.index = RelFileId{smgr, ctx.oids->Allocate()};
-  PGLO_RETURN_IF_ERROR(HeapClass::Create(ctx.pool, files.data));
-  PGLO_RETURN_IF_ERROR(Btree::Create(ctx.pool, files.index));
+  PGLO_ASSIGN_OR_RETURN(Files files, IndexedClass::Create(ctx, smgr));
   // Initial size record (size 0).
   FChunkLo lo(ctx, files, nullptr, 8000);
   PGLO_RETURN_IF_ERROR(lo.StoreSize(txn, 0));
@@ -29,21 +25,16 @@ Result<FChunkLo::Files> FChunkLo::CreateStorage(const DbContext& ctx,
 FChunkLo::FChunkLo(const DbContext& ctx, Files files, const Compressor* codec,
                    uint32_t chunk_size, const std::string& stats_prefix)
     : ctx_(ctx),
-      files_(files),
-      heap_(ctx.pool, files.data),
-      index_(ctx.pool, files.index),
-      codec_(codec),
+      chunks_(ctx, files, &ChunkKey),
+      conv_(ctx, codec, stats_prefix),
       chunk_size_(chunk_size) {
   PGLO_CHECK(chunk_size_ > 0 &&
-             chunk_size_ + kChunkHeader <= HeapClass::MaxPayload());
+             chunk_size_ + kChunkHeader <= IndexedClass::MaxRecord());
   if (ctx_.stats != nullptr) {
     c_reads_ = ctx_.stats->counter(stats_prefix + ".reads");
     c_writes_ = ctx_.stats->counter(stats_prefix + ".writes");
     c_bytes_read_ = ctx_.stats->counter(stats_prefix + ".bytes_read");
     c_bytes_written_ = ctx_.stats->counter(stats_prefix + ".bytes_written");
-    c_compress_ns_ = ctx_.stats->counter(stats_prefix + ".codec_compress_ns");
-    c_decompress_ns_ =
-        ctx_.stats->counter(stats_prefix + ".codec_decompress_ns");
     c_pages_relocated_ =
         ctx_.stats->counter(stats_prefix + ".pages_relocated");
     c_pages_reclaimed_ =
@@ -52,7 +43,6 @@ FChunkLo::FChunkLo(const DbContext& ctx, Files files, const Compressor* codec,
     h_write_ = ctx_.stats->histogram(stats_prefix + ".write_ns");
     span_read_name_ = stats_prefix + ".read";
     span_write_name_ = stats_prefix + ".write";
-    index_.BindStats(ctx_.stats);
   }
 }
 
@@ -79,22 +69,9 @@ Result<FChunkLo::ChunkRecord> FChunkLo::DecodeChunk(Slice image) {
   return rec;
 }
 
-Result<std::optional<Tid>> FChunkLo::FindChunk(Transaction* txn,
-                                               uint32_t seqno) {
-  PGLO_ASSIGN_OR_RETURN(std::vector<uint64_t> candidates,
-                        index_.Lookup(seqno));
-  for (uint64_t packed : candidates) {
-    Tid tid = Btree::UnpackTid(packed);
-    Result<Bytes> image = heap_.Get(txn, tid);
-    if (!image.ok()) {
-      if (image.status().IsNotFound()) continue;
-      return image.status();
-    }
-    Result<ChunkRecord> rec = DecodeChunk(Slice(image.value()));
-    if (!rec.ok() || rec.value().seqno != seqno) continue;  // stale entry
-    return std::optional<Tid>(tid);
-  }
-  return std::optional<Tid>();
+Result<uint64_t> FChunkLo::ChunkKey(Slice image) {
+  PGLO_ASSIGN_OR_RETURN(ChunkRecord rec, DecodeChunk(image));
+  return rec.seqno;
 }
 
 Result<bool> FChunkLo::LoadChunk(Transaction* txn, uint32_t seqno,
@@ -103,106 +80,42 @@ Result<bool> FChunkLo::LoadChunk(Transaction* txn, uint32_t seqno,
     *out = cached_chunk_;
     return true;
   }
-  PGLO_ASSIGN_OR_RETURN(std::vector<uint64_t> candidates,
-                        index_.Lookup(seqno));
-  for (uint64_t packed : candidates) {
-    Tid tid = Btree::UnpackTid(packed);
-    Result<Bytes> image = heap_.Get(txn, tid);
-    if (!image.ok()) {
-      if (image.status().IsNotFound()) continue;  // other version
-      return image.status();
-    }
-    Result<ChunkRecord> decoded = DecodeChunk(Slice(image.value()));
-    if (!decoded.ok() || decoded.value().seqno != seqno) {
-      // Stale index entry: the slot it points at was physically recycled
-      // (an in-place self-update retired the old copy). Skip it.
-      continue;
-    }
-    const ChunkRecord& rec = decoded.value();
-    out->clear();
-    if (rec.compressed) {
-      if (codec_ == nullptr) {
-        return Status::Corruption("compressed chunk but no codec configured");
-      }
-      out->reserve(rec.raw_len);
-      PGLO_RETURN_IF_ERROR(
-          codec_->Decompress(rec.payload, rec.raw_len, out));
-      if (ctx_.cpu != nullptr) {
-        uint64_t before =
-            ctx_.clock != nullptr ? ctx_.clock->NowNanos() : 0;
-        ctx_.cpu->ChargePerByte(codec_->decompress_instr_per_byte(),
-                                rec.raw_len);
-        if (ctx_.clock != nullptr) {
-          StatAdd(c_decompress_ns_, ctx_.clock->NowNanos() - before);
-        }
-      }
-    } else {
-      out->assign(rec.payload.data(),
-                  rec.payload.data() + rec.payload.size());
-    }
-    cached_seqno_ = seqno;
-    cached_chunk_ = *out;
-    cached_valid_ = true;
-    return true;
-  }
-  return false;
+  PGLO_ASSIGN_OR_RETURN(std::optional<IndexedClass::Record> found,
+                        chunks_.Get(txn, seqno));
+  if (!found) return false;
+  PGLO_ASSIGN_OR_RETURN(ChunkRecord rec, DecodeChunk(Slice(found->image)));
+  PGLO_RETURN_IF_ERROR(
+      conv_.Decompress(rec.payload, rec.compressed, rec.raw_len, out));
+  cached_seqno_ = seqno;
+  cached_chunk_ = *out;
+  cached_valid_ = true;
+  return true;
 }
 
 Status FChunkLo::StoreChunk(Transaction* txn, uint32_t seqno, Slice raw) {
   if (cached_valid_ && cached_seqno_ == seqno) {
     cached_chunk_ = raw.ToBytes();  // keep the cache coherent with writes
   }
-  bool compressed = false;
-  Bytes compressed_buf;
-  Slice payload = raw;
-  if (codec_ != nullptr) {
-    PGLO_RETURN_IF_ERROR(codec_->Compress(raw, &compressed_buf));
-    if (ctx_.cpu != nullptr) {
-      uint64_t before = ctx_.clock != nullptr ? ctx_.clock->NowNanos() : 0;
-      ctx_.cpu->ChargePerByte(codec_->compress_instr_per_byte(), raw.size());
-      if (ctx_.clock != nullptr) {
-        StatAdd(c_compress_ns_, ctx_.clock->NowNanos() - before);
-      }
-    }
-    if (compressed_buf.size() < raw.size()) {
-      compressed = true;
-      payload = Slice(compressed_buf);
-    }
-  }
+  Bytes packed;
+  PGLO_ASSIGN_OR_RETURN(bool compressed, conv_.Compress(raw, &packed));
   Bytes image = EncodeChunk(seqno, compressed,
-                            static_cast<uint32_t>(raw.size()), payload);
-
-  PGLO_ASSIGN_OR_RETURN(std::optional<Tid> existing, FindChunk(txn, seqno));
-  Tid new_tid;
-  if (existing.has_value()) {
-    PGLO_ASSIGN_OR_RETURN(new_tid, heap_.Update(txn, *existing, Slice(image)));
-  } else {
-    PGLO_ASSIGN_OR_RETURN(new_tid, heap_.Insert(txn, Slice(image)));
-  }
-  return index_.InsertIfAbsent(seqno, new_tid);
+                            static_cast<uint32_t>(raw.size()),
+                            compressed ? Slice(packed) : raw);
+  return chunks_.Put(txn, seqno, Slice(image));
 }
 
 Result<uint64_t> FChunkLo::LoadSize(Transaction* txn) {
   if (size_valid_) return cached_size_;
-  PGLO_ASSIGN_OR_RETURN(std::vector<uint64_t> candidates,
-                        index_.Lookup(kSizeSeqno));
-  for (uint64_t packed : candidates) {
-    Tid tid = Btree::UnpackTid(packed);
-    Result<Bytes> image = heap_.Get(txn, tid);
-    if (!image.ok()) {
-      if (image.status().IsNotFound()) continue;
-      return image.status();
-    }
-    Result<ChunkRecord> rec = DecodeChunk(Slice(image.value()));
-    if (!rec.ok() || rec.value().seqno != kSizeSeqno ||
-        rec.value().payload.size() < 8) {
-      continue;  // stale index entry pointing at a recycled slot
-    }
-    cached_size_ = DecodeFixed64(rec.value().payload.data());
-    size_valid_ = true;
-    return cached_size_;
+  PGLO_ASSIGN_OR_RETURN(std::optional<IndexedClass::Record> found,
+                        chunks_.Get(txn, kSizeSeqno));
+  if (!found) return Status::NotFound("large object has no size record");
+  PGLO_ASSIGN_OR_RETURN(ChunkRecord rec, DecodeChunk(Slice(found->image)));
+  if (rec.payload.size() < 8) {
+    return Status::Corruption("size record too short");
   }
-  return Status::NotFound("large object has no size record");
+  cached_size_ = DecodeFixed64(rec.payload.data());
+  size_valid_ = true;
+  return cached_size_;
 }
 
 Status FChunkLo::StoreSize(Transaction* txn, uint64_t size) {
@@ -211,15 +124,7 @@ Status FChunkLo::StoreSize(Transaction* txn, uint64_t size) {
   Bytes value(8);
   EncodeFixed64(value.data(), size);
   Bytes image = EncodeChunk(kSizeSeqno, false, 8, Slice(value));
-  PGLO_ASSIGN_OR_RETURN(std::optional<Tid> existing,
-                        FindChunk(txn, kSizeSeqno));
-  Tid new_tid;
-  if (existing.has_value()) {
-    PGLO_ASSIGN_OR_RETURN(new_tid, heap_.Update(txn, *existing, Slice(image)));
-  } else {
-    PGLO_ASSIGN_OR_RETURN(new_tid, heap_.Insert(txn, Slice(image)));
-  }
-  return index_.InsertIfAbsent(kSizeSeqno, new_tid);
+  return chunks_.Put(txn, kSizeSeqno, Slice(image));
 }
 
 Result<uint64_t> FChunkLo::Size(Transaction* txn) { return LoadSize(txn); }
@@ -305,29 +210,9 @@ Status FChunkLo::TrimBefore(Transaction* txn, uint64_t offset) {
   cached_valid_ = false;
   uint32_t first_live = static_cast<uint32_t>(offset / chunk_size_);
   if (first_live == 0) return Status::OK();
-  // Collect the visible version of every chunk below the boundary, then
-  // delete — deleting under a live iterator is safe for the heap but the
-  // two-phase shape keeps this symmetric with Compact.
-  std::vector<Tid> doomed;
-  uint64_t last_key = ~0ull;
-  PGLO_ASSIGN_OR_RETURN(Btree::Iterator it, index_.SeekFirst());
-  while (it.valid() && it.key() < first_live) {
-    uint64_t key = it.key();
-    Tid tid = it.tid();
-    PGLO_RETURN_IF_ERROR(it.Next());
-    if (key == last_key) continue;
-    Result<Bytes> image = heap_.Get(txn, tid);
-    if (!image.ok()) {
-      if (image.status().IsNotFound()) continue;  // invisible version
-      return image.status();
-    }
-    Result<ChunkRecord> rec = DecodeChunk(Slice(image.value()));
-    if (!rec.ok() || rec.value().seqno != key) continue;  // stale entry
-    doomed.push_back(tid);
-    last_key = key;
-  }
-  for (Tid tid : doomed) {
-    PGLO_RETURN_IF_ERROR(heap_.Delete(txn, tid));
+  PGLO_ASSIGN_OR_RETURN(auto doomed, chunks_.Entries(txn, 0, first_live - 1));
+  for (const auto& [seqno, tid] : doomed) {
+    PGLO_RETURN_IF_ERROR(chunks_.Delete(txn, tid));
   }
   return Status::OK();
 }
@@ -341,10 +226,9 @@ Status FChunkLo::Truncate(Transaction* txn, uint64_t size) {
     uint32_t last =
         static_cast<uint32_t>((old_size + chunk_size_ - 1) / chunk_size_);
     for (uint32_t seqno = first_dead; seqno < last; ++seqno) {
-      PGLO_ASSIGN_OR_RETURN(std::optional<Tid> tid, FindChunk(txn, seqno));
-      if (tid.has_value()) {
-        PGLO_RETURN_IF_ERROR(heap_.Delete(txn, *tid));
-      }
+      PGLO_ASSIGN_OR_RETURN(std::optional<IndexedClass::Record> chunk,
+                            chunks_.Get(txn, seqno));
+      if (chunk) PGLO_RETURN_IF_ERROR(chunks_.Delete(txn, chunk->tid));
     }
     // Trim the chunk straddling the new end, so re-extending the object
     // later reads zeros (not stale bytes) beyond `size`.
@@ -365,37 +249,7 @@ Result<uint64_t> FChunkLo::Vacuum(const CommitLog& clog,
                                   CommitTime horizon) {
   cached_valid_ = false;
   size_valid_ = false;
-  uint64_t pages_emptied = 0;
-  PGLO_ASSIGN_OR_RETURN(uint64_t removed,
-                        heap_.Vacuum(clog, horizon, &pages_emptied));
-  // Index sweep: drop entries whose heap slot no longer holds a matching
-  // chunk — the version was vacuumed away just now, or the slot was
-  // recycled by an in-place self-update. Entries pointing at versions that
-  // survived (still reachable by some snapshot) are kept. Collect first,
-  // then delete: Delete restructures pages under a live iterator.
-  std::vector<std::pair<uint64_t, uint64_t>> stale;
-  PGLO_ASSIGN_OR_RETURN(Btree::Iterator it, index_.SeekFirst());
-  while (it.valid()) {
-    Result<std::pair<TupleHeader, Bytes>> any = heap_.GetAnyVersion(it.tid());
-    bool dead;
-    if (any.ok()) {
-      Result<ChunkRecord> rec = DecodeChunk(Slice(any.value().second));
-      dead = !rec.ok() || rec.value().seqno != it.key();
-    } else if (any.status().IsNotFound()) {
-      dead = true;
-    } else {
-      return any.status();
-    }
-    if (dead) stale.push_back({it.key(), it.value()});
-    PGLO_RETURN_IF_ERROR(it.Next());
-  }
-  for (const auto& [key, value] : stale) {
-    Status s = index_.Delete(key, value);
-    if (!s.ok() && !s.IsNotFound()) return s;
-  }
-  PGLO_ASSIGN_OR_RETURN(uint64_t merged, index_.MergeUnderfull());
-  StatAdd(c_pages_reclaimed_, pages_emptied + merged);
-  return removed;
+  return chunks_.Vacuum(clog, horizon, c_pages_reclaimed_);
 }
 
 Result<uint64_t> FChunkLo::Compact(Transaction* txn) {
@@ -403,71 +257,17 @@ Result<uint64_t> FChunkLo::Compact(Transaction* txn) {
   if (txn->read_only()) {
     return Status::PermissionDenied("time-travel transactions are read-only");
   }
-  // Pass 1: resolve the visible version of every chunk, in seqno order.
-  // (Resolve before mutating — relocation inserts new index entries, which
-  // would shift B-tree pages under a live iterator.)
-  std::vector<std::pair<uint32_t, Tid>> live;
-  uint64_t last_key = ~0ull;
-  PGLO_ASSIGN_OR_RETURN(Btree::Iterator it, index_.SeekFirst());
-  while (it.valid()) {
-    uint64_t key = it.key();
-    Tid tid = it.tid();
-    PGLO_RETURN_IF_ERROR(it.Next());
-    if (key == last_key) continue;  // this chunk is already resolved
-    Result<Bytes> image = heap_.Get(txn, tid);
-    if (!image.ok()) {
-      if (image.status().IsNotFound()) continue;  // invisible version
-      return image.status();
-    }
-    Result<ChunkRecord> rec = DecodeChunk(Slice(image.value()));
-    if (!rec.ok() || rec.value().seqno != key) continue;  // stale entry
-    live.push_back({static_cast<uint32_t>(key), tid});
-    last_key = key;
-  }
-  // Pass 2: no-overwrite relocation. Each live chunk is rewritten at the
-  // end of the heap (InsertAppend skips the free-space map on purpose:
-  // scattering relocated chunks into interior holes would defeat the
-  // point), the old copy is MVCC-deleted so snapshot readers still see it
-  // until Vacuum, and the index gains an entry for the new address.
-  uint64_t moved = 0;
-  BlockNumber prev_block = kInvalidBlock;
-  for (const auto& [seqno, tid] : live) {
-    Result<Bytes> image = heap_.Get(txn, tid);
-    if (!image.ok()) {
-      if (image.status().IsNotFound()) continue;
-      return image.status();
-    }
-    PGLO_ASSIGN_OR_RETURN(Tid new_tid,
-                          heap_.InsertAppend(txn, Slice(image.value())));
-    PGLO_RETURN_IF_ERROR(heap_.Delete(txn, tid));
-    PGLO_RETURN_IF_ERROR(index_.InsertIfAbsent(seqno, new_tid));
-    ++moved;
-    if (new_tid.block != prev_block) {
-      StatInc(c_pages_relocated_);
-      prev_block = new_tid.block;
-    }
-  }
-  return moved;
+  PGLO_ASSIGN_OR_RETURN(auto live, chunks_.Entries(txn, 0, ~0ull));
+  return chunks_.Relocate(txn, live, nullptr, c_pages_relocated_);
 }
 
 Status FChunkLo::Destroy(Transaction* txn) {
   (void)txn;
-  ctx_.pool->DiscardFile(files_.data, /*discard_dirty=*/true);
-  ctx_.pool->DiscardFile(files_.index, /*discard_dirty=*/true);
-  PGLO_ASSIGN_OR_RETURN(StorageManager * smgr,
-                        ctx_.smgrs->Get(files_.data.smgr_id));
-  PGLO_RETURN_IF_ERROR(smgr->DropFile(files_.data.relfile));
-  return smgr->DropFile(files_.index.relfile);
+  return chunks_.Drop();
 }
 
 Result<LargeObject::StorageFootprint> FChunkLo::Footprint() {
-  StorageFootprint fp;
-  PGLO_ASSIGN_OR_RETURN(StorageManager * smgr,
-                        ctx_.smgrs->Get(files_.data.smgr_id));
-  PGLO_ASSIGN_OR_RETURN(fp.data_bytes, smgr->StorageBytes(files_.data.relfile));
-  PGLO_ASSIGN_OR_RETURN(fp.index_bytes,
-                        smgr->StorageBytes(files_.index.relfile));
-  return fp;
+  return chunks_.Footprint();
 }
 
 }  // namespace pglo

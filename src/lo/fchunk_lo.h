@@ -1,11 +1,7 @@
 #ifndef PGLO_LO_FCHUNK_LO_H_
 #define PGLO_LO_FCHUNK_LO_H_
 
-#include <optional>
-
-#include "btree/btree.h"
-#include "db/context.h"
-#include "heap/heap_class.h"
+#include "lo/indexed_class.h"
 #include "lo/large_object.h"
 
 namespace pglo {
@@ -28,10 +24,7 @@ class FChunkLo : public LargeObject {
  public:
   /// Handles to the object's two relation files (recorded in the LO
   /// catalog by LoManager).
-  struct Files {
-    RelFileId data;
-    RelFileId index;
-  };
+  using Files = IndexedClass::Files;
 
   /// Creates the backing heap + B-tree and writes the initial size record.
   static Result<Files> CreateStorage(const DbContext& ctx, Transaction* txn,
@@ -67,11 +60,7 @@ class FChunkLo : public LargeObject {
   /// return zeros (nobody issues them).
   Status TrimBefore(Transaction* txn, uint64_t offset);
 
-  uint32_t chunk_size() const { return chunk_size_; }
-
  private:
-  friend class FChunkTestPeer;
-
   // Sequence number reserved for the object-size record.
   static constexpr uint32_t kSizeSeqno = 0xffffffffu;
 
@@ -85,13 +74,11 @@ class FChunkLo : public LargeObject {
   static Bytes EncodeChunk(uint32_t seqno, bool compressed, uint32_t raw_len,
                            Slice payload);
   static Result<ChunkRecord> DecodeChunk(Slice image);
-
-  /// Finds the visible version of chunk `seqno`; returns nullopt if the
-  /// chunk does not exist (hole or beyond EOF).
-  Result<std::optional<Tid>> FindChunk(Transaction* txn, uint32_t seqno);
+  /// The key a chunk or size record is filed under: its sequence number.
+  static Result<uint64_t> ChunkKey(Slice image);
 
   /// Fetches and decompresses chunk `seqno` into `out` (raw bytes).
-  /// Returns false when the chunk does not exist.
+  /// Returns false when the chunk does not exist (hole or beyond EOF).
   Result<bool> LoadChunk(Transaction* txn, uint32_t seqno, Bytes* out);
 
   /// Compresses (when profitable) and inserts/updates chunk `seqno`.
@@ -101,10 +88,8 @@ class FChunkLo : public LargeObject {
   Status StoreSize(Transaction* txn, uint64_t size);
 
   DbContext ctx_;
-  Files files_;
-  HeapClass heap_;
-  Btree index_;
-  const Compressor* codec_;  // nullptr = no conversion routines
+  IndexedClass chunks_;
+  Conversion conv_;
   uint32_t chunk_size_;
   // One-chunk read cache: a frame-sized access pattern touches the same
   // chunk repeatedly; without this, every 4 KB read would re-fetch and
@@ -122,8 +107,6 @@ class FChunkLo : public LargeObject {
   Counter* c_writes_ = nullptr;
   Counter* c_bytes_read_ = nullptr;
   Counter* c_bytes_written_ = nullptr;
-  Counter* c_compress_ns_ = nullptr;
-  Counter* c_decompress_ns_ = nullptr;
   Counter* c_pages_relocated_ = nullptr;
   Counter* c_pages_reclaimed_ = nullptr;
   Histogram* h_read_ = nullptr;

@@ -152,7 +152,7 @@ Result<std::unique_ptr<LargeObject>> LoManager::InstantiateEntry(
       VSegmentLo::Files files;
       files.seg_heap = RelFileId{entry.spec.smgr, entry.files.seg_heap};
       files.seg_index = RelFileId{entry.spec.smgr, entry.files.seg_index};
-      files.inner.data = RelFileId{entry.spec.smgr, entry.files.inner_data};
+      files.inner.heap = RelFileId{entry.spec.smgr, entry.files.inner_data};
       files.inner.index = RelFileId{entry.spec.smgr, entry.files.inner_index};
       return std::unique_ptr<LargeObject>(
           new VSegmentLo(ctx_, files, codec, entry.spec.max_segment));
@@ -189,7 +189,7 @@ Result<Oid> LoManager::CreateInternal(Transaction* txn, const LoSpec& spec,
     case StorageKind::kFChunk: {
       PGLO_ASSIGN_OR_RETURN(FChunkLo::Files files,
                             FChunkLo::CreateStorage(ctx_, txn, spec.smgr));
-      entry.files.data = files.data.relfile;
+      entry.files.data = files.heap.relfile;
       entry.files.index = files.index.relfile;
       break;
     }
@@ -198,7 +198,7 @@ Result<Oid> LoManager::CreateInternal(Transaction* txn, const LoSpec& spec,
                             VSegmentLo::CreateStorage(ctx_, txn, spec.smgr));
       entry.files.seg_heap = files.seg_heap.relfile;
       entry.files.seg_index = files.seg_index.relfile;
-      entry.files.inner_data = files.inner.data.relfile;
+      entry.files.inner_data = files.inner.heap.relfile;
       entry.files.inner_index = files.inner.index.relfile;
       break;
     }
@@ -423,7 +423,7 @@ Status LoManager::Migrate(Transaction* txn, Oid oid, uint8_t new_smgr) {
     case StorageKind::kFChunk: {
       PGLO_ASSIGN_OR_RETURN(FChunkLo::Files files,
                             FChunkLo::CreateStorage(ctx_, txn, new_smgr));
-      new_entry.files.data = files.data.relfile;
+      new_entry.files.data = files.heap.relfile;
       new_entry.files.index = files.index.relfile;
       break;
     }
@@ -432,7 +432,7 @@ Status LoManager::Migrate(Transaction* txn, Oid oid, uint8_t new_smgr) {
                             VSegmentLo::CreateStorage(ctx_, txn, new_smgr));
       new_entry.files.seg_heap = files.seg_heap.relfile;
       new_entry.files.seg_index = files.seg_index.relfile;
-      new_entry.files.inner_data = files.inner.data.relfile;
+      new_entry.files.inner_data = files.inner.heap.relfile;
       new_entry.files.inner_index = files.inner.index.relfile;
       break;
     }

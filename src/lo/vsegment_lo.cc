@@ -14,16 +14,17 @@ constexpr uint8_t kTypeSegment = 0;
 constexpr uint8_t kTypeSize = 1;
 constexpr uint8_t kFlagCompressed = 0x1;
 constexpr size_t kSegRecordSize = 26;
+constexpr size_t kSizeRecordSize = 9;
 }  // namespace
 
 Result<VSegmentLo::Files> VSegmentLo::CreateStorage(const DbContext& ctx,
                                                     Transaction* txn,
                                                     uint8_t smgr) {
+  PGLO_ASSIGN_OR_RETURN(IndexedClass::Files segments,
+                        IndexedClass::Create(ctx, smgr));
   Files files;
-  files.seg_heap = RelFileId{smgr, ctx.oids->Allocate()};
-  files.seg_index = RelFileId{smgr, ctx.oids->Allocate()};
-  PGLO_RETURN_IF_ERROR(HeapClass::Create(ctx.pool, files.seg_heap));
-  PGLO_RETURN_IF_ERROR(Btree::Create(ctx.pool, files.seg_index));
+  files.seg_heap = segments.heap;
+  files.seg_index = segments.index;
   PGLO_ASSIGN_OR_RETURN(files.inner,
                         FChunkLo::CreateStorage(ctx, txn, smgr));
   VSegmentLo lo(ctx, files, nullptr, 65536);
@@ -34,12 +35,11 @@ Result<VSegmentLo::Files> VSegmentLo::CreateStorage(const DbContext& ctx,
 VSegmentLo::VSegmentLo(const DbContext& ctx, Files files,
                        const Compressor* codec, uint32_t max_segment)
     : ctx_(ctx),
-      files_(files),
-      seg_heap_(ctx.pool, files.seg_heap),
-      seg_index_(ctx.pool, files.seg_index),
+      segments_(ctx, IndexedClass::Files{files.seg_heap, files.seg_index},
+                &SegmentKey),
       store_(ctx, files.inner, /*codec=*/nullptr, /*chunk_size=*/8000,
              /*stats_prefix=*/"lo.vseg.store"),
-      codec_(codec),
+      conv_(ctx, codec, "lo.vseg"),
       max_segment_(max_segment) {
   PGLO_CHECK(max_segment_ > 0);
   if (ctx_.stats != nullptr) {
@@ -47,13 +47,10 @@ VSegmentLo::VSegmentLo(const DbContext& ctx, Files files,
     c_writes_ = ctx_.stats->counter("lo.vseg.writes");
     c_bytes_read_ = ctx_.stats->counter("lo.vseg.bytes_read");
     c_bytes_written_ = ctx_.stats->counter("lo.vseg.bytes_written");
-    c_compress_ns_ = ctx_.stats->counter("lo.vseg.codec_compress_ns");
-    c_decompress_ns_ = ctx_.stats->counter("lo.vseg.codec_decompress_ns");
     c_pages_relocated_ = ctx_.stats->counter("lo.vseg.pages_relocated");
     c_pages_reclaimed_ = ctx_.stats->counter("lo.vseg.pages_reclaimed");
     h_read_ = ctx_.stats->histogram("lo.vseg.read_ns");
     h_write_ = ctx_.stats->histogram("lo.vseg.write_ns");
-    seg_index_.BindStats(ctx_.stats);
   }
 }
 
@@ -85,45 +82,33 @@ Result<VSegmentLo::SegRecord> VSegmentLo::DecodeSegment(Slice image) {
   return rec;
 }
 
-Result<std::optional<VSegmentLo::SegRecord>> VSegmentLo::MatchSegment(
-    uint64_t locn, Slice image) {
-  if (image.empty() || image[0] != kTypeSegment) {
-    return std::optional<SegRecord>();  // the slot holds the size record
+Result<uint64_t> VSegmentLo::SegmentKey(Slice image) {
+  if (!image.empty() && image[0] == kTypeSize) {
+    if (image.size() < kSizeRecordSize) {
+      return Status::Corruption("bad size record");
+    }
+    return kSizeKey;
   }
   PGLO_ASSIGN_OR_RETURN(SegRecord rec, DecodeSegment(image));
-  if (rec.locn != locn) return std::optional<SegRecord>();
-  return std::optional<SegRecord>(rec);
+  return rec.locn;
 }
 
 Result<std::vector<VSegmentLo::SegRecord>> VSegmentLo::FindSegments(
     Transaction* txn, uint64_t off, uint64_t len) {
   std::vector<SegRecord> out;
   if (len == 0) return out;
-  uint64_t end = off + len;
   // Segments are at most max_segment_ long, so any segment containing
   // `off` starts after off - max_segment_.
   uint64_t seek_from = off >= max_segment_ ? off - max_segment_ + 1 : 0;
-  PGLO_ASSIGN_OR_RETURN(Btree::Iterator it, seg_index_.Seek(seek_from));
-  uint64_t last_locn_taken = ~0ull;
-  while (it.valid() && it.key() < end && it.key() != kSizeKey) {
-    uint64_t locn = it.key();
-    Tid tid = it.tid();
-    PGLO_RETURN_IF_ERROR(it.Next());
-    if (locn == last_locn_taken) continue;  // already resolved this locn
-    Result<Bytes> image = seg_heap_.Get(txn, tid);
-    if (!image.ok()) {
-      if (image.status().IsNotFound()) continue;  // invisible version
-      return image.status();
-    }
-    PGLO_ASSIGN_OR_RETURN(std::optional<SegRecord> matched,
-                          MatchSegment(locn, Slice(image.value())));
-    if (!matched) continue;  // stale index entry pointing at a recycled slot
-    SegRecord rec = *matched;
-    if (rec.locn + rec.raw_len <= off) continue;  // ends before the range
-    rec.tid = tid;
-    out.push_back(rec);
-    last_locn_taken = locn;
-  }
+  PGLO_RETURN_IF_ERROR(segments_.Scan(
+      txn, seek_from, off + len - 1,
+      [&](uint64_t, Tid tid, const Bytes& image) -> Result<bool> {
+        PGLO_ASSIGN_OR_RETURN(SegRecord rec, DecodeSegment(Slice(image)));
+        if (rec.locn + rec.raw_len <= off) return false;  // ends before
+        rec.tid = tid;
+        out.push_back(rec);
+        return true;
+      }));
   return out;
 }
 
@@ -135,49 +120,15 @@ Status VSegmentLo::LoadSegmentData(Transaction* txn, const SegRecord& rec,
   if (n != rec.stored_len) {
     return Status::Corruption("segment byte store truncated");
   }
-  out->clear();
-  if (rec.compressed) {
-    if (codec_ == nullptr) {
-      return Status::Corruption("compressed segment but no codec configured");
-    }
-    PGLO_RETURN_IF_ERROR(codec_->Decompress(Slice(stored), rec.raw_len, out));
-    if (ctx_.cpu != nullptr) {
-      uint64_t before = ctx_.clock != nullptr ? ctx_.clock->NowNanos() : 0;
-      ctx_.cpu->ChargePerByte(codec_->decompress_instr_per_byte(),
-                              rec.raw_len);
-      if (ctx_.clock != nullptr) {
-        StatAdd(c_decompress_ns_, ctx_.clock->NowNanos() - before);
-      }
-    }
-  } else {
-    *out = std::move(stored);
-  }
-  if (out->size() != rec.raw_len) {
-    return Status::Corruption("segment raw length mismatch");
-  }
-  return Status::OK();
+  return conv_.Decompress(Slice(stored), rec.compressed, rec.raw_len, out);
 }
 
 Status VSegmentLo::AppendSegmentData(Transaction* txn, Slice raw,
                                      SegRecord* rec) {
+  Bytes packed;
+  PGLO_ASSIGN_OR_RETURN(rec->compressed, conv_.Compress(raw, &packed));
+  Slice payload = rec->compressed ? Slice(packed) : raw;
   rec->raw_len = static_cast<uint32_t>(raw.size());
-  rec->compressed = false;
-  Slice payload = raw;
-  Bytes compressed_buf;
-  if (codec_ != nullptr) {
-    PGLO_RETURN_IF_ERROR(codec_->Compress(raw, &compressed_buf));
-    if (ctx_.cpu != nullptr) {
-      uint64_t before = ctx_.clock != nullptr ? ctx_.clock->NowNanos() : 0;
-      ctx_.cpu->ChargePerByte(codec_->compress_instr_per_byte(), raw.size());
-      if (ctx_.clock != nullptr) {
-        StatAdd(c_compress_ns_, ctx_.clock->NowNanos() - before);
-      }
-    }
-    if (compressed_buf.size() < raw.size()) {
-      rec->compressed = true;
-      payload = Slice(compressed_buf);
-    }
-  }
   rec->stored_len = static_cast<uint32_t>(payload.size());
   PGLO_ASSIGN_OR_RETURN(rec->byte_ptr, store_.Append(txn, payload));
   return Status::OK();
@@ -188,8 +139,7 @@ Status VSegmentLo::CreateSegment(Transaction* txn, uint64_t locn, Slice raw) {
   rec.locn = locn;
   PGLO_RETURN_IF_ERROR(AppendSegmentData(txn, raw, &rec));
   Bytes image = EncodeSegment(rec);
-  PGLO_ASSIGN_OR_RETURN(Tid tid, seg_heap_.Insert(txn, Slice(image)));
-  return seg_index_.InsertIfAbsent(locn, tid);
+  return segments_.Insert(txn, locn, Slice(image));
 }
 
 Status VSegmentLo::ReplaceSegment(Transaction* txn, const SegRecord& old_rec,
@@ -203,30 +153,17 @@ Status VSegmentLo::ReplaceSegment(Transaction* txn, const SegRecord& old_rec,
 Status VSegmentLo::UpdateSegment(Transaction* txn, Tid old_tid,
                                  const SegRecord& rec) {
   Bytes image = EncodeSegment(rec);
-  PGLO_ASSIGN_OR_RETURN(Tid tid, seg_heap_.Update(txn, old_tid, Slice(image)));
-  return seg_index_.InsertIfAbsent(rec.locn, tid);
+  return segments_.Update(txn, old_tid, rec.locn, Slice(image));
 }
 
 Result<uint64_t> VSegmentLo::LoadSize(Transaction* txn) {
   if (size_valid_) return cached_size_;
-  PGLO_ASSIGN_OR_RETURN(std::vector<uint64_t> candidates,
-                        seg_index_.Lookup(kSizeKey));
-  for (uint64_t packed : candidates) {
-    Tid tid = Btree::UnpackTid(packed);
-    Result<Bytes> image = seg_heap_.Get(txn, tid);
-    if (!image.ok()) {
-      if (image.status().IsNotFound()) continue;
-      return image.status();
-    }
-    const Bytes& data = image.value();
-    if (data.size() < 9 || data[0] != kTypeSize) {
-      continue;  // stale index entry pointing at a recycled slot
-    }
-    cached_size_ = DecodeFixed64(data.data() + 1);
-    size_valid_ = true;
-    return cached_size_;
-  }
-  return Status::NotFound("large object has no size record");
+  PGLO_ASSIGN_OR_RETURN(std::optional<IndexedClass::Record> found,
+                        segments_.Get(txn, kSizeKey));
+  if (!found) return Status::NotFound("large object has no size record");
+  cached_size_ = DecodeFixed64(found->image.data() + 1);
+  size_valid_ = true;
+  return cached_size_;
 }
 
 Status VSegmentLo::StoreSize(Transaction* txn, uint64_t size) {
@@ -235,24 +172,7 @@ Status VSegmentLo::StoreSize(Transaction* txn, uint64_t size) {
   Bytes image;
   image.push_back(kTypeSize);
   PutFixed64(&image, size);
-  PGLO_ASSIGN_OR_RETURN(std::vector<uint64_t> candidates,
-                        seg_index_.Lookup(kSizeKey));
-  for (uint64_t packed : candidates) {
-    Tid tid = Btree::UnpackTid(packed);
-    Result<Bytes> existing = seg_heap_.Get(txn, tid);
-    if (existing.ok()) {
-      if (existing.value().size() < 9 ||
-          existing.value()[0] != kTypeSize) {
-        continue;  // stale index entry pointing at a recycled slot
-      }
-      PGLO_ASSIGN_OR_RETURN(Tid new_tid,
-                            seg_heap_.Update(txn, tid, Slice(image)));
-      return seg_index_.InsertIfAbsent(kSizeKey, new_tid);
-    }
-    if (!existing.status().IsNotFound()) return existing.status();
-  }
-  PGLO_ASSIGN_OR_RETURN(Tid tid, seg_heap_.Insert(txn, Slice(image)));
-  return seg_index_.InsertIfAbsent(kSizeKey, tid);
+  return segments_.Put(txn, kSizeKey, Slice(image));
 }
 
 Result<uint64_t> VSegmentLo::Size(Transaction* txn) { return LoadSize(txn); }
@@ -369,7 +289,7 @@ Status VSegmentLo::Truncate(Transaction* txn, uint64_t size) {
     for (const SegRecord& rec : segs) {
       if (rec.locn >= size) {
         // Entirely beyond the new end: delete the record.
-        PGLO_RETURN_IF_ERROR(seg_heap_.Delete(txn, rec.tid));
+        PGLO_RETURN_IF_ERROR(segments_.Delete(txn, rec.tid));
       } else if (!rec.compressed) {
         // Straddles the boundary, stored raw: shorten the record over the
         // same store bytes. Moving the kept bytes to a fresh copy would
@@ -394,41 +314,8 @@ Status VSegmentLo::Truncate(Transaction* txn, uint64_t size) {
 Result<uint64_t> VSegmentLo::Vacuum(const CommitLog& clog,
                                     CommitTime horizon) {
   size_valid_ = false;
-  uint64_t pages_emptied = 0;
   PGLO_ASSIGN_OR_RETURN(uint64_t segs,
-                        seg_heap_.Vacuum(clog, horizon, &pages_emptied));
-  // Sweep seg_index entries whose heap slot no longer holds a matching
-  // record (vacuumed away or recycled). Collect first, then delete —
-  // Delete restructures pages under a live iterator.
-  std::vector<std::pair<uint64_t, uint64_t>> stale;
-  PGLO_ASSIGN_OR_RETURN(Btree::Iterator it, seg_index_.SeekFirst());
-  while (it.valid()) {
-    Result<std::pair<TupleHeader, Bytes>> any =
-        seg_heap_.GetAnyVersion(it.tid());
-    bool dead;
-    if (any.ok()) {
-      const Bytes& image = any.value().second;
-      if (it.key() == kSizeKey) {
-        dead = image.empty() || image[0] != kTypeSize;
-      } else {
-        PGLO_ASSIGN_OR_RETURN(std::optional<SegRecord> rec,
-                              MatchSegment(it.key(), Slice(image)));
-        dead = !rec.has_value();
-      }
-    } else if (any.status().IsNotFound()) {
-      dead = true;
-    } else {
-      return any.status();
-    }
-    if (dead) stale.push_back({it.key(), it.value()});
-    PGLO_RETURN_IF_ERROR(it.Next());
-  }
-  for (const auto& [key, value] : stale) {
-    Status s = seg_index_.Delete(key, value);
-    if (!s.ok() && !s.IsNotFound()) return s;
-  }
-  PGLO_ASSIGN_OR_RETURN(uint64_t merged, seg_index_.MergeUnderfull());
-  StatAdd(c_pages_reclaimed_, pages_emptied + merged);
+                        segments_.Vacuum(clog, horizon, c_pages_reclaimed_));
   PGLO_ASSIGN_OR_RETURN(uint64_t chunks, store_.Vacuum(clog, horizon));
   return segs + chunks;
 }
@@ -438,72 +325,27 @@ Result<uint64_t> VSegmentLo::Compact(Transaction* txn) {
   if (txn->read_only()) {
     return Status::PermissionDenied("time-travel transactions are read-only");
   }
-  // Pass 1: resolve the visible version of every segment record (and the
-  // size record) in locn order, before any mutation shifts index pages.
-  std::vector<std::pair<uint64_t, Tid>> live;
-  uint64_t last_key = 0;
-  bool have_last = false;
-  PGLO_ASSIGN_OR_RETURN(Btree::Iterator it, seg_index_.SeekFirst());
-  while (it.valid()) {
-    uint64_t key = it.key();
-    Tid tid = it.tid();
-    PGLO_RETURN_IF_ERROR(it.Next());
-    if (have_last && key == last_key) continue;  // already resolved
-    Result<Bytes> image = seg_heap_.Get(txn, tid);
-    if (!image.ok()) {
-      if (image.status().IsNotFound()) continue;  // invisible version
-      return image.status();
-    }
-    bool matches;
-    if (key == kSizeKey) {
-      matches = !image.value().empty() && image.value()[0] == kTypeSize;
-    } else {
-      PGLO_ASSIGN_OR_RETURN(std::optional<SegRecord> rec,
-                            MatchSegment(key, Slice(image.value())));
-      matches = rec.has_value();
-    }
-    if (!matches) continue;  // stale entry
-    live.push_back({key, tid});
-    last_key = key;
-    have_last = true;
-  }
-  // Pass 2: no-overwrite relocation. Each live segment's *contents* are
-  // re-appended to the byte store in locn order (so ascending byte_ptr
-  // again matches ascending locn — merely moving the records would leave
-  // the store scrambled), and a fresh record pointing at the new bytes is
-  // appended to the segment heap. The size record is relocated verbatim.
+  PGLO_ASSIGN_OR_RETURN(auto live, segments_.Entries(txn, 0, kSizeKey));
+  // Each live segment's *contents* are re-appended to the byte store in
+  // locn order (so ascending byte_ptr again matches ascending locn —
+  // merely moving the records would leave the store scrambled), and the
+  // relocated record points at the new bytes. The size record moves
+  // verbatim.
   PGLO_ASSIGN_OR_RETURN(uint64_t rewrite_start, store_.Size(txn));
-  uint64_t moved = 0;
-  BlockNumber prev_block = kInvalidBlock;
   Bytes raw;
-  for (const auto& [key, tid] : live) {
-    Result<Bytes> image = seg_heap_.Get(txn, tid);
-    if (!image.ok()) {
-      if (image.status().IsNotFound()) continue;
-      return image.status();
-    }
-    Bytes new_image;
-    if (key == kSizeKey) {
-      new_image = image.value();
-    } else {
-      PGLO_ASSIGN_OR_RETURN(SegRecord rec, DecodeSegment(Slice(image.value())));
-      rec.tid = tid;
-      PGLO_RETURN_IF_ERROR(LoadSegmentData(txn, rec, &raw));
-      SegRecord relocated;
-      relocated.locn = rec.locn;
-      PGLO_RETURN_IF_ERROR(AppendSegmentData(txn, Slice(raw), &relocated));
-      new_image = EncodeSegment(relocated);
-    }
-    PGLO_ASSIGN_OR_RETURN(Tid new_tid,
-                          seg_heap_.InsertAppend(txn, Slice(new_image)));
-    PGLO_RETURN_IF_ERROR(seg_heap_.Delete(txn, tid));
-    PGLO_RETURN_IF_ERROR(seg_index_.InsertIfAbsent(key, new_tid));
-    ++moved;
-    if (new_tid.block != prev_block) {
-      StatInc(c_pages_relocated_);
-      prev_block = new_tid.block;
-    }
-  }
+  auto rewrite = [&](uint64_t key, Bytes* image) -> Status {
+    if (key == kSizeKey) return Status::OK();
+    PGLO_ASSIGN_OR_RETURN(SegRecord rec, DecodeSegment(Slice(*image)));
+    PGLO_RETURN_IF_ERROR(LoadSegmentData(txn, rec, &raw));
+    SegRecord relocated;
+    relocated.locn = rec.locn;
+    PGLO_RETURN_IF_ERROR(AppendSegmentData(txn, Slice(raw), &relocated));
+    *image = EncodeSegment(relocated);
+    return Status::OK();
+  };
+  PGLO_ASSIGN_OR_RETURN(
+      uint64_t moved,
+      segments_.Relocate(txn, live, rewrite, c_pages_relocated_));
   // The store region below `rewrite_start` is now referenced only by the
   // old (MVCC-deleted) record versions: retire its chunks so Vacuum can
   // reclaim the pages, then physically compact the surviving tail.
@@ -514,27 +356,18 @@ Result<uint64_t> VSegmentLo::Compact(Transaction* txn) {
 
 Status VSegmentLo::Destroy(Transaction* txn) {
   PGLO_RETURN_IF_ERROR(store_.Destroy(txn));
-  ctx_.pool->DiscardFile(files_.seg_heap, /*discard_dirty=*/true);
-  ctx_.pool->DiscardFile(files_.seg_index, /*discard_dirty=*/true);
-  PGLO_ASSIGN_OR_RETURN(StorageManager * smgr,
-                        ctx_.smgrs->Get(files_.seg_heap.smgr_id));
-  PGLO_RETURN_IF_ERROR(smgr->DropFile(files_.seg_heap.relfile));
-  return smgr->DropFile(files_.seg_index.relfile);
+  return segments_.Drop();
 }
 
 Result<LargeObject::StorageFootprint> VSegmentLo::Footprint() {
   StorageFootprint fp;
   PGLO_ASSIGN_OR_RETURN(StorageFootprint inner, store_.Footprint());
+  PGLO_ASSIGN_OR_RETURN(StorageFootprint segments, segments_.Footprint());
   fp.data_bytes = inner.data_bytes;
-  PGLO_ASSIGN_OR_RETURN(StorageManager * smgr,
-                        ctx_.smgrs->Get(files_.seg_heap.smgr_id));
-  PGLO_ASSIGN_OR_RETURN(uint64_t heap_bytes,
-                        smgr->StorageBytes(files_.seg_heap.relfile));
   // The segment-record heap plus the byte store's own chunk index form the
   // "2-level map" of Figure 1; the locn B-tree is reported separately.
-  fp.map_bytes = heap_bytes + inner.index_bytes;
-  PGLO_ASSIGN_OR_RETURN(fp.index_bytes,
-                        smgr->StorageBytes(files_.seg_index.relfile));
+  fp.map_bytes = segments.data_bytes + inner.index_bytes;
+  fp.index_bytes = segments.index_bytes;
   return fp;
 }
 

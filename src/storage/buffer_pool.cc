@@ -321,32 +321,16 @@ Result<PageHandle> BufferPool::GetPage(PageId id) {
   ++stats_.misses;
   StatInc(c_misses_);
   PGLO_ASSIGN_OR_RETURN(StorageManager * smgr, SmgrFor(id.file));
-  // Sequential detector: misses landing on the block this file was
-  // expected to fault next build a streak. The second consecutive match
-  // confirms a scan and widens the read, ramping the window (2, 4, 8, ...)
-  // up to `readahead_pages_`, clipped at the storage manager's end of file
-  // and at the first block that is already resident. A single accidental
-  // adjacency (common when one logical record straddles two blocks) never
-  // triggers a prefetch.
+  // Sequential read-ahead (DESIGN.md §10), clipped at the storage
+  // manager's end of file and at the first block that is already resident.
   uint32_t want = 1;
   if (readahead_pages_ > 1) {
-    ReadAheadState& ra = readahead_[id.file];
-    if (id.block == ra.next_expected) {
-      ra.streak = std::min<uint32_t>(ra.streak + 1, 32);
-    } else {
-      ra.streak = 0;
-    }
-    if (ra.streak >= 2) {
+    uint32_t window = readahead_[id.file].OnMiss(id.block, readahead_pages_);
+    if (window > 1) {
       Result<BlockNumber> nb = smgr->NumBlocks(id.file.relfile);
       if (nb.ok() && id.block < nb.value()) {
-        uint32_t window = 2;
-        for (uint32_t s = 2; s < ra.streak && window < readahead_pages_;
-             ++s) {
-          window *= 2;
-        }
-        want = static_cast<uint32_t>(std::min<uint64_t>(
-            std::min<uint32_t>(window, readahead_pages_),
-            nb.value() - id.block));
+        want = static_cast<uint32_t>(
+            std::min<uint64_t>(window, nb.value() - id.block));
         for (uint32_t k = 1; k < want; ++k) {
           if (page_table_.count(PageId{id.file, id.block + k}) != 0) {
             want = k;
@@ -364,9 +348,7 @@ Result<PageHandle> BufferPool::GetPage(PageId id) {
     extras.push_back(v.value());
   }
   uint32_t run = 1 + static_cast<uint32_t>(extras.size());
-  if (readahead_pages_ > 1) {
-    readahead_[id.file].next_expected = id.block + run;
-  }
+  if (readahead_pages_ > 1) readahead_[id.file].Read(id.block, run);
   if (run > 1 && events_ != nullptr) {
     events_->Append(EventType::kReadAheadRamp, "bufpool", run, id.block);
   }
@@ -483,8 +465,7 @@ Result<PageHandle> BufferPool::NewPage(RelFileId file,
   return PageHandle(this, frame, id);
 }
 
-Status BufferPool::FlushSnapshotLocked(std::unique_lock<std::mutex>& lk,
-                                       const RelFileId* only) {
+Status BufferPool::FlushSnapshotLocked(std::unique_lock<std::mutex>& lk) {
   // Capture the dirty set on entry; pages dirtied afterwards belong to
   // whatever operation dirtied them. Entries are revalidated by page id
   // each round because writing (or waiting) below may let other backends
@@ -494,7 +475,6 @@ Status BufferPool::FlushSnapshotLocked(std::unique_lock<std::mutex>& lk,
   for (size_t i = 0; i < frames_.size(); ++i) {
     const Frame& f = frames_[i];
     if (!f.in_use || !f.dirty.load(std::memory_order_acquire)) continue;
-    if (only != nullptr && !(f.id.file == *only)) continue;
     snap.emplace_back(i, f.id);
   }
   // Frames this flush has written back once are done even if another
@@ -556,7 +536,7 @@ Status BufferPool::FlushAll() {
   {
     WaitLock(mu_, wp_latch_);
     std::unique_lock<std::mutex> lk(mu_, std::adopt_lock);
-    PGLO_RETURN_IF_ERROR(FlushSnapshotLocked(lk, nullptr));
+    PGLO_RETURN_IF_ERROR(FlushSnapshotLocked(lk));
     if (sync_fd_ >= 0) {
       epoch_target = write_epoch_.load(std::memory_order_acquire);
     } else {
@@ -614,12 +594,6 @@ Status BufferPool::FlushAll() {
     if (synced < written) synced = written;
   }
   return Status::OK();
-}
-
-Status BufferPool::FlushFile(RelFileId file) {
-  WaitLock(mu_, wp_latch_);
-  std::unique_lock<std::mutex> lk(mu_, std::adopt_lock);
-  return FlushSnapshotLocked(lk, &file);
 }
 
 void BufferPool::DiscardFile(RelFileId file, bool discard_dirty) {

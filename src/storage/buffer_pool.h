@@ -18,6 +18,7 @@
 #include "obs/wait_event.h"
 #include "smgr/smgr_registry.h"
 #include "storage/page.h"
+#include "storage/read_ahead.h"
 #include "storage/rel_latch.h"
 
 namespace pglo {
@@ -114,7 +115,6 @@ class BufferPool {
   /// sequence the pool issued before vectored I/O existed.
   /// Configuration-time only.
   void SetReadAhead(uint32_t pages) { readahead_pages_ = pages; }
-  uint32_t readahead_pages() const { return readahead_pages_; }
 
   /// Mirrors hit/miss/eviction/writeback accounting into `registry`
   /// counters under `bufpool.*`, plus `bufpool.{get,new_page,writeback}`
@@ -183,9 +183,6 @@ class BufferPool {
   /// caller's writes makes the fdatasync a no-op. Under group commit one
   /// FlushAll covers the whole batch.
   Status FlushAll();
-  /// Writes back only `file`'s dirty frames, without the durability sync
-  /// (used on paths that are not commit points).
-  Status FlushFile(RelFileId file);
 
   /// Drops every frame of `file` without writing back (used by drop-class
   /// and by tests that simulate a crash losing volatile state).
@@ -248,18 +245,6 @@ class BufferPool {
     bool prefetched = false;  ///< installed by read-ahead, not yet accessed
   };
 
-  /// Per-file sequential-access detector, updated on misses only. A miss
-  /// on `next_expected` extends the streak; prefetching starts only on the
-  /// third consecutive sequential miss and the window ramps up (2, 4, 8,
-  /// ...) toward `readahead_pages_`. The confirmation + ramp keep short
-  /// accidental runs — e.g. a random f-chunk frame read touching two
-  /// adjacent chunk blocks — from paying for a full window they will never
-  /// use.
-  struct ReadAheadState {
-    BlockNumber next_expected = 0;
-    uint32_t streak = 0;  ///< consecutive misses that landed on next_expected
-  };
-
   // All private helpers assume mu_ is held.
   void Unpin(size_t frame);
   void PinLocked(size_t frame);
@@ -294,10 +279,9 @@ class BufferPool {
   /// Stamps the checksum (when the image is a slotted page) and writes the
   /// raw frame image to its storage manager.
   Status WriteRawLocked(Frame& frame);
-  /// Snapshot-flush loop shared by FlushAll/FlushFile; releases the lock
-  /// while waiting out other threads' pins.
-  Status FlushSnapshotLocked(std::unique_lock<std::mutex>& lk,
-                             const RelFileId* only);
+  /// FlushAll's snapshot-flush loop; releases the lock while waiting out
+  /// other threads' pins.
+  Status FlushSnapshotLocked(std::unique_lock<std::mutex>& lk);
   Result<StorageManager*> SmgrFor(RelFileId file) {
     return smgrs_->Get(file.smgr_id);
   }
@@ -336,7 +320,7 @@ class BufferPool {
   std::list<size_t> lru_;  // front = least recently used, unpinned frames
   std::vector<size_t> free_frames_;
   uint32_t readahead_pages_ = 0;
-  std::unordered_map<RelFileId, ReadAheadState, RelFileIdHash> readahead_;
+  std::unordered_map<RelFileId, ReadAhead, RelFileIdHash> readahead_;
   /// Durability bookkeeping for FlushAll's sync pass: writes ever issued
   /// per file vs. writes known covered by an fdatasync. A file is due for a
   /// sync when written > synced; after syncing through write count n a

@@ -191,25 +191,14 @@ Status UfsBlockCache::Read(uint32_t block, uint8_t* buf) {
   }
   ++misses_;
   StatInc(c_misses_);
-  // Sequential detector, mirroring the buffer pool's: the second
-  // consecutive miss on the block expected next confirms a scan and widens
-  // into a vectored backing read, ramping (2, 4, 8, ...) toward the
-  // window, clipped at the written extent and at the first cached block.
+  // Sequential read-ahead, clipped at the written extent and at the first
+  // cached block.
   uint32_t run = 1;
   if (readahead_pages_ > 1) {
-    if (block == next_expected_) {
-      streak_ = std::min<uint32_t>(streak_ + 1, 32);
-    } else {
-      streak_ = 0;
-    }
-    if (streak_ >= 2 && block < backing_blocks_) {
-      uint32_t window = 2;
-      for (uint32_t s = 2; s < streak_ && window < readahead_pages_; ++s) {
-        window *= 2;
-      }
-      run = static_cast<uint32_t>(std::min<uint64_t>(
-          std::min<uint32_t>(window, readahead_pages_),
-          backing_blocks_ - block));
+    uint32_t window = readahead_.OnMiss(block, readahead_pages_);
+    if (window > 1 && block < backing_blocks_) {
+      run = static_cast<uint32_t>(
+          std::min<uint64_t>(window, backing_blocks_ - block));
       for (uint32_t k = 1; k < run; ++k) {
         if (cache_.count(block + k) != 0) {
           run = k;
@@ -217,7 +206,7 @@ Status UfsBlockCache::Read(uint32_t block, uint8_t* buf) {
         }
       }
     }
-    next_expected_ = block + run;
+    readahead_.Read(block, run);
   }
   if (run == 1) {
     PGLO_RETURN_IF_ERROR(ReadBacking(block, buf));
@@ -275,8 +264,7 @@ Status UfsBlockCache::Flush() {
 void UfsBlockCache::CrashDiscard() {
   cache_.clear();
   lru_.clear();
-  next_expected_ = 0;
-  streak_ = 0;
+  readahead_ = ReadAhead();
 }
 
 }  // namespace pglo

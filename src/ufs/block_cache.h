@@ -14,6 +14,7 @@
 #include "fault/retry.h"
 #include "obs/stats.h"
 #include "storage/page.h"
+#include "storage/read_ahead.h"
 
 namespace pglo {
 
@@ -110,8 +111,7 @@ class UfsBlockCache {
   size_t capacity_;
   int fd_ = -1;
   uint32_t readahead_pages_ = 0;
-  uint32_t next_expected_ = 0;   ///< sequential detector on physical blocks
-  uint32_t streak_ = 0;          ///< consecutive misses on next_expected_
+  ReadAhead readahead_;  ///< detector on physical blocks
   uint32_t backing_blocks_ = 0;  ///< written extent; read-ahead never
                                  ///< charges for virgin (all-zero) blocks
   /// Separate staging buffers: eviction (and thus a coalesced write-back)

@@ -7,6 +7,7 @@
 #include "common/random.h"
 #include "db/check.h"
 #include "db/database.h"
+#include "heap/heap_class.h"
 #include "smgr/mm_smgr.h"
 #include "tests/test_util.h"
 
@@ -113,6 +114,43 @@ TEST_F(CheckTest, ReadPathRejectsCorruptPages) {
   }
   EXPECT_TRUE(corruption_seen);
   ASSERT_OK(session2->Abort());
+}
+
+TEST_F(CheckTest, UndecodableChunkRecordIsCorruption) {
+  Oid oid = MakeObject(StorageKind::kFChunk, "", 20'000);
+  // Replace chunk 0's visible version with a 4-byte tuple, which no chunk
+  // record decodes from, and index it under sequence number 0.
+  {
+    Transaction* txn = session_->Begin();
+    ASSERT_OK_AND_ASSIGN(auto objects, db_.large_objects().List(txn));
+    ASSERT_EQ(objects.size(), 1u);
+    const LoManager::ObjectInfo& obj = objects[0];
+    ASSERT_EQ(obj.oid, oid);
+    HeapClass heap(&db_.pool(), RelFileId{obj.spec.smgr, obj.files.data});
+    Btree index(&db_.pool(), RelFileId{obj.spec.smgr, obj.files.index});
+    ASSERT_OK_AND_ASSIGN(std::vector<uint64_t> entries, index.Lookup(0));
+    ASSERT_EQ(entries.size(), 1u);
+    const uint8_t garbage[4] = {0xde, 0xad, 0xbe, 0xef};
+    ASSERT_OK_AND_ASSIGN(Tid planted,
+                         heap.Update(txn, Btree::UnpackTid(entries[0]),
+                                     Slice(garbage, sizeof(garbage))));
+    ASSERT_OK(index.Insert(0, planted));
+    ASSERT_OK(session_->Commit().status());
+  }
+
+  Transaction* txn = session_->Begin();
+  ASSERT_OK_AND_ASSIGN(auto lo, db_.large_objects().Instantiate(txn, oid));
+  Bytes buf(100);
+  Result<size_t> n = lo->Read(txn, 0, buf.size(), buf.data());
+  EXPECT_TRUE(n.status().IsCorruption()) << n.status().ToString();
+  Status w = lo->Write(txn, 10, Slice("overwrite"));
+  EXPECT_TRUE(w.IsCorruption()) << w.ToString();
+  ASSERT_OK(session_->Abort());
+
+  ASSERT_OK_AND_ASSIGN(IntegrityReport report, CheckIntegrity(&db_));
+  EXPECT_FALSE(report.ok()) << report.ToString();
+  Result<uint64_t> vacuumed = db_.large_objects().Vacuum(db_.Now());
+  EXPECT_TRUE(vacuumed.status().IsCorruption()) << vacuumed.status().ToString();
 }
 
 // Torture: random transactional workloads punctuated by crashes and

@@ -21,10 +21,11 @@
 # and compares each axis's simulated times against its committed baseline
 # bit for bit (bench_compare --tolerance=0.0): same code, same numbers.
 #
-# A crash-recovery gate follows: pglo_crashtest --quick sweeps a sample of
-# injected crash points through the full workload replay + recovery
-# verification (see DESIGN.md §11). Set PGLO_TEST_SEED to vary the seed;
-# the default is the same fixed seed the unit tests use.
+# A crash-recovery gate follows: pglo_crashtest sweeps injected crash
+# points through the full workload replay + recovery verification (see
+# DESIGN.md §11) — every point in the native build (--all-points), a
+# sample (--quick) under the sanitizers. Set PGLO_TEST_SEED to vary the
+# seed; the default is the same fixed seed the unit tests use.
 #
 # An observability gate then proves the flight recorder and the wait
 # instrumentation are free: bench_ablation_obs --quick runs the same
@@ -81,10 +82,11 @@ bench_gate() {
 
 crashtest_gate() {
   builddir="$1"
-  echo "== crashtest gate: pglo_crashtest --quick (seed ${PGLO_TEST_SEED:-42}) =="
+  sweep="$2"
+  echo "== crashtest gate: pglo_crashtest $sweep (seed ${PGLO_TEST_SEED:-42}) =="
   workdir="$(mktemp -d /tmp/pglo_crash_gate_XXXXXX)"
   trap 'rm -rf "$workdir"' EXIT
-  "$builddir/tools/pglo_crashtest" --quick --seed="${PGLO_TEST_SEED:-42}" \
+  "$builddir/tools/pglo_crashtest" "$sweep" --seed="${PGLO_TEST_SEED:-42}" \
       "$workdir/crashdb"
   rm -rf "$workdir"
   trap - EXIT
@@ -210,14 +212,14 @@ case "${1:-default}" in
     bench_gate build
     ablation_gate build
     obs_gate build
-    crashtest_gate build
+    crashtest_gate build --all-points
     concurrency_gate build
     fragmentation_gate build
     server_gate build
     ;;
   asan)
     run_preset asan
-    crashtest_gate build-asan
+    crashtest_gate build-asan --quick
     ;;
   tsan)
     tsan_smoke_gate
@@ -227,12 +229,12 @@ case "${1:-default}" in
     bench_gate build
     ablation_gate build
     obs_gate build
-    crashtest_gate build
+    crashtest_gate build --all-points
     concurrency_gate build
     fragmentation_gate build
     server_gate build
     run_preset asan
-    crashtest_gate build-asan
+    crashtest_gate build-asan --quick
     tsan_smoke_gate
     ;;
   ci)
@@ -243,12 +245,12 @@ case "${1:-default}" in
     bench_gate build
     ablation_gate build
     obs_gate build
-    crashtest_gate build
+    crashtest_gate build --all-points
     concurrency_gate build
     fragmentation_gate build
     server_gate build
     run_preset asan "$timeout"
-    crashtest_gate build-asan
+    crashtest_gate build-asan --quick
     tsan_smoke_gate
     ;;
   *)
