@@ -19,6 +19,11 @@ namespace {
 /// 12-14 = Inversion DIRECTORY/STORAGE/FILESTAT, 15 = index catalog,
 /// 16 = Inversion directory index. User relations start at Oid 1000.
 constexpr Oid kFsmRelfile = 17;
+
+/// Transient-I/O retry budget: total attempts, not retries. It must exceed
+/// a fault plan's transient_max_burst for forward progress under injection.
+constexpr uint32_t kIoRetryAttempts = 4;
+constexpr uint64_t kIoRetryBackoffNs = 200000;
 }  // namespace
 
 Database::Database() = default;
@@ -161,21 +166,19 @@ Status Database::OpenBody(bool after_crash) {
     return std::make_unique<FaultyStorageManager>(std::move(smgr), injector);
   };
 
-  smgrs_ = std::make_unique<SmgrRegistry>();
-  if (injector != nullptr || options_.io_retry_attempts > 1) {
-    RetryPolicy policy;
-    policy.max_attempts = options_.io_retry_attempts;
-    policy.backoff_start_ns = options_.io_retry_backoff_ns;
-    policy.clock = clock_.get();
-    if (stats_ != nullptr) {
-      policy.retries = stats_->counter("fault.io_retries");
-    }
-    policy.events = events;
-    if (waits_ != nullptr) {
-      policy.wait = waits_->point(WaitEvent::kIoRetryBackoff);
-    }
-    smgrs_->SetRetryPolicy(policy);
+  // One transient-I/O retry policy for the buffer pool (through the smgr
+  // switch) and the UFS block cache.
+  RetryPolicy retry;
+  retry.max_attempts = kIoRetryAttempts;
+  retry.backoff_start_ns = kIoRetryBackoffNs;
+  retry.clock = clock_.get();
+  if (stats_ != nullptr) retry.retries = stats_->counter("fault.io_retries");
+  retry.events = events;
+  if (waits_ != nullptr) {
+    retry.wait = waits_->point(WaitEvent::kIoRetryBackoff);
   }
+  smgrs_ = std::make_unique<SmgrRegistry>();
+  smgrs_->SetRetryPolicy(retry);
   PGLO_RETURN_IF_ERROR(smgrs_->Register(
       kSmgrDisk, maybe_faulty(std::make_unique<DiskSmgr>(
                      options_.dir + "/disk", disk_dev))));
@@ -253,20 +256,7 @@ Status Database::OpenBody(bool after_crash) {
 
   ufs_ = std::make_unique<UnixFileSystem>(ufs_dev, options_.ufs_params);
   ufs_->SetFaultInjector(injector);
-  if (injector != nullptr || options_.io_retry_attempts > 1) {
-    RetryPolicy ufs_policy;
-    ufs_policy.max_attempts = options_.io_retry_attempts;
-    ufs_policy.backoff_start_ns = options_.io_retry_backoff_ns;
-    ufs_policy.clock = clock_.get();
-    if (stats_ != nullptr) {
-      ufs_policy.retries = stats_->counter("fault.io_retries");
-    }
-    ufs_policy.events = events;
-    if (waits_ != nullptr) {
-      ufs_policy.wait = waits_->point(WaitEvent::kIoRetryBackoff);
-    }
-    ufs_->SetRetryPolicy(ufs_policy);
-  }
+  ufs_->SetRetryPolicy(retry);
   // Force-at-commit covers the simulated UNIX file system too: u-file and
   // p-file bytes live outside the buffer pool, so without this sync a
   // committed write could evaporate with the OS cache at the next crash.

@@ -100,12 +100,6 @@ struct DatabaseOptions {
   /// commit the whole group. Off by default; single-session runs with it
   /// off reproduce the historical commit sequence bit-identically.
   bool group_commit = false;
-
-  /// Transient-I/O retry policy applied in the buffer pool and the UFS
-  /// block cache. Total attempts (not retries); must exceed the plan's
-  /// transient_max_burst for forward progress under injection.
-  uint32_t io_retry_attempts = 4;
-  uint64_t io_retry_backoff_ns = 200000;
 };
 
 /// One POSTGRES-style database instance: storage managers, buffer pool,

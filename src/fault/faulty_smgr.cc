@@ -19,12 +19,6 @@ Status FaultyStorageManager::DropFile(Oid relfile) {
   return inner_->DropFile(relfile);
 }
 
-Status FaultyStorageManager::ReadBlock(Oid relfile, BlockNumber block,
-                                       uint8_t* buf) {
-  PGLO_RETURN_IF_ERROR(injector_->OnRead(site_.c_str(), 1));
-  return inner_->ReadBlock(relfile, block, buf);
-}
-
 Status FaultyStorageManager::ReadBlocks(Oid relfile, BlockNumber start,
                                         uint32_t nblocks, uint8_t* buf) {
   if (nblocks == 0) return Status::OK();
@@ -51,12 +45,6 @@ Status FaultyStorageManager::ApplyWrite(
     }
   }
   return outcome.status;
-}
-
-Status FaultyStorageManager::WriteBlock(Oid relfile, BlockNumber block,
-                                        const uint8_t* buf) {
-  auto outcome = injector_->OnWrite(site_.c_str(), 1);
-  return ApplyWrite(relfile, block, 1, buf, outcome);
 }
 
 Status FaultyStorageManager::WriteBlocks(Oid relfile, BlockNumber start,

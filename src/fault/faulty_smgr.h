@@ -41,9 +41,6 @@ class FaultyStorageManager : public StorageManager {
   Result<BlockNumber> NumBlocks(Oid relfile) override {
     return inner_->NumBlocks(relfile);
   }
-  Status ReadBlock(Oid relfile, BlockNumber block, uint8_t* buf) override;
-  Status WriteBlock(Oid relfile, BlockNumber block,
-                    const uint8_t* buf) override;
   Status ReadBlocks(Oid relfile, BlockNumber start, uint32_t nblocks,
                     uint8_t* buf) override;
   Status WriteBlocks(Oid relfile, BlockNumber start, uint32_t nblocks,

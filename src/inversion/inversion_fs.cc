@@ -231,7 +231,10 @@ Result<std::vector<std::string>> InversionFs::SplitPath(
 Result<std::pair<InversionFs::DirRecord, Tid>> InversionFs::LookupIn(
     Transaction* txn, FileId parent, const std::string& name) {
   // Index probe: candidates are (possibly colliding or stale) tuple
-  // addresses; visibility and the actual (parent, name) are rechecked.
+  // addresses; visibility and the actual (parent, name) are rechecked. The
+  // DIRECTORY heap holds only directory records, so a recycled slot still
+  // decodes (and fails the name check); a record that does not decode is
+  // damage, reported as Corruption just as ReadDir reports it.
   StatInc(c_index_probes_);
   PGLO_ASSIGN_OR_RETURN(std::vector<uint64_t> candidates,
                         dir_index_.Lookup(DirKey(parent, name)));
@@ -242,10 +245,9 @@ Result<std::pair<InversionFs::DirRecord, Tid>> InversionFs::LookupIn(
       if (payload.status().IsNotFound()) continue;  // invisible version
       return payload.status();
     }
-    Result<DirRecord> rec = DecodeDir(Slice(payload.value()));
-    if (!rec.ok()) continue;  // recycled slot
-    if (rec.value().parent == parent && rec.value().name == name) {
-      return std::make_pair(std::move(rec).value(), tid);
+    PGLO_ASSIGN_OR_RETURN(DirRecord rec, DecodeDir(Slice(payload.value())));
+    if (rec.parent == parent && rec.name == name) {
+      return std::make_pair(std::move(rec), tid);
     }
   }
   return Status::NotFound("no such file or directory: " + name);

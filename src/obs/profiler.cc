@@ -96,8 +96,11 @@ std::string Profiler::ToString() const {
                     static_cast<double>(stat.self_ns) * 1e-6);
       out += buf;
       if (stat.detail != 0) {
-        std::snprintf(buf, sizeof(buf), " (%llu seeks)",
-                      static_cast<unsigned long long>(stat.detail));
+        // Device spans count seeks; smgr and pool write-back spans count
+        // the blocks their commands moved.
+        const char* unit = layer.starts_with("device.") ? "seeks" : "blocks";
+        std::snprintf(buf, sizeof(buf), " (%llu %s)",
+                      static_cast<unsigned long long>(stat.detail), unit);
         out += buf;
       }
       out += '\n';

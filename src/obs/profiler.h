@@ -22,6 +22,7 @@ namespace pglo {
 ///   lo.fchunk.read           calls=2500 total=41.234 ms self=3.112 ms
 ///     -> bufpool             calls=5000 12.003 ms
 ///     -> device.disk         calls=38   26.119 ms (38 seeks)
+///     -> smgr.disk           calls=38   0.412 ms (304 blocks)
 ///
 /// A SpanTreeBuilder rebuilds the trees from the completion stream; each
 /// closed operation tree is immediately folded into the per-op aggregate, so
@@ -38,7 +39,9 @@ class Profiler : public TraceSink {
   struct LayerStat {
     uint64_t calls = 0;
     uint64_t self_ns = 0;
-    uint64_t detail = 0;  ///< summed TraceEvent::detail (seeks for device.*)
+    /// Summed TraceEvent::detail: seeks for device.*, blocks moved for
+    /// smgr.* and bufpool (write-back runs).
+    uint64_t detail = 0;
   };
 
   /// Aggregate over every completed tree rooted at the same span name.

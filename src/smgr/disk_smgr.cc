@@ -82,55 +82,21 @@ Result<BlockNumber> DiskSmgr::NumBlocks(Oid relfile) {
   return static_cast<BlockNumber>(st.st_size / kPageSize);
 }
 
-Status DiskSmgr::ReadBlock(Oid relfile, BlockNumber block, uint8_t* buf) {
-  TraceSpan span(stat_registry_, stat_read_ns_, span_read_name_);
-  PGLO_ASSIGN_OR_RETURN(int fd, GetFd(relfile));
-  ssize_t n = ::pread(fd, buf, kPageSize,
-                      static_cast<off_t>(block) * kPageSize);
-  if (n != static_cast<ssize_t>(kPageSize)) {
-    return Status::IOError("short read of block " + std::to_string(block));
-  }
-  if (device_ != nullptr) device_->ChargeRead(PhysicalBlock(relfile, block), 1);
-  StatInc(stat_blocks_read_);
-  return Status::OK();
-}
-
-Status DiskSmgr::WriteBlock(Oid relfile, BlockNumber block,
-                            const uint8_t* buf) {
-  TraceSpan span(stat_registry_, stat_write_ns_, span_write_name_);
-  PGLO_ASSIGN_OR_RETURN(int fd, GetFd(relfile));
-  PGLO_ASSIGN_OR_RETURN(BlockNumber nblocks, NumBlocks(relfile));
-  if (block > nblocks) {
-    return Status::InvalidArgument("write would leave a hole in the file");
-  }
-  ssize_t n = ::pwrite(fd, buf, kPageSize,
-                       static_cast<off_t>(block) * kPageSize);
-  if (n != static_cast<ssize_t>(kPageSize)) {
-    return Status::IOError("short write of block " + std::to_string(block));
-  }
-  if (device_ != nullptr) {
-    device_->ChargeWrite(PhysicalBlock(relfile, block), 1);
-  }
-  StatInc(stat_blocks_written_);
-  return Status::OK();
-}
-
 Status DiskSmgr::ReadBlocks(Oid relfile, BlockNumber start, uint32_t nblocks,
                             uint8_t* buf) {
   if (nblocks == 0) return Status::OK();
-  if (nblocks == 1) return ReadBlock(relfile, start, buf);
   TraceSpan span(stat_registry_, stat_read_ns_, span_read_name_);
   span.AddDetail(nblocks);
   PGLO_ASSIGN_OR_RETURN(int fd, GetFd(relfile));
-  PGLO_ASSIGN_OR_RETURN(BlockNumber file_blocks, NumBlocks(relfile));
-  if (start + nblocks > file_blocks) {
-    return Status::OutOfRange("read run extends beyond end of file");
-  }
   size_t bytes = static_cast<size_t>(nblocks) * kPageSize;
   ssize_t n = ::pread(fd, buf, bytes, static_cast<off_t>(start) * kPageSize);
+  if (n < 0) {
+    return Status::IOError("read of run at block " + std::to_string(start) +
+                           " failed: " + std::strerror(errno));
+  }
+  // A regular file reads short only at its end.
   if (n != static_cast<ssize_t>(bytes)) {
-    return Status::IOError("short read of run at block " +
-                           std::to_string(start));
+    return Status::OutOfRange("read run extends beyond end of file");
   }
   if (device_ != nullptr) {
     device_->ChargeRead(PhysicalBlock(relfile, start), nblocks);
@@ -143,7 +109,6 @@ Status DiskSmgr::ReadBlocks(Oid relfile, BlockNumber start, uint32_t nblocks,
 Status DiskSmgr::WriteBlocks(Oid relfile, BlockNumber start, uint32_t nblocks,
                              const uint8_t* buf) {
   if (nblocks == 0) return Status::OK();
-  if (nblocks == 1) return WriteBlock(relfile, start, buf);
   TraceSpan span(stat_registry_, stat_write_ns_, span_write_name_);
   span.AddDetail(nblocks);
   PGLO_ASSIGN_OR_RETURN(int fd, GetFd(relfile));

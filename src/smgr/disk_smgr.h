@@ -28,9 +28,6 @@ class DiskSmgr : public StorageManager {
   Status DropFile(Oid relfile) override;
   bool FileExists(Oid relfile) override;
   Result<BlockNumber> NumBlocks(Oid relfile) override;
-  Status ReadBlock(Oid relfile, BlockNumber block, uint8_t* buf) override;
-  Status WriteBlock(Oid relfile, BlockNumber block,
-                    const uint8_t* buf) override;
   Status ReadBlocks(Oid relfile, BlockNumber start, uint32_t nblocks,
                     uint8_t* buf) override;
   Status WriteBlocks(Oid relfile, BlockNumber start, uint32_t nblocks,

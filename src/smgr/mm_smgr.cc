@@ -35,48 +35,9 @@ Result<BlockNumber> MainMemorySmgr::NumBlocks(Oid relfile) {
   return static_cast<BlockNumber>(it->second.size());
 }
 
-Status MainMemorySmgr::ReadBlock(Oid relfile, BlockNumber block,
-                                 uint8_t* buf) {
-  TraceSpan span(stat_registry_, stat_read_ns_, span_read_name_);
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = files_.find(relfile);
-  if (it == files_.end()) {
-    return Status::NotFound("relation file does not exist");
-  }
-  if (block >= it->second.size()) {
-    return Status::OutOfRange("block beyond end of file");
-  }
-  std::memcpy(buf, it->second[block].get(), kPageSize);
-  if (device_ != nullptr) device_->ChargeRead(block, 1);
-  StatInc(stat_blocks_read_);
-  return Status::OK();
-}
-
-Status MainMemorySmgr::WriteBlock(Oid relfile, BlockNumber block,
-                                  const uint8_t* buf) {
-  TraceSpan span(stat_registry_, stat_write_ns_, span_write_name_);
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = files_.find(relfile);
-  if (it == files_.end()) {
-    return Status::NotFound("relation file does not exist");
-  }
-  auto& blocks = it->second;
-  if (block > blocks.size()) {
-    return Status::InvalidArgument("write would leave a hole in the file");
-  }
-  if (block == blocks.size()) {
-    blocks.emplace_back(std::make_unique<uint8_t[]>(kPageSize));
-  }
-  std::memcpy(blocks[block].get(), buf, kPageSize);
-  if (device_ != nullptr) device_->ChargeWrite(block, 1);
-  StatInc(stat_blocks_written_);
-  return Status::OK();
-}
-
 Status MainMemorySmgr::ReadBlocks(Oid relfile, BlockNumber start,
                                   uint32_t nblocks, uint8_t* buf) {
   if (nblocks == 0) return Status::OK();
-  if (nblocks == 1) return ReadBlock(relfile, start, buf);
   TraceSpan span(stat_registry_, stat_read_ns_, span_read_name_);
   span.AddDetail(nblocks);
   std::lock_guard<std::mutex> lock(mu_);
@@ -102,7 +63,6 @@ Status MainMemorySmgr::ReadBlocks(Oid relfile, BlockNumber start,
 Status MainMemorySmgr::WriteBlocks(Oid relfile, BlockNumber start,
                                    uint32_t nblocks, const uint8_t* buf) {
   if (nblocks == 0) return Status::OK();
-  if (nblocks == 1) return WriteBlock(relfile, start, buf);
   TraceSpan span(stat_registry_, stat_write_ns_, span_write_name_);
   span.AddDetail(nblocks);
   std::lock_guard<std::mutex> lock(mu_);

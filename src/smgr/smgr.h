@@ -34,44 +34,32 @@ class StorageManager {
   /// Current length of the file in blocks.
   virtual Result<BlockNumber> NumBlocks(Oid relfile) = 0;
 
-  /// Reads block `block` into `buf` (kPageSize bytes).
-  virtual Status ReadBlock(Oid relfile, BlockNumber block, uint8_t* buf) = 0;
-
-  /// Writes block `block` from `buf`. Writing at block == NumBlocks extends
-  /// the file by one block; writing further out is an error.
-  virtual Status WriteBlock(Oid relfile, BlockNumber block,
-                            const uint8_t* buf) = 0;
-
   /// Reads `nblocks` consecutive blocks starting at `start` into `buf`
   /// (`nblocks * kPageSize` bytes). The run must lie entirely within the
-  /// file. A zero-length run is a no-op. On error the buffer contents are
-  /// unspecified. The default loops over ReadBlock so third-party storage
-  /// managers keep working unchanged; the built-in smgrs override it to
-  /// charge their device once for the whole run.
+  /// file: a run reaching past the end of file is OutOfRange. A zero-length
+  /// run is a no-op. On error the buffer contents are unspecified. The run
+  /// calls are the block I/O a storage manager implements, charging its
+  /// device once per run; a single block is a run of one.
   virtual Status ReadBlocks(Oid relfile, BlockNumber start, uint32_t nblocks,
-                            uint8_t* buf) {
-    for (uint32_t i = 0; i < nblocks; ++i) {
-      PGLO_RETURN_IF_ERROR(
-          ReadBlock(relfile, start + i, buf + static_cast<size_t>(i) *
-                                                  kPageSize));
-    }
-    return Status::OK();
+                            uint8_t* buf) = 0;
+
+  /// Writes `nblocks` consecutive blocks starting at `start` from `buf`. A
+  /// run starting at or below NumBlocks may extend the file contiguously; a
+  /// run starting past the append frontier is InvalidArgument (it would
+  /// leave a hole). A zero-length run is a no-op. On error a prefix of the
+  /// run may have been written.
+  virtual Status WriteBlocks(Oid relfile, BlockNumber start, uint32_t nblocks,
+                             const uint8_t* buf) = 0;
+
+  /// Reads block `block` into `buf` (kPageSize bytes): a run of one.
+  virtual Status ReadBlock(Oid relfile, BlockNumber block, uint8_t* buf) {
+    return ReadBlocks(relfile, block, 1, buf);
   }
 
-  /// Writes `nblocks` consecutive blocks starting at `start` from `buf`.
-  /// Like WriteBlock, a run starting at or below NumBlocks may extend the
-  /// file contiguously; a run starting past the append frontier is an
-  /// error (it would leave a hole). A zero-length run is a no-op. On error
-  /// a prefix of the run may have been written. Default loops over
-  /// WriteBlock; built-in smgrs override with one coalesced device charge.
-  virtual Status WriteBlocks(Oid relfile, BlockNumber start, uint32_t nblocks,
-                             const uint8_t* buf) {
-    for (uint32_t i = 0; i < nblocks; ++i) {
-      PGLO_RETURN_IF_ERROR(
-          WriteBlock(relfile, start + i, buf + static_cast<size_t>(i) *
-                                                   kPageSize));
-    }
-    return Status::OK();
+  /// Writes block `block` from `buf`: a run of one.
+  virtual Status WriteBlock(Oid relfile, BlockNumber block,
+                            const uint8_t* buf) {
+    return WriteBlocks(relfile, block, 1, buf);
   }
 
   /// Forces previously written blocks of the file to stable storage.
@@ -85,9 +73,9 @@ class StorageManager {
   /// Mirrors block I/O accounting into `registry` counters named
   /// `smgr.<name>.{blocks_read,blocks_written,coalesced_runs}`, histograms
   /// `smgr.<name>.{read_ns,write_ns}`, and trace spans
-  /// `smgr.<name>.{read,write}` around each block access (the span detail
-  /// payload of a vectored access is the run length). Implementations bump
-  /// the protected counters and open the spans in their block routines;
+  /// `smgr.<name>.{read,write}` around each run (the span detail payload is
+  /// the number of blocks the run moved). Implementations bump the
+  /// protected counters and open the spans in their run routines;
   /// overrides may bind additional implementation-specific counters. Null
   /// registry = unbound (no overhead).
   virtual void BindStats(StatsRegistry* registry) {
@@ -105,8 +93,8 @@ class StorageManager {
   }
 
  protected:
-  /// Accounting shared by every native ReadBlocks/WriteBlocks: one
-  /// coalesced run of `nblocks` blocks (only runs of ≥ 2 count).
+  /// Accounting shared by every ReadBlocks/WriteBlocks: one coalesced run
+  /// of `nblocks` blocks (only runs of ≥ 2 count).
   void NoteCoalescedRun(uint32_t nblocks) {
     if (nblocks >= 2) StatInc(stat_coalesced_runs_);
   }

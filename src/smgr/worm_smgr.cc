@@ -132,18 +132,6 @@ Status WormSmgr::AppendMapRecord(Oid relfile, BlockNumber logical,
   return Status::OK();
 }
 
-Status WormSmgr::ReadOptical(uint32_t optical, uint8_t* buf) {
-  ssize_t n = ::pread(optical_fd_, buf, kPageSize,
-                      static_cast<off_t>(optical) * kPageSize);
-  if (n != static_cast<ssize_t>(kPageSize)) {
-    return Status::IOError("optical read failed");
-  }
-  ++stats_.optical_reads;
-  StatInc(c_optical_reads_);
-  if (optical_device_ != nullptr) optical_device_->ChargeRead(optical, 1);
-  return Status::OK();
-}
-
 Status WormSmgr::ReadOpticalRun(uint32_t optical, uint32_t nblocks,
                                 uint8_t* buf) {
   size_t bytes = static_cast<size_t>(nblocks) * kPageSize;
@@ -158,10 +146,6 @@ Status WormSmgr::ReadOpticalRun(uint32_t optical, uint32_t nblocks,
     optical_device_->ChargeRead(optical, nblocks);
   }
   return Status::OK();
-}
-
-Status WormSmgr::BurnOptical(uint32_t optical, const uint8_t* buf) {
-  return BurnOpticalRun(optical, 1, buf);
 }
 
 Status WormSmgr::BurnOpticalRun(uint32_t optical, uint32_t nblocks,
@@ -309,34 +293,9 @@ Result<BlockNumber> WormSmgr::NumBlocks(Oid relfile) {
   return static_cast<BlockNumber>(it->second.map.size());
 }
 
-Status WormSmgr::ReadBlock(Oid relfile, BlockNumber block, uint8_t* buf) {
-  TraceSpan span(stat_registry_, stat_read_ns_, span_read_name_);
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = files_.find(relfile);
-  if (it == files_.end()) {
-    return Status::NotFound("relation file does not exist");
-  }
-  if (block >= it->second.map.size() ||
-      it->second.map[block] == kNoOptical) {
-    return Status::OutOfRange("block beyond end of file");
-  }
-  StatInc(stat_blocks_read_);
-  if (CacheLookup(relfile, block, buf)) {
-    ++stats_.cache_hits;
-    StatInc(c_cache_hits_);
-    return Status::OK();
-  }
-  ++stats_.cache_misses;
-  StatInc(c_cache_misses_);
-  PGLO_RETURN_IF_ERROR(ReadOptical(it->second.map[block], buf));
-  CacheInsert(relfile, block, buf);
-  return Status::OK();
-}
-
 Status WormSmgr::ReadBlocks(Oid relfile, BlockNumber start, uint32_t nblocks,
                             uint8_t* buf) {
   if (nblocks == 0) return Status::OK();
-  if (nblocks == 1) return ReadBlock(relfile, start, buf);
   TraceSpan span(stat_registry_, stat_read_ns_, span_read_name_);
   span.AddDetail(nblocks);
   std::lock_guard<std::mutex> lock(mu_);
@@ -389,7 +348,6 @@ Status WormSmgr::ReadBlocks(Oid relfile, BlockNumber start, uint32_t nblocks,
 Status WormSmgr::WriteBlocks(Oid relfile, BlockNumber start, uint32_t nblocks,
                              const uint8_t* buf) {
   if (nblocks == 0) return Status::OK();
-  if (nblocks == 1) return WriteBlock(relfile, start, buf);
   TraceSpan span(stat_registry_, stat_write_ns_, span_write_name_);
   span.AddDetail(nblocks);
   std::lock_guard<std::mutex> lock(mu_);
@@ -421,34 +379,6 @@ Status WormSmgr::WriteBlocks(Oid relfile, BlockNumber start, uint32_t nblocks,
   }
   StatAdd(stat_blocks_written_, nblocks);
   NoteCoalescedRun(nblocks);
-  return Status::OK();
-}
-
-Status WormSmgr::WriteBlock(Oid relfile, BlockNumber block,
-                            const uint8_t* buf) {
-  TraceSpan span(stat_registry_, stat_write_ns_, span_write_name_);
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = files_.find(relfile);
-  if (it == files_.end()) {
-    return Status::NotFound("relation file does not exist");
-  }
-  FileState& fs = it->second;
-  if (block > fs.map.size()) {
-    return Status::InvalidArgument("write would leave a hole in the file");
-  }
-  uint32_t optical = next_optical_++;
-  PGLO_RETURN_IF_ERROR(BurnOptical(optical, buf));
-  PGLO_RETURN_IF_ERROR(AppendMapRecord(relfile, block, optical));
-  if (block == fs.map.size()) {
-    fs.map.push_back(optical);
-  } else {
-    ++stats_.relocations;  // write-once: old block becomes dead platter
-    StatInc(c_relocations_);
-    fs.map[block] = optical;
-  }
-  ++fs.blocks_burned;
-  StatInc(stat_blocks_written_);
-  CacheInsert(relfile, block, buf);
   return Status::OK();
 }
 

@@ -54,9 +54,6 @@ class WormSmgr : public StorageManager {
   Status DropFile(Oid relfile) override;
   bool FileExists(Oid relfile) override;
   Result<BlockNumber> NumBlocks(Oid relfile) override;
-  Status ReadBlock(Oid relfile, BlockNumber block, uint8_t* buf) override;
-  Status WriteBlock(Oid relfile, BlockNumber block,
-                    const uint8_t* buf) override;
   /// Serves the run from the cache where resident; cache misses are grouped
   /// into maximal consecutive-*optical* sub-runs, each charged to the
   /// jukebox once, and the cache is filled with every block of each
@@ -144,9 +141,7 @@ class WormSmgr : public StorageManager {
   };
 
   Status AppendMapRecord(Oid relfile, BlockNumber logical, uint32_t optical);
-  Status ReadOptical(uint32_t optical, uint8_t* buf);
   Status ReadOpticalRun(uint32_t optical, uint32_t nblocks, uint8_t* buf);
-  Status BurnOptical(uint32_t optical, const uint8_t* buf);
   Status BurnOpticalRun(uint32_t optical, uint32_t nblocks,
                         const uint8_t* buf);
   void CacheInsert(Oid relfile, BlockNumber block, const uint8_t* buf);

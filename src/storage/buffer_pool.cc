@@ -101,28 +101,6 @@ bool BufferPool::FileWritableLocked(RelFileId file) const {
   return true;
 }
 
-Status BufferPool::WriteRawLocked(Frame& frame) {
-  TraceSpan span(registry_, h_writeback_ns_, "bufpool.writeback");
-  PGLO_ASSIGN_OR_RETURN(StorageManager * smgr, SmgrFor(frame.id.file));
-  // Stamp a checksum into slotted pages on their way to stable storage so
-  // that media corruption is detected on the next read. Non-slotted
-  // formats (B-tree nodes, meta pages) carry their own magic.
-  SlottedPage page(frame.data.get());
-  if (page.IsInitialized()) {
-    page.UpdateChecksum();
-  }
-  PGLO_RETURN_IF_ERROR(RetryTransient(smgrs_->retry_policy(), [&] {
-    return smgr->WriteBlock(frame.id.file.relfile, frame.id.block,
-                            frame.data.get());
-  }));
-  ++file_writes_[frame.id.file];
-  write_epoch_.fetch_add(1, std::memory_order_release);
-  frame.dirty.store(false, std::memory_order_release);
-  ++stats_.writebacks;
-  StatInc(c_writebacks_);
-  return Status::OK();
-}
-
 Status BufferPool::EnsureMaterializedLocked(RelFileId file, BlockNumber upto) {
   PGLO_ASSIGN_OR_RETURN(StorageManager * smgr, SmgrFor(file));
   PGLO_ASSIGN_OR_RETURN(BlockNumber cur, smgr->NumBlocks(file.relfile));
@@ -133,25 +111,9 @@ Status BufferPool::EnsureMaterializedLocked(RelFileId file, BlockNumber upto) {
           "appended block evicted out of order: relfile " +
           std::to_string(file.relfile) + " block " + std::to_string(b));
     }
-    PGLO_RETURN_IF_ERROR(WriteRawLocked(frames_[it->second]));
+    PGLO_RETURN_IF_ERROR(WriteRawRunLocked({&it->second, 1}));
   }
   return Status::OK();
-}
-
-Status BufferPool::WriteBackLocked(Frame& frame) {
-  PGLO_ASSIGN_OR_RETURN(StorageManager * smgr, SmgrFor(frame.id.file));
-  PGLO_ASSIGN_OR_RETURN(BlockNumber cur,
-                        smgr->NumBlocks(frame.id.file.relfile));
-  if (frame.id.block > cur) {
-    // Lazily-appended file tail: flush the intervening appended blocks
-    // first so the storage manager never sees a hole.
-    PGLO_RETURN_IF_ERROR(
-        EnsureMaterializedLocked(frame.id.file, frame.id.block));
-  }
-  if (!frame.dirty.load(std::memory_order_acquire)) {
-    return Status::OK();  // materialization covered it
-  }
-  return WriteRawLocked(frame);
 }
 
 Result<size_t> BufferPool::FindVictimLocked() {
@@ -215,25 +177,32 @@ Status BufferPool::WriteBackBatchLocked(size_t victim_frame) {
   return WriteBackSortedLocked(batch);
 }
 
-Status BufferPool::WriteRawRunLocked(const std::vector<size_t>& run) {
+Status BufferPool::WriteRawRunLocked(std::span<const size_t> run) {
   TraceSpan span(registry_, h_writeback_ns_, "bufpool.writeback");
   span.AddDetail(run.size());
   Frame& first = frames_[run.front()];
   PGLO_ASSIGN_OR_RETURN(StorageManager * smgr, SmgrFor(first.id.file));
-  write_scratch_.resize(run.size() * kPageSize);
+  // Stamp a checksum into slotted pages on their way to stable storage so
+  // that media corruption is detected on the next read. Non-slotted
+  // formats (B-tree nodes, meta pages) carry their own magic. A run of one
+  // leaves straight from its frame; a longer run is gathered first.
+  const bool gather = run.size() > 1;
+  if (gather) write_scratch_.resize(run.size() * kPageSize);
   for (size_t k = 0; k < run.size(); ++k) {
     Frame& fr = frames_[run[k]];
     SlottedPage page(fr.data.get());
     if (page.IsInitialized()) {
       page.UpdateChecksum();
     }
-    std::memcpy(write_scratch_.data() + k * kPageSize, fr.data.get(),
-                kPageSize);
+    if (gather) {
+      std::memcpy(write_scratch_.data() + k * kPageSize, fr.data.get(),
+                  kPageSize);
+    }
   }
+  const uint8_t* src = gather ? write_scratch_.data() : first.data.get();
   PGLO_RETURN_IF_ERROR(RetryTransient(smgrs_->retry_policy(), [&] {
     return smgr->WriteBlocks(first.id.file.relfile, first.id.block,
-                             static_cast<uint32_t>(run.size()),
-                             write_scratch_.data());
+                             static_cast<uint32_t>(run.size()), src);
   }));
   ++file_writes_[first.id.file];
   write_epoch_.fetch_add(1, std::memory_order_release);
@@ -246,15 +215,10 @@ Status BufferPool::WriteRawRunLocked(const std::vector<size_t>& run) {
 }
 
 Status BufferPool::WriteBackSortedLocked(const std::vector<size_t>& sorted) {
-  if (readahead_pages_ == 0) {
-    // Legacy per-page path, kept bit-identical for the window-0 ablation.
-    for (size_t i : sorted) {
-      PGLO_RETURN_IF_ERROR(WriteBackLocked(frames_[i]));
-    }
-    return Status::OK();
-  }
-  // One device command per up-to-512KB contiguous dirty run.
-  constexpr size_t kMaxWriteRun = 64;
+  // One device command per contiguous dirty run of up to 64 blocks (512
+  // KB). Window 0 caps runs at one block: the per-page command sequence
+  // the pool issued before vectored I/O, kept for the window-0 ablation.
+  const size_t max_run = readahead_pages_ == 0 ? 1 : 64;
   size_t i = 0;
   while (i < sorted.size()) {
     if (!frames_[sorted[i]].dirty.load(std::memory_order_acquire)) {
@@ -262,7 +226,7 @@ Status BufferPool::WriteBackSortedLocked(const std::vector<size_t>& sorted) {
       continue;
     }
     size_t j = i + 1;
-    while (j < sorted.size() && j - i < kMaxWriteRun) {
+    while (j < sorted.size() && j - i < max_run) {
       const Frame& prev = frames_[sorted[j - 1]];
       const Frame& cur = frames_[sorted[j]];
       if (!(cur.id.file == prev.id.file) ||
@@ -272,23 +236,18 @@ Status BufferPool::WriteBackSortedLocked(const std::vector<size_t>& sorted) {
       }
       ++j;
     }
-    if (j - i == 1) {
-      PGLO_RETURN_IF_ERROR(WriteBackLocked(frames_[sorted[i]]));
-      i = j;
-      continue;
-    }
     Frame& first = frames_[sorted[i]];
     PGLO_ASSIGN_OR_RETURN(StorageManager * smgr, SmgrFor(first.id.file));
     PGLO_ASSIGN_OR_RETURN(BlockNumber cur_blocks,
                           smgr->NumBlocks(first.id.file.relfile));
     if (first.id.block > cur_blocks) {
       // Lazily-appended tail: fill the gap below the run first so the
-      // vectored write extends the file contiguously.
+      // write extends the file contiguously.
       PGLO_RETURN_IF_ERROR(
           EnsureMaterializedLocked(first.id.file, first.id.block));
     }
-    PGLO_RETURN_IF_ERROR(WriteRawRunLocked(
-        std::vector<size_t>(sorted.begin() + i, sorted.begin() + j)));
+    PGLO_RETURN_IF_ERROR(
+        WriteRawRunLocked(std::span<const size_t>(sorted).subspan(i, j - i)));
     i = j;
   }
   return Status::OK();
@@ -355,33 +314,24 @@ Result<PageHandle> BufferPool::GetPage(PageId id) {
   // The miss read happens under the pool lock: concurrent misses
   // serialize. Device charges are simulated-time, so this costs wall
   // clock, not modeled time; hits (the common case once warm) only probe
-  // the hash table.
+  // the hash table. A run of one reads straight into its frame; a longer
+  // run lands in the staging buffer and is copied out frame by frame.
   Frame& f = frames_[frame];
-  Status s;
-  if (run == 1) {
-    s = RetryTransient(smgrs_->retry_policy(), [&] {
-      return smgr->ReadBlock(id.file.relfile, id.block, f.data.get());
-    });
-  } else {
+  uint8_t* dst = f.data.get();
+  if (run > 1) {
     read_scratch_.resize(static_cast<size_t>(run) * kPageSize);
-    s = RetryTransient(smgrs_->retry_policy(), [&] {
-      return smgr->ReadBlocks(id.file.relfile, id.block, run,
-                              read_scratch_.data());
-    });
+    dst = read_scratch_.data();
   }
+  Status s = RetryTransient(smgrs_->retry_policy(), [&] {
+    return smgr->ReadBlocks(id.file.relfile, id.block, run, dst);
+  });
   if (!s.ok()) {
     free_frames_.push_back(frame);
     for (size_t e : extras) free_frames_.push_back(e);
     return s;
   }
-  if (run > 1) {
-    std::memcpy(f.data.get(), read_scratch_.data(), kPageSize);
-  }
   for (uint32_t k = 0; k < run; ++k) {
-    uint8_t* img = (run == 1) ? f.data.get()
-                              : read_scratch_.data() +
-                                    static_cast<size_t>(k) * kPageSize;
-    SlottedPage page(img);
+    SlottedPage page(dst + static_cast<size_t>(k) * kPageSize);
     if (page.IsInitialized() && !page.VerifyChecksum()) {
       free_frames_.push_back(frame);
       for (size_t e : extras) free_frames_.push_back(e);
@@ -391,6 +341,7 @@ Result<PageHandle> BufferPool::GetPage(PageId id) {
           std::to_string(id.block + k));
     }
   }
+  if (run > 1) std::memcpy(f.data.get(), dst, kPageSize);
   f.id = id;
   f.pin_count = 1;
   f.pin_owner = std::this_thread::get_id();
@@ -405,8 +356,7 @@ Result<PageHandle> BufferPool::GetPage(PageId id) {
   for (uint32_t k = 1; k < run; ++k) {
     size_t ef = extras[k - 1];
     Frame& e = frames_[ef];
-    std::memcpy(e.data.get(),
-                read_scratch_.data() + static_cast<size_t>(k) * kPageSize,
+    std::memcpy(e.data.get(), dst + static_cast<size_t>(k) * kPageSize,
                 kPageSize);
     PageId pid{id.file, id.block + k};
     e.id = pid;

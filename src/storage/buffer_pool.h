@@ -7,6 +7,7 @@
 #include <list>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -262,23 +263,20 @@ class BufferPool {
   /// blocks of the file other than the one it is evicting.
   bool FileWritableLocked(RelFileId file) const;
   Result<size_t> FindVictimLocked();
-  Status WriteBackLocked(Frame& frame);
   /// Cleans a sorted batch of cold dirty pages, starting with
   /// `victim_frame` (background-writer style clustering).
   Status WriteBackBatchLocked(size_t victim_frame);
-  /// Writes back an already-sorted list of dirty frames, coalescing
-  /// adjacent (file, block) runs into single WriteBlocks commands when
-  /// read-ahead is enabled; falls back to per-frame WriteBack at window 0.
+  /// Writes back an already-sorted list of frames, skipping clean ones and
+  /// coalescing adjacent dirty (file, block) runs into single WriteBlocks
+  /// commands; at read-ahead window 0 every run is one block long.
   Status WriteBackSortedLocked(const std::vector<size_t>& sorted);
-  /// Stamps checksums and emits one contiguous dirty run (>= 2 frames of
-  /// one file, consecutive blocks) as a single vectored write.
-  Status WriteRawRunLocked(const std::vector<size_t>& run);
+  /// Stamps checksums (on slotted pages) and writes one run of frames of
+  /// one file at consecutive blocks with a single WriteBlocks.
+  Status WriteRawRunLocked(std::span<const size_t> run);
   /// Writes out any resident dirty blocks of `file` below `upto` that the
-  /// storage manager does not have yet, so WriteBack never leaves a hole.
+  /// storage manager does not have yet, one block per command, so a
+  /// write-back never leaves a hole.
   Status EnsureMaterializedLocked(RelFileId file, BlockNumber upto);
-  /// Stamps the checksum (when the image is a slotted page) and writes the
-  /// raw frame image to its storage manager.
-  Status WriteRawLocked(Frame& frame);
   /// FlushAll's snapshot-flush loop; releases the lock while waiting out
   /// other threads' pins.
   Status FlushSnapshotLocked(std::unique_lock<std::mutex>& lk);

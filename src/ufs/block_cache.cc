@@ -33,27 +33,6 @@ Status UfsBlockCache::Open(const std::string& path) {
   return Status::OK();
 }
 
-Status UfsBlockCache::ReadBacking(uint32_t block, uint8_t* buf) {
-  if (injector_ != nullptr) {
-    PGLO_RETURN_IF_ERROR(RetryTransient(
-        retry_policy_, [&] { return injector_->OnRead("ufs", 1); }));
-  }
-  ssize_t n = ::pread(fd_, buf, kPageSize,
-                      static_cast<off_t>(block) * kPageSize);
-  if (n < 0) return Status::IOError("ufs backing read failed");
-  // Blocks past EOF read as zeros (fresh allocation).
-  if (n < static_cast<ssize_t>(kPageSize)) {
-    std::memset(buf + n, 0, kPageSize - n);
-  }
-  if (device_ != nullptr) device_->ChargeRead(block, 1);
-  StatInc(c_blocks_read_);
-  return Status::OK();
-}
-
-Status UfsBlockCache::WriteBacking(uint32_t block, const uint8_t* buf) {
-  return WriteBackingRun(block, 1, buf);
-}
-
 Status UfsBlockCache::ReadBackingRun(uint32_t block, uint32_t nblocks,
                                      uint8_t* buf) {
   if (injector_ != nullptr) {
@@ -63,6 +42,7 @@ Status UfsBlockCache::ReadBackingRun(uint32_t block, uint32_t nblocks,
   size_t bytes = static_cast<size_t>(nblocks) * kPageSize;
   ssize_t n = ::pread(fd_, buf, bytes, static_cast<off_t>(block) * kPageSize);
   if (n < 0) return Status::IOError("ufs backing read failed");
+  // Blocks past EOF read as zeros (fresh allocation).
   if (n < static_cast<ssize_t>(bytes)) {
     std::memset(buf + n, 0, bytes - n);
   }
@@ -108,39 +88,31 @@ Status UfsBlockCache::WriteBackingRun(uint32_t block, uint32_t nblocks,
 }
 
 Status UfsBlockCache::WriteBackSorted(const std::vector<uint32_t>& sorted) {
-  if (readahead_pages_ == 0) {
-    for (uint32_t block : sorted) {
-      Entry& e = cache_[block];
-      PGLO_RETURN_IF_ERROR(WriteBacking(block, e.data.data()));
-      e.dirty = false;
-    }
-    return Status::OK();
-  }
-  constexpr size_t kMaxWriteRun = 64;
+  // Window 0 caps runs at one block, the historical one command per block.
+  const size_t max_run = readahead_pages_ == 0 ? 1 : 64;
   size_t i = 0;
   while (i < sorted.size()) {
     size_t j = i + 1;
-    while (j < sorted.size() && j - i < kMaxWriteRun &&
+    while (j < sorted.size() && j - i < max_run &&
            sorted[j] == sorted[j - 1] + 1) {
       ++j;
     }
     uint32_t run = static_cast<uint32_t>(j - i);
-    if (run == 1) {
-      Entry& e = cache_[sorted[i]];
-      PGLO_RETURN_IF_ERROR(WriteBacking(sorted[i], e.data.data()));
-      e.dirty = false;
-    } else {
+    // A run of one leaves straight from its entry; a longer run is
+    // gathered first.
+    const uint8_t* src = cache_[sorted[i]].data.data();
+    if (run > 1) {
       write_scratch_.resize(static_cast<size_t>(run) * kPageSize);
       for (uint32_t k = 0; k < run; ++k) {
         std::memcpy(
             write_scratch_.data() + static_cast<size_t>(k) * kPageSize,
             cache_[sorted[i + k]].data.data(), kPageSize);
       }
-      PGLO_RETURN_IF_ERROR(
-          WriteBackingRun(sorted[i], run, write_scratch_.data()));
-      for (uint32_t k = 0; k < run; ++k) {
-        cache_[sorted[i + k]].dirty = false;
-      }
+      src = write_scratch_.data();
+    }
+    PGLO_RETURN_IF_ERROR(WriteBackingRun(sorted[i], run, src));
+    for (uint32_t k = 0; k < run; ++k) {
+      cache_[sorted[i + k]].dirty = false;
     }
     i = j;
   }
@@ -208,18 +180,19 @@ Status UfsBlockCache::Read(uint32_t block, uint8_t* buf) {
     }
     readahead_.Read(block, run);
   }
-  if (run == 1) {
-    PGLO_RETURN_IF_ERROR(ReadBacking(block, buf));
-  } else {
+  // A run of one reads straight into the caller's buffer; a longer run
+  // lands in the staging buffer.
+  uint8_t* dst = buf;
+  if (run > 1) {
     scratch_.resize(static_cast<size_t>(run) * kPageSize);
-    PGLO_RETURN_IF_ERROR(ReadBackingRun(block, run, scratch_.data()));
-    std::memcpy(buf, scratch_.data(), kPageSize);
+    dst = scratch_.data();
   }
+  PGLO_RETURN_IF_ERROR(ReadBackingRun(block, run, dst));
+  if (run > 1) std::memcpy(buf, dst, kPageSize);
   for (uint32_t k = 0; k < run; ++k) {
     PGLO_RETURN_IF_ERROR(EvictIfFull());
     Entry e;
-    const uint8_t* src =
-        (run == 1) ? buf : scratch_.data() + static_cast<size_t>(k) * kPageSize;
+    const uint8_t* src = dst + static_cast<size_t>(k) * kPageSize;
     e.data.assign(src, src + kPageSize);
     lru_.push_back(block + k);
     e.lru_pos = std::prev(lru_.end());

@@ -91,14 +91,12 @@ class UfsBlockCache {
     std::list<uint32_t>::iterator lru_pos;
   };
 
-  Status ReadBacking(uint32_t block, uint8_t* buf);
-  Status WriteBacking(uint32_t block, const uint8_t* buf);
   /// One device command for `nblocks` consecutive backing blocks.
   Status ReadBackingRun(uint32_t block, uint32_t nblocks, uint8_t* buf);
   Status WriteBackingRun(uint32_t block, uint32_t nblocks,
                          const uint8_t* buf);
   /// Writes back a sorted list of dirty cached blocks, coalescing
-  /// consecutive runs when read-ahead is enabled.
+  /// consecutive runs; at read-ahead window 0 every run is one block.
   Status WriteBackSorted(const std::vector<uint32_t>& sorted);
   Status EvictIfFull();
   void Touch(uint32_t block, Entry& e);

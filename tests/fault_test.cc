@@ -287,7 +287,6 @@ TEST(FaultTest, TransientErrorsAreAbsorbedByRetries) {
   opts.dir = td.Sub("db");
   opts.charge_devices = false;
   opts.fault_injector = &inj;
-  opts.io_retry_attempts = 4;
   Database db;
   ASSERT_OK(db.Open(opts));
   FaultPlan plan;

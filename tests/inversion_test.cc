@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "btree/btree.h"
 #include "common/random.h"
 #include "db/database.h"
 #include "inversion/inversion_fs.h"
@@ -11,6 +12,17 @@ namespace pglo {
 namespace {
 
 using pglo::testing::TempDir;
+
+/// Every (key, packed tid) entry of a B-tree, in index order.
+Result<std::vector<std::pair<uint64_t, uint64_t>>> IndexEntries(Btree& index) {
+  std::vector<std::pair<uint64_t, uint64_t>> out;
+  PGLO_ASSIGN_OR_RETURN(Btree::Iterator it, index.SeekFirst());
+  while (it.valid()) {
+    out.emplace_back(it.key(), it.value());
+    PGLO_RETURN_IF_ERROR(it.Next());
+  }
+  return out;
+}
 
 class InversionTest : public ::testing::Test {
  protected:
@@ -97,6 +109,46 @@ TEST_F(InversionTest, PathErrors) {
       fs_->Create(txn, "/file/x", LoSpec{}).status().IsInvalidArgument());
   EXPECT_TRUE(fs_->Open(txn, "/", true).status().IsInvalidArgument());
   ASSERT_OK(session_->Commit().status());
+}
+
+TEST_F(InversionTest, UndecodableDirectoryRecordIsCorruption) {
+  // The directory index is the Inversion catalog's relfile 16, keyed by a
+  // hash of (parent, name).
+  Btree dir_index(&db_.pool(), RelFileId{kSmgrDisk, 16});
+  ASSERT_OK_AND_ASSIGN(auto before, IndexEntries(dir_index));
+  Transaction* txn = session_->Begin();
+  ASSERT_OK(fs_->Create(txn, "/a", LoSpec{}).status());
+  ASSERT_OK(session_->Commit().status());
+  ASSERT_OK_AND_ASSIGN(auto after, IndexEntries(dir_index));
+  std::vector<std::pair<uint64_t, uint64_t>> added;
+  for (const auto& entry : after) {
+    if (std::find(before.begin(), before.end(), entry) == before.end()) {
+      added.push_back(entry);
+    }
+  }
+  ASSERT_EQ(added.size(), 1u);  // /a's entry
+  const auto [key, packed] = added[0];
+
+  // Replace /a's DIRECTORY tuple with a 4-byte version, which no directory
+  // record decodes from, and index it under /a's key.
+  txn = session_->Begin();
+  const uint8_t garbage[4] = {0xde, 0xad, 0xbe, 0xef};
+  ASSERT_OK_AND_ASSIGN(
+      Tid planted,
+      fs_->directory_class().Update(txn, Btree::UnpackTid(packed),
+                                    Slice(garbage, sizeof(garbage))));
+  ASSERT_OK(dir_index.Insert(key, planted));
+  ASSERT_OK(session_->Commit().status());
+
+  // Lookup and scan agree: the damaged record is Corruption, never a
+  // missing file.
+  txn = session_->Begin();
+  Result<InversionFs::StatInfo> st = fs_->Stat(txn, "/a");
+  EXPECT_TRUE(st.status().IsCorruption()) << st.status().ToString();
+  EXPECT_TRUE(fs_->Open(txn, "/a", false).status().IsCorruption());
+  EXPECT_TRUE(fs_->Remove(txn, "/a").IsCorruption());
+  EXPECT_TRUE(fs_->ReadDir(txn, "/").status().IsCorruption());
+  ASSERT_OK(session_->Abort());
 }
 
 TEST_F(InversionTest, RemoveAndRmDir) {

@@ -77,6 +77,27 @@ TEST(ProfilerTest, ReconstructsTreeAndAttributesSelfTime) {
   EXPECT_NE(report.find("seeks"), std::string::npos);
 }
 
+TEST(ProfilerTest, ReportNamesDetailByLayer) {
+  Profiler profiler;
+  // Device spans carry seeks; smgr and pool write-back spans carry the
+  // blocks their commands moved.
+  profiler.OnSpan(Event("device.disk.write", 12, 18, 3, 1));
+  profiler.OnSpan(Event("smgr.disk.write", 11, 19, 2, 5));
+  profiler.OnSpan(Event("bufpool.writeback", 10, 20, 1, 5));
+  profiler.OnSpan(Event("lo.fchunk.write", 0, 30, 0));
+  std::string report = profiler.ToString();
+  auto line = [&report](const std::string& layer) {
+    size_t at = report.find("-> " + layer + " ");
+    if (at == std::string::npos) return std::string();
+    return report.substr(at, report.find('\n', at) - at);
+  };
+  EXPECT_NE(line("device.disk").find("(1 seeks)"), std::string::npos)
+      << report;
+  EXPECT_NE(line("smgr.disk").find("(5 blocks)"), std::string::npos)
+      << report;
+  EXPECT_NE(line("bufpool").find("(5 blocks)"), std::string::npos) << report;
+}
+
 TEST(ProfilerTest, AggregatesRepeatedOperations) {
   Profiler profiler;
   for (int i = 0; i < 3; ++i) {

@@ -92,7 +92,8 @@ TEST_P(SmgrContractTest, NoHoles) {
 TEST_P(SmgrContractTest, ReadPastEndFails) {
   ASSERT_OK(smgr_->CreateFile(1));
   uint8_t buf[kPageSize];
-  EXPECT_FALSE(smgr_->ReadBlock(1, 0, buf).ok());
+  Status s = smgr_->ReadBlock(1, 0, buf);
+  EXPECT_TRUE(s.IsOutOfRange()) << s.ToString();
 }
 
 TEST_P(SmgrContractTest, MissingFileOperations) {
@@ -137,8 +138,10 @@ TEST_P(SmgrContractTest, VectoredReadCrossingEofFails) {
   ASSERT_OK(smgr_->WriteBlocks(1, 0, 4, buf));
   // A run that starts inside the file but crosses the append frontier must
   // fail whole — no partial reads.
-  EXPECT_FALSE(smgr_->ReadBlocks(1, 2, 4, buf).ok());
-  EXPECT_FALSE(smgr_->ReadBlocks(1, 4, 1, buf).ok());
+  Status crossing = smgr_->ReadBlocks(1, 2, 4, buf);
+  EXPECT_TRUE(crossing.IsOutOfRange()) << crossing.ToString();
+  Status past = smgr_->ReadBlocks(1, 4, 1, buf);
+  EXPECT_TRUE(past.IsOutOfRange()) << past.ToString();
   ASSERT_OK(smgr_->ReadBlocks(1, 2, 2, buf));
 }
 

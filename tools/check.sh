@@ -7,14 +7,14 @@
 # relation latches — DESIGN.md §13) is exercised by K concurrent Sessions
 # with every data race a hard failure.
 #
-# After the default-preset tests pass, a benchmark gate runs one small
-# (--quick, 1/10th-scale) Figure 1 config, validates the emitted
-# BENCH_figure1_quick.json against the pglo-bench-v1 schema, and compares
-# its simulated times against the checked-in baseline in bench/baselines/
-# with bench_compare's default 10% tolerance. Simulated time is
-# deterministic, so any drift is a real behavioural change; regenerate the
-# baseline deliberately (see bench/baselines/README.md) when one is
-# intended.
+# After the default-preset tests pass, a benchmark gate runs the paper's
+# three figures at --quick (1/10th) scale, validates each emitted
+# BENCH_figure{1,2,3}_quick.json against the pglo-bench-v1 schema, and
+# compares its simulated times against the checked-in baseline in
+# bench/baselines/ bit for bit (bench_compare --tolerance=0.0). Simulated
+# time is deterministic, so any drift is a real behavioural change;
+# regenerate the baselines deliberately (see bench/baselines/README.md)
+# when one is intended.
 #
 # An ablation gate then runs all five ablation axes (bench_ablation
 # --quick: chunk size, buffer pool, WORM cache, compression, read-ahead)
@@ -67,15 +67,18 @@ run_preset() {
 
 bench_gate() {
   builddir="$1"
-  baseline="bench/baselines/BENCH_figure1_quick.json"
-  echo "== bench gate: figure1 --quick vs $baseline =="
+  echo "== bench gate: figures 1-3 --quick vs bench/baselines (exact) =="
   workdir="$(mktemp -d /tmp/pglo_bench_gate_XXXXXX)"
   trap 'rm -rf "$workdir"' EXIT
-  out="$workdir/BENCH_figure1_quick.json"
-  "$builddir/bench/bench_figure1_storage" --quick --json="$out" \
-      "$workdir/db" > "$workdir/bench.log"
-  "$builddir/tools/bench_compare" --validate "$out"
-  "$builddir/tools/bench_compare" "$baseline" "$out"
+  for fig in figure1_storage figure2_disk figure3_worm; do
+    name="${fig%%_*}"
+    out="$workdir/BENCH_${name}_quick.json"
+    "$builddir/bench/bench_$fig" --quick --json="$out" \
+        "$workdir/db_$name" > "$workdir/bench_$name.log"
+    "$builddir/tools/bench_compare" --validate "$out"
+    "$builddir/tools/bench_compare" --tolerance=0.0 \
+        "bench/baselines/BENCH_${name}_quick.json" "$out"
+  done
   rm -rf "$workdir"
   trap - EXIT
 }
