@@ -1,6 +1,12 @@
 #include "common/crc32c.h"
 
 #include <array>
+#include <cstring>
+
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#include <nmmintrin.h>
+#define PGLO_CRC32C_SSE42 1
+#endif
 
 namespace pglo {
 namespace crc32c {
@@ -27,15 +33,54 @@ const std::array<uint32_t, 256>& Table() {
   return table;
 }
 
+#ifdef PGLO_CRC32C_SSE42
+// The SSE4.2 `crc32` instruction computes the same reflected CRC-32C as the
+// table, 8 bytes per instruction; the tail goes a byte at a time.
+__attribute__((target("sse4.2"))) uint32_t ExtendSse42(uint32_t init_crc,
+                                                       const uint8_t* data,
+                                                       size_t n) {
+  uint64_t crc = init_crc ^ 0xffffffffu;
+  for (; n >= 8; data += 8, n -= 8) {
+    uint64_t word;
+    std::memcpy(&word, data, sizeof(word));
+    crc = _mm_crc32_u64(crc, word);
+  }
+  uint32_t crc32 = static_cast<uint32_t>(crc);
+  for (; n > 0; ++data, --n) {
+    crc32 = _mm_crc32_u8(crc32, *data);
+  }
+  return crc32 ^ 0xffffffffu;
+}
+#endif
+
+using ExtendFn = uint32_t (*)(uint32_t, const uint8_t*, size_t);
+
+ExtendFn ChooseExtend() {
+#ifdef PGLO_CRC32C_SSE42
+  __builtin_cpu_init();
+  if (__builtin_cpu_supports("sse4.2")) return ExtendSse42;
+#endif
+  return internal::ExtendPortable;
+}
+
 }  // namespace
 
-uint32_t Extend(uint32_t init_crc, const uint8_t* data, size_t n) {
+namespace internal {
+
+uint32_t ExtendPortable(uint32_t init_crc, const uint8_t* data, size_t n) {
   const auto& table = Table();
   uint32_t crc = init_crc ^ 0xffffffffu;
   for (size_t i = 0; i < n; ++i) {
     crc = table[(crc ^ data[i]) & 0xff] ^ (crc >> 8);
   }
   return crc ^ 0xffffffffu;
+}
+
+}  // namespace internal
+
+uint32_t Extend(uint32_t init_crc, const uint8_t* data, size_t n) {
+  static const ExtendFn extend = ChooseExtend();
+  return extend(init_crc, data, n);
 }
 
 }  // namespace crc32c

@@ -22,6 +22,8 @@ const char* WaitEventName(WaitEvent e) {
       return "bufpool.pin_wait";
     case WaitEvent::kBufPoolDataSync:
       return "bufpool.data_sync";
+    case WaitEvent::kBufPoolIoWait:
+      return "bufpool.io_wait";
     case WaitEvent::kClogMutex:
       return "clog.mutex";
     case WaitEvent::kClogFsync:

@@ -14,12 +14,13 @@ namespace pglo {
 
 /// Wait-state observability (DESIGN.md §14) — the pg_stat_activity shape.
 ///
-/// Every point where a backend can block (pool latch, pin-wait cv, relation
-/// latches, commit-log mutexes, fsync, group-commit queue, retry backoff)
-/// reports into this taxonomy: per-class acquire/contended counters and
-/// wall-time wait histograms in the StatsRegistry, a per-backend WaitSlot
-/// exposing "what is backend N waiting on right now", and a rare structured
-/// event for waits long enough to matter in a post-mortem.
+/// Every point where a backend can block (pool latch, pin-wait cv, in-flight
+/// page reads, relation latches, commit-log mutexes, fsync, group-commit
+/// queue, retry backoff) reports into this taxonomy: per-class
+/// acquire/contended counters and wall-time wait histograms in the
+/// StatsRegistry, a per-backend WaitSlot exposing "what is backend N
+/// waiting on right now", and a rare structured event for waits long
+/// enough to matter in a post-mortem.
 ///
 /// Two rules keep this subsystem honest:
 ///   1. Wall time, not simulated time. Blocking on a latch never advances
@@ -40,6 +41,7 @@ enum class WaitEvent : uint8_t {
   kLatchRelOther,        ///< latch.rel.other — relation latch, unnamed caller
   kBufPoolPinWait,       ///< bufpool.pin_wait — flush waiting for a pin drop
   kBufPoolDataSync,      ///< bufpool.data_sync — commit-time syncfs(2)
+  kBufPoolIoWait,        ///< bufpool.io_wait — waiting out another's page read
   kClogMutex,            ///< clog.mutex — commit-log record/visibility mutex
   kClogFsync,            ///< clog.fsync — commit-log fdatasync (incl. piggyback)
   kTxnCommitSerialize,   ///< txn.commit_serialize — single-commit serializer

@@ -19,6 +19,10 @@ namespace pglo {
 /// relation files (identified by Oid) made of kPageSize blocks. Three
 /// implementations ship with pglo — magnetic disk, main memory (NVRAM), and
 /// WORM optical jukebox — and users may register more via SmgrRegistry.
+///
+/// Implementations must be safe for concurrent calls: the buffer pool
+/// issues a miss's ReadBlocks outside its own mutex, so reads run
+/// concurrently with each other and with writes of other blocks.
 class StorageManager {
  public:
   virtual ~StorageManager() = default;

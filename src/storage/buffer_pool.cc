@@ -253,6 +253,14 @@ Status BufferPool::WriteBackSortedLocked(const std::vector<size_t>& sorted) {
   return Status::OK();
 }
 
+template <typename Pred>
+void BufferPool::WaitForIoLocked(std::unique_lock<std::mutex>& lk,
+                                 Pred done) {
+  if (done()) return;
+  WaitGuard wait(wp_io_wait_);
+  io_cv_.wait(lk, done);
+}
+
 Result<PageHandle> BufferPool::GetPage(PageId id) {
   // Spans even the hit path: the page-access CPU charge advances the clock
   // here, and the profiler should bill it to the pool, not the caller.
@@ -262,13 +270,21 @@ Result<PageHandle> BufferPool::GetPage(PageId id) {
   if (cpu_ != nullptr && access_instructions_ > 0) {
     cpu_->ChargeInstructions(access_instructions_);
   }
-  WaitLockGuard lock(mu_, wp_latch_);
-  auto it = page_table_.find(id);
-  if (it != page_table_.end()) {
-    ++stats_.hits;
-    StatInc(c_hits_);
+  WaitLock(mu_, wp_latch_);
+  std::unique_lock<std::mutex> lk(mu_, std::adopt_lock);
+  for (auto it = page_table_.find(id); it != page_table_.end();
+       it = page_table_.find(id)) {
     size_t frame = it->second;
     Frame& f = frames_[frame];
+    if (f.io_in_progress) {
+      // Another backend is reading this page. Wait for that read, then
+      // probe again: a failed read unpublished the frame, and this call
+      // then misses and issues its own read.
+      WaitForIoLocked(lk, [&] { return !(f.io_in_progress && f.id == id); });
+      continue;
+    }
+    ++stats_.hits;
+    StatInc(c_hits_);
     if (f.prefetched) {
       f.prefetched = false;
       ++stats_.readahead_hits;
@@ -281,7 +297,8 @@ Result<PageHandle> BufferPool::GetPage(PageId id) {
   StatInc(c_misses_);
   PGLO_ASSIGN_OR_RETURN(StorageManager * smgr, SmgrFor(id.file));
   // Sequential read-ahead (DESIGN.md §10), clipped at the storage
-  // manager's end of file and at the first block that is already resident.
+  // manager's end of file and at the first block that is already resident
+  // or being read.
   uint32_t want = 1;
   if (readahead_pages_ > 1) {
     uint32_t window = readahead_[id.file].OnMiss(id.block, readahead_pages_);
@@ -299,73 +316,90 @@ Result<PageHandle> BufferPool::GetPage(PageId id) {
       }
     }
   }
+  // The run's frames in block order: the demanded page, then read-ahead.
   PGLO_ASSIGN_OR_RETURN(size_t frame, FindVictimLocked());
-  std::vector<size_t> extras;
+  std::vector<size_t> frames{frame};
   for (uint32_t k = 1; k < want; ++k) {
     Result<size_t> v = FindVictimLocked();
     if (!v.ok()) break;  // pool too hot to prefetch: fault what fits
-    extras.push_back(v.value());
+    frames.push_back(v.value());
   }
-  uint32_t run = 1 + static_cast<uint32_t>(extras.size());
+  const uint32_t run = static_cast<uint32_t>(frames.size());
   if (readahead_pages_ > 1) readahead_[id.file].Read(id.block, run);
   if (run > 1 && events_ != nullptr) {
     events_->Append(EventType::kReadAheadRamp, "bufpool", run, id.block);
   }
-  // The miss read happens under the pool lock: concurrent misses
-  // serialize. Device charges are simulated-time, so this costs wall
-  // clock, not modeled time; hits (the common case once warm) only probe
-  // the hash table. A run of one reads straight into its frame; a longer
-  // run lands in the staging buffer and is copied out frame by frame.
-  Frame& f = frames_[frame];
-  uint8_t* dst = f.data.get();
+  // Publish the run as I/O in progress and read it with the mutex
+  // released. The demanded frame is pinned and the read-ahead frames stay
+  // off the LRU, so nothing evicts them; a backend that wants one of these
+  // pages meanwhile waits for this read (WaitForIoLocked).
+  for (uint32_t k = 0; k < run; ++k) {
+    Frame& fr = frames_[frames[k]];
+    fr.id = PageId{id.file, id.block + k};
+    fr.pin_count = k == 0 ? 1 : 0;
+    fr.pin_owner = std::this_thread::get_id();
+    fr.pin_shared = false;
+    fr.dirty.store(false, std::memory_order_release);
+    fr.in_use = true;
+    fr.on_lru = false;
+    fr.prefetched = k > 0;
+    fr.io_in_progress = true;
+    page_table_[fr.id] = frames[k];
+  }
+  lk.unlock();
+  // A run of one reads straight into its frame; a longer run lands in a
+  // staging buffer of its own and is copied out frame by frame.
+  std::unique_ptr<uint8_t[]> staging;
+  uint8_t* dst = frames_[frame].data.get();
   if (run > 1) {
-    read_scratch_.resize(static_cast<size_t>(run) * kPageSize);
-    dst = read_scratch_.data();
+    staging = std::make_unique_for_overwrite<uint8_t[]>(
+        static_cast<size_t>(run) * kPageSize);
+    dst = staging.get();
   }
   Status s = RetryTransient(smgrs_->retry_policy(), [&] {
     return smgr->ReadBlocks(id.file.relfile, id.block, run, dst);
   });
-  if (!s.ok()) {
-    free_frames_.push_back(frame);
-    for (size_t e : extras) free_frames_.push_back(e);
-    return s;
+  // Only the demanded page's checksum can fail the call. A damaged
+  // read-ahead page is left out, so a demand read of it reports the
+  // corruption itself.
+  auto verifies = [](uint8_t* page) {
+    SlottedPage p(page);
+    return !p.IsInitialized() || p.VerifyChecksum();
+  };
+  if (s.ok() && !verifies(dst)) {
+    s = Status::Corruption("page checksum mismatch: relfile " +
+                           std::to_string(id.file.relfile) + " block " +
+                           std::to_string(id.block));
   }
-  for (uint32_t k = 0; k < run; ++k) {
-    SlottedPage page(dst + static_cast<size_t>(k) * kPageSize);
-    if (page.IsInitialized() && !page.VerifyChecksum()) {
-      free_frames_.push_back(frame);
-      for (size_t e : extras) free_frames_.push_back(e);
-      return Status::Corruption(
-          "page checksum mismatch: relfile " +
-          std::to_string(id.file.relfile) + " block " +
-          std::to_string(id.block + k));
+  std::vector<uint32_t> damaged;
+  if (s.ok() && run > 1) {
+    std::memcpy(frames_[frame].data.get(), dst, kPageSize);
+    for (uint32_t k = 1; k < run; ++k) {
+      uint8_t* page = dst + static_cast<size_t>(k) * kPageSize;
+      if (verifies(page)) {
+        std::memcpy(frames_[frames[k]].data.get(), page, kPageSize);
+      } else {
+        damaged.push_back(k);
+      }
     }
   }
-  if (run > 1) std::memcpy(f.data.get(), dst, kPageSize);
-  f.id = id;
-  f.pin_count = 1;
-  f.pin_owner = std::this_thread::get_id();
-  f.pin_shared = false;
-  f.dirty.store(false, std::memory_order_release);
-  f.in_use = true;
-  f.on_lru = false;
-  f.prefetched = false;
-  page_table_[id] = frame;
-  // Extra frames go straight onto the LRU, unpinned: prefetched pages are
-  // always evictable and never pin the pool down.
+  WaitLock(mu_, wp_latch_);
+  lk = std::unique_lock<std::mutex>(mu_, std::adopt_lock);
+  for (size_t fr : frames) frames_[fr].io_in_progress = false;
+  io_cv_.notify_all();
+  if (!s.ok()) {
+    for (size_t fr : frames) UnpublishLocked(fr);
+    return s;
+  }
+  // Read-ahead frames go onto the LRU unpinned, in block order: prefetched
+  // pages are always evictable and never pin the pool down.
   for (uint32_t k = 1; k < run; ++k) {
-    size_t ef = extras[k - 1];
+    size_t ef = frames[k];
+    if (std::find(damaged.begin(), damaged.end(), k) != damaged.end()) {
+      UnpublishLocked(ef);
+      continue;
+    }
     Frame& e = frames_[ef];
-    std::memcpy(e.data.get(), dst + static_cast<size_t>(k) * kPageSize,
-                kPageSize);
-    PageId pid{id.file, id.block + k};
-    e.id = pid;
-    e.pin_count = 0;
-    e.pin_shared = false;
-    e.dirty.store(false, std::memory_order_release);
-    e.in_use = true;
-    e.prefetched = true;
-    page_table_[pid] = ef;
     lru_.push_back(ef);
     e.lru_pos = std::prev(lru_.end());
     e.on_lru = true;
@@ -373,6 +407,19 @@ Result<PageHandle> BufferPool::GetPage(PageId id) {
     StatInc(c_readahead_pages_);
   }
   return PageHandle(this, frame, id);
+}
+
+void BufferPool::UnpublishLocked(size_t frame) {
+  Frame& f = frames_[frame];
+  // NewPage may have claimed the block number of a read that failed past
+  // the end of file; its mapping stays.
+  auto it = page_table_.find(f.id);
+  if (it != page_table_.end() && it->second == frame) page_table_.erase(it);
+  f.pin_count = 0;
+  f.pin_shared = false;
+  f.in_use = false;
+  f.prefetched = false;
+  free_frames_.push_back(frame);
 }
 
 Result<BlockNumber> BufferPool::NumBlocks(RelFileId file) {
@@ -550,7 +597,14 @@ void BufferPool::DiscardFile(RelFileId file, bool discard_dirty) {
   // Outside mu_: the FSM may call back into the pool (persist/validate), so
   // the pool never touches it while holding its own latch.
   if (discard_dirty) fsm_->Forget(file);
-  WaitLockGuard lock(mu_, wp_latch_);
+  WaitLock(mu_, wp_latch_);
+  std::unique_lock<std::mutex> lk(mu_, std::adopt_lock);
+  // A read in flight owns its frames until it finishes; let it finish.
+  WaitForIoLocked(lk, [&] {
+    return std::none_of(frames_.begin(), frames_.end(), [&](const Frame& f) {
+      return f.io_in_progress && f.id.file == file;
+    });
+  });
   if (discard_dirty) pending_size_.erase(file);
   readahead_.erase(file);
   if (discard_dirty) {
@@ -588,7 +642,7 @@ void BufferPool::CrashDiscardAll() {
   for (size_t i = 0; i < frames_.size(); ++i) {
     Frame& f = frames_[i];
     if (!f.in_use) continue;
-    PGLO_CHECK(f.pin_count == 0);
+    PGLO_CHECK(f.pin_count == 0 && !f.io_in_progress);
     if (f.on_lru) {
       lru_.erase(f.lru_pos);
       f.on_lru = false;

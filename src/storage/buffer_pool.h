@@ -89,11 +89,15 @@ struct BufferPoolStats {
 /// Fixed-size page cache over the storage manager switch.
 ///
 /// LRU replacement with pin counts. Safe for concurrent backends: one pool
-/// mutex serializes all metadata transitions and miss/writeback I/O, page
-/// bytes are touched only under a pin, and flushes wait out pins held by
-/// *other* threads (a flush may always write pages pinned by the calling
-/// thread, which preserves the single-stream behavior exactly — see
-/// DESIGN.md §13 for the full protocol).
+/// mutex serializes all metadata transitions and write-back I/O, page bytes
+/// are touched only under a pin, and flushes wait out pins held by *other*
+/// threads (a flush may always write pages pinned by the calling thread,
+/// which preserves the single-stream behavior exactly). A miss reads with
+/// the mutex released: it picks its victims and publishes its frames
+/// marked I/O-in-progress under the mutex, reads, verifies and copies
+/// without it, then clears the marks; a backend that wants one of those
+/// pages meanwhile waits for that read (`bufpool.io_wait`), not for the
+/// pool. See DESIGN.md §13 for the full protocol.
 class BufferPool {
  public:
   BufferPool(SmgrRegistry* smgrs, size_t num_frames);
@@ -143,13 +147,16 @@ class BufferPool {
 
   /// Wait instrumentation (DESIGN.md §14): every acquisition of the pool
   /// latch reports under `latch.bufpool`, the flush loop's pin wait under
-  /// `bufpool.pin_wait`, and the commit-time syncfs (mutex + syscall) under
-  /// `bufpool.data_sync`. Also binds the hosted relation-latch registry.
+  /// `bufpool.pin_wait`, a wait for another backend's in-flight read of a
+  /// page under `bufpool.io_wait`, and the commit-time syncfs (mutex +
+  /// syscall) under `bufpool.data_sync`. Also binds the hosted
+  /// relation-latch registry.
   /// Null/unbound = raw paths. Configuration-time only.
   void BindWaits(const WaitStatsTable* waits) {
     if (waits == nullptr) return;
     wp_latch_ = waits->point(WaitEvent::kLatchBufPool);
     wp_pin_wait_ = waits->point(WaitEvent::kBufPoolPinWait);
+    wp_io_wait_ = waits->point(WaitEvent::kBufPoolIoWait);
     wp_data_sync_ = waits->point(WaitEvent::kBufPoolDataSync);
     rel_latches_.BindWaits(waits);
   }
@@ -186,11 +193,13 @@ class BufferPool {
   Status FlushAll();
 
   /// Drops every frame of `file` without writing back (used by drop-class
-  /// and by tests that simulate a crash losing volatile state).
+  /// and by tests that simulate a crash losing volatile state). Waits for
+  /// in-flight reads of the file to finish first.
   void DiscardFile(RelFileId file, bool discard_dirty = false);
 
   /// Simulates losing all volatile state: drops clean *and* dirty frames.
-  /// Callers must quiesce other backends first.
+  /// Callers must quiesce other backends first (no pins, no reads in
+  /// flight).
   void CrashDiscardAll();
 
   /// Copy, not reference: coherent point-in-time view under concurrency.
@@ -244,6 +253,9 @@ class BufferPool {
     std::list<size_t>::iterator lru_pos;  // valid when unpinned & in_use
     bool on_lru = false;
     bool prefetched = false;  ///< installed by read-ahead, not yet accessed
+    /// Published by a miss whose read is still running outside mu_: the
+    /// bytes are not valid yet and belong to the reading thread.
+    bool io_in_progress = false;
   };
 
   // All private helpers assume mu_ is held.
@@ -263,6 +275,13 @@ class BufferPool {
   /// blocks of the file other than the one it is evicting.
   bool FileWritableLocked(RelFileId file) const;
   Result<size_t> FindVictimLocked();
+  /// Takes a frame of a miss's run back out of the page table (a failed
+  /// read, or a read-ahead page that failed verification) and frees it.
+  void UnpublishLocked(size_t frame);
+  /// Blocks on io_cv_ until `done()` holds; counted under `bufpool.io_wait`
+  /// when it has to wait.
+  template <typename Pred>
+  void WaitForIoLocked(std::unique_lock<std::mutex>& lk, Pred done);
   /// Cleans a sorted batch of cold dirty pages, starting with
   /// `victim_frame` (background-writer style clustering).
   Status WriteBackBatchLocked(size_t victim_frame);
@@ -300,16 +319,20 @@ class BufferPool {
   Histogram* h_writeback_ns_ = nullptr;
   const WaitPoint* wp_latch_ = nullptr;
   const WaitPoint* wp_pin_wait_ = nullptr;
+  const WaitPoint* wp_io_wait_ = nullptr;
   const WaitPoint* wp_data_sync_ = nullptr;
 
-  /// The one pool latch. Guards every field below it, including miss and
-  /// write-back I/O (misses serialize — acceptable while working sets fit
-  /// the pool; hits hold it only for a hash probe and an LRU splice). The
-  /// only operations that release it mid-flight are the flush loops, which
-  /// cv-wait for other backends' pins; everything else holds it start to
-  /// finish, so no other re-validation points exist.
+  /// The one pool latch. Guards every field below it and write-back I/O;
+  /// hits hold it for a hash probe and an LRU splice. It is released
+  /// mid-flight in three places, each of which re-validates after:
+  ///  - a miss, for its read. Its frames stay published with
+  ///    `io_in_progress` set, so other backends neither read nor evict
+  ///    them, and their bytes are written only by the reading thread;
+  ///  - a wait for such a read (GetPage, DiscardFile), on io_cv_;
+  ///  - the flush loop, which cv-waits for other backends' pins.
   mutable std::mutex mu_;
   std::condition_variable cv_;  ///< signaled when a frame's last pin drops
+  std::condition_variable io_cv_;  ///< signaled when a miss's read ends
 
   std::vector<Frame> frames_;
   std::unordered_map<PageId, size_t, PageIdHash> page_table_;
@@ -336,9 +359,9 @@ class BufferPool {
   std::atomic<uint64_t> write_epoch_{0};
   std::mutex data_sync_mu_;  ///< serializes syncfs; never nests inside mu_
   uint64_t synced_epoch_ = 0;
-  /// Staging buffers for vectored faults and coalesced write-back; sized
-  /// lazily to the largest run seen. Only touched under mu_.
-  std::vector<uint8_t> read_scratch_;
+  /// Staging buffer for coalesced write-back; sized lazily to the largest
+  /// run seen. Only touched under mu_. (A read-ahead miss stages its run in
+  /// a buffer of its own, since it reads without mu_.)
   std::vector<uint8_t> write_scratch_;
   BufferPoolStats stats_;
   RelLatchRegistry rel_latches_;  ///< self-synchronized, not under mu_

@@ -214,10 +214,14 @@ void SlottedPage::UpdateChecksum() {
 bool SlottedPage::VerifyChecksum() const {
   uint32_t stored = DecodeFixed32(buf_ + kOffChecksum);
   if (stored == 0) return true;  // never checksummed (fresh page)
-  uint8_t copy[kPageSize];
-  std::memcpy(copy, buf_, kPageSize);
-  EncodeFixed32(copy + kOffChecksum, 0);
-  return crc32c::Unmask(stored) == crc32c::Value(copy, kPageSize);
+  // The CRC UpdateChecksum took, over the page with its checksum field
+  // zeroed, extended piece by piece so the page is never copied.
+  static constexpr uint8_t kZeroField[4] = {};
+  constexpr size_t kAfterField = kOffChecksum + sizeof(kZeroField);
+  uint32_t crc = crc32c::Value(buf_, kOffChecksum);
+  crc = crc32c::Extend(crc, kZeroField, sizeof(kZeroField));
+  crc = crc32c::Extend(crc, buf_ + kAfterField, kPageSize - kAfterField);
+  return crc32c::Unmask(stored) == crc;
 }
 
 }  // namespace pglo

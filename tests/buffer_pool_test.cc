@@ -1,7 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <condition_variable>
 #include <cstring>
+#include <future>
+#include <mutex>
+#include <thread>
 
+#include "common/random.h"
+#include "obs/stats.h"
+#include "obs/wait_event.h"
 #include "smgr/disk_smgr.h"
 #include "smgr/mm_smgr.h"
 #include "storage/buffer_pool.h"
@@ -325,6 +333,253 @@ TEST_F(BufferPoolTest, WindowZeroNeverPrefetchesOrCoalesces) {
   EXPECT_EQ(pool.stats().readahead_pages, 0u);
   EXPECT_EQ(pool.stats().readahead_hits, 0u);
   EXPECT_EQ(pool.stats().misses, 20u);
+}
+
+TEST_F(BufferPoolTest, DamagedReadAheadPageFailsOnlyItsOwnRead) {
+  BufferPool pool(&smgrs_, 32);
+  pool.SetReadAhead(8);
+  // 20 checksummed slotted pages, each holding its block number.
+  for (BlockNumber b = 0; b < 20; ++b) {
+    BlockNumber got;
+    ASSERT_OK_AND_ASSIGN(PageHandle h, pool.NewPage(file_, &got));
+    SlottedPage page(h.data());
+    page.Init();
+    ASSERT_OK(page.AddItem(Slice(std::to_string(b))).status());
+    h.MarkDirty();
+  }
+  ASSERT_OK(pool.FlushAll());
+  pool.CrashDiscardAll();
+  // Damage block 12 on disk, inside a read-ahead run of the scan below.
+  uint8_t raw[kPageSize];
+  StorageManager* smgr = smgrs_.Get(0).value();
+  ASSERT_OK(smgr->ReadBlock(1, 12, raw));
+  raw[4000] ^= 0xFF;
+  ASSERT_OK(smgr->WriteBlock(1, 12, raw));
+  // The good pages read, prefetched or not; only the demand read of the
+  // damaged page fails.
+  for (BlockNumber b = 0; b < 20; ++b) {
+    Result<PageHandle> h = pool.GetPage({file_, b});
+    if (b == 12) {
+      ASSERT_FALSE(h.ok());
+      EXPECT_TRUE(h.status().IsCorruption()) << h.status().ToString();
+      continue;
+    }
+    ASSERT_TRUE(h.ok()) << "block " << b << ": " << h.status().ToString();
+    SlottedPage page(h.value().data());
+    ASSERT_OK_AND_ASSIGN(Slice item, page.GetItem(0));
+    EXPECT_EQ(item.ToString(), std::to_string(b));
+  }
+  EXPECT_GT(pool.stats().readahead_pages, 0u);
+}
+
+// A main-memory storage manager that holds the next read of one block
+// until the test releases it, then completes it (or fails it with a chosen
+// status).
+class HoldingSmgr : public MainMemorySmgr {
+ public:
+  HoldingSmgr() : MainMemorySmgr(nullptr) {}
+
+  void HoldNextRead(BlockNumber block, Status result = Status::OK()) {
+    std::lock_guard<std::mutex> lock(hold_mu_);
+    block_ = block;
+    result_ = std::move(result);
+    armed_ = true;
+    held_ = false;
+    released_ = false;
+    reads_ = 0;
+  }
+  /// Waits up to `timeout` for the held read to start.
+  bool WaitHeld(std::chrono::milliseconds timeout) {
+    std::unique_lock<std::mutex> lock(hold_mu_);
+    return hold_cv_.wait_for(lock, timeout, [&] { return held_; });
+  }
+  void Release() {
+    std::lock_guard<std::mutex> lock(hold_mu_);
+    released_ = true;
+    hold_cv_.notify_all();
+  }
+  /// ReadBlocks runs that covered the held block so far.
+  int reads_of_block() {
+    std::lock_guard<std::mutex> lock(hold_mu_);
+    return reads_;
+  }
+
+  Status ReadBlocks(Oid relfile, BlockNumber start, uint32_t nblocks,
+                    uint8_t* buf) override {
+    Status result;
+    {
+      std::unique_lock<std::mutex> lock(hold_mu_);
+      if (start <= block_ && block_ - start < nblocks) {
+        ++reads_;
+        if (armed_) {
+          armed_ = false;
+          held_ = true;
+          hold_cv_.notify_all();
+          hold_cv_.wait(lock, [&] { return released_; });
+          result = result_;
+        }
+      }
+    }
+    if (!result.ok()) return result;
+    return MainMemorySmgr::ReadBlocks(relfile, start, nblocks, buf);
+  }
+
+ private:
+  std::mutex hold_mu_;
+  std::condition_variable hold_cv_;
+  BlockNumber block_ = 0;
+  Status result_;
+  bool armed_ = false;
+  bool held_ = false;
+  bool released_ = false;
+  int reads_ = 0;
+};
+
+// One read held in flight inside the storage manager must not stall the
+// pool: other backends' hits and misses finish, and a second reader of
+// the held page waits for that one read instead of issuing its own.
+class InFlightReadTest : public ::testing::Test {
+ protected:
+  static constexpr auto kBound = std::chrono::seconds(5);
+  static constexpr BlockNumber kHeld = 8;
+
+  InFlightReadTest() {
+    auto smgr = std::make_unique<HoldingSmgr>();
+    smgr_ = smgr.get();
+    EXPECT_OK(smgrs_.Register(0, std::move(smgr)));
+    EXPECT_OK(smgr_->CreateFile(1));
+    waits_.Bind(&stats_, nullptr, 0);
+    pool_ = std::make_unique<BufferPool>(&smgrs_, 32);
+    pool_->BindWaits(&waits_);
+    PopulateAndEmpty(pool_.get(), file_, 16);
+  }
+
+  /// Reads block `b` on another thread; yields its first byte.
+  std::future<Result<uint8_t>> ReadAsync(BlockNumber b) {
+    return std::async(std::launch::async, [this, b]() -> Result<uint8_t> {
+      PGLO_ASSIGN_OR_RETURN(PageHandle h, pool_->GetPage({file_, b}));
+      return h.data()[0];
+    });
+  }
+
+  /// Waits until `n` backends have waited on an in-flight read, up to the
+  /// deadline.
+  bool IoWaitsReach(uint64_t n,
+                    std::chrono::steady_clock::time_point deadline) {
+    Counter* waits = stats_.counter("wait.bufpool.io_wait.contended");
+    while (waits->value() < n) {
+      if (std::chrono::steady_clock::now() >= deadline) return false;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return true;
+  }
+
+  RelFileId file_{0, 1};
+  SmgrRegistry smgrs_;
+  HoldingSmgr* smgr_ = nullptr;
+  StatsRegistry stats_;
+  WaitStatsTable waits_;
+  std::unique_ptr<BufferPool> pool_;
+};
+
+// Releases a held read on scope exit. Declared after every future of a
+// test, so a failed assertion releases the read before any future joins a
+// thread stuck behind it.
+struct ReleaseOnExit {
+  HoldingSmgr* smgr;
+  ~ReleaseOnExit() { smgr->Release(); }
+};
+
+TEST_F(InFlightReadTest, OtherBackendsProceedWhileAReadIsHeld) {
+  for (BlockNumber b = 0; b < 4; ++b) {  // resident: later reads are hits
+    ASSERT_OK_AND_ASSIGN(PageHandle h, pool_->GetPage({file_, b}));
+  }
+  pool_->ResetStats();
+  std::future<Result<uint8_t>> held, second;
+  std::vector<std::pair<BlockNumber, std::future<Result<uint8_t>>>> others;
+  ReleaseOnExit release{smgr_};
+  smgr_->HoldNextRead(kHeld);
+  auto deadline = std::chrono::steady_clock::now() + kBound;
+  held = ReadAsync(kHeld);
+  ASSERT_TRUE(smgr_->WaitHeld(kBound));
+  // While the read is held: a second reader of the same page waits for
+  // it, and hits and misses on other pages finish.
+  second = ReadAsync(kHeld);
+  for (BlockNumber b : {0u, 1u, 2u, 3u, 10u, 11u}) {
+    others.emplace_back(b, ReadAsync(b));
+  }
+  for (auto& [b, f] : others) {
+    ASSERT_EQ(f.wait_until(deadline), std::future_status::ready)
+        << "block " << b << " stalled behind the held read";
+    Result<uint8_t> r = f.get();
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(r.value(), static_cast<uint8_t>(b + 1));
+  }
+  ASSERT_TRUE(IoWaitsReach(1, deadline));
+  EXPECT_NE(second.wait_for(std::chrono::milliseconds(0)),
+            std::future_status::ready);
+  smgr_->Release();
+  for (auto* f : {&held, &second}) {
+    Result<uint8_t> r = f->get();
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(r.value(), static_cast<uint8_t>(kHeld + 1));
+  }
+  // One read served both readers of the held page.
+  EXPECT_EQ(smgr_->reads_of_block(), 1);
+  EXPECT_EQ(stats_.counter("wait.bufpool.io_wait.contended")->value(), 1u);
+  BufferPoolStats stats = pool_->stats();
+  EXPECT_EQ(stats.misses, 3u);  // the held page, 10 and 11
+  EXPECT_EQ(stats.hits, 5u);    // 0-3, and the second reader of the page
+}
+
+TEST_F(InFlightReadTest, FailedHeldReadWakesWaiterToReadAgain) {
+  std::future<Result<uint8_t>> held, second;
+  ReleaseOnExit release{smgr_};
+  smgr_->HoldNextRead(kHeld, Status::IOError("injected read failure"));
+  auto deadline = std::chrono::steady_clock::now() + kBound;
+  held = ReadAsync(kHeld);
+  ASSERT_TRUE(smgr_->WaitHeld(kBound));
+  second = ReadAsync(kHeld);
+  ASSERT_TRUE(IoWaitsReach(1, deadline));
+  smgr_->Release();
+  Result<uint8_t> failed = held.get();
+  ASSERT_FALSE(failed.ok());
+  EXPECT_TRUE(failed.status().IsIOError()) << failed.status().ToString();
+  // The waiter found the frame unpublished and read the page itself.
+  Result<uint8_t> r = second.get();
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r.value(), static_cast<uint8_t>(kHeld + 1));
+  EXPECT_EQ(smgr_->reads_of_block(), 2);
+  EXPECT_EQ(pool_->stats().misses, 2u);
+}
+
+TEST_F(BufferPoolTest, ConcurrentMissesSeeTheirOwnPages) {
+  // Four backends scan and randomly read a file four times the pool, with
+  // read-ahead on, so their misses, prefetches and evictions overlap
+  // outside the pool mutex. Every read must see its own page's bytes.
+  BufferPool pool(&smgrs_, 64);
+  pool.SetReadAhead(8);
+  PopulateAndEmpty(&pool, file_, 256);
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      Random rnd(testing::TestSeed() + t);
+      for (uint32_t i = 0; i < 600; ++i) {
+        BlockNumber b = i < 256 ? (i + 64 * t) % 256
+                                : static_cast<BlockNumber>(rnd.Uniform(256));
+        Result<PageHandle> h = pool.GetPage({file_, b});
+        if (!h.ok() || h.value().data()[0] != static_cast<uint8_t>(b + 1)) {
+          ++wrong;
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(wrong.load(), 0);
+  BufferPoolStats stats = pool.stats();
+  EXPECT_EQ(stats.hits + stats.misses, 4u * 600u);
+  EXPECT_GT(stats.readahead_pages, 0u);
 }
 
 TEST(BufferPoolClusteringTest, EvictionWritesAreClustered) {

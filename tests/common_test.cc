@@ -156,6 +156,49 @@ TEST(Crc32cTest, ExtendMatchesWhole) {
   EXPECT_EQ(whole, split);
 }
 
+// Extend (the SSE4.2 path on CPUs that have it) must equal the table loop
+// on every length, alignment and split.
+TEST(Crc32cTest, ExtendMatchesPortable) {
+  Random rnd(testing::TestSeed());
+  Bytes data = rnd.RandomBytes(9000 + 8);
+  auto check = [&](size_t start, size_t n) {
+    const uint8_t* p = data.data() + start;
+    EXPECT_EQ(crc32c::Value(p, n), crc32c::internal::ExtendPortable(0, p, n))
+        << "start " << start << " length " << n;
+  };
+  for (size_t n = 0; n <= 64; ++n) check(0, n);
+  for (size_t n : {127u, 255u, 1000u, 4095u, 4096u, 8191u, 8192u, 8193u,
+                   9000u}) {
+    check(0, n);
+  }
+  for (size_t start = 1; start < 8; ++start) {
+    for (size_t n : {0u, 1u, 7u, 8u, 9u, 63u, 8192u}) check(start, n);
+  }
+  // A non-zero init CRC, split at every point of a 64-byte buffer and at a
+  // few points of a page-sized one.
+  const uint32_t init = 0x1234abcdu;
+  for (size_t n : {64u, 8192u}) {
+    uint32_t whole = crc32c::internal::ExtendPortable(init, data.data(), n);
+    for (size_t split = 0; split <= n; split += n == 64 ? 1 : 1021) {
+      uint32_t head = crc32c::Extend(init, data.data(), split);
+      EXPECT_EQ(crc32c::Extend(head, data.data() + split, n - split), whole)
+          << "length " << n << " split " << split;
+    }
+  }
+}
+
+// The checksum of one fixed 8 KiB page, as the table-only implementation
+// computed it: the hardware path leaves the on-disk format unchanged.
+TEST(Crc32cTest, PinnedPageValue) {
+  uint8_t page[8192];
+  for (size_t i = 0; i < sizeof(page); ++i) {
+    page[i] = static_cast<uint8_t>((i * 131 + 7) ^ (i >> 8));
+  }
+  EXPECT_EQ(crc32c::Value(page, sizeof(page)), 0x3ee41fe7u);
+  EXPECT_EQ(crc32c::internal::ExtendPortable(0, page, sizeof(page)),
+            0x3ee41fe7u);
+}
+
 TEST(Crc32cTest, MaskUnmaskRoundTrip) {
   for (uint32_t crc : {0u, 1u, 0xFFFFFFFFu, 0x12345678u}) {
     EXPECT_EQ(crc32c::Unmask(crc32c::Mask(crc)), crc);

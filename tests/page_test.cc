@@ -2,6 +2,7 @@
 
 #include <map>
 
+#include "common/bytes.h"
 #include "common/random.h"
 #include "storage/page.h"
 #include "tests/test_util.h"
@@ -139,6 +140,23 @@ TEST_F(SlottedPageTest, ChecksumDetectsCorruption) {
   EXPECT_TRUE(page_.VerifyChecksum());
   buf_[5000] ^= 0xFF;
   EXPECT_FALSE(page_.VerifyChecksum());
+}
+
+TEST_F(SlottedPageTest, ChecksumValueIsPinned) {
+  // The stored checksum of a fixed page, as the table-only CRC and the
+  // zeroed-copy verifier produced it: the on-disk format is unchanged.
+  constexpr size_t kOffChecksum = 20;
+  ASSERT_OK(page_.AddItem(Slice("pinned checksum payload")).status());
+  page_.UpdateChecksum();
+  EXPECT_EQ(DecodeFixed32(buf_ + kOffChecksum), 0xb083c4b5u);
+  EXPECT_TRUE(page_.VerifyChecksum());
+  // The verifier covers the bytes before, inside and after the field.
+  for (size_t off : {size_t{3}, kOffChecksum + 1, size_t{kPageSize} - 1}) {
+    buf_[off] ^= 0x01;
+    EXPECT_FALSE(page_.VerifyChecksum()) << "byte " << off;
+    buf_[off] ^= 0x01;
+  }
+  EXPECT_TRUE(page_.VerifyChecksum());
 }
 
 TEST_F(SlottedPageTest, UncheckedPageVerifies) {

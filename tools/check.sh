@@ -199,14 +199,19 @@ tsan_smoke_gate() {
   # latches, group-commit queue, commit-log sync split, relation latches,
   # session lifecycle); server_test adds the socket server's
   # thread-per-connection paths (accept/serve/stop handshakes, admission
-  # control, cross-thread Shutdown, disconnect-abort).
-  echo "== tsan smoke: concurrency_test + server_test under ThreadSanitizer =="
+  # control, cross-thread Shutdown, disconnect-abort); buffer_pool_test
+  # adds misses that read outside the pool mutex while other backends hit,
+  # miss and wait on the same in-flight read.
+  echo "== tsan smoke: concurrency_test + server_test + buffer_pool_test under ThreadSanitizer =="
   cmake --preset tsan
-  cmake --build --preset tsan --target concurrency_test server_test -j "$(nproc)"
+  cmake --build --preset tsan \
+      --target concurrency_test server_test buffer_pool_test -j "$(nproc)"
   TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" \
       build-tsan/tests/concurrency_test
   TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" \
       build-tsan/tests/server_test
+  TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" \
+      build-tsan/tests/buffer_pool_test
 }
 
 case "${1:-default}" in
