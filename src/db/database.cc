@@ -166,8 +166,8 @@ Status Database::OpenBody(bool after_crash) {
     return std::make_unique<FaultyStorageManager>(std::move(smgr), injector);
   };
 
-  // One transient-I/O retry policy for the buffer pool (through the smgr
-  // switch) and the UFS block cache.
+  // One transient-I/O retry policy for the buffer pool and the UFS's pool,
+  // each applying it through its storage-manager switch.
   RetryPolicy retry;
   retry.max_attempts = kIoRetryAttempts;
   retry.backoff_start_ns = kIoRetryBackoffNs;
@@ -258,8 +258,9 @@ Status Database::OpenBody(bool after_crash) {
   ufs_->SetFaultInjector(injector);
   ufs_->SetRetryPolicy(retry);
   // Force-at-commit covers the simulated UNIX file system too: u-file and
-  // p-file bytes live outside the buffer pool, so without this sync a
+  // p-file bytes live in the UFS's own pool, so without this sync a
   // committed write could evaporate with the OS cache at the next crash.
+  // A commit that wrote nothing there issues no fdatasync of the image.
   txns_->AddCommitForceHook([this] { return ufs_->Sync(); });
   ufs_->SetReadAhead(options_.readahead_pages);
   if (options_.charge_devices && options_.page_access_instructions > 0) {

@@ -25,7 +25,7 @@ struct DatabaseOptions {
   size_t buffer_pool_frames = 256;
 
   /// Sequential read-ahead window, in pages, for the buffer pool and the
-  /// simulated UNIX file system's block cache. A detected sequential scan
+  /// simulated UNIX file system's own pool. A detected sequential scan
   /// faults up to this many blocks with one vectored device command, and
   /// adjacent dirty pages are written back as coalesced runs. 0 disables
   /// all vectored I/O, restoring the historical per-block command

@@ -100,8 +100,9 @@ class Replayer {
     } else {
       // The crash landed inside Database::Open. Destroy the half-built
       // instance while the injector is still armed-and-crashed, so
-      // destructor-path flushes (the UFS block cache flushes on teardown)
-      // cannot leak post-crash state to disk; then reopen cleanly.
+      // destructor-path flushes (the UFS's buffer pool flushes on
+      // teardown, like every BufferPool) cannot leak post-crash state to
+      // disk; then reopen cleanly.
       for (std::unique_ptr<Session>& backend : backends_) backend.reset();
       db_.reset();
       injector_->Disarm();

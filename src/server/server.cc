@@ -119,13 +119,15 @@ void PgloServer::AcceptLoop() {
     if (active >= options_.max_connections) {
       // Admission control: one typed backpressure frame, then the door.
       // The engine never sees the connection; the client sees WHY (load
-      // and limit) instead of a silent reset, and can back off.
+      // and limit) instead of a silent reset, and can back off. Counted
+      // before the frame goes out, so a client that reads its REJECT also
+      // sees the counter that recorded it.
+      StatInc(c_rejected_);
       net::FrameConn io(fd);
       Status s = io.Send(wire::MakeReject(
           active, options_.max_connections,
           "server at max_connections; retry later"));
       (void)s;  // a vanished rejected client changes nothing
-      StatInc(c_rejected_);
       continue;
     }
     active_.fetch_add(1, std::memory_order_relaxed);

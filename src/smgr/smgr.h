@@ -23,6 +23,14 @@ namespace pglo {
 /// Implementations must be safe for concurrent calls: the buffer pool
 /// issues a miss's ReadBlocks outside its own mutex, so reads run
 /// concurrently with each other and with writes of other blocks.
+///
+/// One manager relaxes the end-of-file rules below: UfsDevice, the raw
+/// disk of the simulated UNIX file system (src/ufs). A file system
+/// allocates blocks anywhere in its partition, so that device lets a write
+/// leave a hole and reads zeros past its end. It lives only in the UFS's
+/// own switch and is never registered in the database's, where a relation
+/// file with a hole would be a bug the OutOfRange/InvalidArgument checks
+/// exist to catch.
 class StorageManager {
  public:
   virtual ~StorageManager() = default;
@@ -73,6 +81,10 @@ class StorageManager {
   virtual Result<uint64_t> StorageBytes(Oid relfile) = 0;
 
   virtual std::string name() const = 0;
+
+  /// True when the manager's blocks are opaque bytes rather than pages: the
+  /// buffer pool then neither stamps nor verifies a page checksum on them.
+  virtual bool raw_blocks() const { return false; }
 
   /// Mirrors block I/O accounting into `registry` counters named
   /// `smgr.<name>.{blocks_read,blocks_written,coalesced_runs}`, histograms

@@ -178,20 +178,22 @@ Status BufferPool::WriteBackBatchLocked(size_t victim_frame) {
 }
 
 Status BufferPool::WriteRawRunLocked(std::span<const size_t> run) {
-  TraceSpan span(registry_, h_writeback_ns_, "bufpool.writeback");
+  TraceSpan span(registry_, h_writeback_ns_, span_writeback_);
   span.AddDetail(run.size());
   Frame& first = frames_[run.front()];
   PGLO_ASSIGN_OR_RETURN(StorageManager * smgr, SmgrFor(first.id.file));
   // Stamp a checksum into slotted pages on their way to stable storage so
   // that media corruption is detected on the next read. Non-slotted
-  // formats (B-tree nodes, meta pages) carry their own magic. A run of one
+  // formats (B-tree nodes, meta pages) carry their own magic; raw blocks
+  // are user bytes that merely may look like a slotted page. A run of one
   // leaves straight from its frame; a longer run is gathered first.
+  const bool stamp = !smgr->raw_blocks();
   const bool gather = run.size() > 1;
   if (gather) write_scratch_.resize(run.size() * kPageSize);
   for (size_t k = 0; k < run.size(); ++k) {
     Frame& fr = frames_[run[k]];
     SlottedPage page(fr.data.get());
-    if (page.IsInitialized()) {
+    if (stamp && page.IsInitialized()) {
       page.UpdateChecksum();
     }
     if (gather) {
@@ -237,14 +239,17 @@ Status BufferPool::WriteBackSortedLocked(const std::vector<size_t>& sorted) {
       ++j;
     }
     Frame& first = frames_[sorted[i]];
-    PGLO_ASSIGN_OR_RETURN(StorageManager * smgr, SmgrFor(first.id.file));
-    PGLO_ASSIGN_OR_RETURN(BlockNumber cur_blocks,
-                          smgr->NumBlocks(first.id.file.relfile));
-    if (first.id.block > cur_blocks) {
+    if (pending_size_.count(first.id.file) != 0) {
       // Lazily-appended tail: fill the gap below the run first so the
-      // write extends the file contiguously.
-      PGLO_RETURN_IF_ERROR(
-          EnsureMaterializedLocked(first.id.file, first.id.block));
+      // write extends the file contiguously. Only NewPage puts blocks past
+      // a file's end; a file without an append may hold holes.
+      PGLO_ASSIGN_OR_RETURN(StorageManager * smgr, SmgrFor(first.id.file));
+      PGLO_ASSIGN_OR_RETURN(BlockNumber cur_blocks,
+                            smgr->NumBlocks(first.id.file.relfile));
+      if (first.id.block > cur_blocks) {
+        PGLO_RETURN_IF_ERROR(
+            EnsureMaterializedLocked(first.id.file, first.id.block));
+      }
     }
     PGLO_RETURN_IF_ERROR(
         WriteRawRunLocked(std::span<const size_t>(sorted).subspan(i, j - i)));
@@ -261,12 +266,26 @@ void BufferPool::WaitForIoLocked(std::unique_lock<std::mutex>& lk,
   io_cv_.wait(lk, done);
 }
 
-Result<PageHandle> BufferPool::GetPage(PageId id) {
+void BufferPool::InstallFrameLocked(size_t frame, PageId id) {
+  Frame& f = frames_[frame];
+  std::memset(f.data.get(), 0, kPageSize);
+  f.id = id;
+  f.pin_count = 1;
+  f.pin_owner = std::this_thread::get_id();
+  f.pin_shared = false;
+  f.dirty.store(true, std::memory_order_release);
+  f.in_use = true;
+  f.on_lru = false;
+  f.prefetched = false;
+  page_table_[id] = frame;
+}
+
+Result<PageHandle> BufferPool::AccessPage(PageId id, bool overwrite) {
   // Spans even the hit path: the page-access CPU charge advances the clock
   // here, and the profiler should bill it to the pool, not the caller.
   // Both run before the pool lock — the clock and CPU model are their own
   // synchronization domains and must not serialize behind pool misses.
-  TraceSpan span(registry_, h_get_ns_, "bufpool.get");
+  TraceSpan span(registry_, h_get_ns_, span_get_);
   if (cpu_ != nullptr && access_instructions_ > 0) {
     cpu_->ChargeInstructions(access_instructions_);
   }
@@ -279,18 +298,27 @@ Result<PageHandle> BufferPool::GetPage(PageId id) {
     if (f.io_in_progress) {
       // Another backend is reading this page. Wait for that read, then
       // probe again: a failed read unpublished the frame, and this call
-      // then misses and issues its own read.
+      // then misses.
       WaitForIoLocked(lk, [&] { return !(f.io_in_progress && f.id == id); });
       continue;
     }
-    ++stats_.hits;
-    StatInc(c_hits_);
-    if (f.prefetched) {
-      f.prefetched = false;
-      ++stats_.readahead_hits;
-      StatInc(c_readahead_hits_);
+    if (overwrite) {
+      f.dirty.store(true, std::memory_order_release);
+    } else {
+      ++stats_.hits;
+      StatInc(c_hits_);
+      if (f.prefetched) {
+        f.prefetched = false;
+        ++stats_.readahead_hits;
+        StatInc(c_readahead_hits_);
+      }
     }
     PinLocked(frame);
+    return PageHandle(this, frame, id);
+  }
+  if (overwrite) {
+    PGLO_ASSIGN_OR_RETURN(size_t frame, FindVictimLocked());
+    InstallFrameLocked(frame, id);
     return PageHandle(this, frame, id);
   }
   ++stats_.misses;
@@ -362,9 +390,9 @@ Result<PageHandle> BufferPool::GetPage(PageId id) {
   // Only the demanded page's checksum can fail the call. A damaged
   // read-ahead page is left out, so a demand read of it reports the
   // corruption itself.
-  auto verifies = [](uint8_t* page) {
+  auto verifies = [raw = smgr->raw_blocks()](uint8_t* page) {
     SlottedPage p(page);
-    return !p.IsInitialized() || p.VerifyChecksum();
+    return raw || !p.IsInitialized() || p.VerifyChecksum();
   };
   if (s.ok() && !verifies(dst)) {
     s = Status::Corruption("page checksum mismatch: relfile " +
@@ -433,7 +461,7 @@ Result<BlockNumber> BufferPool::NumBlocks(RelFileId file) {
 
 Result<PageHandle> BufferPool::NewPage(RelFileId file,
                                        BlockNumber* block_out) {
-  TraceSpan span(registry_, h_new_page_ns_, "bufpool.new_page");
+  TraceSpan span(registry_, h_new_page_ns_, span_new_page_);
   WaitLockGuard lock(mu_, wp_latch_);
   PGLO_ASSIGN_OR_RETURN(StorageManager * smgr, SmgrFor(file));
   PGLO_ASSIGN_OR_RETURN(BlockNumber nblocks, smgr->NumBlocks(file.relfile));
@@ -442,21 +470,11 @@ Result<PageHandle> BufferPool::NewPage(RelFileId file,
     nblocks = pit->second;
   }
   PGLO_ASSIGN_OR_RETURN(size_t frame, FindVictimLocked());
-  Frame& f = frames_[frame];
-  std::memset(f.data.get(), 0, kPageSize);
   // The block is materialized in the storage manager lazily at write-back
   // (WriteBack fills any gap below it first); until then the pool's
   // pending-size overlay makes it visible through NumBlocks().
   PageId id{file, nblocks};
-  f.id = id;
-  f.pin_count = 1;
-  f.pin_owner = std::this_thread::get_id();
-  f.pin_shared = false;
-  f.dirty.store(true, std::memory_order_release);
-  f.in_use = true;
-  f.on_lru = false;
-  f.prefetched = false;
-  page_table_[id] = frame;
+  InstallFrameLocked(frame, id);
   pending_size_[file] = nblocks + 1;
   *block_out = nblocks;
   return PageHandle(this, frame, id);

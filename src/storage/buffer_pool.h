@@ -8,6 +8,7 @@
 #include <memory>
 #include <mutex>
 #include <span>
+#include <string>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -122,22 +123,28 @@ class BufferPool {
   void SetReadAhead(uint32_t pages) { readahead_pages_ = pages; }
 
   /// Mirrors hit/miss/eviction/writeback accounting into `registry`
-  /// counters under `bufpool.*`, plus `bufpool.{get,new_page,writeback}`
+  /// counters under `<prefix>.*`, plus `<prefix>.{get,new_page,writeback}`
   /// trace spans with matching `*_ns` histograms, so the profiler can
   /// attribute page-access CPU and fault I/O to the pool rather than its
-  /// caller. Null registry = unbound (no overhead). Configuration-time only.
-  void BindStats(StatsRegistry* registry) {
+  /// caller. The database's pool binds under `bufpool`; the UFS's under
+  /// `ufs.cache`. Null registry = unbound (no overhead).
+  /// Configuration-time only.
+  void BindStats(StatsRegistry* registry,
+                 const std::string& prefix = "bufpool") {
     if (registry == nullptr) return;
     registry_ = registry;
-    c_hits_ = registry->counter("bufpool.hits");
-    c_misses_ = registry->counter("bufpool.misses");
-    c_evictions_ = registry->counter("bufpool.evictions");
-    c_writebacks_ = registry->counter("bufpool.writebacks");
-    c_readahead_pages_ = registry->counter("bufpool.readahead_pages");
-    c_readahead_hits_ = registry->counter("bufpool.readahead_hits");
-    h_get_ns_ = registry->histogram("bufpool.get_ns");
-    h_new_page_ns_ = registry->histogram("bufpool.new_page_ns");
-    h_writeback_ns_ = registry->histogram("bufpool.writeback_ns");
+    c_hits_ = registry->counter(prefix + ".hits");
+    c_misses_ = registry->counter(prefix + ".misses");
+    c_evictions_ = registry->counter(prefix + ".evictions");
+    c_writebacks_ = registry->counter(prefix + ".writebacks");
+    c_readahead_pages_ = registry->counter(prefix + ".readahead_pages");
+    c_readahead_hits_ = registry->counter(prefix + ".readahead_hits");
+    h_get_ns_ = registry->histogram(prefix + ".get_ns");
+    h_new_page_ns_ = registry->histogram(prefix + ".new_page_ns");
+    h_writeback_ns_ = registry->histogram(prefix + ".writeback_ns");
+    span_get_ = prefix + ".get";
+    span_new_page_ = prefix + ".new_page";
+    span_writeback_ = prefix + ".writeback";
   }
 
   /// Structured-event sink: a kReadAheadRamp event records each vectored
@@ -166,7 +173,15 @@ class BufferPool {
 
   /// Returns a pinned handle on the given existing page, reading it from
   /// its storage manager on a miss.
-  Result<PageHandle> GetPage(PageId id);
+  Result<PageHandle> GetPage(PageId id) { return AccessPage(id, false); }
+
+  /// Returns a pinned, dirty handle on `id` for a caller that overwrites the
+  /// whole page: never reads the storage manager (PostgreSQL's
+  /// RBM_ZERO_AND_LOCK). A resident page is pinned as is; a missing one
+  /// gets a zero-filled frame. Charges the page-access CPU like GetPage but
+  /// counts neither a hit nor a miss, and waits out another backend's
+  /// in-flight read of the page first.
+  Result<PageHandle> OverwritePage(PageId id) { return AccessPage(id, true); }
 
   /// Allocates a new block at the end of `file`, zero-filled and pinned.
   /// The new block number is returned through `block_out`. The block is
@@ -258,7 +273,10 @@ class BufferPool {
     bool io_in_progress = false;
   };
 
-  // All private helpers assume mu_ is held.
+  /// GetPage, or OverwritePage when `overwrite` is set. Takes mu_.
+  Result<PageHandle> AccessPage(PageId id, bool overwrite);
+
+  // All private helpers below assume mu_ is held.
   void Unpin(size_t frame);
   void PinLocked(size_t frame);
   void TouchLocked(size_t frame);
@@ -275,6 +293,9 @@ class BufferPool {
   /// blocks of the file other than the one it is evicting.
   bool FileWritableLocked(RelFileId file) const;
   Result<size_t> FindVictimLocked();
+  /// Installs a free frame as page `id`: zero-filled, pinned and dirty
+  /// (NewPage, and OverwritePage on a miss).
+  void InstallFrameLocked(size_t frame, PageId id);
   /// Takes a frame of a miss's run back out of the page table (a failed
   /// read, or a read-ahead page that failed verification) and frees it.
   void UnpublishLocked(size_t frame);
@@ -287,10 +308,14 @@ class BufferPool {
   Status WriteBackBatchLocked(size_t victim_frame);
   /// Writes back an already-sorted list of frames, skipping clean ones and
   /// coalescing adjacent dirty (file, block) runs into single WriteBlocks
-  /// commands; at read-ahead window 0 every run is one block long.
+  /// commands; at read-ahead window 0 every run is one block long. Only a
+  /// file with a NewPage append fills the gap below a run past its end
+  /// first; any other file (the UFS image, which may hold holes) has its
+  /// runs written as they are.
   Status WriteBackSortedLocked(const std::vector<size_t>& sorted);
-  /// Stamps checksums (on slotted pages) and writes one run of frames of
-  /// one file at consecutive blocks with a single WriteBlocks.
+  /// Stamps checksums (on slotted pages of a manager that is not raw) and
+  /// writes one run of frames of one file at consecutive blocks with a
+  /// single WriteBlocks.
   Status WriteRawRunLocked(std::span<const size_t> run);
   /// Writes out any resident dirty blocks of `file` below `upto` that the
   /// storage manager does not have yet, one block per command, so a
@@ -317,6 +342,9 @@ class BufferPool {
   Histogram* h_get_ns_ = nullptr;
   Histogram* h_new_page_ns_ = nullptr;
   Histogram* h_writeback_ns_ = nullptr;
+  std::string span_get_;
+  std::string span_new_page_;
+  std::string span_writeback_;
   const WaitPoint* wp_latch_ = nullptr;
   const WaitPoint* wp_pin_wait_ = nullptr;
   const WaitPoint* wp_io_wait_ = nullptr;

@@ -135,7 +135,8 @@ Result<uint16_t> SlottedPage::AddItem(Slice item) {
     }
   }
   uint16_t new_upper = static_cast<uint16_t>(upper() - item.size());
-  std::memcpy(buf_ + new_upper, item.data(), item.size());
+  // An empty item may carry a null data pointer, which memcpy must not see.
+  if (!item.empty()) std::memcpy(buf_ + new_upper, item.data(), item.size());
   set_upper(new_upper);
   if (target == n) {
     set_lower(static_cast<uint16_t>(lower() + kSlotSize));
@@ -169,7 +170,7 @@ Status SlottedPage::OverwriteItem(uint16_t slot, Slice item) {
   if (item.size() > len) {
     return Status::InvalidArgument("in-place overwrite cannot grow an item");
   }
-  std::memcpy(buf_ + off, item.data(), item.size());
+  if (!item.empty()) std::memcpy(buf_ + off, item.data(), item.size());
   WriteSlot(slot, off, static_cast<uint16_t>(item.size()), kNormal);
   return Status::OK();
 }

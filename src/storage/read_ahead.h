@@ -6,8 +6,8 @@
 
 namespace pglo {
 
-/// Sequential read-ahead detector of one file, shared by the buffer pool
-/// and the UFS block cache and updated on misses only. A miss on the block
+/// Sequential read-ahead detector of one file, kept by the buffer pool and
+/// updated on misses only. A miss on the block
 /// the detector expected next extends a streak; the second consecutive
 /// match confirms a scan and the window ramps (2, 4, 8, ...) up to the
 /// cap. The confirmation and ramp keep a short accidental run (a random

@@ -7,21 +7,35 @@
 namespace pglo {
 
 UnixFileSystem::UnixFileSystem(DeviceModel* device, Params params)
-    : device_(device),
-      params_(params),
-      cache_(device, params.cache_blocks) {}
+    : params_(params), pool_(&smgrs_, params.cache_blocks) {
+  auto disk = std::make_unique<UfsDevice>(device);
+  disk_ = disk.get();
+  PGLO_CHECK(smgrs_.Register(kImage.smgr_id, std::move(disk)).ok());
+}
+
+Status UnixFileSystem::ReadBlock(uint32_t block, uint8_t* buf) {
+  PGLO_ASSIGN_OR_RETURN(PageHandle page, pool_.GetPage({kImage, block}));
+  std::memcpy(buf, page.data(), kPageSize);
+  return Status::OK();
+}
+
+Status UnixFileSystem::WriteBlock(uint32_t block, const uint8_t* buf) {
+  PGLO_ASSIGN_OR_RETURN(PageHandle page, pool_.OverwritePage({kImage, block}));
+  std::memcpy(page.data(), buf, kPageSize);
+  return Status::OK();
+}
 
 Status UnixFileSystem::WriteSuperblock() {
   uint8_t block[kPageSize] = {};
   EncodeFixed32(block, kMagic);
   EncodeFixed32(block + 4, params_.capacity_blocks);
   EncodeFixed32(block + 8, params_.num_inodes);
-  return cache_.Write(0, block);
+  return WriteBlock(0, block);
 }
 
 Status UnixFileSystem::ReadSuperblock() {
   uint8_t block[kPageSize];
-  PGLO_RETURN_IF_ERROR(cache_.Read(0, block));
+  PGLO_RETURN_IF_ERROR(ReadBlock(0, block));
   if (DecodeFixed32(block) != kMagic) {
     return Status::Corruption("not a ufs file system");
   }
@@ -32,21 +46,21 @@ Status UnixFileSystem::ReadSuperblock() {
 
 Status UnixFileSystem::Format(const std::string& backing_path) {
   std::lock_guard<std::recursive_mutex> lock(mu_);
-  PGLO_RETURN_IF_ERROR(cache_.Open(backing_path));
+  PGLO_RETURN_IF_ERROR(disk_->Open(backing_path));
   PGLO_RETURN_IF_ERROR(WriteSuperblock());
   uint8_t zero[kPageSize] = {};
   for (uint32_t b = BitmapStart(); b < DataStart(); ++b) {
-    PGLO_RETURN_IF_ERROR(cache_.Write(b, zero));
+    PGLO_RETURN_IF_ERROR(WriteBlock(b, zero));
   }
   // Mark metadata blocks as allocated in the bitmap.
   mounted_ = true;
   for (uint32_t b = 0; b < DataStart(); ++b) {
     uint32_t bitmap_block = BitmapStart() + b / (kPageSize * 8);
     uint8_t buf[kPageSize];
-    PGLO_RETURN_IF_ERROR(cache_.Read(bitmap_block, buf));
+    PGLO_RETURN_IF_ERROR(ReadBlock(bitmap_block, buf));
     uint32_t bit = b % (kPageSize * 8);
     buf[bit / 8] |= static_cast<uint8_t>(1u << (bit % 8));
-    PGLO_RETURN_IF_ERROR(cache_.Write(bitmap_block, buf));
+    PGLO_RETURN_IF_ERROR(WriteBlock(bitmap_block, buf));
   }
   // Root directory inode.
   UfsInode root;
@@ -55,12 +69,12 @@ Status UnixFileSystem::Format(const std::string& backing_path) {
   alloc_hint_ = DataStart();
   // mkfs writes through: the fresh file system must survive a crash that
   // happens before the first explicit Sync.
-  return cache_.Flush();
+  return pool_.FlushAll();
 }
 
 Status UnixFileSystem::Mount(const std::string& backing_path) {
   std::lock_guard<std::recursive_mutex> lock(mu_);
-  PGLO_RETURN_IF_ERROR(cache_.Open(backing_path));
+  PGLO_RETURN_IF_ERROR(disk_->Open(backing_path));
   PGLO_RETURN_IF_ERROR(ReadSuperblock());
   mounted_ = true;
   alloc_hint_ = DataStart();
@@ -74,7 +88,7 @@ Result<UfsInode> UnixFileSystem::LoadInode(uint32_t ino) {
   uint32_t block = InodeTableStart() + ino * UfsInode::kSize / kPageSize;
   uint32_t offset = ino * UfsInode::kSize % kPageSize;
   uint8_t buf[kPageSize];
-  PGLO_RETURN_IF_ERROR(cache_.Read(block, buf));
+  PGLO_RETURN_IF_ERROR(ReadBlock(block, buf));
   return UfsInode::Decode(buf + offset);
 }
 
@@ -85,9 +99,9 @@ Status UnixFileSystem::StoreInode(uint32_t ino, const UfsInode& inode) {
   uint32_t block = InodeTableStart() + ino * UfsInode::kSize / kPageSize;
   uint32_t offset = ino * UfsInode::kSize % kPageSize;
   uint8_t buf[kPageSize];
-  PGLO_RETURN_IF_ERROR(cache_.Read(block, buf));
+  PGLO_RETURN_IF_ERROR(ReadBlock(block, buf));
   inode.EncodeTo(buf + offset);
-  return cache_.Write(block, buf);
+  return WriteBlock(block, buf);
 }
 
 Result<uint32_t> UnixFileSystem::AllocInode() {
@@ -109,11 +123,11 @@ Result<uint32_t> UnixFileSystem::AllocBlock() {
     }
     uint32_t bitmap_block = BitmapStart() + b / bits_per_block;
     uint8_t buf[kPageSize];
-    PGLO_RETURN_IF_ERROR(cache_.Read(bitmap_block, buf));
+    PGLO_RETURN_IF_ERROR(ReadBlock(bitmap_block, buf));
     uint32_t bit = b % bits_per_block;
     if (!(buf[bit / 8] & (1u << (bit % 8)))) {
       buf[bit / 8] |= static_cast<uint8_t>(1u << (bit % 8));
-      PGLO_RETURN_IF_ERROR(cache_.Write(bitmap_block, buf));
+      PGLO_RETURN_IF_ERROR(WriteBlock(bitmap_block, buf));
       alloc_hint_ = b + 1;
       return b;
     }
@@ -125,10 +139,10 @@ Status UnixFileSystem::FreeBlock(uint32_t block) {
   uint32_t bits_per_block = kPageSize * 8;
   uint32_t bitmap_block = BitmapStart() + block / bits_per_block;
   uint8_t buf[kPageSize];
-  PGLO_RETURN_IF_ERROR(cache_.Read(bitmap_block, buf));
+  PGLO_RETURN_IF_ERROR(ReadBlock(bitmap_block, buf));
   uint32_t bit = block % bits_per_block;
   buf[bit / 8] &= static_cast<uint8_t>(~(1u << (bit % 8)));
-  PGLO_RETURN_IF_ERROR(cache_.Write(bitmap_block, buf));
+  PGLO_RETURN_IF_ERROR(WriteBlock(bitmap_block, buf));
   if (block < alloc_hint_) alloc_hint_ = block;
   return Status::OK();
 }
@@ -149,20 +163,20 @@ Result<uint32_t> UnixFileSystem::MapBlock(UfsInode* inode, bool* inode_dirty,
   auto load_ptr = [&](uint32_t indirect_block,
                       uint32_t index) -> Result<uint32_t> {
     uint8_t buf[kPageSize];
-    PGLO_RETURN_IF_ERROR(cache_.Read(indirect_block, buf));
+    PGLO_RETURN_IF_ERROR(ReadBlock(indirect_block, buf));
     return DecodeFixed32(buf + 4 * index);
   };
   auto store_ptr = [&](uint32_t indirect_block, uint32_t index,
                        uint32_t value) -> Status {
     uint8_t buf[kPageSize];
-    PGLO_RETURN_IF_ERROR(cache_.Read(indirect_block, buf));
+    PGLO_RETURN_IF_ERROR(ReadBlock(indirect_block, buf));
     EncodeFixed32(buf + 4 * index, value);
-    return cache_.Write(indirect_block, buf);
+    return WriteBlock(indirect_block, buf);
   };
   auto alloc_zeroed = [&]() -> Result<uint32_t> {
     PGLO_ASSIGN_OR_RETURN(uint32_t b, AllocBlock());
     uint8_t zero[kPageSize] = {};
-    PGLO_RETURN_IF_ERROR(cache_.Write(b, zero));
+    PGLO_RETURN_IF_ERROR(WriteBlock(b, zero));
     return b;
   };
 
@@ -229,7 +243,7 @@ Result<size_t> UnixFileSystem::ReadAt(uint32_t ino, uint64_t off, size_t n,
       std::memset(buf + done, 0, take);  // hole
     } else {
       uint8_t block[kPageSize];
-      PGLO_RETURN_IF_ERROR(cache_.Read(phys, block));
+      PGLO_RETURN_IF_ERROR(ReadBlock(phys, block));
       std::memcpy(buf + done, block + in_block, take);
     }
     done += take;
@@ -263,10 +277,10 @@ Status UnixFileSystem::WriteAt(uint32_t ino, uint64_t off, Slice data) {
       std::memset(block, 0, kPageSize);
       std::memcpy(block + in_block, data.data() + done, take);
     } else {
-      PGLO_RETURN_IF_ERROR(cache_.Read(phys, block));
+      PGLO_RETURN_IF_ERROR(ReadBlock(phys, block));
       std::memcpy(block + in_block, data.data() + done, take);
     }
-    PGLO_RETURN_IF_ERROR(cache_.Write(phys, block));
+    PGLO_RETURN_IF_ERROR(WriteBlock(phys, block));
     done += take;
   }
   if (off + data.size() > inode.size) {
@@ -282,12 +296,12 @@ Status UnixFileSystem::WriteAt(uint32_t ino, uint64_t off, Slice data) {
 Status UnixFileSystem::ClearMapping(UfsInode* inode, uint64_t logical) {
   auto clear_ptr = [&](uint32_t indirect_block, uint32_t index) -> Status {
     uint8_t buf[kPageSize];
-    PGLO_RETURN_IF_ERROR(cache_.Read(indirect_block, buf));
+    PGLO_RETURN_IF_ERROR(ReadBlock(indirect_block, buf));
     uint32_t phys = DecodeFixed32(buf + 4 * index);
     if (phys != UfsInode::kNoBlock) {
       PGLO_RETURN_IF_ERROR(FreeBlock(phys));
       EncodeFixed32(buf + 4 * index, UfsInode::kNoBlock);
-      PGLO_RETURN_IF_ERROR(cache_.Write(indirect_block, buf));
+      PGLO_RETURN_IF_ERROR(WriteBlock(indirect_block, buf));
     }
     return Status::OK();
   };
@@ -309,7 +323,7 @@ Status UnixFileSystem::ClearMapping(UfsInode* inode, uint64_t logical) {
   uint32_t outer = static_cast<uint32_t>(logical / kPtrsPerBlock);
   uint32_t inner = static_cast<uint32_t>(logical % kPtrsPerBlock);
   uint8_t buf[kPageSize];
-  PGLO_RETURN_IF_ERROR(cache_.Read(inode->double_indirect, buf));
+  PGLO_RETURN_IF_ERROR(ReadBlock(inode->double_indirect, buf));
   uint32_t level1 = DecodeFixed32(buf + 4 * outer);
   if (level1 == UfsInode::kNoBlock) return Status::OK();
   return clear_ptr(level1, inner);
@@ -324,7 +338,7 @@ Status UnixFileSystem::FreeFileBlocks(UfsInode* inode) {
   }
   auto free_indirect = [&](uint32_t indirect) -> Status {
     uint8_t buf[kPageSize];
-    PGLO_RETURN_IF_ERROR(cache_.Read(indirect, buf));
+    PGLO_RETURN_IF_ERROR(ReadBlock(indirect, buf));
     for (uint32_t i = 0; i < kPtrsPerBlock; ++i) {
       uint32_t ptr = DecodeFixed32(buf + 4 * i);
       if (ptr != UfsInode::kNoBlock) {
@@ -339,7 +353,7 @@ Status UnixFileSystem::FreeFileBlocks(UfsInode* inode) {
   }
   if (inode->double_indirect != UfsInode::kNoBlock) {
     uint8_t buf[kPageSize];
-    PGLO_RETURN_IF_ERROR(cache_.Read(inode->double_indirect, buf));
+    PGLO_RETURN_IF_ERROR(ReadBlock(inode->double_indirect, buf));
     for (uint32_t i = 0; i < kPtrsPerBlock; ++i) {
       uint32_t level1 = DecodeFixed32(buf + 4 * i);
       if (level1 != UfsInode::kNoBlock) {
@@ -378,9 +392,9 @@ Status UnixFileSystem::Truncate(uint32_t ino, uint64_t size) {
           MapBlock(&inode, &dirty, size / kPageSize, false));
       if (phys != UfsInode::kNoBlock) {
         uint8_t buf[kPageSize];
-        PGLO_RETURN_IF_ERROR(cache_.Read(phys, buf));
+        PGLO_RETURN_IF_ERROR(ReadBlock(phys, buf));
         std::memset(buf + size % kPageSize, 0, kPageSize - size % kPageSize);
-        PGLO_RETURN_IF_ERROR(cache_.Write(phys, buf));
+        PGLO_RETURN_IF_ERROR(WriteBlock(phys, buf));
       }
     }
   }
@@ -490,7 +504,7 @@ Result<uint64_t> UnixFileSystem::AllocatedBytes(uint32_t ino) {
   }
   auto count_indirect = [&](uint32_t indirect) -> Result<uint64_t> {
     uint8_t buf[kPageSize];
-    PGLO_RETURN_IF_ERROR(cache_.Read(indirect, buf));
+    PGLO_RETURN_IF_ERROR(ReadBlock(indirect, buf));
     uint64_t n = 1;  // the indirect block itself
     for (uint32_t i = 0; i < kPtrsPerBlock; ++i) {
       if (DecodeFixed32(buf + 4 * i) != UfsInode::kNoBlock) ++n;
@@ -503,7 +517,7 @@ Result<uint64_t> UnixFileSystem::AllocatedBytes(uint32_t ino) {
   }
   if (inode.double_indirect != UfsInode::kNoBlock) {
     uint8_t buf[kPageSize];
-    PGLO_RETURN_IF_ERROR(cache_.Read(inode.double_indirect, buf));
+    PGLO_RETURN_IF_ERROR(ReadBlock(inode.double_indirect, buf));
     blocks += 1;
     for (uint32_t i = 0; i < kPtrsPerBlock; ++i) {
       uint32_t level1 = DecodeFixed32(buf + 4 * i);
@@ -522,7 +536,7 @@ Result<uint32_t> UnixFileSystem::FreeBlocks() {
   uint32_t free = 0;
   for (uint32_t bb = 0; bb < BitmapBlocks(); ++bb) {
     uint8_t buf[kPageSize];
-    PGLO_RETURN_IF_ERROR(cache_.Read(BitmapStart() + bb, buf));
+    PGLO_RETURN_IF_ERROR(ReadBlock(BitmapStart() + bb, buf));
     uint32_t base = bb * bits_per_block;
     uint32_t limit = std::min(params_.capacity_blocks, base + bits_per_block);
     for (uint32_t b = std::max(base, DataStart()); b < limit; ++b) {
@@ -535,7 +549,7 @@ Result<uint32_t> UnixFileSystem::FreeBlocks() {
 
 Status UnixFileSystem::Sync() {
   std::lock_guard<std::recursive_mutex> lock(mu_);
-  return cache_.Flush();
+  return pool_.FlushAll();
 }
 
 }  // namespace pglo

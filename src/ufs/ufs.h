@@ -7,8 +7,10 @@
 
 #include "common/result.h"
 #include "device/device_model.h"
-#include "ufs/block_cache.h"
+#include "smgr/smgr_registry.h"
+#include "storage/buffer_pool.h"
 #include "ufs/inode.h"
+#include "ufs/ufs_device.h"
 
 namespace pglo {
 
@@ -22,6 +24,10 @@ namespace pglo {
 /// cache — so it pays the same physical costs (indirect-block fetches,
 /// read-modify-write of partial blocks) a real 1992 file system paid.
 ///
+/// The buffer cache is a BufferPool of its own, kept apart from the
+/// database's, whose one file is the image on a UfsDevice: both sides of
+/// Figure 2 cache blocks the same way.
+///
 /// Not a POSIX implementation: one directory, no permissions, no links.
 /// Those are orthogonal to every measured effect.
 class UnixFileSystem {
@@ -29,7 +35,7 @@ class UnixFileSystem {
   struct Params {
     uint32_t capacity_blocks = 65536;  ///< 512 MB at 8 KB blocks
     uint32_t num_inodes = 512;
-    size_t cache_blocks = 128;         ///< OS buffer cache size
+    size_t cache_blocks = 128;         ///< OS buffer cache size (>= 2)
   };
 
   /// `device` may be null (no simulated-time charging).
@@ -67,13 +73,14 @@ class UnixFileSystem {
   /// Shrinks or grows the file to `size` (growing leaves a hole).
   Status Truncate(uint32_t ino, uint64_t size);
 
-  /// Flushes the buffer cache and fsyncs the backing file.
+  /// Flushes the buffer cache and fsyncs the backing file when anything
+  /// reached it since the last sync.
   Status Sync();
 
   /// Drops all cached state without writing back (crash simulation).
   void CrashDiscard() {
     std::lock_guard<std::recursive_mutex> lock(mu_);
-    cache_.CrashDiscard();
+    pool_.CrashDiscardAll();
   }
 
   /// Logical size of the file (what Figure 1 reports for u-file/p-file —
@@ -86,31 +93,31 @@ class UnixFileSystem {
   /// Free data blocks remaining.
   Result<uint32_t> FreeBlocks();
 
-  const UfsBlockCache& cache() const { return cache_; }
-
   /// Forwards to the buffer cache's per-access CPU charge.
   void SetAccessCost(CpuCostModel* cpu, uint64_t instructions) {
-    cache_.SetAccessCost(cpu, instructions);
+    pool_.SetAccessCost(cpu, instructions);
   }
 
   /// Forwards the sequential read-ahead window to the buffer cache.
-  void SetReadAhead(uint32_t pages) { cache_.SetReadAhead(pages); }
+  void SetReadAhead(uint32_t pages) { pool_.SetReadAhead(pages); }
 
-  /// Forwards crash/transient hooks to the buffer cache's backing store.
+  /// Forwards crash/transient hooks to the raw device (fault site "ufs").
   void SetFaultInjector(FaultInjector* injector) {
-    cache_.SetFaultInjector(injector);
+    disk_->SetFaultInjector(injector);
   }
 
-  /// Forwards the transient-error retry policy to the buffer cache.
+  /// Sets the transient-error retry policy the buffer cache applies to the
+  /// raw device.
   void SetRetryPolicy(const RetryPolicy& policy) {
-    cache_.SetRetryPolicy(policy);
+    smgrs_.SetRetryPolicy(policy);
   }
 
-  /// Forwards to the buffer cache's stats binding (`ufs.*` counters) and
-  /// binds `ufs.{read,write}` trace spans with `ufs.{read_ns,write_ns}`
-  /// histograms around ReadAt/WriteAt.
+  /// Binds the buffer cache's counters under `ufs.cache.*`, the device's
+  /// under `ufs.blocks_{read,written}`, and `ufs.{read,write}` trace spans
+  /// with `ufs.{read_ns,write_ns}` histograms around ReadAt/WriteAt.
   void BindStats(StatsRegistry* registry) {
-    cache_.BindStats(registry);
+    pool_.BindStats(registry, "ufs.cache");
+    disk_->BindStats(registry);
     if (registry == nullptr) return;
     registry_ = registry;
     h_read_ns_ = registry->histogram("ufs.read_ns");
@@ -121,6 +128,8 @@ class UnixFileSystem {
   static constexpr uint32_t kMagic = 0x55465331;  // "UFS1"
   static constexpr uint32_t kPtrsPerBlock = kPageSize / 4;
   static constexpr uint32_t kRootInode = 0;
+  /// The image: the one file of the device, in slot 0 of the UFS's switch.
+  static constexpr RelFileId kImage{0, 1};
 
   // Layout computed from params:
   uint32_t BitmapStart() const { return 1; }
@@ -132,6 +141,11 @@ class UnixFileSystem {
     return (params_.num_inodes * UfsInode::kSize + kPageSize - 1) / kPageSize;
   }
   uint32_t DataStart() const { return InodeTableStart() + InodeTableBlocks(); }
+
+  /// Copies block `block` out of the buffer cache, reading it on a miss.
+  Status ReadBlock(uint32_t block, uint8_t* buf);
+  /// Installs new contents for the whole of `block`; never reads it.
+  Status WriteBlock(uint32_t block, const uint8_t* buf);
 
   Status WriteSuperblock();
   Status ReadSuperblock();
@@ -164,13 +178,14 @@ class UnixFileSystem {
   Result<std::vector<DirEntry>> LoadDirectory();
   Status StoreDirectory(const std::vector<DirEntry>& entries);
 
-  DeviceModel* device_;
   Params params_;
   // Serializes whole file-system operations. Recursive because directory
   // maintenance reuses the public ReadAt/WriteAt/Truncate paths (e.g.
   // Create → StoreDirectory → WriteAt).
   mutable std::recursive_mutex mu_;
-  UfsBlockCache cache_;
+  SmgrRegistry smgrs_;  ///< holds only disk_; declared before pool_
+  UfsDevice* disk_;
+  BufferPool pool_;
   StatsRegistry* registry_ = nullptr;
   Histogram* h_read_ns_ = nullptr;
   Histogram* h_write_ns_ = nullptr;

@@ -403,12 +403,18 @@ class HoldingSmgr : public MainMemorySmgr {
     std::lock_guard<std::mutex> lock(hold_mu_);
     return reads_;
   }
+  /// Every ReadBlocks call so far.
+  int all_reads() {
+    std::lock_guard<std::mutex> lock(hold_mu_);
+    return all_reads_;
+  }
 
   Status ReadBlocks(Oid relfile, BlockNumber start, uint32_t nblocks,
                     uint8_t* buf) override {
     Status result;
     {
       std::unique_lock<std::mutex> lock(hold_mu_);
+      ++all_reads_;
       if (start <= block_ && block_ - start < nblocks) {
         ++reads_;
         if (armed_) {
@@ -433,6 +439,7 @@ class HoldingSmgr : public MainMemorySmgr {
   bool held_ = false;
   bool released_ = false;
   int reads_ = 0;
+  int all_reads_ = 0;
 };
 
 // One read held in flight inside the storage manager must not stall the
@@ -551,6 +558,55 @@ TEST_F(InFlightReadTest, FailedHeldReadWakesWaiterToReadAgain) {
   EXPECT_EQ(r.value(), static_cast<uint8_t>(kHeld + 1));
   EXPECT_EQ(smgr_->reads_of_block(), 2);
   EXPECT_EQ(pool_->stats().misses, 2u);
+}
+
+TEST_F(InFlightReadTest, OverwritePageNeverReads) {
+  { ASSERT_OK_AND_ASSIGN(PageHandle h, pool_->GetPage({file_, 3})); }
+  pool_->ResetStats();
+  const int reads = smgr_->all_reads();
+  for (BlockNumber b : {3u, 12u}) {  // resident, then missing
+    ASSERT_OK_AND_ASSIGN(PageHandle h, pool_->OverwritePage({file_, b}));
+    std::memset(h.data(), 0xEE, kPageSize);
+  }
+  EXPECT_EQ(smgr_->all_reads(), reads);
+  BufferPoolStats stats = pool_->stats();
+  EXPECT_EQ(stats.hits, 0u);
+  EXPECT_EQ(stats.misses, 0u);
+  // The handle came back dirty: both pages reach the storage manager.
+  ASSERT_OK(pool_->FlushAll());
+  for (BlockNumber b : {3u, 12u}) {
+    uint8_t buf[kPageSize];
+    ASSERT_OK(smgr_->ReadBlock(1, b, buf));
+    EXPECT_EQ(buf[0], 0xEE) << "block " << b;
+  }
+}
+
+TEST_F(InFlightReadTest, OverwritePageWaitsOutAnInFlightRead) {
+  std::future<Result<uint8_t>> held;
+  std::future<Result<PageHandle>> overwrite;
+  ReleaseOnExit release{smgr_};
+  smgr_->HoldNextRead(kHeld);
+  auto deadline = std::chrono::steady_clock::now() + kBound;
+  held = ReadAsync(kHeld);
+  ASSERT_TRUE(smgr_->WaitHeld(kBound));
+  overwrite = std::async(std::launch::async, [this] {
+    return pool_->OverwritePage({file_, kHeld});
+  });
+  ASSERT_TRUE(IoWaitsReach(1, deadline));
+  EXPECT_NE(overwrite.wait_for(std::chrono::milliseconds(0)),
+            std::future_status::ready);
+  smgr_->Release();
+  Result<uint8_t> r = held.get();
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r.value(), static_cast<uint8_t>(kHeld + 1));
+  // The overwrite pinned the frame that read filled.
+  Result<PageHandle> h = overwrite.get();
+  ASSERT_TRUE(h.ok()) << h.status().ToString();
+  EXPECT_EQ(h.value().data()[0], static_cast<uint8_t>(kHeld + 1));
+  EXPECT_EQ(smgr_->reads_of_block(), 1);
+  BufferPoolStats stats = pool_->stats();
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.hits, 0u);
 }
 
 TEST_F(BufferPoolTest, ConcurrentMissesSeeTheirOwnPages) {

@@ -1,9 +1,13 @@
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
 #include <cstring>
 #include <map>
 
 #include "common/random.h"
+#include "storage/page.h"
 #include "tests/test_util.h"
 #include "ufs/ufs.h"
 
@@ -241,6 +245,107 @@ TEST_F(UfsTest, OutOfSpace) {
   EXPECT_TRUE(last.IsResourceExhausted());
 }
 
+// Host-side view of the image file, bypassing the file system's cache.
+uint64_t HostFileBlocks(const std::string& path) {
+  struct stat st;
+  if (::stat(path.c_str(), &st) != 0) return 0;
+  return (static_cast<uint64_t>(st.st_size) + kPageSize - 1) / kPageSize;
+}
+
+Bytes HostBlock(const std::string& path, uint64_t block) {
+  Bytes buf(kPageSize, 0);  // past EOF reads as zeros
+  int fd = ::open(path.c_str(), O_RDONLY);
+  if (fd >= 0) {
+    ssize_t n = ::pread(fd, buf.data(), buf.size(),
+                        static_cast<off_t>(block * kPageSize));
+    (void)n;
+    ::close(fd);
+  }
+  return buf;
+}
+
+TEST_F(UfsTest, SlottedPageLookalikeBlockReadsBackVerbatim) {
+  // A u-file block is raw user bytes, even when they happen to form an
+  // initialized slotted page with a stale checksum: the cache must neither
+  // stamp a checksum into it on write-back nor reject it on read-in.
+  Bytes block(kPageSize, 0x5A);
+  SlottedPage page(block.data());
+  page.Init();
+  ASSERT_OK(page.AddItem(Slice("user bytes")).status());
+  page.UpdateChecksum();
+  block[kPageSize - 1] ^= 0xFF;
+  ASSERT_TRUE(page.IsInitialized());
+  ASSERT_FALSE(page.VerifyChecksum());
+
+  ASSERT_OK_AND_ASSIGN(uint32_t ino, fs_->Create("f"));
+  ASSERT_OK(fs_->WriteAt(ino, 0, Slice(block)));
+  auto expect_verbatim = [&](UnixFileSystem& fs, const char* when) {
+    Bytes got(kPageSize);
+    Result<size_t> n = fs.ReadAt(ino, 0, got.size(), got.data());
+    ASSERT_TRUE(n.ok()) << when << ": " << n.status().ToString();
+    EXPECT_EQ(got, block) << when;
+  };
+  // 40 more blocks through the 32-block cache evict the first.
+  ASSERT_OK(fs_->WriteAt(ino, kPageSize, Slice(Bytes(40 * kPageSize, 1))));
+  expect_verbatim(*fs_, "after eviction");
+  ASSERT_OK(fs_->Sync());
+  expect_verbatim(*fs_, "after Sync");
+  fs_.reset();
+  UnixFileSystem fs2(nullptr, UnixFileSystem::Params{});
+  ASSERT_OK(fs2.Mount(dir_.Sub("fs.img")));
+  expect_verbatim(fs2, "after Mount");
+}
+
+TEST(UfsWriteBackTest, RunPastTheWrittenExtentIsWrittenAsItIs) {
+  // The image may hold holes. A sorted write-back whose first run starts
+  // past the image's written extent must write that run as it is — not
+  // fail, and not first write a dirty block below it, as filling the gap
+  // below a relation file's appended tail would.
+  TempDir dir;
+  const std::string img = dir.Sub("fs.img");
+  UnixFileSystem::Params params;
+  params.capacity_blocks = 4096;
+  params.num_inodes = 64;
+  params.cache_blocks = 80;  // above the 64-block write-behind batch
+  auto fs = std::make_unique<UnixFileSystem>(nullptr, params);
+  ASSERT_OK(fs->Format(img));
+  ASSERT_OK_AND_ASSIGN(uint32_t ino, fs->Create("f"));
+  ASSERT_OK(fs->Sync());
+  auto fill = [](uint64_t logical) {
+    return Bytes(kPageSize, static_cast<uint8_t>(logical + 1));
+  };
+  // The allocator hands out blocks upward from the written extent: file
+  // block 0 lands on `low`, file block 1 on `low + 1`.
+  const uint64_t low = HostFileBlocks(img);
+  ASSERT_OK(fs->WriteAt(ino, 0, Slice(fill(0))));
+  // Write higher blocks, rewriting block 0 after each so it stays the
+  // most recently used, until a write-behind batch reaches the image.
+  uint64_t blocks = 1;
+  for (; HostFileBlocks(img) <= low; ++blocks) {
+    ASSERT_LT(blocks, 200u) << "no write-behind batch reached the image";
+    ASSERT_OK(fs->WriteAt(ino, blocks * kPageSize, Slice(fill(blocks))));
+    ASSERT_OK(fs->WriteAt(ino, 0, Slice(fill(0))));
+  }
+  EXPECT_EQ(HostBlock(img, low), Bytes(kPageSize, 0));
+  EXPECT_EQ(HostBlock(img, low + 1), fill(1));
+  ASSERT_OK(fs->Sync());
+  EXPECT_EQ(HostBlock(img, low), fill(0));
+
+  auto expect_all = [&](UnixFileSystem& f, const char* when) {
+    for (uint64_t b = 0; b < blocks; ++b) {
+      Bytes got(kPageSize);
+      ASSERT_OK(f.ReadAt(ino, b * kPageSize, got.size(), got.data())
+                    .status());
+      EXPECT_EQ(got, fill(b)) << when << ", file block " << b;
+    }
+  };
+  expect_all(*fs, "after Sync");
+  fs.reset();
+  UnixFileSystem remounted(nullptr, UnixFileSystem::Params{});
+  ASSERT_OK(remounted.Mount(img));
+  expect_all(remounted, "after Mount");
+}
+
 TEST_F(UfsTest, DeviceChargedOnMissesOnly) {
   TempDir dir;
   SimClock clock;
@@ -258,6 +363,16 @@ TEST_F(UfsTest, DeviceChargedOnMissesOnly) {
   // Repeated reads of a cached block charge nothing.
   for (int i = 0; i < 50; ++i) {
     ASSERT_OK(fs.ReadAt(ino, 0, sizeof(buf), buf).status());
+  }
+  EXPECT_EQ(device.stats().reads, before);
+  // Whole-block writes to uncached blocks charge no read either: fresh
+  // blocks past the 64-block cache, then the evicted direct blocks
+  // overwritten whole. The cache installs them without fetching them.
+  for (uint64_t b = 1; b < 100; ++b) {
+    ASSERT_OK(fs.WriteAt(ino, b * kPageSize, Slice(data)));
+  }
+  for (uint64_t b = 0; b < UfsInode::kNumDirect; ++b) {
+    ASSERT_OK(fs.WriteAt(ino, b * kPageSize, Slice(data)));
   }
   EXPECT_EQ(device.stats().reads, before);
 }

@@ -8,10 +8,12 @@
 # with every data race a hard failure.
 #
 # After the default-preset tests pass, a benchmark gate runs the paper's
-# three figures at --quick (1/10th) scale, validates each emitted
-# BENCH_figure{1,2,3}_quick.json against the pglo-bench-v1 schema, and
-# compares its simulated times against the checked-in baseline in
-# bench/baselines/ bit for bit (bench_compare --tolerance=0.0). Simulated
+# three figures and the Inversion-vs-native comparison (whose native
+# column is the simulated UNIX file system) at --quick (1/10th) scale,
+# validates each emitted BENCH_*_quick.json against the pglo-bench-v1
+# schema, and compares its simulated times against the checked-in
+# baseline in bench/baselines/ bit for bit (bench_compare
+# --tolerance=0.0). Simulated
 # time is deterministic, so any drift is a real behavioural change;
 # regenerate the baselines deliberately (see bench/baselines/README.md)
 # when one is intended.
@@ -67,13 +69,16 @@ run_preset() {
 
 bench_gate() {
   builddir="$1"
-  echo "== bench gate: figures 1-3 --quick vs bench/baselines (exact) =="
+  echo "== bench gate: figures 1-3 and inversion vs native --quick vs bench/baselines (exact) =="
   workdir="$(mktemp -d /tmp/pglo_bench_gate_XXXXXX)"
   trap 'rm -rf "$workdir"' EXIT
-  for fig in figure1_storage figure2_disk figure3_worm; do
-    name="${fig%%_*}"
+  for bench in figure1_storage figure2_disk figure3_worm inversion_vs_native; do
+    case "$bench" in
+      figure*) name="${bench%%_*}" ;;
+      *) name="$bench" ;;
+    esac
     out="$workdir/BENCH_${name}_quick.json"
-    "$builddir/bench/bench_$fig" --quick --json="$out" \
+    "$builddir/bench/bench_$bench" --quick --json="$out" \
         "$workdir/db_$name" > "$workdir/bench_$name.log"
     "$builddir/tools/bench_compare" --validate "$out"
     "$builddir/tools/bench_compare" --tolerance=0.0 \
