@@ -22,6 +22,7 @@
 #include "compress/rle.h"
 #include "db/database.h"
 #include "heap/heap_class.h"
+#include "obs/flight_recorder.h"
 #include "smgr/mm_smgr.h"
 #include "storage/page.h"
 #include "workload/frames.h"
@@ -74,19 +75,61 @@ void BM_Crc32c(benchmark::State& state) {
 }
 BENCHMARK(BM_Crc32c);
 
+// Page hits from 1 and 4 threads on one pool, each thread on its own
+// eight resident pages, so all they share is the pool's latches. Thread 0
+// builds the pool before the loop's start barrier and drops it after the
+// stop barrier. Real time: at 4 threads, wall per hit across all threads.
 void BM_BufferPoolHit(benchmark::State& state) {
-  SmgrRegistry smgrs;
-  (void)smgrs.Register(0, std::make_unique<MainMemorySmgr>(nullptr));
-  BufferPool pool(&smgrs, 64);
-  (void)smgrs.Get(0).value()->CreateFile(1);
-  BlockNumber block;
-  { auto handle = pool.NewPage({0, 1}, &block); }
+  constexpr int kPagesPerThread = 8;
+  static std::unique_ptr<SmgrRegistry> smgrs;
+  static std::unique_ptr<BufferPool> pool;
+  if (state.thread_index() == 0) {
+    smgrs = std::make_unique<SmgrRegistry>();
+    (void)smgrs->Register(0, std::make_unique<MainMemorySmgr>(nullptr));
+    (void)smgrs->Get(0).value()->CreateFile(1);
+    pool = std::make_unique<BufferPool>(smgrs.get(), 64);
+    for (int i = 0; i < state.threads() * kPagesPerThread; ++i) {
+      BlockNumber block;
+      (void)pool->NewPage({0, 1}, &block);
+    }
+  }
+  const BlockNumber first = state.thread_index() * kPagesPerThread;
+  BlockNumber i = 0;
   for (auto _ : state) {
-    auto handle = pool.GetPage({{0, 1}, 0});
+    auto handle = pool->GetPage({{0, 1}, first + i++ % kPagesPerThread});
     benchmark::DoNotOptimize(handle.value().data());
   }
+  if (state.thread_index() == 0) {
+    pool.reset();
+    smgrs.reset();
+  }
 }
-BENCHMARK(BM_BufferPoolHit);
+BENCHMARK(BM_BufferPoolHit)->Threads(1)->Threads(4)->UseRealTime();
+
+// One trace span with the flight recorder on, from 1 and 4 threads: the
+// cost every instrumented call pays in the served configuration. The
+// 1-thread figure is what the obs gate's single stream sees.
+void BM_TraceSpanRecorded(benchmark::State& state) {
+  static SimClock clock;
+  static std::unique_ptr<StatsRegistry> registry;
+  static std::unique_ptr<FlightRecorder> recorder;
+  if (state.thread_index() == 0) {
+    registry = std::make_unique<StatsRegistry>();
+    registry->SetClock(&clock);
+    recorder = std::make_unique<FlightRecorder>(FlightRecorderOptions{},
+                                                registry.get());
+    registry->SetRecorder(recorder.get());
+  }
+  for (auto _ : state) {
+    TraceSpan span(registry.get(), nullptr, "bench.span");
+  }
+  if (state.thread_index() == 0) {
+    registry->SetRecorder(nullptr);
+    recorder.reset();
+    registry.reset();
+  }
+}
+BENCHMARK(BM_TraceSpanRecorded)->Threads(1)->Threads(4)->UseRealTime();
 
 void BM_BtreeInsert(benchmark::State& state) {
   SmgrRegistry smgrs;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <optional>
 
 #include "common/json.h"
 
@@ -46,50 +47,92 @@ FlightRecorder::FlightRecorder(const FlightRecorderOptions& options,
   if (options_.trace_capacity == 0) options_.trace_capacity = 1;
   if (options_.delta_capacity == 0) options_.delta_capacity = 1;
   if (options_.slow_op_capacity == 0) options_.slow_op_capacity = 1;
-  trace_ring_.reserve(options_.trace_capacity);
   if (registry_ != nullptr) {
     events_.SetClock(registry_->clock());
-    next_sample_ns_ = options_.snapshot_interval_ns;
+    if (options_.snapshot_interval_ns > 0) {
+      next_sample_ns_.store(options_.snapshot_interval_ns,
+                            std::memory_order_relaxed);
+    }
   }
+}
+
+size_t FlightRecorder::ThreadShard() {
+  static std::atomic<size_t> next_shard{0};
+  // Trivially initialized, so the hot path reads it without a TLS guard.
+  thread_local size_t shard = kShards;
+  if (shard == kShards) {
+    shard = next_shard.fetch_add(1, std::memory_order_relaxed) % kShards;
+  }
+  return shard;
+}
+
+void FlightRecorder::ShareSequence(size_t index) {
+  size_t sole = kShards;
+  if (sole_shard_.compare_exchange_strong(sole, index) || sole == index) {
+    return;  // this shard numbers alone (so far)
+  }
+  // Switch numbering to the atomic add, under the sole shard's lock, so its
+  // last plain store is ordered before anyone's first add.
+  std::lock_guard<std::mutex> lock(shards_[sole].mu);
+  shared_sequence_.store(true, std::memory_order_release);
 }
 
 void FlightRecorder::OnSpan(const TraceEvent& event) {
-  std::lock_guard<std::mutex> lock(mu_);
-  RecordSpanRing(event);
-  if (options_.slow_op_budget_ns > 0) BuildSlowOpTree(event);
-  // Sampling only on top-level completions: a delta then always describes
-  // a whole number of operations, and the check is one compare per op.
-  if (event.depth == 0) MaybeSample(event.end_ns);
-}
-
-void FlightRecorder::RecordSpanRing(const TraceEvent& event) {
-  ++total_spans_;
-  RecordedSpan* slot;
-  if (trace_ring_.size() < options_.trace_capacity) {
-    trace_ring_.emplace_back();
-    slot = &trace_ring_.back();
-  } else {
-    slot = &trace_ring_[trace_head_];
-    // Hot path (every span, always on): branch, not modulo.
-    if (++trace_head_ == options_.trace_capacity) trace_head_ = 0;
+  const size_t index = ThreadShard();
+  if (!shared_sequence_.load(std::memory_order_acquire) &&
+      sole_shard_.load(std::memory_order_relaxed) != index) {
+    ShareSequence(index);
   }
-  slot->name.assign(event.name.data(), event.name.size());
-  slot->begin_ns = event.begin_ns;
-  slot->end_ns = event.end_ns;
-  slot->detail = event.detail;
-  slot->depth = event.depth;
+  Shard& shard = shards_[index];
+  std::unique_lock<std::mutex> lock(shard.mu);
+  Slot* slot;
+  if (shard.ring.size() < options_.trace_capacity) {
+    slot = &shard.ring.emplace_back();
+  } else {
+    slot = &shard.ring[shard.head];
+    // Hot path (every span, always on): branch, not modulo.
+    if (++shard.head == options_.trace_capacity) shard.head = 0;
+  }
+  // Numbered under the shard lock, so each ring is in sequence order. While
+  // one shard records alone, a plain store does (no locked add per span).
+  // The acquire orders the sole shard's last store before this add.
+  if (shared_sequence_.load(std::memory_order_acquire)) {
+    slot->seq = total_spans_.fetch_add(1, std::memory_order_relaxed);
+  } else {
+    slot->seq = total_spans_.load(std::memory_order_relaxed);
+    total_spans_.store(slot->seq + 1, std::memory_order_relaxed);
+  }
+  RecordedSpan& span = slot->span;
+  span.name.assign(event.name.data(), event.name.size());
+  span.begin_ns = event.begin_ns;
+  span.end_ns = event.end_ns;
+  span.detail = event.detail;
+  span.depth = event.depth;
+  if (options_.slow_op_budget_ns > 0) {
+    std::optional<SpanNode> root = shard.trees.Add(event);
+    lock.unlock();  // mu_ is never taken under a shard lock
+    if (root.has_value()) CaptureSlowOp(event, std::move(*root));
+  } else {
+    lock.unlock();
+  }
+  // Sampling only on top-level completions: a delta then always describes
+  // a whole number of operations, and the check is one compare per op,
+  // made before taking mu_.
+  if (event.depth == 0 &&
+      event.end_ns >= next_sample_ns_.load(std::memory_order_relaxed)) {
+    MaybeSample(event.end_ns);
+  }
 }
 
-void FlightRecorder::BuildSlowOpTree(const TraceEvent& event) {
-  std::optional<SpanNode> root = slow_op_trees_.Add(event);
-  if (!root.has_value()) return;
+void FlightRecorder::CaptureSlowOp(const TraceEvent& event, SpanNode root) {
   uint64_t dur = Duration(event.begin_ns, event.end_ns);
   // Strictly over budget: an op landing exactly on the budget is within
   // it, and must not be captured (tested boundary).
   if (dur <= options_.slow_op_budget_ns) return;
+  std::lock_guard<std::mutex> lock(mu_);
   SlowOp op;
   op.seq = total_slow_ops_++;
-  op.root = std::move(*root);
+  op.root = std::move(root);
   if (slow_ops_.size() < options_.slow_op_capacity) {
     slow_ops_.push_back(std::move(op));
   } else {
@@ -101,13 +144,15 @@ void FlightRecorder::BuildSlowOpTree(const TraceEvent& event) {
 }
 
 void FlightRecorder::MaybeSample(uint64_t now_ns) {
-  if (registry_ == nullptr || options_.snapshot_interval_ns == 0) return;
-  if (now_ns < next_sample_ns_) return;
-  SampleDelta(now_ns);
+  std::lock_guard<std::mutex> lock(mu_);
+  uint64_t next = next_sample_ns_.load(std::memory_order_relaxed);
+  if (now_ns < next) return;  // another backend took this tick
+  SampleDeltaLocked(now_ns);
   // Skip whole missed intervals instead of emitting a burst of empty
   // deltas after a long op.
   uint64_t interval = options_.snapshot_interval_ns;
-  next_sample_ns_ += ((now_ns - next_sample_ns_) / interval + 1) * interval;
+  next_sample_ns_.store(next + ((now_ns - next) / interval + 1) * interval,
+                        std::memory_order_relaxed);
 }
 
 void FlightRecorder::ForceSample() {
@@ -115,10 +160,10 @@ void FlightRecorder::ForceSample() {
   uint64_t now =
       registry_->clock() != nullptr ? registry_->clock()->NowNanos() : 0;
   std::lock_guard<std::mutex> lock(mu_);
-  SampleDelta(now);
+  SampleDeltaLocked(now);
 }
 
-void FlightRecorder::SampleDelta(uint64_t now_ns) {
+void FlightRecorder::SampleDeltaLocked(uint64_t now_ns) {
   StatsSnapshot cur = registry_->Snapshot();
   SnapshotDelta delta;
   delta.seq = total_deltas_++;
@@ -170,19 +215,24 @@ void FlightRecorder::SampleDelta(uint64_t now_ns) {
   }
 }
 
-std::vector<FlightRecorder::RecordedSpan> FlightRecorder::TraceTailLocked()
-    const {
-  std::vector<RecordedSpan> out;
-  out.reserve(trace_ring_.size());
-  for (size_t i = 0; i < trace_ring_.size(); ++i) {
-    out.push_back(trace_ring_[(trace_head_ + i) % trace_ring_.size()]);
-  }
-  return out;
-}
-
 std::vector<FlightRecorder::RecordedSpan> FlightRecorder::TraceTail() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return TraceTailLocked();
+  // Every shard at once, in index order, for one consistent cut.
+  for (const Shard& shard : shards_) shard.mu.lock();
+  std::vector<const Slot*> slots;
+  for (const Shard& shard : shards_) {
+    for (const Slot& slot : shard.ring) slots.push_back(&slot);
+  }
+  const size_t keep = std::min(slots.size(), options_.trace_capacity);
+  auto by_seq = [](const Slot* a, const Slot* b) { return a->seq < b->seq; };
+  std::nth_element(slots.begin(), slots.end() - keep, slots.end(), by_seq);
+  std::sort(slots.end() - keep, slots.end(), by_seq);
+  std::vector<RecordedSpan> out;
+  out.reserve(keep);
+  for (auto it = slots.end() - keep; it != slots.end(); ++it) {
+    out.push_back((*it)->span);
+  }
+  for (const Shard& shard : shards_) shard.mu.unlock();
+  return out;
 }
 
 std::vector<FlightRecorder::SnapshotDelta> FlightRecorder::DeltasLocked()
@@ -314,10 +364,10 @@ std::string FlightRecorder::ToJson(const std::string& reason) {
   w.Key("trace");
   w.BeginObject();
   w.Key("total");
-  w.Uint(total_spans_);
+  w.Uint(total_spans());
   w.Key("entries");
   w.BeginArray();
-  for (const RecordedSpan& span : TraceTailLocked()) {
+  for (const RecordedSpan& span : TraceTail()) {
     w.BeginObject();
     w.Key("name");
     w.String(span.name);

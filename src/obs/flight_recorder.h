@@ -1,6 +1,8 @@
 #ifndef PGLO_OBS_FLIGHT_RECORDER_H_
 #define PGLO_OBS_FLIGHT_RECORDER_H_
 
+#include <array>
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -56,7 +58,11 @@ struct FlightRecorderOptions {
 ///
 /// Everything lives in fixed-size rings: memory is bounded regardless of
 /// workload length, and the retained tail is exactly the history leading
-/// up to whatever went wrong. On a crash (or a failed Open) the whole
+/// up to whatever went wrong. Spans are filed per thread, in one of
+/// kShards shards with its own lock, ring and tree builder, so backends
+/// recording at once neither queue on one lock nor adopt each other's
+/// spans into their slow-op trees; one atomic sequence orders spans
+/// across shards. On a crash (or a failed Open) the whole
 /// recorder serializes to `pglo_blackbox.json` (DumpToFile), which the
 /// crash harness attaches to every failing crash point.
 ///
@@ -99,9 +105,9 @@ class FlightRecorder : public TraceSink {
   FlightRecorder(const FlightRecorder&) = delete;
   FlightRecorder& operator=(const FlightRecorder&) = delete;
 
-  /// TraceSink: ring-appends the span; builds slow-op trees when a budget
-  /// is set; samples a snapshot delta when a depth-0 completion crosses
-  /// the sampling interval.
+  /// TraceSink: appends the span to the calling thread's shard ring; builds
+  /// that thread's slow-op trees when a budget is set; samples a snapshot
+  /// delta when a depth-0 completion crosses the sampling interval.
   void OnSpan(const TraceEvent& event) override;
 
   EventLog& events() { return events_; }
@@ -116,11 +122,10 @@ class FlightRecorder : public TraceSink {
 
   const FlightRecorderOptions& options() const { return options_; }
 
-  /// Retained spans, oldest first.
+  /// The newest `trace_capacity` spans across every shard, oldest first.
   std::vector<RecordedSpan> TraceTail() const;
   uint64_t total_spans() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return total_spans_;
+    return total_spans_.load(std::memory_order_relaxed);
   }
 
   /// Retained snapshot deltas, oldest first.
@@ -153,12 +158,38 @@ class FlightRecorder : public TraceSink {
   Status DumpToFile(const std::string& path, const std::string& reason);
 
  private:
-  // *Locked helpers assume mu_ is held by the caller.
-  void RecordSpanRing(const TraceEvent& event);
-  void BuildSlowOpTree(const TraceEvent& event);
+  /// Span shards: a constant. A thread keeps the shard it first records
+  /// in, handed out round robin, so threads share one only past kShards.
+  static constexpr size_t kShards = 16;
+
+  /// One retained span and its place in the recorder-wide order.
+  struct Slot {
+    uint64_t seq = 0;
+    RecordedSpan span;
+  };
+
+  /// The span ring and slow-op tree builder of the threads filing here,
+  /// on a cache line of its own.
+  struct alignas(64) Shard {
+    mutable std::mutex mu;
+    std::vector<Slot> ring;
+    size_t head = 0;
+    SpanTreeBuilder trees;
+  };
+
+  /// The calling thread's shard index.
+  static size_t ThreadShard();
+  /// Called before shard `index` first records while the sequence is not
+  /// yet shared: makes it the sole shard, or ends sole numbering.
+  void ShareSequence(size_t index);
+  /// Retains `root` if its operation ran strictly over budget. Takes mu_.
+  void CaptureSlowOp(const TraceEvent& event, SpanNode root);
+  /// Samples a delta if `now_ns` reached the next tick. Takes mu_; OnSpan
+  /// calls it only once the tick looks due, which it never is with
+  /// sampling off.
   void MaybeSample(uint64_t now_ns);
-  void SampleDelta(uint64_t now_ns);
-  std::vector<RecordedSpan> TraceTailLocked() const;
+  // *Locked helpers assume mu_ is held by the caller.
+  void SampleDeltaLocked(uint64_t now_ns);
   std::vector<SnapshotDelta> DeltasLocked() const;
   std::vector<SlowOp> SlowOpsLocked() const;
 
@@ -167,29 +198,34 @@ class FlightRecorder : public TraceSink {
   const BackendActivity* activity_ = nullptr;
   EventLog events_;
 
-  // Guards every ring and the slow-op pending stack. Concurrent backends
-  // complete spans simultaneously; one lock keeps ring indices and the
-  // adoption discipline coherent. EventLog has its own lock (always
-  // acquired after mu_ when both are taken).
+  // Guards the delta and slow-op rings; OnSpan takes it only to store a
+  // slow op or a delta. Lock order: dump_mu_, mu_, then shard locks in
+  // index order, then EventLog's own lock.
   mutable std::mutex mu_;
   // Serializes DumpToFile invocations (file truncate + write); outermost,
   // taken before mu_.
   std::mutex dump_mu_;
 
-  // Span ring.
-  std::vector<RecordedSpan> trace_ring_;
-  size_t trace_head_ = 0;
-  uint64_t total_spans_ = 0;
+  // Span rings, and the sequence that orders (and counts) their spans.
+  std::array<Shard, kShards> shards_;
+  std::atomic<uint64_t> total_spans_{0};
+  /// The first shard to record. Until a second one records, it advances
+  /// total_spans_ by a plain store under its lock, so a single stream pays
+  /// no locked add per span; shared_sequence_ is then set (under the sole
+  /// shard's lock) and every shard adds atomically from then on.
+  std::atomic<size_t> sole_shard_{kShards};
+  std::atomic<bool> shared_sequence_{false};
 
   // Snapshot-delta ring + the previous full snapshot it diffs against.
   std::vector<SnapshotDelta> deltas_;
   size_t delta_head_ = 0;
   uint64_t total_deltas_ = 0;
-  uint64_t next_sample_ns_ = 0;
+  /// Written under mu_; read first without it on every depth-0 span. Never
+  /// reached (all ones) when sampling is off.
+  std::atomic<uint64_t> next_sample_ns_{~uint64_t{0}};
   StatsSnapshot prev_snapshot_;
 
   // Slow-op capture.
-  SpanTreeBuilder slow_op_trees_;
   std::vector<SlowOp> slow_ops_;
   size_t slow_head_ = 0;
   uint64_t total_slow_ops_ = 0;

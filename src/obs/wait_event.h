@@ -35,7 +35,7 @@ namespace pglo {
 ///      read only after the try_lock has already failed.
 enum class WaitEvent : uint8_t {
   kNone = 0,             ///< not waiting (WaitSlot idle value)
-  kLatchBufPool,         ///< latch.bufpool — the buffer pool's one mutex
+  kLatchBufPool,         ///< latch.bufpool — the pool mutex and its stripes
   kLatchRelHeap,         ///< latch.rel.heap — per-relation latch, heap AM
   kLatchRelBtree,        ///< latch.rel.btree — per-relation latch, B-tree AM
   kLatchRelOther,        ///< latch.rel.other — relation latch, unnamed caller

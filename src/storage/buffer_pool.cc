@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <optional>
 #include <tuple>
 #include <unordered_set>
 #include <utility>
@@ -57,17 +58,82 @@ BufferPool::~BufferPool() {
   }
 }
 
-void BufferPool::TouchLocked(size_t frame) {
-  Frame& f = frames_[frame];
-  if (f.on_lru) {
-    lru_.erase(f.lru_pos);
-    f.on_lru = false;
-  }
+void BufferPool::AllLatches::Lock() {
+  WaitLock(pool_->mu_, pool_->wp_latch_);
+  pool_->LockStripes();
+  held_ = true;
 }
 
-void BufferPool::PinLocked(size_t frame) {
+void BufferPool::AllLatches::Unlock() {
+  pool_->UnlockStripes();
+  pool_->mu_.unlock();
+  held_ = false;
+}
+
+void BufferPool::LockStripes() const {
+  for (const Stripe& s : stripes_) WaitLock(s.mu, wp_latch_);
+}
+
+void BufferPool::UnlockStripes() const {
+  for (size_t i = kStripes; i-- > 0;) stripes_[i].mu.unlock();
+}
+
+BufferPoolStats BufferPool::stats() const {
+  AllLatches all(this);
+  BufferPoolStats out = stats_;
+  for (const Stripe& s : stripes_) {
+    out.hits += s.hits;
+    out.readahead_hits += s.readahead_hits;
+    out.readahead_pages += s.readahead_pages;
+  }
+  return out;
+}
+
+void BufferPool::ResetStats() {
+  AllLatches all(this);
+  stats_ = BufferPoolStats();
+  for (Stripe& s : stripes_) s.hits = s.readahead_hits = s.readahead_pages = 0;
+}
+
+void BufferPool::LruAppendLocked(Stripe& s, size_t frame) {
   Frame& f = frames_[frame];
-  TouchLocked(frame);
+  // Stamped under the stripe, so each list stays in stamp order and the
+  // lists merge into one pool-wide LRU order.
+  f.lru_stamp = lru_clock_.fetch_add(1, std::memory_order_relaxed);
+  f.lru_prev = s.lru_tail;
+  f.lru_next = kNoFrame;
+  f.on_lru = true;
+  if (s.lru_tail == kNoFrame) {
+    s.lru_head = frame;
+    s.head_stamp.store(f.lru_stamp, std::memory_order_relaxed);
+  } else {
+    frames_[s.lru_tail].lru_next = frame;
+  }
+  s.lru_tail = frame;
+}
+
+void BufferPool::LruRemoveLocked(Stripe& s, size_t frame) {
+  Frame& f = frames_[frame];
+  if (!f.on_lru) return;
+  f.on_lru = false;
+  if (f.lru_next == kNoFrame) {
+    s.lru_tail = f.lru_prev;
+  } else {
+    frames_[f.lru_next].lru_prev = f.lru_prev;
+  }
+  if (f.lru_prev != kNoFrame) {
+    frames_[f.lru_prev].lru_next = f.lru_next;
+    return;
+  }
+  s.lru_head = f.lru_next;
+  s.head_stamp.store(
+      f.lru_next == kNoFrame ? kNoStamp : frames_[f.lru_next].lru_stamp,
+      std::memory_order_relaxed);
+}
+
+void BufferPool::PinLocked(Stripe& s, size_t frame) {
+  Frame& f = frames_[frame];
+  LruRemoveLocked(s, frame);
   if (f.pin_count == 0) {
     f.pin_owner = std::this_thread::get_id();
     f.pin_shared = false;
@@ -78,17 +144,45 @@ void BufferPool::PinLocked(size_t frame) {
 }
 
 void BufferPool::Unpin(size_t frame) {
-  WaitLockGuard lock(mu_, wp_latch_);
   Frame& f = frames_[frame];
-  PGLO_CHECK(f.pin_count > 0);
-  if (--f.pin_count == 0) {
+  // A pinned frame keeps its page, so its id names the stripe unlatched.
+  Stripe& s = StripeOf(f.id);
+  {
+    WaitLockGuard lock(s.mu, wp_latch_);
+    PGLO_CHECK(f.pin_count > 0);
+    if (--f.pin_count != 0) return;
     f.pin_shared = false;
-    lru_.push_back(frame);
-    f.lru_pos = std::prev(lru_.end());
-    f.on_lru = true;
-    // A flush may be waiting for this pin before it can write the page.
-    cv_.notify_all();
+    LruAppendLocked(s, frame);
   }
+  // A flush may be waiting for this pin before it can write the page.
+  SignalEvent();
+}
+
+void BufferPool::SignalEvent() {
+  // Relaxed suffices: a sleeper registers while holding every stripe, and
+  // the state change it waits for is made under one of them, so either
+  // the sleeper saw the change or this load sees the sleeper.
+  if (event_waiters_.load(std::memory_order_relaxed) == 0) return;
+  std::lock_guard<std::mutex> lock(event_mu_);
+  ++event_seq_;
+  event_cv_.notify_all();
+}
+
+void BufferPool::AwaitEventLocked(AllLatches& all, const WaitPoint* wp) {
+  uint64_t seq;
+  {
+    std::lock_guard<std::mutex> lock(event_mu_);
+    seq = event_seq_;
+    event_waiters_.fetch_add(1, std::memory_order_relaxed);
+  }
+  all.Unlock();
+  {
+    WaitGuard wait(wp);
+    std::unique_lock<std::mutex> lock(event_mu_);
+    event_cv_.wait(lock, [&] { return event_seq_ != seq; });
+    event_waiters_.fetch_sub(1, std::memory_order_relaxed);
+  }
+  all.Lock();
 }
 
 bool BufferPool::FileWritableLocked(RelFileId file) const {
@@ -105,8 +199,10 @@ Status BufferPool::EnsureMaterializedLocked(RelFileId file, BlockNumber upto) {
   PGLO_ASSIGN_OR_RETURN(StorageManager * smgr, SmgrFor(file));
   PGLO_ASSIGN_OR_RETURN(BlockNumber cur, smgr->NumBlocks(file.relfile));
   for (BlockNumber b = cur; b < upto; ++b) {
-    auto it = page_table_.find(PageId{file, b});
-    if (it == page_table_.end()) {
+    const PageId id{file, b};
+    Stripe& s = StripeOf(id);
+    auto it = s.table.find(id);
+    if (it == s.table.end()) {
       return Status::Internal(
           "appended block evicted out of order: relfile " +
           std::to_string(file.relfile) + " block " + std::to_string(b));
@@ -116,58 +212,124 @@ Status BufferPool::EnsureMaterializedLocked(RelFileId file, BlockNumber upto) {
   return Status::OK();
 }
 
+template <typename Visit>
+void BufferPool::ScanLruLocked(Visit visit) {
+  std::array<size_t, kStripes> next;
+  for (size_t i = 0; i < kStripes; ++i) next[i] = stripes_[i].lru_head;
+  while (true) {
+    size_t oldest = kStripes;
+    uint64_t stamp = kNoStamp;
+    for (size_t i = 0; i < kStripes; ++i) {
+      if (next[i] != kNoFrame && frames_[next[i]].lru_stamp < stamp) {
+        stamp = frames_[next[i]].lru_stamp;
+        oldest = i;
+      }
+    }
+    if (oldest == kStripes) return;
+    const size_t frame = next[oldest];
+    next[oldest] = frames_[frame].lru_next;
+    if (!visit(frame)) return;
+  }
+}
+
 Result<size_t> BufferPool::FindVictimLocked() {
   if (!free_frames_.empty()) {
     size_t frame = free_frames_.back();
     free_frames_.pop_back();
     return frame;
   }
-  for (auto it = lru_.begin(); it != lru_.end(); ++it) {
-    Frame& f = frames_[*it];
+  // The oldest unpinned frame heads the stripe with the lowest head stamp.
+  // Only misses and appends evict, and they hold mu_, so meanwhile a head
+  // moves only by a hit (pin) or an unpin: recheck under the stripe.
+  while (true) {
+    size_t oldest = kStripes;
+    uint64_t stamp = kNoStamp;
+    for (size_t i = 0; i < kStripes; ++i) {
+      const uint64_t head =
+          stripes_[i].head_stamp.load(std::memory_order_relaxed);
+      if (head < stamp) {
+        stamp = head;
+        oldest = i;
+      }
+    }
+    if (oldest == kStripes) break;  // nothing unpinned: let the walk decide
+    Stripe& s = stripes_[oldest];
+    WaitLockGuard lock(s.mu, wp_latch_);
+    if (s.head_stamp.load(std::memory_order_relaxed) != stamp) continue;
+    const size_t frame = s.lru_head;
+    Frame& f = frames_[frame];
+    // A dirty head may drag its file's appended tail into a write-back,
+    // which needs the whole pool.
+    if (f.dirty.load(std::memory_order_acquire)) break;
+    // An unpinned clean frame cannot be pinned or dirtied without this
+    // stripe, so it is evicted under it alone.
+    LruRemoveLocked(s, frame);
+    s.table.erase(f.id);
+    f.in_use = false;
+    ++stats_.evictions;
+    StatInc(c_evictions_);
+    return frame;
+  }
+  LockStripes();
+  Result<size_t> victim = EvictOldestLocked();
+  UnlockStripes();
+  return victim;
+}
+
+Result<size_t> BufferPool::EvictOldestLocked() {
+  std::optional<size_t> victim;
+  ScanLruLocked([&](size_t frame) {
+    const Frame& f = frames_[frame];
     // A dirty victim drags the rest of its file's appended tail into the
     // write-back (gap materialization), so it is only eligible when no
     // other backend pins a dirty page of that file. Clean victims are
-    // always eligible. Single-stream, every pin is our own, so the first
-    // candidate is lru_.front() — the pre-concurrency choice exactly.
+    // always eligible. Single-stream, every pin is our own, so the victim
+    // is the LRU head — the pre-concurrency choice exactly.
     if (f.dirty.load(std::memory_order_acquire) &&
         !FileWritableLocked(f.id.file)) {
-      continue;
+      return true;
     }
-    size_t frame = *it;
-    lru_.erase(it);
-    f.on_lru = false;
-    ++stats_.evictions;
-    StatInc(c_evictions_);
-    if (f.dirty.load(std::memory_order_acquire)) {
-      // Background-writer behaviour: when eviction hits a dirty page,
-      // clean a batch of cold dirty pages in sorted block order, so that a
-      // mixed read/append workload pays a few clustered write passes
-      // instead of a head seek per evicted page.
-      PGLO_RETURN_IF_ERROR(WriteBackBatchLocked(frame));
-    }
-    page_table_.erase(f.id);
-    f.in_use = false;
-    return frame;
+    victim = frame;
+    return false;
+  });
+  if (!victim.has_value()) {
+    // Nothing evictable right now. Fail rather than wait: waiting here
+    // with the caller's stack (possibly holding pins) risks deadlock, and
+    // the single-stream engine returned this same error when every frame
+    // was pinned.
+    return Status::ResourceExhausted("all buffer pool frames are pinned");
   }
-  // Nothing evictable right now. Fail rather than wait: waiting here with
-  // the pool lock's caller stack (possibly holding pins) risks deadlock,
-  // and the single-stream engine returned this same error when every frame
-  // was pinned.
-  return Status::ResourceExhausted("all buffer pool frames are pinned");
+  const size_t frame = *victim;
+  Frame& f = frames_[frame];
+  Stripe& s = StripeOf(f.id);
+  LruRemoveLocked(s, frame);
+  ++stats_.evictions;
+  StatInc(c_evictions_);
+  if (f.dirty.load(std::memory_order_acquire)) {
+    // Background-writer behaviour: when eviction hits a dirty page,
+    // clean a batch of cold dirty pages in sorted block order, so that a
+    // mixed read/append workload pays a few clustered write passes
+    // instead of a head seek per evicted page.
+    PGLO_RETURN_IF_ERROR(WriteBackBatchLocked(frame));
+  }
+  s.table.erase(f.id);
+  f.in_use = false;
+  return frame;
 }
 
 Status BufferPool::WriteBackBatchLocked(size_t victim_frame) {
   constexpr size_t kBatch = 64;
   std::vector<size_t> batch;
   batch.push_back(victim_frame);
-  for (auto it = lru_.begin(); it != lru_.end() && batch.size() < kBatch;
-       ++it) {
-    Frame& f = frames_[*it];
+  ScanLruLocked([&](size_t frame) {
+    if (batch.size() >= kBatch) return false;
+    const Frame& f = frames_[frame];
     if (f.dirty.load(std::memory_order_acquire) &&
         FileWritableLocked(f.id.file)) {
-      batch.push_back(*it);
+      batch.push_back(frame);
     }
-  }
+    return true;
+  });
   std::sort(batch.begin(), batch.end(), [this](size_t a, size_t b) {
     const PageId& x = frames_[a].id;
     const PageId& y = frames_[b].id;
@@ -258,66 +420,84 @@ Status BufferPool::WriteBackSortedLocked(const std::vector<size_t>& sorted) {
   return Status::OK();
 }
 
-template <typename Pred>
-void BufferPool::WaitForIoLocked(std::unique_lock<std::mutex>& lk,
-                                 Pred done) {
-  if (done()) return;
-  WaitGuard wait(wp_io_wait_);
-  io_cv_.wait(lk, done);
-}
-
 void BufferPool::InstallFrameLocked(size_t frame, PageId id) {
   Frame& f = frames_[frame];
   std::memset(f.data.get(), 0, kPageSize);
+  Stripe& s = StripeOf(id);
+  WaitLockGuard lock(s.mu, wp_latch_);
   f.id = id;
   f.pin_count = 1;
   f.pin_owner = std::this_thread::get_id();
   f.pin_shared = false;
   f.dirty.store(true, std::memory_order_release);
   f.in_use = true;
-  f.on_lru = false;
   f.prefetched = false;
-  page_table_[id] = frame;
+  s.table[id] = frame;
+}
+
+bool BufferPool::PinResidentLocked(Stripe& s, std::unique_lock<std::mutex>& lk,
+                                   const PageId& id, bool overwrite,
+                                   size_t* frame) {
+  auto it = s.table.find(id);
+  if (it == s.table.end()) return false;
+  if (frames_[it->second].io_in_progress) {
+    // Another backend is reading this page. Wait for that read, then
+    // probe again: a failed read unpublished the frame, and this call
+    // then misses.
+    WaitGuard wait(wp_io_wait_);
+    s.io_cv.wait(lk, [&] {
+      it = s.table.find(id);
+      return it == s.table.end() || !frames_[it->second].io_in_progress;
+    });
+    if (it == s.table.end()) return false;
+  }
+  Frame& f = frames_[it->second];
+  if (overwrite) {
+    f.dirty.store(true, std::memory_order_release);
+  } else {
+    ++s.hits;
+    StatInc(c_hits_);
+    if (f.prefetched) {
+      f.prefetched = false;
+      ++s.readahead_hits;
+      StatInc(c_readahead_hits_);
+    }
+  }
+  PinLocked(s, it->second);
+  *frame = it->second;
+  return true;
 }
 
 Result<PageHandle> BufferPool::AccessPage(PageId id, bool overwrite) {
   // Spans even the hit path: the page-access CPU charge advances the clock
   // here, and the profiler should bill it to the pool, not the caller.
-  // Both run before the pool lock — the clock and CPU model are their own
+  // Both run before any pool latch — the clock and CPU model are their own
   // synchronization domains and must not serialize behind pool misses.
   TraceSpan span(registry_, h_get_ns_, span_get_);
   if (cpu_ != nullptr && access_instructions_ > 0) {
     cpu_->ChargeInstructions(access_instructions_);
   }
-  WaitLock(mu_, wp_latch_);
-  std::unique_lock<std::mutex> lk(mu_, std::adopt_lock);
-  for (auto it = page_table_.find(id); it != page_table_.end();
-       it = page_table_.find(id)) {
-    size_t frame = it->second;
-    Frame& f = frames_[frame];
-    if (f.io_in_progress) {
-      // Another backend is reading this page. Wait for that read, then
-      // probe again: a failed read unpublished the frame, and this call
-      // then misses.
-      WaitForIoLocked(lk, [&] { return !(f.io_in_progress && f.id == id); });
-      continue;
-    }
-    if (overwrite) {
-      f.dirty.store(true, std::memory_order_release);
-    } else {
-      ++stats_.hits;
-      StatInc(c_hits_);
-      if (f.prefetched) {
-        f.prefetched = false;
-        ++stats_.readahead_hits;
-        StatInc(c_readahead_hits_);
+  // A hit takes only its page's stripe.
+  Stripe& home = StripeOf(id);
+  size_t frame;
+  std::unique_lock<std::mutex> lk;
+  while (true) {
+    {
+      WaitLock(home.mu, wp_latch_);
+      std::unique_lock<std::mutex> stripe_lk(home.mu, std::adopt_lock);
+      if (PinResidentLocked(home, stripe_lk, id, overwrite, &frame)) {
+        return PageHandle(this, frame, id);
       }
     }
-    PinLocked(frame);
-    return PageHandle(this, frame, id);
+    // A miss. Only mu_ inserts page-table entries, so once it is held with
+    // the page still absent, no other backend can map the page.
+    WaitLock(mu_, wp_latch_);
+    lk = std::unique_lock<std::mutex>(mu_, std::adopt_lock);
+    if (!Resident(id)) break;
+    lk.unlock();  // another miss mapped it meanwhile: probe again
   }
   if (overwrite) {
-    PGLO_ASSIGN_OR_RETURN(size_t frame, FindVictimLocked());
+    PGLO_ASSIGN_OR_RETURN(frame, FindVictimLocked());
     InstallFrameLocked(frame, id);
     return PageHandle(this, frame, id);
   }
@@ -336,7 +516,7 @@ Result<PageHandle> BufferPool::AccessPage(PageId id, bool overwrite) {
         want = static_cast<uint32_t>(
             std::min<uint64_t>(window, nb.value() - id.block));
         for (uint32_t k = 1; k < want; ++k) {
-          if (page_table_.count(PageId{id.file, id.block + k}) != 0) {
+          if (Resident(PageId{id.file, id.block + k})) {
             want = k;
             break;
           }
@@ -345,7 +525,7 @@ Result<PageHandle> BufferPool::AccessPage(PageId id, bool overwrite) {
     }
   }
   // The run's frames in block order: the demanded page, then read-ahead.
-  PGLO_ASSIGN_OR_RETURN(size_t frame, FindVictimLocked());
+  PGLO_ASSIGN_OR_RETURN(frame, FindVictimLocked());
   std::vector<size_t> frames{frame};
   for (uint32_t k = 1; k < want; ++k) {
     Result<size_t> v = FindVictimLocked();
@@ -357,22 +537,25 @@ Result<PageHandle> BufferPool::AccessPage(PageId id, bool overwrite) {
   if (run > 1 && events_ != nullptr) {
     events_->Append(EventType::kReadAheadRamp, "bufpool", run, id.block);
   }
-  // Publish the run as I/O in progress and read it with the mutex
-  // released. The demanded frame is pinned and the read-ahead frames stay
-  // off the LRU, so nothing evicts them; a backend that wants one of these
-  // pages meanwhile waits for this read (WaitForIoLocked).
+  // Publish the run as I/O in progress, each page under its stripe, and
+  // read it with no latch held. The demanded frame is pinned and the
+  // read-ahead frames stay off the LRU, so nothing evicts them; a backend
+  // that wants one of these pages meanwhile waits for this read
+  // (PinResidentLocked).
   for (uint32_t k = 0; k < run; ++k) {
     Frame& fr = frames_[frames[k]];
-    fr.id = PageId{id.file, id.block + k};
+    const PageId pid{id.file, id.block + k};
+    Stripe& s = StripeOf(pid);
+    WaitLockGuard publish(s.mu, wp_latch_);
+    fr.id = pid;
     fr.pin_count = k == 0 ? 1 : 0;
     fr.pin_owner = std::this_thread::get_id();
     fr.pin_shared = false;
     fr.dirty.store(false, std::memory_order_release);
     fr.in_use = true;
-    fr.on_lru = false;
     fr.prefetched = k > 0;
     fr.io_in_progress = true;
-    page_table_[fr.id] = frames[k];
+    s.table[pid] = frames[k];
   }
   lk.unlock();
   // A run of one reads straight into its frame; a longer run lands in a
@@ -411,41 +594,45 @@ Result<PageHandle> BufferPool::AccessPage(PageId id, bool overwrite) {
       }
     }
   }
-  WaitLock(mu_, wp_latch_);
-  lk = std::unique_lock<std::mutex>(mu_, std::adopt_lock);
-  for (size_t fr : frames) frames_[fr].io_in_progress = false;
-  io_cv_.notify_all();
-  if (!s.ok()) {
-    for (size_t fr : frames) UnpublishLocked(fr);
-    return s;
+  // Clear the marks page by page, each under its stripe. Only a failed read
+  // or a damaged read-ahead page frees frames, which takes mu_.
+  if (!s.ok() || !damaged.empty()) {
+    WaitLock(mu_, wp_latch_);
+    lk = std::unique_lock<std::mutex>(mu_, std::adopt_lock);
   }
-  // Read-ahead frames go onto the LRU unpinned, in block order: prefetched
-  // pages are always evictable and never pin the pool down.
-  for (uint32_t k = 1; k < run; ++k) {
-    size_t ef = frames[k];
-    if (std::find(damaged.begin(), damaged.end(), k) != damaged.end()) {
-      UnpublishLocked(ef);
-      continue;
+  for (uint32_t k = 0; k < run; ++k) {
+    const size_t fr = frames[k];
+    Stripe& stripe = StripeOf(frames_[fr].id);
+    WaitLockGuard finish(stripe.mu, wp_latch_);
+    frames_[fr].io_in_progress = false;
+    if (!s.ok() ||
+        std::find(damaged.begin(), damaged.end(), k) != damaged.end()) {
+      FreeFrameLocked(stripe, fr);
+    } else if (k > 0) {
+      // Read-ahead frames go onto the LRU unpinned, in block order:
+      // prefetched pages are always evictable and never pin the pool down.
+      LruAppendLocked(stripe, fr);
+      ++stripe.readahead_pages;
+      StatInc(c_readahead_pages_);
     }
-    Frame& e = frames_[ef];
-    lru_.push_back(ef);
-    e.lru_pos = std::prev(lru_.end());
-    e.on_lru = true;
-    ++stats_.readahead_pages;
-    StatInc(c_readahead_pages_);
+    stripe.io_cv.notify_all();
   }
+  SignalEvent();  // DiscardFile may be waiting out this read
+  if (!s.ok()) return s;
   return PageHandle(this, frame, id);
 }
 
-void BufferPool::UnpublishLocked(size_t frame) {
+void BufferPool::FreeFrameLocked(Stripe& s, size_t frame) {
   Frame& f = frames_[frame];
+  LruRemoveLocked(s, frame);
   // NewPage may have claimed the block number of a read that failed past
   // the end of file; its mapping stays.
-  auto it = page_table_.find(f.id);
-  if (it != page_table_.end() && it->second == frame) page_table_.erase(it);
+  auto it = s.table.find(f.id);
+  if (it != s.table.end() && it->second == frame) s.table.erase(it);
   f.pin_count = 0;
   f.pin_shared = false;
   f.in_use = false;
+  f.dirty.store(false, std::memory_order_release);
   f.prefetched = false;
   free_frames_.push_back(frame);
 }
@@ -480,7 +667,7 @@ Result<PageHandle> BufferPool::NewPage(RelFileId file,
   return PageHandle(this, frame, id);
 }
 
-Status BufferPool::FlushSnapshotLocked(std::unique_lock<std::mutex>& lk) {
+Status BufferPool::FlushSnapshotLocked(AllLatches& all) {
   // Capture the dirty set on entry; pages dirtied afterwards belong to
   // whatever operation dirtied them. Entries are revalidated by page id
   // each round because writing (or waiting) below may let other backends
@@ -535,10 +722,7 @@ Status BufferPool::FlushSnapshotLocked(std::unique_lock<std::mutex>& lk) {
     // cannot self-deadlock: the flush holds no pins of its own by the time
     // it waits (LO operations release handles before commit flushes).
     ++stats_.flush_pin_waits;
-    {
-      WaitGuard wait(wp_pin_wait_);
-      cv_.wait(lk);
-    }
+    AwaitEventLocked(all, wp_pin_wait_);
   }
 }
 
@@ -549,9 +733,8 @@ Status BufferPool::FlushAll() {
   std::vector<std::pair<RelFileId, uint64_t>> targets;
   uint64_t epoch_target = 0;
   {
-    WaitLock(mu_, wp_latch_);
-    std::unique_lock<std::mutex> lk(mu_, std::adopt_lock);
-    PGLO_RETURN_IF_ERROR(FlushSnapshotLocked(lk));
+    AllLatches all(this);
+    PGLO_RETURN_IF_ERROR(FlushSnapshotLocked(all));
     if (sync_fd_ >= 0) {
       epoch_target = write_epoch_.load(std::memory_order_acquire);
     } else {
@@ -615,14 +798,13 @@ void BufferPool::DiscardFile(RelFileId file, bool discard_dirty) {
   // Outside mu_: the FSM may call back into the pool (persist/validate), so
   // the pool never touches it while holding its own latch.
   if (discard_dirty) fsm_->Forget(file);
-  WaitLock(mu_, wp_latch_);
-  std::unique_lock<std::mutex> lk(mu_, std::adopt_lock);
+  AllLatches all(this);
   // A read in flight owns its frames until it finishes; let it finish.
-  WaitForIoLocked(lk, [&] {
-    return std::none_of(frames_.begin(), frames_.end(), [&](const Frame& f) {
-      return f.io_in_progress && f.id.file == file;
-    });
-  });
+  while (std::any_of(frames_.begin(), frames_.end(), [&](const Frame& f) {
+    return f.io_in_progress && f.id.file == file;
+  })) {
+    AwaitEventLocked(all, wp_io_wait_);
+  }
   if (discard_dirty) pending_size_.erase(file);
   readahead_.erase(file);
   if (discard_dirty) {
@@ -637,22 +819,14 @@ void BufferPool::DiscardFile(RelFileId file, bool discard_dirty) {
     if (!f.in_use || !(f.id.file == file)) continue;
     if (f.dirty.load(std::memory_order_acquire) && !discard_dirty) continue;
     PGLO_CHECK(f.pin_count == 0);
-    if (f.on_lru) {
-      lru_.erase(f.lru_pos);
-      f.on_lru = false;
-    }
-    page_table_.erase(f.id);
-    f.in_use = false;
-    f.dirty.store(false, std::memory_order_release);
-    f.prefetched = false;
-    free_frames_.push_back(i);
+    FreeFrameLocked(StripeOf(f.id), i);
   }
 }
 
 void BufferPool::CrashDiscardAll() {
   // The in-memory map is volatile state; reload from the sidecar on reopen.
   fsm_->ForgetAll();
-  WaitLockGuard lock(mu_, wp_latch_);
+  AllLatches all(this);
   pending_size_.clear();
   readahead_.clear();
   file_writes_.clear();
@@ -661,15 +835,7 @@ void BufferPool::CrashDiscardAll() {
     Frame& f = frames_[i];
     if (!f.in_use) continue;
     PGLO_CHECK(f.pin_count == 0 && !f.io_in_progress);
-    if (f.on_lru) {
-      lru_.erase(f.lru_pos);
-      f.on_lru = false;
-    }
-    page_table_.erase(f.id);
-    f.in_use = false;
-    f.dirty.store(false, std::memory_order_release);
-    f.prefetched = false;
-    free_frames_.push_back(i);
+    FreeFrameLocked(StripeOf(f.id), i);
   }
 }
 

@@ -1,10 +1,10 @@
 #ifndef PGLO_STORAGE_BUFFER_POOL_H_
 #define PGLO_STORAGE_BUFFER_POOL_H_
 
+#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -89,16 +89,23 @@ struct BufferPoolStats {
 
 /// Fixed-size page cache over the storage manager switch.
 ///
-/// LRU replacement with pin counts. Safe for concurrent backends: one pool
-/// mutex serializes all metadata transitions and write-back I/O, page bytes
-/// are touched only under a pin, and flushes wait out pins held by *other*
-/// threads (a flush may always write pages pinned by the calling thread,
-/// which preserves the single-stream behavior exactly). A miss reads with
-/// the mutex released: it picks its victims and publishes its frames
-/// marked I/O-in-progress under the mutex, reads, verifies and copies
-/// without it, then clears the marks; a backend that wants one of those
-/// pages meanwhile waits for that read (`bufpool.io_wait`), not for the
-/// pool. See DESIGN.md §13 for the full protocol.
+/// LRU replacement with pin counts. Safe for concurrent backends. The page
+/// table and the LRU are split into kStripes stripes by page id, each with
+/// its own mutex, so a hit or an unpin takes only its page's stripe. Each
+/// unpin stamps its frame from one pool-wide counter, so each stripe's LRU
+/// list is in stamp order, and their stamp-ordered merge is one LRU order
+/// for the whole pool, from which victims are chosen. The pool mutex
+/// serializes misses, appends and the sync bookkeeping; it is the only
+/// latch that inserts or removes page-table entries. Write-back, dirty
+/// victims and discards freeze the pool (the pool mutex plus every
+/// stripe). Page bytes are touched only under a pin, and flushes wait out
+/// pins held by *other* threads (a flush may always write pages pinned by
+/// the calling thread, which preserves the single-stream behavior
+/// exactly). A miss reads with no latch held: it picks its victims and
+/// publishes its frames marked I/O-in-progress, reads, verifies and
+/// copies, then clears the marks; a backend that wants one of those pages
+/// meanwhile waits for that read (`bufpool.io_wait`), not for the pool.
+/// See DESIGN.md §13 for the full protocol and the lock order.
 class BufferPool {
  public:
   BufferPool(SmgrRegistry* smgrs, size_t num_frames);
@@ -153,7 +160,8 @@ class BufferPool {
   void SetEventLog(EventLog* events) { events_ = events; }
 
   /// Wait instrumentation (DESIGN.md §14): every acquisition of the pool
-  /// latch reports under `latch.bufpool`, the flush loop's pin wait under
+  /// mutex or a stripe reports under `latch.bufpool`, the flush loop's pin
+  /// wait under
   /// `bufpool.pin_wait`, a wait for another backend's in-flight read of a
   /// page under `bufpool.io_wait`, and the commit-time syncfs (mutex +
   /// syscall) under `bufpool.data_sync`. Also binds the hosted
@@ -218,14 +226,8 @@ class BufferPool {
   void CrashDiscardAll();
 
   /// Copy, not reference: coherent point-in-time view under concurrency.
-  BufferPoolStats stats() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return stats_;
-  }
-  void ResetStats() {
-    std::lock_guard<std::mutex> lock(mu_);
-    stats_ = BufferPoolStats();
-  }
+  BufferPoolStats stats() const;
+  void ResetStats();
   size_t num_frames() const { return frames_.size(); }
   SmgrRegistry* smgrs() const { return smgrs_; }
 
@@ -251,35 +253,127 @@ class BufferPool {
  private:
   friend class PageHandle;
 
+  /// Page-table stripes: a constant, not an option. Hits and unpins on
+  /// pages of different stripes never share a latch.
+  static constexpr size_t kStripeBits = 4;
+  static constexpr size_t kStripes = size_t{1} << kStripeBits;
+  static constexpr uint64_t kNoStamp = ~uint64_t{0};
+  static constexpr size_t kNoFrame = ~size_t{0};
+
   struct Frame {
     PageId id;
     std::unique_ptr<uint8_t[]> data;
-    // Pin bookkeeping is mutated only under mu_. The owner is the first
-    // pinning thread; `pin_shared` records that a second thread pinned
-    // while the count was already non-zero (then no thread may assume
-    // exclusive ownership until the count returns to zero).
+    // Pin bookkeeping, LRU links and the flags after `dirty` are mutated
+    // only under the stripe that maps `id`; `id` and `in_use` change only
+    // with the pool mutex held as well. The owner is the first pinning
+    // thread; `pin_shared` records that a second thread pinned while the
+    // count was already non-zero (then no thread may assume exclusive
+    // ownership until the count returns to zero).
     uint32_t pin_count = 0;
     std::thread::id pin_owner;
     bool pin_shared = false;
-    // Atomic because PageHandle::MarkDirty sets it without mu_ while
-    // flush/eviction scans read it under mu_.
+    // Atomic because PageHandle::MarkDirty sets it with no latch while
+    // flush and eviction read it under theirs.
     std::atomic<bool> dirty{false};
     bool in_use = false;
-    std::list<size_t>::iterator lru_pos;  // valid when unpinned & in_use
+    // Links of the stripe's LRU list (kNoFrame at its ends).
+    size_t lru_prev = kNoFrame;
+    size_t lru_next = kNoFrame;
     bool on_lru = false;
+    uint64_t lru_stamp = 0;  ///< pool-wide order of joining an LRU list
     bool prefetched = false;  ///< installed by read-ahead, not yet accessed
-    /// Published by a miss whose read is still running outside mu_: the
-    /// bytes are not valid yet and belong to the reading thread.
+    /// Published by a miss whose read is still running with no latch held:
+    /// the bytes are not valid yet and belong to the reading thread.
     bool io_in_progress = false;
   };
 
-  /// GetPage, or OverwritePage when `overwrite` is set. Takes mu_.
+  /// One slice of the page table and the LRU list of its unpinned frames,
+  /// on a cache line of its own.
+  struct alignas(64) Stripe {
+    mutable std::mutex mu;
+    std::condition_variable io_cv;  ///< signaled when a read of its pages ends
+    /// Written only with the pool mutex held as well, so either latch
+    /// suffices to look a page up.
+    std::unordered_map<PageId, size_t, PageIdHash> table;
+    /// The LRU list of its unpinned frames, oldest stamp first, linked
+    /// through the frames (no allocation on the hit path).
+    size_t lru_head = kNoFrame;
+    size_t lru_tail = kNoFrame;
+    /// The head's stamp (kNoStamp when empty): written under `mu`, read
+    /// without it by a miss choosing the stripe to evict from.
+    std::atomic<uint64_t> head_stamp{kNoStamp};
+    uint64_t hits = 0;
+    uint64_t readahead_hits = 0;
+    uint64_t readahead_pages = 0;
+  };
+
+  /// The pool mutex plus every stripe, taken in lock order: the pool
+  /// frozen, so no page is pinned, unpinned, mapped or unmapped while it
+  /// is held. Unlock/Lock bracket a wait (AwaitEventLocked).
+  class AllLatches {
+   public:
+    explicit AllLatches(const BufferPool* pool) : pool_(pool) { Lock(); }
+    ~AllLatches() {
+      if (held_) Unlock();
+    }
+    AllLatches(const AllLatches&) = delete;
+    AllLatches& operator=(const AllLatches&) = delete;
+    void Lock();
+    void Unlock();
+
+   private:
+    const BufferPool* pool_;
+    bool held_ = false;
+  };
+
+  /// GetPage, or OverwritePage when `overwrite` is set.
   Result<PageHandle> AccessPage(PageId id, bool overwrite);
 
-  // All private helpers below assume mu_ is held.
+  /// The stripe that maps `id`, from the high (best-mixed) bits of its hash.
+  Stripe& StripeOf(const PageId& id) {
+    static_assert(sizeof(size_t) == 8);
+    return stripes_[PageIdHash{}(id) >> (64 - kStripeBits)];
+  }
+  void LockStripes() const;
+  void UnlockStripes() const;
+
+  // Stripe helpers: `s` is held and maps the frame (or page) named.
+  /// Pins `id` if `s` maps it, first waiting out a read of it in flight
+  /// (`bufpool.io_wait`); false, with `s` still held, if it is absent.
+  bool PinResidentLocked(Stripe& s, std::unique_lock<std::mutex>& lk,
+                         const PageId& id, bool overwrite, size_t* frame);
+  void PinLocked(Stripe& s, size_t frame);
+  /// Takes the frame's stripe.
   void Unpin(size_t frame);
-  void PinLocked(size_t frame);
-  void TouchLocked(size_t frame);
+  /// Stamps the frame and appends it to its stripe's LRU list.
+  void LruAppendLocked(Stripe& s, size_t frame);
+  void LruRemoveLocked(Stripe& s, size_t frame);
+
+  // Pool helpers: the pool mutex is held (plus `s` where one is named).
+  /// True when a page-table entry maps `id` (either latch suffices).
+  bool Resident(const PageId& id) {
+    const Stripe& s = StripeOf(id);
+    return s.table.count(id) != 0;
+  }
+  /// A free frame, or the oldest unpinned one evicted: a clean head under
+  /// its one stripe, otherwise by EvictOldestLocked.
+  Result<size_t> FindVictimLocked();
+  /// Installs a free frame as page `id`: zero-filled, pinned and dirty
+  /// (NewPage, and OverwritePage on a miss).
+  void InstallFrameLocked(size_t frame, PageId id);
+  /// Takes a frame out of its stripe's list and table and frees it (a
+  /// miss's frame whose read failed or was damaged, a discarded page).
+  void FreeFrameLocked(Stripe& s, size_t frame);
+
+  // Frozen helpers: every latch is held.
+  /// Visits unpinned frames oldest first (the stamp-ordered merge of the
+  /// stripe lists) until `visit` returns false. `visit` may take the frame
+  /// it is given off its list.
+  template <typename Visit>
+  void ScanLruLocked(Visit visit);
+  /// The exact LRU victim walk: the oldest clean frame, or the oldest dirty
+  /// one whose file is writable, with its write-back batch.
+  Result<size_t> EvictOldestLocked();
   /// True when writing the frame's bytes cannot race a mutator: unpinned,
   /// or pinned exclusively by the calling thread (which is in the pool,
   /// not mutating). The self-pin case is what keeps eviction and flush
@@ -292,17 +386,6 @@ class BufferPool {
   /// eviction-path write-back, which may have to materialize appended
   /// blocks of the file other than the one it is evicting.
   bool FileWritableLocked(RelFileId file) const;
-  Result<size_t> FindVictimLocked();
-  /// Installs a free frame as page `id`: zero-filled, pinned and dirty
-  /// (NewPage, and OverwritePage on a miss).
-  void InstallFrameLocked(size_t frame, PageId id);
-  /// Takes a frame of a miss's run back out of the page table (a failed
-  /// read, or a read-ahead page that failed verification) and frees it.
-  void UnpublishLocked(size_t frame);
-  /// Blocks on io_cv_ until `done()` holds; counted under `bufpool.io_wait`
-  /// when it has to wait.
-  template <typename Pred>
-  void WaitForIoLocked(std::unique_lock<std::mutex>& lk, Pred done);
   /// Cleans a sorted batch of cold dirty pages, starting with
   /// `victim_frame` (background-writer style clustering).
   Status WriteBackBatchLocked(size_t victim_frame);
@@ -321,9 +404,15 @@ class BufferPool {
   /// storage manager does not have yet, one block per command, so a
   /// write-back never leaves a hole.
   Status EnsureMaterializedLocked(RelFileId file, BlockNumber upto);
-  /// FlushAll's snapshot-flush loop; releases the lock while waiting out
-  /// other threads' pins.
-  Status FlushSnapshotLocked(std::unique_lock<std::mutex>& lk);
+  /// FlushAll's snapshot-flush loop; releases every latch while waiting
+  /// out other threads' pins.
+  Status FlushSnapshotLocked(AllLatches& all);
+  /// Releases every latch, sleeps until the next event (an unpin to zero,
+  /// or the end of a read) and retakes them; counted under `wp`.
+  void AwaitEventLocked(AllLatches& all, const WaitPoint* wp);
+  /// Wakes AwaitEventLocked sleepers; one relaxed load when there are none.
+  void SignalEvent();
+
   Result<StorageManager*> SmgrFor(RelFileId file) {
     return smgrs_->Get(file.smgr_id);
   }
@@ -350,23 +439,24 @@ class BufferPool {
   const WaitPoint* wp_io_wait_ = nullptr;
   const WaitPoint* wp_data_sync_ = nullptr;
 
-  /// The one pool latch. Guards every field below it and write-back I/O;
-  /// hits hold it for a hash probe and an LRU splice. It is released
-  /// mid-flight in three places, each of which re-validates after:
-  ///  - a miss, for its read. Its frames stay published with
-  ///    `io_in_progress` set, so other backends neither read nor evict
-  ///    them, and their bytes are written only by the reading thread;
-  ///  - a wait for such a read (GetPage, DiscardFile), on io_cv_;
-  ///  - the flush loop, which cv-waits for other backends' pins.
+  /// The pool mutex. Guards the fields below `stripes_` and serializes
+  /// misses, appends and write-back: page-table entries are inserted and
+  /// removed only under it (plus the entry's stripe). Hits and unpins never
+  /// take it. Lock order: mu_, then stripes in index order, then
+  /// event_mu_. A miss releases it for its read: its frames stay published
+  /// with `io_in_progress` set, so other backends neither read nor evict
+  /// them, and their bytes are written only by the reading thread.
   mutable std::mutex mu_;
-  std::condition_variable cv_;  ///< signaled when a frame's last pin drops
-  std::condition_variable io_cv_;  ///< signaled when a miss's read ends
+  std::array<Stripe, kStripes> stripes_;
+  std::atomic<uint64_t> lru_clock_{0};  ///< next LRU stamp
+  std::mutex event_mu_;
+  std::condition_variable event_cv_;
+  uint64_t event_seq_ = 0;  ///< under event_mu_; bumped by each signal
+  std::atomic<uint32_t> event_waiters_{0};
 
   std::vector<Frame> frames_;
-  std::unordered_map<PageId, size_t, PageIdHash> page_table_;
   /// Logical file sizes including not-yet-materialized appended blocks.
   std::unordered_map<RelFileId, BlockNumber, RelFileIdHash> pending_size_;
-  std::list<size_t> lru_;  // front = least recently used, unpinned frames
   std::vector<size_t> free_frames_;
   uint32_t readahead_pages_ = 0;
   std::unordered_map<RelFileId, ReadAhead, RelFileIdHash> readahead_;
@@ -391,6 +481,8 @@ class BufferPool {
   /// run seen. Only touched under mu_. (A read-ahead miss stages its run in
   /// a buffer of its own, since it reads without mu_.)
   std::vector<uint8_t> write_scratch_;
+  /// Miss-side counts (misses, evictions, writebacks, flush pin waits);
+  /// hits and read-ahead counts live in the stripes. stats() sums them.
   BufferPoolStats stats_;
   RelLatchRegistry rel_latches_;  ///< self-synchronized, not under mu_
   /// Self-synchronized; may call back into the pool, so the pool only

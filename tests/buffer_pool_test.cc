@@ -638,6 +638,133 @@ TEST_F(BufferPoolTest, ConcurrentMissesSeeTheirOwnPages) {
   EXPECT_GT(stats.readahead_pages, 0u);
 }
 
+TEST_F(BufferPoolTest, ConcurrentWriteBackRacesHits) {
+  // Four backends share a pool a quarter the size of their pages. Each
+  // rewrites pages of its own file and reads a shared one, and backend 0
+  // flushes now and then, so dirty victims (which freeze the pool),
+  // flushes waiting out pins and clean evictions race with stripe hits.
+  constexpr int kThreads = 4;
+  constexpr BlockNumber kShared = 128;
+  constexpr BlockNumber kOwn = 32;
+  constexpr uint32_t kAccesses = 1500;
+  StorageManager* smgr = smgrs_.Get(0).value();
+  BufferPool pool(&smgrs_, 64);
+  pool.SetReadAhead(8);
+  PopulateAndEmpty(&pool, file_, kShared);
+  std::vector<RelFileId> own;
+  for (int t = 0; t < kThreads; ++t) {
+    own.push_back({0, static_cast<Oid>(2 + t)});
+    ASSERT_OK(smgr->CreateFile(own.back().relfile));
+    PopulateAndEmpty(&pool, own.back(), kOwn);
+  }
+  // last[t][b]: the version backend t last wrote to its block b (0 = the
+  // populated page, first byte b + 1).
+  std::vector<std::vector<uint32_t>> last(
+      kThreads, std::vector<uint32_t>(kOwn, 0));
+  std::atomic<int> wrong{0};
+  std::atomic<int> failed{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      Random rnd(testing::TestSeed() + t);
+      for (uint32_t i = 0; i < kAccesses; ++i) {
+        if (t == 0 && i % 100 == 99 && !pool.FlushAll().ok()) ++failed;
+        if (i % 3 == 0) {
+          BlockNumber b = static_cast<BlockNumber>(rnd.Uniform(kOwn));
+          Result<PageHandle> h = pool.GetPage({own[t], b});
+          if (!h.ok()) {
+            ++failed;
+            continue;
+          }
+          uint32_t version = i + 1;
+          std::memcpy(h.value().data() + 8, &version, sizeof(version));
+          h.value().MarkDirty();
+          last[t][b] = version;
+        } else {
+          BlockNumber b = i % 2 == 0 ? (i / 2 + 32 * t) % kShared
+                                     : static_cast<BlockNumber>(
+                                           rnd.Uniform(kShared));
+          Result<PageHandle> h = pool.GetPage({file_, b});
+          if (!h.ok()) {
+            ++failed;
+          } else if (h.value().data()[0] != static_cast<uint8_t>(b + 1)) {
+            ++wrong;
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(failed.load(), 0);
+  EXPECT_EQ(wrong.load(), 0);
+  ASSERT_OK(pool.FlushAll());
+  BufferPoolStats stats = pool.stats();
+  EXPECT_EQ(stats.hits + stats.misses, kThreads * kAccesses);
+  EXPECT_GT(stats.evictions, 0u);
+  EXPECT_GT(stats.writebacks, 0u);
+  // Every page reads back its last bytes through a fresh pool.
+  BufferPool fresh(&smgrs_, 64);
+  for (int t = 0; t < kThreads; ++t) {
+    for (BlockNumber b = 0; b < kOwn; ++b) {
+      ASSERT_OK_AND_ASSIGN(PageHandle h, fresh.GetPage({own[t], b}));
+      uint32_t version;
+      std::memcpy(&version, h.data() + 8, sizeof(version));
+      EXPECT_EQ(h.data()[0], static_cast<uint8_t>(b + 1));
+      EXPECT_EQ(version, last[t][b]) << "backend " << t << " block " << b;
+    }
+  }
+}
+
+TEST_F(BufferPoolTest, VictimOrderAcrossStripes) {
+  // One stream over a pool whose pages fall in many stripes: the victims
+  // are exactly those of one LRU list (the stamp-ordered merge of the
+  // stripes' lists), with read-ahead frames entering it in block order
+  // before the page that faulted them.
+  BufferPool pool(&smgrs_, 32);
+  pool.SetReadAhead(8);
+  PopulateAndEmpty(&pool, file_, 80);
+  auto touch = [&](BlockNumber b, bool dirty = false) {
+    ASSERT_OK_AND_ASSIGN(PageHandle h, pool.GetPage({file_, b}));
+    if (dirty) h.MarkDirty();
+  };
+  // Ten scattered misses, no streak: the LRU is 40 44 ... 76, with 44
+  // dirty.
+  for (BlockNumber b = 40; b < 80; b += 4) touch(b, b == 44);
+  // A scan of 0..11: misses at 0, 1, 2 (reads 2-3), 4 (4-7) and 8 (8-15);
+  // the rest are hits on prefetched frames. 26 of 32 frames now in use.
+  for (BlockNumber b = 0; b < 12; ++b) touch(b);
+  // Hits move 48 and 40 to the young end. The list, oldest first:
+  //   44 52 56 60 64 68 72 76 | 0-7 | 12 13 14 15 8 | 9 10 11 | 48 40
+  // (each prefetched frame joined it when its read finished, before the
+  // page that faulted the read was released).
+  touch(48);
+  touch(40);
+  // 25 more misses with no streak: 6 take the free frames, 19 evict the
+  // oldest pages through 14 (44 is written back first), so 8 outlives 12.
+  // (Odd blocks first: the scan's detector expects 16 next.)
+  std::vector<BlockNumber> late;
+  for (BlockNumber b = 17; b < 40; b += 2) late.push_back(b);
+  for (BlockNumber b = 16; b < 40; b += 2) late.push_back(b);
+  late.push_back(79);
+  for (BlockNumber b : late) touch(b);
+  BufferPoolStats stats = pool.stats();
+  EXPECT_EQ(stats.misses, 40u);
+  EXPECT_EQ(stats.readahead_pages, 11u);
+  EXPECT_EQ(stats.evictions, 19u);
+  EXPECT_EQ(stats.writebacks, 1u);
+  // The 32 survivors fill the pool, so probing each one as a hit proves
+  // the resident set is exactly them.
+  pool.ResetStats();
+  std::vector<BlockNumber> resident = {15, 8, 9, 10, 11, 48, 40};
+  resident.insert(resident.end(), late.begin(), late.end());
+  ASSERT_EQ(resident.size(), pool.num_frames());
+  for (BlockNumber b : resident) {
+    touch(b);
+    EXPECT_EQ(pool.stats().misses, 0u) << "block " << b << " was evicted";
+  }
+  EXPECT_EQ(pool.stats().hits, 32u);
+}
+
 TEST(BufferPoolClusteringTest, EvictionWritesAreClustered) {
   // A workload that appends to one region while reading another must not
   // pay a head seek per evicted page: the background-writer batch sorts

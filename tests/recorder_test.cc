@@ -7,8 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <barrier>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/json.h"
@@ -170,6 +173,85 @@ TEST_F(RecorderFixture, SlowOpRingWrapsKeepingNewest) {
   ASSERT_EQ(ops.size(), 2u);
   EXPECT_EQ(ops[0].root.name, "b");
   EXPECT_EQ(ops[1].root.name, "c");
+}
+
+TEST_F(RecorderFixture, SlowOpTreesKeepEachThreadsOwnSpans) {
+  // Two backends with operations open at once: each captured tree holds
+  // its own thread's inner span, never the other's.
+  FlightRecorderOptions options;
+  options.slow_op_budget_ns = 1;
+  Init(options);
+  std::barrier sync(2);
+  auto backend = [&](const std::string& name) {
+    TraceSpan outer(&registry_, nullptr, name);
+    sync.arrive_and_wait();  // both outer spans are open
+    {
+      std::string inner_name = name + ".inner";
+      TraceSpan inner(&registry_, nullptr, inner_name);
+      clock_.Advance(5);
+    }
+    sync.arrive_and_wait();  // both inner spans are complete
+    clock_.Advance(5);
+  };
+  std::thread a(backend, "a");
+  std::thread b(backend, "b");
+  a.join();
+  b.join();
+  std::vector<FlightRecorder::SlowOp> ops = recorder_->SlowOps();
+  ASSERT_EQ(ops.size(), 2u);
+  for (const FlightRecorder::SlowOp& op : ops) {
+    ASSERT_EQ(op.root.children.size(), 1u) << op.root.name;
+    EXPECT_EQ(op.root.children[0].name, op.root.name + ".inner");
+  }
+}
+
+TEST_F(RecorderFixture, ConcurrentSpansMergeIntoOneTail) {
+  // Four backends record at once, sampling a delta on nearly every op,
+  // while a reader takes the tail. The tail is the newest spans of all of
+  // them: each backend's retained spans are its last ones, in order.
+  constexpr uint64_t kThreads = 4;
+  constexpr uint64_t kSpans = 2000;
+  FlightRecorderOptions options;
+  options.trace_capacity = 64;
+  options.snapshot_interval_ns = 1;
+  Init(options);
+  std::atomic<bool> done{false};
+  std::thread reader([&] {
+    while (!done.load()) {
+      EXPECT_LE(recorder_->TraceTail().size(), options.trace_capacity);
+    }
+  });
+  std::vector<std::thread> backends;
+  for (uint64_t t = 0; t < kThreads; ++t) {
+    backends.emplace_back([&, t] {
+      for (uint64_t i = 0; i < kSpans; ++i) {
+        TraceSpan span(&registry_, nullptr, "op");
+        span.AddDetail(t * kSpans + i + 1);
+        clock_.Advance(1);
+      }
+    });
+  }
+  for (std::thread& th : backends) th.join();
+  done = true;
+  reader.join();
+  EXPECT_EQ(recorder_->total_spans(), kThreads * kSpans);
+  EXPECT_GT(recorder_->total_deltas(), 0u);
+  std::vector<FlightRecorder::RecordedSpan> tail = recorder_->TraceTail();
+  ASSERT_EQ(tail.size(), options.trace_capacity);
+  std::vector<uint64_t> kept(kThreads, 0);
+  std::vector<uint64_t> prev(kThreads, 0);
+  for (const FlightRecorder::RecordedSpan& span : tail) {
+    const uint64_t t = (span.detail - 1) / kSpans;
+    ASSERT_LT(t, kThreads);
+    EXPECT_GT(span.detail, prev[t]);
+    prev[t] = span.detail;
+    ++kept[t];
+  }
+  for (uint64_t t = 0; t < kThreads; ++t) {
+    if (kept[t] > 0) {
+      EXPECT_EQ(prev[t], (t + 1) * kSpans) << "backend " << t;
+    }
+  }
 }
 
 TEST_F(RecorderFixture, SnapshotDeltasSampleOnIntervalTicks) {

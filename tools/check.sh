@@ -3,9 +3,10 @@
 # test suite under the named CMake preset (see CMakePresets.json). "all"
 # runs the plain preset first, then the address+UB sanitizer preset.
 # "tsan" builds the multi-backend smoke test under ThreadSanitizer and runs
-# it: the engine's latching (buffer pool, commit log, group commit,
-# relation latches — DESIGN.md §13) is exercised by K concurrent Sessions
-# with every data race a hard failure.
+# it: the engine's latching (buffer pool stripes, commit log, group
+# commit, relation latches — DESIGN.md §13) and the flight recorder's
+# span shards are exercised by concurrent backends with every data race a
+# hard failure.
 #
 # After the default-preset tests pass, a benchmark gate runs the paper's
 # three figures and the Inversion-vs-native comparison (whose native
@@ -205,18 +206,24 @@ tsan_smoke_gate() {
   # session lifecycle); server_test adds the socket server's
   # thread-per-connection paths (accept/serve/stop handshakes, admission
   # control, cross-thread Shutdown, disconnect-abort); buffer_pool_test
-  # adds misses that read outside the pool mutex while other backends hit,
-  # miss and wait on the same in-flight read.
-  echo "== tsan smoke: concurrency_test + server_test + buffer_pool_test under ThreadSanitizer =="
+  # adds misses that read outside the pool mutex while other backends hit
+  # their stripes, miss and wait on the same in-flight read, and dirty
+  # victims and flushes that freeze the pool under concurrent hits;
+  # recorder_test adds backends filing spans in their recorder shards
+  # while a reader merges the tail.
+  echo "== tsan smoke: concurrency_test + server_test + buffer_pool_test + recorder_test under ThreadSanitizer =="
   cmake --preset tsan
   cmake --build --preset tsan \
-      --target concurrency_test server_test buffer_pool_test -j "$(nproc)"
+      --target concurrency_test server_test buffer_pool_test recorder_test \
+      -j "$(nproc)"
   TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" \
       build-tsan/tests/concurrency_test
   TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" \
       build-tsan/tests/server_test
   TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" \
       build-tsan/tests/buffer_pool_test
+  TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" \
+      build-tsan/tests/recorder_test
 }
 
 case "${1:-default}" in
