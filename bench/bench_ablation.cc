@@ -28,7 +28,7 @@
 // Every point opens a fresh database, creates the object, runs the axis's
 // operations under fixed seeds, and records one config.
 //
-// Run: bench_ablation [--axis=NAME] [--no-stats] [--quick] [--profile]
+// Run: bench_ablation [--axis=NAME] [--quick] [--profile]
 //                     [--trace=FILE] [--json=FILE] [workdir]
 // Without --axis all five axes run, A to E. Each axis writes its results
 // to BENCH_ablation_<axis>[_quick].json (pglo-bench-v1 schema; see
@@ -69,7 +69,6 @@ Status RunPoint(Sweep& sweep, const std::string& subdir,
                 const Measure& measure) {
   Database db;
   DatabaseOptions options = PaperOptions(sweep.args.workdir + "/" + subdir);
-  options.enable_stats = sweep.args.stats;
   if (sweep.args.readahead >= 0) {
     options.readahead_pages = static_cast<uint32_t>(sweep.args.readahead);
   }
@@ -86,6 +85,18 @@ Status RunPoint(Sweep& sweep, const std::string& subdir,
   // Detach from `db` before it closes, on failure too.
   sweep.run.FinishConfig();
   return result;
+}
+
+/// hits / (hits + misses + 1) over the deltas of the counters
+/// `<prefix>hits` and `<prefix>misses` from `before` to `after`.
+double HitRate(const StatsSnapshot& before, const StatsSnapshot& after,
+               const std::string& prefix) {
+  auto delta = [&](const std::string& name) {
+    return after.Value(prefix + name) - before.Value(prefix + name);
+  };
+  uint64_t hits = delta("hits");
+  return static_cast<double>(hits) /
+         static_cast<double>(hits + delta("misses") + 1);
 }
 
 Status ChunkSize(Sweep& sweep) {
@@ -141,14 +152,12 @@ Status BufferPool(Sweep& sweep) {
         sweep, std::to_string(frames), config, ConfigInfo(config),
         [&](DatabaseOptions& options) { options.buffer_pool_frames = frames; },
         [&](Database& db, LoBenchRunner& runner, Oid oid, double) -> Status {
-          db.pool().ResetStats();
+          StatsSnapshot before = db.Stats();
           PGLO_ASSIGN_OR_RETURN(double local,
                                 runner.RunOp(oid, Op::kLocalRead, 5));
           PGLO_ASSIGN_OR_RETURN(double rand,
                                 runner.RunOp(oid, Op::kRandRead, 6));
-          const BufferPoolStats& stats = db.pool().stats();
-          double hit_rate = static_cast<double>(stats.hits) /
-                            static_cast<double>(stats.hits + stats.misses + 1);
+          double hit_rate = HitRate(before, db.Stats(), "bufpool.");
           sweep.run.RecordResult(OpName(Op::kLocalRead), local);
           sweep.run.RecordResult(OpName(Op::kRandRead), rand);
           sweep.run.RecordValue(OpName(Op::kLocalRead), "pool_hit_rate",
@@ -181,16 +190,13 @@ Status WormCache(Sweep& sweep) {
           options.worm_cache_blocks = sweep.args.quick ? blocks / 10 : blocks;
         },
         [&](Database& db, LoBenchRunner& runner, Oid oid, double) -> Status {
-          db.worm()->ResetStats();
+          StatsSnapshot before = db.Stats();
           PGLO_ASSIGN_OR_RETURN(double seq, runner.RunOp(oid, Op::kSeqRead, 7));
           PGLO_ASSIGN_OR_RETURN(double rand,
                                 runner.RunOp(oid, Op::kRandRead, 8));
           PGLO_ASSIGN_OR_RETURN(double local,
                                 runner.RunOp(oid, Op::kLocalRead, 9));
-          const WormSmgrStats& stats = db.worm()->stats();
-          double hit_rate = static_cast<double>(stats.cache_hits) /
-                            static_cast<double>(stats.cache_hits +
-                                                stats.cache_misses + 1);
+          double hit_rate = HitRate(before, db.Stats(), "smgr.worm.cache_");
           sweep.run.RecordResult(OpName(Op::kSeqRead), seq);
           sweep.run.RecordResult(OpName(Op::kRandRead), rand);
           sweep.run.RecordResult(OpName(Op::kLocalRead), local);
@@ -272,12 +278,9 @@ Status ReadAhead(Sweep& sweep) {
                                   runner.RunOp(oid, Op::kRandRead, 8));
             PGLO_ASSIGN_OR_RETURN(double local,
                                   runner.RunOp(oid, Op::kLocalRead, 9));
-            uint64_t coalesced = 0;
-            if (sweep.args.stats) {
-              StatsSnapshot snap = db.Stats();
-              coalesced = snap.Value("smgr.disk.coalesced_runs") +
-                          snap.Value("smgr.worm.coalesced_runs");
-            }
+            StatsSnapshot snap = db.Stats();
+            uint64_t coalesced = snap.Value("smgr.disk.coalesced_runs") +
+                                 snap.Value("smgr.worm.coalesced_runs");
             sweep.run.RecordResult("create", create_s);
             sweep.run.RecordResult(OpName(Op::kSeqRead), seq);
             sweep.run.RecordResult(OpName(Op::kRandRead), rand);

@@ -30,7 +30,7 @@
 // time per config is its fastest pass, the estimator least perturbed by
 // the scheduler.
 //
-// Run: bench_ablation_obs [--no-stats] [--quick] [--json=FILE]
+// Run: bench_ablation_obs [--quick] [--json=FILE]
 //                         [--gate-overhead-pct=N] [workdir]
 // Results are written to BENCH_ablation_obs[_quick].json (pglo-bench-v1
 // schema). The committed baseline in bench/baselines/ guards the absolute
@@ -88,7 +88,6 @@ const char* kOpLabels[] = {"create", "seq_read", "rand_read", "seq_write"};
 int OpenAndCreate(const BenchArgs& args, const WorkloadScale& scale,
                   const ModeSpec& spec, ConfigState* state) {
   DatabaseOptions options = PaperOptions(args.workdir + "/" + spec.subdir);
-  options.enable_stats = args.stats;
   options.enable_flight_recorder = spec.mode != Mode::kOff;
   options.enable_wait_instrumentation = spec.mode != Mode::kOff;
   if (spec.mode == Mode::kMax) {

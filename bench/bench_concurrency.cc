@@ -235,17 +235,6 @@ Result<ScalePoint> MeasureAt(const std::string& workdir, int backends,
       point.max_batch = std::max(point.max_batch, sizes[i]);
     }
   }
-  if (std::getenv("PGLO_BENCH_POOLSTATS") != nullptr) {
-    BufferPoolStats ps = db.pool().stats();
-    std::fprintf(stderr,
-                 "  [K=%d pool: hits=%llu misses=%llu evictions=%llu "
-                 "writebacks=%llu pin_waits=%llu]\n",
-                 backends, static_cast<unsigned long long>(ps.hits),
-                 static_cast<unsigned long long>(ps.misses),
-                 static_cast<unsigned long long>(ps.evictions),
-                 static_cast<unsigned long long>(ps.writebacks),
-                 static_cast<unsigned long long>(ps.flush_pin_waits));
-  }
   PGLO_RETURN_IF_ERROR(db.Close());
   return point;
 }

@@ -4,9 +4,9 @@
 //
 // A per-config observability table (buffer-pool hit rate, storage-manager
 // block I/O, device seeks and transfers during object creation) follows the
-// figure. Pass --no-stats to disable the registry.
+// figure.
 //
-// Run: bench_figure1_storage [--no-stats] [--quick] [--profile]
+// Run: bench_figure1_storage [--quick] [--profile]
 //                            [--trace=FILE] [--json=FILE] [workdir]
 // Results are also written to BENCH_figure1[_quick].json (pglo-bench-v1
 // schema; see DESIGN.md §9) unless --no-json is given.
@@ -52,7 +52,6 @@ int Main(int argc, char** argv) {
     std::string dir = workdir + "/" + std::to_string(&config - &configs[0]);
     Database db;
     DatabaseOptions options = PaperOptions(dir);
-    options.enable_stats = args.stats;
     if (args.readahead >= 0) {
       options.readahead_pages = static_cast<uint32_t>(args.readahead);
     }
@@ -92,15 +91,13 @@ int Main(int argc, char** argv) {
     run.FinishConfig();
   }
 
-  if (args.stats) {
-    std::vector<std::string> columns;
-    for (const auto& config : configs) columns.push_back(config.name);
-    std::printf("\n%s",
-                FormatStatsTable(
-                    "Physical operations per config (object creation)",
-                    columns, snapshots)
-                    .c_str());
-  }
+  std::vector<std::string> columns;
+  for (const auto& config : configs) columns.push_back(config.name);
+  std::printf("\n%s",
+              FormatStatsTable(
+                  "Physical operations per config (object creation)",
+                  columns, snapshots)
+                  .c_str());
 
   std::printf(
       "\nPaper's corresponding rows (bytes): user file 51,200,000; "

@@ -6,11 +6,10 @@
 //
 // Each config column is followed by a per-config observability table
 // (buffer-pool hit rate, storage-manager block I/O, device seeks and
-// transfers) from Database::Stats(). Pass --no-stats to run with the
-// registry disabled; simulated times are identical either way, because
-// stats never advance the clock.
+// transfers) from Database::Stats(). Stats never advance the clock, so
+// simulated times are the same with them off (obs_test pins this).
 //
-// Run: bench_figure2_disk [--no-stats] [--quick] [--profile]
+// Run: bench_figure2_disk [--quick] [--profile]
 //                         [--trace=FILE] [--json=FILE] [workdir]
 // Results are also written to BENCH_figure2[_quick].json (pglo-bench-v1
 // schema; see DESIGN.md §9) unless --no-json is given.
@@ -52,7 +51,6 @@ int Main(int argc, char** argv) {
     std::string dir = workdir + "/" + std::to_string(c);
     Database db;
     DatabaseOptions options = PaperOptions(dir);
-    options.enable_stats = args.stats;
     if (args.readahead >= 0) {
       options.readahead_pages = static_cast<uint32_t>(args.readahead);
     }
@@ -93,13 +91,11 @@ int Main(int argc, char** argv) {
                           "(simulated elapsed seconds)",
                           columns, rows, cells)
                   .c_str());
-  if (args.stats) {
-    std::printf("%s\n",
-                FormatStatsTable("Physical operations per config (object "
-                                 "creation + all six operations)",
-                                 columns, snapshots)
-                    .c_str());
-  }
+  std::printf("%s\n",
+              FormatStatsTable("Physical operations per config (object "
+                               "creation + all six operations)",
+                               columns, snapshots)
+                  .c_str());
 
   // The §9.2 shape claims, computed from the measured cells.
   double native_seq = cells[0][0];

@@ -6,7 +6,7 @@
 // disk cache of optical blocks, which is what wins the random and 80/20
 // tests.
 //
-// Run: bench_figure3_worm [--no-stats] [--quick] [--profile]
+// Run: bench_figure3_worm [--quick] [--profile]
 //                         [--trace=FILE] [--json=FILE] [workdir]
 // Results are also written to BENCH_figure3[_quick].json (pglo-bench-v1
 // schema; see DESIGN.md §9) unless --no-json is given. The special-program
@@ -133,7 +133,6 @@ int Main(int argc, char** argv) {
     // there) while the uniform-random and 80/20 tests hit the warm
     // majority (the cache wins there) — the §9.3 asymmetry.
     options.worm_cache_blocks = args.quick ? 448 : 4480;
-    options.enable_stats = args.stats;
     if (args.readahead >= 0) {
       options.readahead_pages = static_cast<uint32_t>(args.readahead);
     }
@@ -163,13 +162,14 @@ int Main(int argc, char** argv) {
       run.RecordResult(OpName(ops[o]), *seconds);
     }
     run.FinishConfig();
-    const WormSmgrStats& stats = db.worm()->stats();
-    std::fprintf(stderr,
-                 "# %s: cache hits %llu misses %llu optical reads %llu\n",
-                 configs[c].name.c_str(),
-                 static_cast<unsigned long long>(stats.cache_hits),
-                 static_cast<unsigned long long>(stats.cache_misses),
-                 static_cast<unsigned long long>(stats.optical_reads));
+    StatsSnapshot stats = db.Stats();
+    std::fprintf(
+        stderr, "# %s: cache hits %llu misses %llu optical reads %llu\n",
+        configs[c].name.c_str(),
+        static_cast<unsigned long long>(stats.Value("smgr.worm.cache_hits")),
+        static_cast<unsigned long long>(stats.Value("smgr.worm.cache_misses")),
+        static_cast<unsigned long long>(
+            stats.Value("smgr.worm.optical_reads")));
   }
 
   std::printf("%s\n",

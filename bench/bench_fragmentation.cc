@@ -11,7 +11,7 @@
 // versions, and the sequential read is measured once more — the paper-style
 // claim under test is that compaction restores near-fresh bandwidth.
 //
-// Run: bench_fragmentation [--no-stats] [--quick] [--trace=FILE]
+// Run: bench_fragmentation [--quick] [--trace=FILE]
 //                          [--json=FILE] [--gate-degradation-pct=N]
 //                          [--gate-restore-pct=N] [workdir]
 // Results go to BENCH_fragmentation[_quick].json (pglo-bench-v1 schema).
@@ -155,10 +155,8 @@ Result<PassResult> MeasureSeqRead(Database& db,
   return result;
 }
 
-DatabaseOptions FragOptions(const std::string& dir, bool stats,
-                            int readahead) {
+DatabaseOptions FragOptions(const std::string& dir, int readahead) {
   DatabaseOptions options = PaperOptions(dir);
-  options.enable_stats = stats;
   // A pool smaller than the object population keeps the measured pass
   // device-bound (the cold reopen already empties it; this stops the tail
   // of one pass from hiding in DRAM).
@@ -178,7 +176,7 @@ int RunConfig(const char* label, StorageKind kind, BenchRun& run,
               const BenchArgs& args, const FragScale& fs,
               const GateSpec& gate, bool* gate_failed) {
   std::string dir = args.workdir + "/" + label;
-  DatabaseOptions options = FragOptions(dir, args.stats, args.readahead);
+  DatabaseOptions options = FragOptions(dir, args.readahead);
   Database db;
   Status s = db.Open(options);
   if (!s.ok()) {

@@ -8,7 +8,7 @@
 // FILESTAT maintenance, then large-object I/O — against the same workload
 // on the simulated native UNIX file system.
 //
-// Run: bench_inversion_vs_native [--no-stats] [--quick] [--profile]
+// Run: bench_inversion_vs_native [--quick] [--profile]
 //                                [--trace=FILE] [--json=FILE] [workdir]
 // Results are written to BENCH_inversion_vs_native[_quick].json
 // (pglo-bench-v1 schema; see DESIGN.md §9) unless --no-json is given.
@@ -139,7 +139,6 @@ int Main(int argc, char** argv) {
 
   Database db;
   DatabaseOptions options = PaperOptions(workdir + "/db");
-  options.enable_stats = args.stats;
   if (args.readahead >= 0) {
     options.readahead_pages = static_cast<uint32_t>(args.readahead);
   }

@@ -183,9 +183,7 @@ BenchArgs ParseBenchArgs(int argc, char** argv, const std::string& bench_name,
   bool no_json = false;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
-    if (arg == "--no-stats") {
-      args.stats = false;
-    } else if (arg == "--quick") {
+    if (arg == "--quick") {
       args.quick = true;
     } else if (arg == "--profile") {
       args.profile = true;
@@ -208,13 +206,6 @@ BenchArgs ParseBenchArgs(int argc, char** argv, const std::string& bench_name,
     // committed full-scale trajectory results.
     args.json_path =
         "BENCH_" + bench_name + (args.quick ? "_quick" : "") + ".json";
-  }
-  // Tracing and profiling reconstruct spans, which only exist with stats.
-  if (!args.stats && (!args.trace_path.empty() || args.profile)) {
-    std::fprintf(stderr,
-                 "--no-stats disables spans; ignoring --trace/--profile\n");
-    args.trace_path.clear();
-    args.profile = false;
   }
   return args;
 }

@@ -108,12 +108,11 @@ std::string FormatStatsTable(const std::string& title,
                              const std::vector<StatsSnapshot>& snapshots);
 
 /// Shared flag handling for the figure benches:
-///   [--no-stats] [--quick] [--profile] [--trace=FILE] [--json=FILE]
+///   [--quick] [--profile] [--trace=FILE] [--json=FILE]
 ///   [--no-json] [--readahead=N] [workdir]
 struct BenchArgs {
   std::string bench_name;  ///< e.g. "figure1"; names the default JSON file
   std::string workdir;
-  bool stats = true;
   bool quick = false;    ///< 1/10th workload (the check.sh gate)
   bool profile = false;  ///< print per-config profiler attribution
   /// Read-ahead window override; -1 = keep DatabaseOptions' default.

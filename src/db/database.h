@@ -154,9 +154,6 @@ class Database {
   OidAllocator& oids() { return *oids_; }
   TxnManager& txns() { return *txns_; }
   WormSmgr* worm() { return worm_; }
-  MagneticDiskModel* disk_device() { return disk_device_.get(); }
-  MagneticDiskModel* ufs_device() { return ufs_device_.get(); }
-  WormJukeboxModel* worm_device() { return worm_device_.get(); }
 
   /// Borrowed handles for subsystems built on top (Inversion, query).
   const DbContext& context() const { return ctx_; }

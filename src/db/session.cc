@@ -31,37 +31,26 @@ void Session::PublishThread() {
   if (slot_ != nullptr) SetCurrentWaitSlot(&slot_->wait);
 }
 
-void Session::MirrorStats() {
-  if (slot_ == nullptr) return;
-  slot_->begun.store(stats_.begun, std::memory_order_relaxed);
-  slot_->committed.store(stats_.committed, std::memory_order_relaxed);
-  slot_->aborted.store(stats_.aborted, std::memory_order_relaxed);
+Transaction* Session::StartTxn(Transaction* txn) {
+  txn_ = txn;
+  if (slot_ != nullptr) {
+    slot_->begun.fetch_add(1, std::memory_order_relaxed);
+    slot_->xid.store(txn_->xid(), std::memory_order_relaxed);
+    slot_->in_txn.store(1, std::memory_order_release);
+  }
+  return txn_;
 }
 
 Transaction* Session::Begin() {
   PGLO_CHECK(txn_ == nullptr);  // one transaction per session at a time
   PublishThread();
-  txn_ = db_->txns().Begin();
-  ++stats_.begun;
-  if (slot_ != nullptr) {
-    slot_->xid.store(txn_->xid(), std::memory_order_relaxed);
-    slot_->in_txn.store(1, std::memory_order_release);
-    MirrorStats();
-  }
-  return txn_;
+  return StartTxn(db_->txns().Begin());
 }
 
 Transaction* Session::BeginAsOf(CommitTime as_of) {
   PGLO_CHECK(txn_ == nullptr);
   PublishThread();
-  txn_ = db_->txns().BeginAsOf(as_of);
-  ++stats_.begun;
-  if (slot_ != nullptr) {
-    slot_->xid.store(txn_->xid(), std::memory_order_relaxed);
-    slot_->in_txn.store(1, std::memory_order_release);
-    MirrorStats();
-  }
-  return txn_;
+  return StartTxn(db_->txns().BeginAsOf(as_of));
 }
 
 Status Session::RequireTxn() const {
@@ -78,7 +67,6 @@ void Session::EndTxn() {
   if (slot_ != nullptr) {
     slot_->in_txn.store(0, std::memory_order_release);
     slot_->xid.store(0, std::memory_order_relaxed);
-    MirrorStats();
   }
 }
 
@@ -88,7 +76,9 @@ Result<CommitTime> Session::Commit() {
   PGLO_ASSIGN_OR_RETURN(CommitTime time, db_->txns().Commit(txn_));
   // The commit record is durable and the Transaction destroyed: from here
   // the commit stands, whatever garbage collection reports.
-  ++stats_.committed;
+  if (slot_ != nullptr) {
+    slot_->committed.fetch_add(1, std::memory_order_relaxed);
+  }
   EndTxn();
   Status gc = db_->large_objects().CollectGarbage();
   if (!gc.ok()) {
@@ -102,7 +92,9 @@ Status Session::Abort() {
   PGLO_RETURN_IF_ERROR(RequireTxn());
   Status s = db_->txns().Abort(txn_);
   // Even a failed abort record leaves the transaction unusable.
-  ++stats_.aborted;
+  if (slot_ != nullptr) {
+    slot_->aborted.fetch_add(1, std::memory_order_relaxed);
+  }
   EndTxn();
   PGLO_RETURN_IF_ERROR(s);
   return db_->large_objects().CollectGarbage();
@@ -117,10 +109,7 @@ Result<Oid> Session::CreateLo(const LoSpec& spec) {
 
 Result<LoDescriptor*> Session::OpenLo(Oid oid, bool writable) {
   PGLO_RETURN_IF_ERROR(RequireTxn());
-  PGLO_ASSIGN_OR_RETURN(LoDescriptor * desc,
-                        db_->large_objects().Open(txn_, oid, writable));
-  ++stats_.lo_opens;
-  return desc;
+  return db_->large_objects().Open(txn_, oid, writable);
 }
 
 Status Session::CloseLo(LoDescriptor* desc) {

@@ -13,15 +13,6 @@ namespace pglo {
 
 class Database;
 
-/// Per-backend work counters, owned (and only ever written) by the
-/// session's thread — read them after the backend joins.
-struct SessionStats {
-  uint64_t begun = 0;      ///< transactions started
-  uint64_t committed = 0;  ///< successful commits
-  uint64_t aborted = 0;    ///< explicit aborts + failed commits rolled back
-  uint64_t lo_opens = 0;   ///< large-object descriptors opened
-};
-
 /// One backend's connection to a Database — the multi-backend analogue of
 /// the 1993 system's per-client backend process. Obtain via
 /// Database::Connect(); use from ONE thread at a time (sessions are the
@@ -86,11 +77,12 @@ class Session {
   Database& db() { return *db_; }
   /// Small dense id (1, 2, 3, ...) for logs and per-backend reporting.
   uint32_t backend_id() const { return backend_id_; }
-  const SessionStats& stats() const { return stats_; }
 
   /// The session's row in the Database's activity table — current wait
-  /// class, cumulative waits, txn state — readable by a monitor thread
-  /// while the session works (every field is atomic).
+  /// class, cumulative waits, txn state, and the session's only counters:
+  /// transactions begun, committed and aborted (explicit aborts plus
+  /// failed commits rolled back). Readable by a monitor thread while the
+  /// session works (every field is atomic).
   const BackendSlot* activity_slot() const { return slot_; }
 
  private:
@@ -105,15 +97,14 @@ class Session {
   /// one thread and driven from another (Connect on main, work on a worker)
   /// publishes its waits from the thread that actually blocks.
   void PublishThread();
-  /// Mirrors the non-atomic SessionStats into the activity slot's atomics.
-  void MirrorStats();
+  /// Starts `txn` as the session's transaction and publishes it.
+  Transaction* StartTxn(Transaction* txn);
   /// Clears the session's transaction and its activity-slot state.
   void EndTxn();
 
   Database* db_;
   uint32_t backend_id_;
   Transaction* txn_ = nullptr;
-  SessionStats stats_;
   BackendSlot* slot_ = nullptr;  ///< owned by the Database's activity table
 };
 

@@ -32,10 +32,23 @@ uint64_t CommandNanos(uint64_t nblocks, uint32_t block_size,
 }
 }  // namespace
 
-void MagneticDiskModel::Charge(uint64_t block, uint64_t nblocks) {
+void DeviceModel::Command(Histogram* hist, const std::string& span_name,
+                          Counter* blocks, uint64_t block, uint64_t nblocks) {
+  TraceSpan span(registry_, hist, span_name);
+  // Declared after `span`, so the lock is released before the span completes
+  // and the recorder sink never runs under the device mutex.
+  std::lock_guard<std::mutex> lock(mu_);
+  StatAdd(blocks, nblocks);
+  uint64_t seeks = Charge(block, nblocks);
+  if (seeks > 0) StatAdd(c_seeks_, seeks);
+  span.AddDetail(seeks);
+}
+
+uint64_t MagneticDiskModel::Charge(uint64_t block, uint64_t nblocks) {
   uint64_t ns = 0;
+  uint64_t seeks = 0;
   if (block != next_sequential_block_) {
-    NoteSeek();
+    seeks = 1;
     uint64_t distance = block > next_sequential_block_
                             ? block - next_sequential_block_
                             : next_sequential_block_ - block;
@@ -49,32 +62,13 @@ void MagneticDiskModel::Charge(uint64_t block, uint64_t nblocks) {
   ns += CommandNanos(nblocks, params_.block_size, params_.transfer_mb_per_s,
                      params_.streaming_mb_per_s);
   next_sequential_block_ = block + nblocks;
-  NoteBusy(ns);
-  clock_->Advance(ns);
+  Spend(ns);
+  return seeks;
 }
 
-void MagneticDiskModel::ChargeRead(uint64_t block, uint64_t nblocks) {
-  TraceSpan span(registry_, h_read_, span_read_name_);
-  // Declared after `span`, so the lock is released before the span completes
-  // and the recorder sink never runs under the device mutex.
-  std::lock_guard<std::mutex> lock(mu_);
-  uint64_t seeks_before = stats_.seeks;
-  NoteRead(nblocks);
-  Charge(block, nblocks);
-  span.AddDetail(stats_.seeks - seeks_before);
-}
-
-void MagneticDiskModel::ChargeWrite(uint64_t block, uint64_t nblocks) {
-  TraceSpan span(registry_, h_write_, span_write_name_);
-  std::lock_guard<std::mutex> lock(mu_);
-  uint64_t seeks_before = stats_.seeks;
-  NoteWrite(nblocks);
-  Charge(block, nblocks);
-  span.AddDetail(stats_.seeks - seeks_before);
-}
-
-void WormJukeboxModel::Charge(uint64_t block, uint64_t nblocks) {
+uint64_t WormJukeboxModel::Charge(uint64_t block, uint64_t nblocks) {
   uint64_t ns = 0;
+  uint64_t seeks = 0;
   uint64_t platter = block / params_.platter_blocks;
   if (platter != current_platter_) {
     if (current_platter_ != ~0ull) {
@@ -84,7 +78,7 @@ void WormJukeboxModel::Charge(uint64_t block, uint64_t nblocks) {
     next_sequential_block_ = ~0ull;  // a platter exchange loses position
   }
   if (block != next_sequential_block_) {
-    NoteSeek();
+    seeks = 1;
     bool near = next_sequential_block_ != ~0ull &&
                 block > next_sequential_block_ &&
                 block - next_sequential_block_ <= params_.near_seek_blocks;
@@ -94,50 +88,14 @@ void WormJukeboxModel::Charge(uint64_t block, uint64_t nblocks) {
   ns += CommandNanos(nblocks, params_.block_size, params_.transfer_mb_per_s,
                      params_.streaming_mb_per_s);
   next_sequential_block_ = block + nblocks;
-  NoteBusy(ns);
-  clock_->Advance(ns);
+  Spend(ns);
+  return seeks;
 }
 
-void WormJukeboxModel::ChargeRead(uint64_t block, uint64_t nblocks) {
-  TraceSpan span(registry_, h_read_, span_read_name_);
-  std::lock_guard<std::mutex> lock(mu_);
-  uint64_t seeks_before = stats_.seeks;
-  NoteRead(nblocks);
-  Charge(block, nblocks);
-  span.AddDetail(stats_.seeks - seeks_before);
-}
-
-void WormJukeboxModel::ChargeWrite(uint64_t block, uint64_t nblocks) {
-  TraceSpan span(registry_, h_write_, span_write_name_);
-  std::lock_guard<std::mutex> lock(mu_);
-  uint64_t seeks_before = stats_.seeks;
-  NoteWrite(nblocks);
-  Charge(block, nblocks);
-  span.AddDetail(stats_.seeks - seeks_before);
-}
-
-void MemoryDeviceModel::Charge(uint64_t nblocks) {
-  uint64_t ns = static_cast<uint64_t>(params_.per_op_us * 1e3) +
-                TransferNanos(nblocks, params_.block_size,
-                              params_.transfer_mb_per_s);
-  NoteBusy(ns);
-  clock_->Advance(ns);
-}
-
-void MemoryDeviceModel::ChargeRead(uint64_t block, uint64_t nblocks) {
-  (void)block;
-  TraceSpan span(registry_, h_read_, span_read_name_);
-  std::lock_guard<std::mutex> lock(mu_);
-  NoteRead(nblocks);
-  Charge(nblocks);
-}
-
-void MemoryDeviceModel::ChargeWrite(uint64_t block, uint64_t nblocks) {
-  (void)block;
-  TraceSpan span(registry_, h_write_, span_write_name_);
-  std::lock_guard<std::mutex> lock(mu_);
-  NoteWrite(nblocks);
-  Charge(nblocks);
+uint64_t MemoryDeviceModel::Charge(uint64_t /*block*/, uint64_t nblocks) {
+  Spend(static_cast<uint64_t>(params_.per_op_us * 1e3) +
+        TransferNanos(nblocks, params_.block_size, params_.transfer_mb_per_s));
+  return 0;
 }
 
 }  // namespace pglo

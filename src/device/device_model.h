@@ -10,17 +10,6 @@
 
 namespace pglo {
 
-/// Counters exposed by every device model; used by tests and EXPERIMENTS.md
-/// to explain elapsed-time results in terms of physical operations.
-struct DeviceStats {
-  uint64_t reads = 0;        ///< read operations
-  uint64_t writes = 0;       ///< write operations
-  uint64_t blocks_read = 0;  ///< blocks transferred in
-  uint64_t blocks_written = 0;
-  uint64_t seeks = 0;        ///< repositionings (non-sequential accesses)
-  uint64_t busy_ns = 0;      ///< total simulated device time charged
-};
-
 /// Timing model for a block-addressed storage device.
 ///
 /// A DeviceModel does not store data — storage managers and the simulated
@@ -44,30 +33,24 @@ class DeviceModel {
   virtual ~DeviceModel() = default;
 
   /// Charges the clock for reading `nblocks` starting at `block`.
-  virtual void ChargeRead(uint64_t block, uint64_t nblocks) = 0;
+  void ChargeRead(uint64_t block, uint64_t nblocks) {
+    Command(h_read_, span_read_name_, c_blocks_read_, block, nblocks);
+  }
   /// Charges the clock for writing `nblocks` starting at `block`.
-  virtual void ChargeWrite(uint64_t block, uint64_t nblocks) = 0;
+  void ChargeWrite(uint64_t block, uint64_t nblocks) {
+    Command(h_write_, span_write_name_, c_blocks_written_, block, nblocks);
+  }
 
   virtual uint32_t block_size() const = 0;
   virtual std::string name() const = 0;
 
-  /// Copy, not reference: Charge* calls from other backends mutate the
-  /// counters concurrently, so callers get a coherent point-in-time view.
-  DeviceStats stats() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return stats_;
-  }
-  void ResetStats() {
-    std::lock_guard<std::mutex> lock(mu_);
-    stats_ = DeviceStats();
-  }
-
-  /// Mirrors per-op accounting into `registry` counters named
+  /// Reports per-command accounting into `registry` counters named
   /// `device.<label>.{seeks,blocks_read,blocks_written,busy_ns}`, plus
-  /// `device.<label>.{read_ns,write_ns}` histograms and trace spans named
-  /// `device.<label>.{read,write}` (the leaves of every profiler tree; their
-  /// detail payload is the seek count of the charge). Call once at setup; a
-  /// null registry leaves the device unbound (no overhead).
+  /// `device.<label>.{read_ns,write_ns}` histograms (whose counts are the
+  /// command counts) and trace spans named `device.<label>.{read,write}`
+  /// (the leaves of every profiler tree; their detail payload is the seek
+  /// count of the charge). Call once at setup; a null registry leaves the
+  /// device unbound (no overhead).
   void BindStats(StatsRegistry* registry, const std::string& label) {
     if (registry == nullptr) return;
     registry_ = registry;
@@ -83,44 +66,37 @@ class DeviceModel {
   }
 
  protected:
-  // Span plumbing for subclasses' ChargeRead/ChargeWrite.
-  StatsRegistry* registry_ = nullptr;
-  Histogram* h_read_ = nullptr;
-  Histogram* h_write_ = nullptr;
-  std::string span_read_name_;
-  std::string span_write_name_;
+  explicit DeviceModel(SimClock* clock) : clock_(clock) {}
 
-  void NoteRead(uint64_t nblocks) {
-    ++stats_.reads;
-    stats_.blocks_read += nblocks;
-    StatAdd(c_blocks_read_, nblocks);
-  }
-  void NoteWrite(uint64_t nblocks) {
-    ++stats_.writes;
-    stats_.blocks_written += nblocks;
-    StatAdd(c_blocks_written_, nblocks);
-  }
-  void NoteSeek() {
-    ++stats_.seeks;
-    StatInc(c_seeks_);
-  }
-  void NoteBusy(uint64_t ns) {
-    stats_.busy_ns += ns;
+  /// Prices one command of `nblocks` at `block`: moves the model's position
+  /// and spends the command's time. Returns the seeks it paid. Runs under
+  /// the device mutex.
+  virtual uint64_t Charge(uint64_t block, uint64_t nblocks) = 0;
+
+  /// Advances the clock by `ns` of device time, counted as busy time.
+  void Spend(uint64_t ns) {
     StatAdd(c_busy_ns_, ns);
+    clock_->Advance(ns);
   }
-
-  DeviceStats stats_;
-
-  // Serializes each device command: the positional model (sequential-vs-seek
-  // detection) and DeviceStats are read-modify-write state. Subclasses hold
-  // it across NoteRead/NoteWrite + Charge so seek accounting is coherent.
-  mutable std::mutex mu_;
 
  private:
+  /// One read or write command: span, then device lock, then block count.
+  void Command(Histogram* hist, const std::string& span_name,
+               Counter* blocks, uint64_t block, uint64_t nblocks);
+
+  SimClock* clock_;
+  // Serializes each device command: the positional model (sequential-vs-seek
+  // detection) is read-modify-write state.
+  std::mutex mu_;
+  StatsRegistry* registry_ = nullptr;
   Counter* c_seeks_ = nullptr;
   Counter* c_blocks_read_ = nullptr;
   Counter* c_blocks_written_ = nullptr;
   Counter* c_busy_ns_ = nullptr;
+  Histogram* h_read_ = nullptr;
+  Histogram* h_write_ = nullptr;
+  std::string span_read_name_;
+  std::string span_write_name_;
 };
 
 /// Magnetic disk parameters (defaults are a circa-1992 5.25" SCSI drive of
@@ -149,18 +125,14 @@ struct DiskModelParams {
 class MagneticDiskModel : public DeviceModel {
  public:
   MagneticDiskModel(SimClock* clock, DiskModelParams params = {})
-      : clock_(clock), params_(params) {}
-
-  void ChargeRead(uint64_t block, uint64_t nblocks) override;
-  void ChargeWrite(uint64_t block, uint64_t nblocks) override;
+      : DeviceModel(clock), params_(params) {}
 
   uint32_t block_size() const override { return params_.block_size; }
   std::string name() const override { return "magnetic-disk"; }
 
  private:
-  void Charge(uint64_t block, uint64_t nblocks);
+  uint64_t Charge(uint64_t block, uint64_t nblocks) override;
 
-  SimClock* clock_;
   DiskModelParams params_;
   uint64_t next_sequential_block_ = ~0ull;
 };
@@ -202,18 +174,14 @@ struct WormModelParams {
 class WormJukeboxModel : public DeviceModel {
  public:
   WormJukeboxModel(SimClock* clock, WormModelParams params = {})
-      : clock_(clock), params_(params) {}
-
-  void ChargeRead(uint64_t block, uint64_t nblocks) override;
-  void ChargeWrite(uint64_t block, uint64_t nblocks) override;
+      : DeviceModel(clock), params_(params) {}
 
   uint32_t block_size() const override { return params_.block_size; }
   std::string name() const override { return "worm-jukebox"; }
 
  private:
-  void Charge(uint64_t block, uint64_t nblocks);
+  uint64_t Charge(uint64_t block, uint64_t nblocks) override;
 
-  SimClock* clock_;
   WormModelParams params_;
   uint64_t next_sequential_block_ = ~0ull;
   uint64_t current_platter_ = ~0ull;
@@ -230,18 +198,14 @@ struct MemoryModelParams {
 class MemoryDeviceModel : public DeviceModel {
  public:
   MemoryDeviceModel(SimClock* clock, MemoryModelParams params = {})
-      : clock_(clock), params_(params) {}
-
-  void ChargeRead(uint64_t block, uint64_t nblocks) override;
-  void ChargeWrite(uint64_t block, uint64_t nblocks) override;
+      : DeviceModel(clock), params_(params) {}
 
   uint32_t block_size() const override { return params_.block_size; }
   std::string name() const override { return "nvram"; }
 
  private:
-  void Charge(uint64_t nblocks);
+  uint64_t Charge(uint64_t block, uint64_t nblocks) override;
 
-  SimClock* clock_;
   MemoryModelParams params_;
 };
 

@@ -140,7 +140,6 @@ Status WormSmgr::ReadOpticalRun(uint32_t optical, uint32_t nblocks,
   if (n != static_cast<ssize_t>(bytes)) {
     return Status::IOError("optical read failed");
   }
-  stats_.optical_reads += nblocks;
   StatAdd(c_optical_reads_, nblocks);
   if (optical_device_ != nullptr) {
     optical_device_->ChargeRead(optical, nblocks);
@@ -180,7 +179,6 @@ Status WormSmgr::BurnOpticalRun(uint32_t optical, uint32_t nblocks,
     }
   }
   if (!injected.ok()) return injected;
-  stats_.optical_writes += nblocks;
   StatAdd(c_optical_writes_, nblocks);
   if (optical_device_ != nullptr) {
     optical_device_->ChargeWrite(optical, nblocks);
@@ -222,7 +220,6 @@ void WormSmgr::CacheInsert(Oid relfile, BlockNumber block,
   // charge the magnetic disk (see CacheLookup). The `slot` bookkeeping
   // still records where the block lives for those reads.
   (void)slot;
-  ++stats_.cache_fills;
 }
 
 bool WormSmgr::CacheLookup(Oid relfile, BlockNumber block, uint8_t* buf) {
@@ -319,7 +316,6 @@ Status WormSmgr::ReadBlocks(Oid relfile, BlockNumber start, uint32_t nblocks,
     BlockNumber block = start + i;
     uint8_t* dst = buf + static_cast<size_t>(i) * kPageSize;
     if (CacheLookup(relfile, block, dst)) {
-      ++stats_.cache_hits;
       StatInc(c_cache_hits_);
       ++i;
       continue;
@@ -333,7 +329,6 @@ Status WormSmgr::ReadBlocks(Oid relfile, BlockNumber start, uint32_t nblocks,
            cache_.find(CacheKey{relfile, start + i + run}) == cache_.end()) {
       ++run;
     }
-    stats_.cache_misses += run;
     StatAdd(c_cache_misses_, run);
     PGLO_RETURN_IF_ERROR(ReadOpticalRun(optical, run, dst));
     for (uint32_t k = 0; k < run; ++k) {
@@ -369,8 +364,7 @@ Status WormSmgr::WriteBlocks(Oid relfile, BlockNumber start, uint32_t nblocks,
     if (block == fs.map.size()) {
       fs.map.push_back(optical);
     } else {
-      ++stats_.relocations;  // write-once: old block becomes dead platter
-      StatInc(c_relocations_);
+      StatInc(c_relocations_);  // write-once: old block is dead platter
       fs.map[block] = optical;
     }
     ++fs.blocks_burned;

@@ -16,15 +16,6 @@ namespace pglo {
 
 class FaultInjector;
 
-struct WormSmgrStats {
-  uint64_t cache_hits = 0;
-  uint64_t cache_misses = 0;
-  uint64_t cache_fills = 0;  ///< async write-behind installs into the cache
-  uint64_t optical_reads = 0;
-  uint64_t optical_writes = 0;
-  uint64_t relocations = 0;  ///< rewrites of a logical block (wasted platter)
-};
-
 /// WORM optical jukebox storage manager (§7, [OLSO91]).
 ///
 /// The optical platter is write-once: a logical block that is rewritten is
@@ -70,17 +61,11 @@ class WormSmgr : public StorageManager {
   Result<uint64_t> StorageBytes(Oid relfile) override;
   std::string name() const override { return "worm"; }
 
-  /// Copy, not reference: concurrent backends mutate the counters.
-  WormSmgrStats stats() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return stats_;
-  }
-  void ResetStats() {
-    std::lock_guard<std::mutex> lock(mu_);
-    stats_ = WormSmgrStats();
-  }
-
-  /// Base block I/O counters plus the §9.3 cache/jukebox breakdown.
+  /// Base block I/O counters plus the §9.3 cache/jukebox breakdown:
+  /// `smgr.worm.{cache_hits,cache_misses}` (blocks served from, and
+  /// missing in, the magnetic-disk cache), `optical_{reads,writes}`
+  /// (blocks moved by the jukebox) and `relocations` (rewrites of a
+  /// logical block: wasted platter).
   void BindStats(StatsRegistry* registry) override {
     StorageManager::BindStats(registry);
     if (registry == nullptr) return;
@@ -153,12 +138,12 @@ class WormSmgr : public StorageManager {
   DeviceModel* cache_device_;
   size_t cache_capacity_;
 
-  // One lock over the relocation map, the optical append frontier, the
-  // magnetic cache, and the stats — every operation touches several of
-  // them (a read probes the cache then fills it; a write burns, appends a
-  // map record, and updates the file map), so finer locks would have to be
-  // held together anyway. Public entry points take it; private helpers
-  // assume it.
+  // One lock over the relocation map, the optical append frontier and the
+  // magnetic cache — every operation touches several of them (a read
+  // probes the cache then fills it; a write burns, appends a map record,
+  // and updates the file map), so finer locks would have to be held
+  // together anyway. Public entry points take it; private helpers assume
+  // it.
   mutable std::mutex mu_;
 
   int optical_fd_ = -1;
@@ -177,7 +162,6 @@ class WormSmgr : public StorageManager {
   /// consecutive cache fills land on consecutive magnetic-disk blocks.
   uint64_t cache_fill_rotor_ = 0;
 
-  WormSmgrStats stats_;
   Counter* c_cache_hits_ = nullptr;
   Counter* c_cache_misses_ = nullptr;
   Counter* c_optical_reads_ = nullptr;

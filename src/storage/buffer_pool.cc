@@ -78,23 +78,6 @@ void BufferPool::UnlockStripes() const {
   for (size_t i = kStripes; i-- > 0;) stripes_[i].mu.unlock();
 }
 
-BufferPoolStats BufferPool::stats() const {
-  AllLatches all(this);
-  BufferPoolStats out = stats_;
-  for (const Stripe& s : stripes_) {
-    out.hits += s.hits;
-    out.readahead_hits += s.readahead_hits;
-    out.readahead_pages += s.readahead_pages;
-  }
-  return out;
-}
-
-void BufferPool::ResetStats() {
-  AllLatches all(this);
-  stats_ = BufferPoolStats();
-  for (Stripe& s : stripes_) s.hits = s.readahead_hits = s.readahead_pages = 0;
-}
-
 void BufferPool::LruAppendLocked(Stripe& s, size_t frame) {
   Frame& f = frames_[frame];
   // Stamped under the stripe, so each list stays in stamp order and the
@@ -266,7 +249,6 @@ Result<size_t> BufferPool::FindVictimLocked() {
     LruRemoveLocked(s, frame);
     s.table.erase(f.id);
     f.in_use = false;
-    ++stats_.evictions;
     StatInc(c_evictions_);
     return frame;
   }
@@ -303,7 +285,6 @@ Result<size_t> BufferPool::EvictOldestLocked() {
   Frame& f = frames_[frame];
   Stripe& s = StripeOf(f.id);
   LruRemoveLocked(s, frame);
-  ++stats_.evictions;
   StatInc(c_evictions_);
   if (f.dirty.load(std::memory_order_acquire)) {
     // Background-writer behaviour: when eviction hits a dirty page,
@@ -373,7 +354,6 @@ Status BufferPool::WriteRawRunLocked(std::span<const size_t> run) {
   for (size_t idx : run) {
     frames_[idx].dirty.store(false, std::memory_order_release);
   }
-  stats_.writebacks += run.size();
   StatAdd(c_writebacks_, run.size());
   return Status::OK();
 }
@@ -455,11 +435,9 @@ bool BufferPool::PinResidentLocked(Stripe& s, std::unique_lock<std::mutex>& lk,
   if (overwrite) {
     f.dirty.store(true, std::memory_order_release);
   } else {
-    ++s.hits;
     StatInc(c_hits_);
     if (f.prefetched) {
       f.prefetched = false;
-      ++s.readahead_hits;
       StatInc(c_readahead_hits_);
     }
   }
@@ -501,7 +479,6 @@ Result<PageHandle> BufferPool::AccessPage(PageId id, bool overwrite) {
     InstallFrameLocked(frame, id);
     return PageHandle(this, frame, id);
   }
-  ++stats_.misses;
   StatInc(c_misses_);
   PGLO_ASSIGN_OR_RETURN(StorageManager * smgr, SmgrFor(id.file));
   // Sequential read-ahead (DESIGN.md §10), clipped at the storage
@@ -612,7 +589,6 @@ Result<PageHandle> BufferPool::AccessPage(PageId id, bool overwrite) {
       // Read-ahead frames go onto the LRU unpinned, in block order:
       // prefetched pages are always evictable and never pin the pool down.
       LruAppendLocked(stripe, fr);
-      ++stripe.readahead_pages;
       StatInc(c_readahead_pages_);
     }
     stripe.io_cv.notify_all();
@@ -721,7 +697,6 @@ Status BufferPool::FlushSnapshotLocked(AllLatches& all) {
     // another backend. Wait for a pin to drop, then re-evaluate. This
     // cannot self-deadlock: the flush holds no pins of its own by the time
     // it waits (LO operations release handles before commit flushes).
-    ++stats_.flush_pin_waits;
     AwaitEventLocked(all, wp_pin_wait_);
   }
 }

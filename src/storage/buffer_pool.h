@@ -77,16 +77,6 @@ class PageHandle {
   PageId page_id_;
 };
 
-struct BufferPoolStats {
-  uint64_t hits = 0;
-  uint64_t misses = 0;
-  uint64_t evictions = 0;
-  uint64_t writebacks = 0;
-  uint64_t readahead_pages = 0;  ///< pages prefetched ahead of a faulting scan
-  uint64_t readahead_hits = 0;   ///< hits served from a prefetched frame
-  uint64_t flush_pin_waits = 0;  ///< flushes that had to wait out a pin
-};
-
 /// Fixed-size page cache over the storage manager switch.
 ///
 /// LRU replacement with pin counts. Safe for concurrent backends. The page
@@ -129,13 +119,13 @@ class BufferPool {
   /// Configuration-time only.
   void SetReadAhead(uint32_t pages) { readahead_pages_ = pages; }
 
-  /// Mirrors hit/miss/eviction/writeback accounting into `registry`
-  /// counters under `<prefix>.*`, plus `<prefix>.{get,new_page,writeback}`
-  /// trace spans with matching `*_ns` histograms, so the profiler can
-  /// attribute page-access CPU and fault I/O to the pool rather than its
-  /// caller. The database's pool binds under `bufpool`; the UFS's under
-  /// `ufs.cache`. Null registry = unbound (no overhead).
-  /// Configuration-time only.
+  /// Counts hits, misses, evictions, write-backs and read-ahead pages and
+  /// hits in `registry` counters under `<prefix>.*` (the pool's only
+  /// counters), plus `<prefix>.{get,new_page,writeback}` trace spans with
+  /// matching `*_ns` histograms, so the profiler can attribute page-access
+  /// CPU and fault I/O to the pool rather than its caller. The database's
+  /// pool binds under `bufpool`; the UFS's under `ufs.cache`. Null
+  /// registry = unbound (nothing counts). Configuration-time only.
   void BindStats(StatsRegistry* registry,
                  const std::string& prefix = "bufpool") {
     if (registry == nullptr) return;
@@ -225,9 +215,6 @@ class BufferPool {
   /// flight).
   void CrashDiscardAll();
 
-  /// Copy, not reference: coherent point-in-time view under concurrency.
-  BufferPoolStats stats() const;
-  void ResetStats();
   size_t num_frames() const { return frames_.size(); }
   SmgrRegistry* smgrs() const { return smgrs_; }
 
@@ -302,9 +289,6 @@ class BufferPool {
     /// The head's stamp (kNoStamp when empty): written under `mu`, read
     /// without it by a miss choosing the stripe to evict from.
     std::atomic<uint64_t> head_stamp{kNoStamp};
-    uint64_t hits = 0;
-    uint64_t readahead_hits = 0;
-    uint64_t readahead_pages = 0;
   };
 
   /// The pool mutex plus every stripe, taken in lock order: the pool
@@ -481,9 +465,6 @@ class BufferPool {
   /// run seen. Only touched under mu_. (A read-ahead miss stages its run in
   /// a buffer of its own, since it reads without mu_.)
   std::vector<uint8_t> write_scratch_;
-  /// Miss-side counts (misses, evictions, writebacks, flush pin waits);
-  /// hits and read-ahead counts live in the stripes. stats() sums them.
-  BufferPoolStats stats_;
   RelLatchRegistry rel_latches_;  ///< self-synchronized, not under mu_
   /// Self-synchronized; may call back into the pool, so the pool only
   /// touches it outside mu_ (see DiscardFile / CrashDiscardAll).

@@ -173,21 +173,8 @@ Status CommitLog::SyncTo(uint64_t target) {
 }
 
 Result<CommitTime> CommitLog::RecordCommit(Xid xid) {
-  CommitTime time;
-  uint64_t end = 0;
-  {
-    WaitLockGuard lock(mu_, wp_mutex_);
-    time = next_commit_time_;
-    PGLO_RETURN_IF_ERROR(
-        AppendRecordLocked(xid, TxnState::kCommitted, time, &end));
-    entries_[xid] = Entry{TxnState::kCommitted, time};
-    next_commit_time_ = time + 1;
-    if (xid > max_xid_) max_xid_ = xid;
-  }
-  // Durability outside mu_: other backends keep resolving visibility while
-  // this commit's fdatasync is in flight.
-  PGLO_RETURN_IF_ERROR(SyncTo(end));
-  return time;
+  std::vector<CommitTime> times;
+  return RecordCommitBatch({xid}, &times);
 }
 
 Result<CommitTime> CommitLog::RecordCommitBatch(
@@ -214,6 +201,8 @@ Result<CommitTime> CommitLog::RecordCommitBatch(
     }
     next_commit_time_ = first + xids.size();
   }
+  // Durability outside mu_: other backends keep resolving visibility while
+  // this batch's fdatasync is in flight.
   PGLO_RETURN_IF_ERROR(SyncTo(end));
   return first;
 }

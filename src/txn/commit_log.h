@@ -54,7 +54,8 @@ class CommitLog {
   Status Close();
 
   /// Durably records `xid` as committed at the next commit-time tick, which
-  /// is returned. The caller must have forced the transaction's pages first.
+  /// is returned: a batch of one (one record append, one fdatasync). The
+  /// caller must have forced the transaction's pages first.
   Result<CommitTime> RecordCommit(Xid xid);
 
   /// Group commit (DESIGN.md §13): durably records every xid in one append

@@ -19,6 +19,11 @@
 namespace pglo {
 namespace {
 
+/// The pool counter `bufpool.<name>` of a pool bound to `stats`.
+uint64_t Count(StatsRegistry& stats, const std::string& name) {
+  return stats.counter("bufpool." + name)->value();
+}
+
 class BufferPoolTest : public ::testing::Test {
  protected:
   BufferPoolTest() {
@@ -29,10 +34,12 @@ class BufferPoolTest : public ::testing::Test {
 
   RelFileId file_{0, 1};
   SmgrRegistry smgrs_;
+  StatsRegistry stats_;  ///< bound by the tests that count
 };
 
 TEST_F(BufferPoolTest, NewPageThenGet) {
   BufferPool pool(&smgrs_, 8);
+  pool.BindStats(&stats_);
   BlockNumber block;
   {
     ASSERT_OK_AND_ASSIGN(PageHandle handle, pool.NewPage(file_, &block));
@@ -42,18 +49,19 @@ TEST_F(BufferPoolTest, NewPageThenGet) {
   }
   ASSERT_OK_AND_ASSIGN(PageHandle handle, pool.GetPage({file_, 0}));
   EXPECT_EQ(handle.data()[0], 0xAB);
-  EXPECT_EQ(pool.stats().hits, 1u);
+  EXPECT_EQ(Count(stats_, "hits"), 1u);
 }
 
 TEST_F(BufferPoolTest, EvictionWritesBackDirtyPages) {
   BufferPool pool(&smgrs_, 4);
+  pool.BindStats(&stats_);
   for (BlockNumber b = 0; b < 10; ++b) {
     BlockNumber got;
     ASSERT_OK_AND_ASSIGN(PageHandle handle, pool.NewPage(file_, &got));
     handle.data()[0] = static_cast<uint8_t>(b + 1);
     handle.MarkDirty();
   }
-  EXPECT_GT(pool.stats().evictions, 0u);
+  EXPECT_GT(Count(stats_, "evictions"), 0u);
   // Every page must read back its own contents even though only 4 frames
   // exist.
   for (BlockNumber b = 0; b < 10; ++b) {
@@ -78,6 +86,7 @@ TEST_F(BufferPoolTest, PinnedPagesAreNotEvicted) {
 
 TEST_F(BufferPoolTest, LruEvictsColdestPage) {
   BufferPool pool(&smgrs_, 2);
+  pool.BindStats(&stats_);
   BlockNumber b;
   for (int i = 0; i < 2; ++i) {
     ASSERT_OK_AND_ASSIGN(PageHandle h, pool.NewPage(file_, &b));
@@ -85,12 +94,12 @@ TEST_F(BufferPoolTest, LruEvictsColdestPage) {
   // Touch page 0 so page 1 is the LRU victim.
   { ASSERT_OK_AND_ASSIGN(PageHandle h, pool.GetPage({file_, 0})); }
   { ASSERT_OK_AND_ASSIGN(PageHandle h, pool.NewPage(file_, &b)); }
-  pool.ResetStats();
+  stats_.Reset();
   { ASSERT_OK_AND_ASSIGN(PageHandle h, pool.GetPage({file_, 0})); }
-  EXPECT_EQ(pool.stats().hits, 1u);  // page 0 still resident
-  pool.ResetStats();
+  EXPECT_EQ(Count(stats_, "hits"), 1u);  // page 0 still resident
+  stats_.Reset();
   { ASSERT_OK_AND_ASSIGN(PageHandle h, pool.GetPage({file_, 1})); }
-  EXPECT_EQ(pool.stats().misses, 1u);  // page 1 was evicted
+  EXPECT_EQ(Count(stats_, "misses"), 1u);  // page 1 was evicted
 }
 
 TEST_F(BufferPoolTest, FlushAllPersistsWithoutEviction) {
@@ -129,13 +138,14 @@ TEST_F(BufferPoolTest, CrashDiscardLosesUnflushedWrites) {
 
 TEST_F(BufferPoolTest, DiscardFileDropsFrames) {
   BufferPool pool(&smgrs_, 8);
+  pool.BindStats(&stats_);
   BlockNumber b;
   { ASSERT_OK_AND_ASSIGN(PageHandle h, pool.NewPage(file_, &b)); }
   ASSERT_OK(pool.FlushAll());  // materialize before dropping frames
   pool.DiscardFile(file_, /*discard_dirty=*/true);
-  pool.ResetStats();
+  stats_.Reset();
   { ASSERT_OK_AND_ASSIGN(PageHandle h, pool.GetPage({file_, 0})); }
-  EXPECT_EQ(pool.stats().misses, 1u);
+  EXPECT_EQ(Count(stats_, "misses"), 1u);
 }
 
 TEST_F(BufferPoolTest, LazyAppendVisibleThroughOverlay) {
@@ -206,8 +216,9 @@ TEST_F(BufferPoolTest, ChecksumStampedOnWritebackAndVerifiedOnRead) {
 
 // Populates `blocks` pages (first byte = block number + 1) through the
 // pool, flushes them to the storage manager, and empties every frame so a
-// subsequent scan starts cold.
-void PopulateAndEmpty(BufferPool* pool, RelFileId file, BlockNumber blocks) {
+// subsequent scan starts cold, with the pool's registry `stats` zeroed.
+void PopulateAndEmpty(BufferPool* pool, RelFileId file, BlockNumber blocks,
+                      StatsRegistry* stats) {
   for (BlockNumber b = 0; b < blocks; ++b) {
     BlockNumber got;
     ASSERT_OK_AND_ASSIGN(PageHandle h, pool->NewPage(file, &got));
@@ -216,44 +227,46 @@ void PopulateAndEmpty(BufferPool* pool, RelFileId file, BlockNumber blocks) {
   }
   ASSERT_OK(pool->FlushAll());
   pool->CrashDiscardAll();
-  pool->ResetStats();
+  stats->Reset();
 }
 
 TEST_F(BufferPoolTest, ReadAheadServesSequentialScanFromPrefetch) {
   BufferPool pool(&smgrs_, 32);
+  pool.BindStats(&stats_);
   pool.SetReadAhead(8);
-  PopulateAndEmpty(&pool, file_, 20);
+  PopulateAndEmpty(&pool, file_, 20, &stats_);
   for (BlockNumber b = 0; b < 20; ++b) {
     ASSERT_OK_AND_ASSIGN(PageHandle h, pool.GetPage({file_, b}));
     EXPECT_EQ(h.data()[0], static_cast<uint8_t>(b + 1)) << b;
   }
-  const BufferPoolStats& stats = pool.stats();
   // Once the streak confirms, most of the scan is served from prefetched
   // frames; every resident page was installed exactly once.
-  EXPECT_GT(stats.readahead_pages, 0u);
-  EXPECT_EQ(stats.hits, stats.readahead_hits);
-  EXPECT_EQ(stats.misses + stats.readahead_pages, 20u);
-  EXPECT_LT(stats.misses, 10u);
+  EXPECT_GT(Count(stats_, "readahead_pages"), 0u);
+  EXPECT_EQ(Count(stats_, "hits"), Count(stats_, "readahead_hits"));
+  EXPECT_EQ(Count(stats_, "misses") + Count(stats_, "readahead_pages"), 20u);
+  EXPECT_LT(Count(stats_, "misses"), 10u);
 }
 
 TEST_F(BufferPoolTest, ReadAheadRequiresConfirmedStreak) {
   BufferPool pool(&smgrs_, 32);
+  pool.BindStats(&stats_);
   pool.SetReadAhead(8);
-  PopulateAndEmpty(&pool, file_, 20);
+  PopulateAndEmpty(&pool, file_, 20, &stats_);
   // One accidental adjacency (a record straddling two blocks) is not a
   // scan: no prefetch may fire.
   { ASSERT_OK_AND_ASSIGN(PageHandle h, pool.GetPage({file_, 5})); }
   { ASSERT_OK_AND_ASSIGN(PageHandle h, pool.GetPage({file_, 6})); }
-  EXPECT_EQ(pool.stats().readahead_pages, 0u);
+  EXPECT_EQ(Count(stats_, "readahead_pages"), 0u);
   // The third consecutive sequential miss confirms the pattern.
   { ASSERT_OK_AND_ASSIGN(PageHandle h, pool.GetPage({file_, 7})); }
-  EXPECT_GT(pool.stats().readahead_pages, 0u);
+  EXPECT_GT(Count(stats_, "readahead_pages"), 0u);
 }
 
 TEST_F(BufferPoolTest, ReadAheadClippedAtEndOfFile) {
   BufferPool pool(&smgrs_, 32);
+  pool.BindStats(&stats_);
   pool.SetReadAhead(8);
-  PopulateAndEmpty(&pool, file_, 10);
+  PopulateAndEmpty(&pool, file_, 10, &stats_);
   // Once the window ramps up it soon exceeds the blocks left before EOF;
   // the prefetch must clip there — never install (or fault) past the end —
   // and the scan still completes.
@@ -261,9 +274,8 @@ TEST_F(BufferPoolTest, ReadAheadClippedAtEndOfFile) {
     ASSERT_OK_AND_ASSIGN(PageHandle h, pool.GetPage({file_, b}));
     EXPECT_EQ(h.data()[0], static_cast<uint8_t>(b + 1)) << b;
   }
-  BufferPoolStats stats = pool.stats();  // before the failing probe below
-  EXPECT_EQ(stats.misses + stats.readahead_pages, 10u);
-  EXPECT_LT(stats.misses, 10u);
+  EXPECT_EQ(Count(stats_, "misses") + Count(stats_, "readahead_pages"), 10u);
+  EXPECT_LT(Count(stats_, "misses"), 10u);
   EXPECT_FALSE(pool.GetPage({file_, 10}).ok());
 }
 
@@ -271,13 +283,14 @@ TEST_F(BufferPoolTest, PrefetchedFramesAreEvictableAndUnpinned) {
   // A pool smaller than the file: the scan only completes if prefetched
   // frames enter the LRU unpinned and can be evicted at any time.
   BufferPool pool(&smgrs_, 6);
+  pool.BindStats(&stats_);
   pool.SetReadAhead(8);
-  PopulateAndEmpty(&pool, file_, 24);
+  PopulateAndEmpty(&pool, file_, 24, &stats_);
   for (BlockNumber b = 0; b < 24; ++b) {
     ASSERT_OK_AND_ASSIGN(PageHandle h, pool.GetPage({file_, b}));
     EXPECT_EQ(h.data()[0], static_cast<uint8_t>(b + 1)) << b;
   }
-  EXPECT_GT(pool.stats().readahead_pages, 0u);
+  EXPECT_GT(Count(stats_, "readahead_pages"), 0u);
   // With every frame free again, NewPage can claim the whole pool: no pin
   // was leaked by the prefetch path.
   std::vector<PageHandle> pinned;
@@ -291,52 +304,56 @@ TEST_F(BufferPoolTest, PrefetchedFramesAreEvictableAndUnpinned) {
 
 TEST_F(BufferPoolTest, DiscardFileDropsPrefetchedFrames) {
   BufferPool pool(&smgrs_, 32);
+  pool.BindStats(&stats_);
   pool.SetReadAhead(8);
-  PopulateAndEmpty(&pool, file_, 20);
+  PopulateAndEmpty(&pool, file_, 20, &stats_);
   for (BlockNumber b = 0; b < 4; ++b) {
     ASSERT_OK_AND_ASSIGN(PageHandle h, pool.GetPage({file_, b}));
   }
-  ASSERT_GT(pool.stats().readahead_pages, 0u);
+  ASSERT_GT(Count(stats_, "readahead_pages"), 0u);
   pool.DiscardFile(file_, /*discard_dirty=*/true);
-  pool.ResetStats();
+  stats_.Reset();
   // Prefetched frames are gone with the rest of the file: fresh misses,
   // no stale hit, and the detector restarts from scratch.
   { ASSERT_OK_AND_ASSIGN(PageHandle h, pool.GetPage({file_, 4})); }
-  EXPECT_EQ(pool.stats().hits, 0u);
-  EXPECT_EQ(pool.stats().misses, 1u);
-  EXPECT_EQ(pool.stats().readahead_pages, 0u);
+  EXPECT_EQ(Count(stats_, "hits"), 0u);
+  EXPECT_EQ(Count(stats_, "misses"), 1u);
+  EXPECT_EQ(Count(stats_, "readahead_pages"), 0u);
 }
 
 TEST_F(BufferPoolTest, CrashDiscardDropsPrefetchedFrames) {
   BufferPool pool(&smgrs_, 32);
+  pool.BindStats(&stats_);
   pool.SetReadAhead(8);
-  PopulateAndEmpty(&pool, file_, 20);
+  PopulateAndEmpty(&pool, file_, 20, &stats_);
   for (BlockNumber b = 0; b < 4; ++b) {
     ASSERT_OK_AND_ASSIGN(PageHandle h, pool.GetPage({file_, b}));
   }
-  ASSERT_GT(pool.stats().readahead_pages, 0u);
+  ASSERT_GT(Count(stats_, "readahead_pages"), 0u);
   pool.CrashDiscardAll();
-  pool.ResetStats();
+  stats_.Reset();
   { ASSERT_OK_AND_ASSIGN(PageHandle h, pool.GetPage({file_, 4})); }
-  EXPECT_EQ(pool.stats().hits, 0u);
-  EXPECT_EQ(pool.stats().misses, 1u);
+  EXPECT_EQ(Count(stats_, "hits"), 0u);
+  EXPECT_EQ(Count(stats_, "misses"), 1u);
 }
 
 TEST_F(BufferPoolTest, WindowZeroNeverPrefetchesOrCoalesces) {
   BufferPool pool(&smgrs_, 32);
+  pool.BindStats(&stats_);
   pool.SetReadAhead(0);
-  PopulateAndEmpty(&pool, file_, 20);
+  PopulateAndEmpty(&pool, file_, 20, &stats_);
   for (BlockNumber b = 0; b < 20; ++b) {
     ASSERT_OK_AND_ASSIGN(PageHandle h, pool.GetPage({file_, b}));
     EXPECT_EQ(h.data()[0], static_cast<uint8_t>(b + 1)) << b;
   }
-  EXPECT_EQ(pool.stats().readahead_pages, 0u);
-  EXPECT_EQ(pool.stats().readahead_hits, 0u);
-  EXPECT_EQ(pool.stats().misses, 20u);
+  EXPECT_EQ(Count(stats_, "readahead_pages"), 0u);
+  EXPECT_EQ(Count(stats_, "readahead_hits"), 0u);
+  EXPECT_EQ(Count(stats_, "misses"), 20u);
 }
 
 TEST_F(BufferPoolTest, DamagedReadAheadPageFailsOnlyItsOwnRead) {
   BufferPool pool(&smgrs_, 32);
+  pool.BindStats(&stats_);
   pool.SetReadAhead(8);
   // 20 checksummed slotted pages, each holding its block number.
   for (BlockNumber b = 0; b < 20; ++b) {
@@ -369,7 +386,7 @@ TEST_F(BufferPoolTest, DamagedReadAheadPageFailsOnlyItsOwnRead) {
     ASSERT_OK_AND_ASSIGN(Slice item, page.GetItem(0));
     EXPECT_EQ(item.ToString(), std::to_string(b));
   }
-  EXPECT_GT(pool.stats().readahead_pages, 0u);
+  EXPECT_GT(Count(stats_, "readahead_pages"), 0u);
 }
 
 // A main-memory storage manager that holds the next read of one block
@@ -457,8 +474,9 @@ class InFlightReadTest : public ::testing::Test {
     EXPECT_OK(smgr_->CreateFile(1));
     waits_.Bind(&stats_, nullptr, 0);
     pool_ = std::make_unique<BufferPool>(&smgrs_, 32);
+    pool_->BindStats(&stats_);
     pool_->BindWaits(&waits_);
-    PopulateAndEmpty(pool_.get(), file_, 16);
+    PopulateAndEmpty(pool_.get(), file_, 16, &stats_);
   }
 
   /// Reads block `b` on another thread; yields its first byte.
@@ -501,7 +519,7 @@ TEST_F(InFlightReadTest, OtherBackendsProceedWhileAReadIsHeld) {
   for (BlockNumber b = 0; b < 4; ++b) {  // resident: later reads are hits
     ASSERT_OK_AND_ASSIGN(PageHandle h, pool_->GetPage({file_, b}));
   }
-  pool_->ResetStats();
+  stats_.Reset();
   std::future<Result<uint8_t>> held, second;
   std::vector<std::pair<BlockNumber, std::future<Result<uint8_t>>>> others;
   ReleaseOnExit release{smgr_};
@@ -534,9 +552,8 @@ TEST_F(InFlightReadTest, OtherBackendsProceedWhileAReadIsHeld) {
   // One read served both readers of the held page.
   EXPECT_EQ(smgr_->reads_of_block(), 1);
   EXPECT_EQ(stats_.counter("wait.bufpool.io_wait.contended")->value(), 1u);
-  BufferPoolStats stats = pool_->stats();
-  EXPECT_EQ(stats.misses, 3u);  // the held page, 10 and 11
-  EXPECT_EQ(stats.hits, 5u);    // 0-3, and the second reader of the page
+  EXPECT_EQ(Count(stats_, "misses"), 3u);  // the held page, 10 and 11
+  EXPECT_EQ(Count(stats_, "hits"), 5u);  // 0-3, and the page's 2nd reader
 }
 
 TEST_F(InFlightReadTest, FailedHeldReadWakesWaiterToReadAgain) {
@@ -557,21 +574,20 @@ TEST_F(InFlightReadTest, FailedHeldReadWakesWaiterToReadAgain) {
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(r.value(), static_cast<uint8_t>(kHeld + 1));
   EXPECT_EQ(smgr_->reads_of_block(), 2);
-  EXPECT_EQ(pool_->stats().misses, 2u);
+  EXPECT_EQ(Count(stats_, "misses"), 2u);
 }
 
 TEST_F(InFlightReadTest, OverwritePageNeverReads) {
   { ASSERT_OK_AND_ASSIGN(PageHandle h, pool_->GetPage({file_, 3})); }
-  pool_->ResetStats();
+  stats_.Reset();
   const int reads = smgr_->all_reads();
   for (BlockNumber b : {3u, 12u}) {  // resident, then missing
     ASSERT_OK_AND_ASSIGN(PageHandle h, pool_->OverwritePage({file_, b}));
     std::memset(h.data(), 0xEE, kPageSize);
   }
   EXPECT_EQ(smgr_->all_reads(), reads);
-  BufferPoolStats stats = pool_->stats();
-  EXPECT_EQ(stats.hits, 0u);
-  EXPECT_EQ(stats.misses, 0u);
+  EXPECT_EQ(Count(stats_, "hits"), 0u);
+  EXPECT_EQ(Count(stats_, "misses"), 0u);
   // The handle came back dirty: both pages reach the storage manager.
   ASSERT_OK(pool_->FlushAll());
   for (BlockNumber b : {3u, 12u}) {
@@ -604,9 +620,8 @@ TEST_F(InFlightReadTest, OverwritePageWaitsOutAnInFlightRead) {
   ASSERT_TRUE(h.ok()) << h.status().ToString();
   EXPECT_EQ(h.value().data()[0], static_cast<uint8_t>(kHeld + 1));
   EXPECT_EQ(smgr_->reads_of_block(), 1);
-  BufferPoolStats stats = pool_->stats();
-  EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.hits, 0u);
+  EXPECT_EQ(Count(stats_, "misses"), 1u);
+  EXPECT_EQ(Count(stats_, "hits"), 0u);
 }
 
 TEST_F(BufferPoolTest, ConcurrentMissesSeeTheirOwnPages) {
@@ -614,8 +629,9 @@ TEST_F(BufferPoolTest, ConcurrentMissesSeeTheirOwnPages) {
   // read-ahead on, so their misses, prefetches and evictions overlap
   // outside the pool mutex. Every read must see its own page's bytes.
   BufferPool pool(&smgrs_, 64);
+  pool.BindStats(&stats_);
   pool.SetReadAhead(8);
-  PopulateAndEmpty(&pool, file_, 256);
+  PopulateAndEmpty(&pool, file_, 256, &stats_);
   std::atomic<int> wrong{0};
   std::vector<std::thread> threads;
   for (int t = 0; t < 4; ++t) {
@@ -633,9 +649,8 @@ TEST_F(BufferPoolTest, ConcurrentMissesSeeTheirOwnPages) {
   }
   for (std::thread& th : threads) th.join();
   EXPECT_EQ(wrong.load(), 0);
-  BufferPoolStats stats = pool.stats();
-  EXPECT_EQ(stats.hits + stats.misses, 4u * 600u);
-  EXPECT_GT(stats.readahead_pages, 0u);
+  EXPECT_EQ(Count(stats_, "hits") + Count(stats_, "misses"), 4u * 600u);
+  EXPECT_GT(Count(stats_, "readahead_pages"), 0u);
 }
 
 TEST_F(BufferPoolTest, ConcurrentWriteBackRacesHits) {
@@ -649,13 +664,14 @@ TEST_F(BufferPoolTest, ConcurrentWriteBackRacesHits) {
   constexpr uint32_t kAccesses = 1500;
   StorageManager* smgr = smgrs_.Get(0).value();
   BufferPool pool(&smgrs_, 64);
+  pool.BindStats(&stats_);
   pool.SetReadAhead(8);
-  PopulateAndEmpty(&pool, file_, kShared);
+  PopulateAndEmpty(&pool, file_, kShared, &stats_);
   std::vector<RelFileId> own;
   for (int t = 0; t < kThreads; ++t) {
     own.push_back({0, static_cast<Oid>(2 + t)});
     ASSERT_OK(smgr->CreateFile(own.back().relfile));
-    PopulateAndEmpty(&pool, own.back(), kOwn);
+    PopulateAndEmpty(&pool, own.back(), kOwn, &stats_);
   }
   // last[t][b]: the version backend t last wrote to its block b (0 = the
   // populated page, first byte b + 1).
@@ -698,10 +714,10 @@ TEST_F(BufferPoolTest, ConcurrentWriteBackRacesHits) {
   EXPECT_EQ(failed.load(), 0);
   EXPECT_EQ(wrong.load(), 0);
   ASSERT_OK(pool.FlushAll());
-  BufferPoolStats stats = pool.stats();
-  EXPECT_EQ(stats.hits + stats.misses, kThreads * kAccesses);
-  EXPECT_GT(stats.evictions, 0u);
-  EXPECT_GT(stats.writebacks, 0u);
+  EXPECT_EQ(Count(stats_, "hits") + Count(stats_, "misses"),
+            kThreads * kAccesses);
+  EXPECT_GT(Count(stats_, "evictions"), 0u);
+  EXPECT_GT(Count(stats_, "writebacks"), 0u);
   // Every page reads back its last bytes through a fresh pool.
   BufferPool fresh(&smgrs_, 64);
   for (int t = 0; t < kThreads; ++t) {
@@ -721,8 +737,9 @@ TEST_F(BufferPoolTest, VictimOrderAcrossStripes) {
   // stripes' lists), with read-ahead frames entering it in block order
   // before the page that faulted them.
   BufferPool pool(&smgrs_, 32);
+  pool.BindStats(&stats_);
   pool.SetReadAhead(8);
-  PopulateAndEmpty(&pool, file_, 80);
+  PopulateAndEmpty(&pool, file_, 80, &stats_);
   auto touch = [&](BlockNumber b, bool dirty = false) {
     ASSERT_OK_AND_ASSIGN(PageHandle h, pool.GetPage({file_, b}));
     if (dirty) h.MarkDirty();
@@ -747,22 +764,21 @@ TEST_F(BufferPoolTest, VictimOrderAcrossStripes) {
   for (BlockNumber b = 16; b < 40; b += 2) late.push_back(b);
   late.push_back(79);
   for (BlockNumber b : late) touch(b);
-  BufferPoolStats stats = pool.stats();
-  EXPECT_EQ(stats.misses, 40u);
-  EXPECT_EQ(stats.readahead_pages, 11u);
-  EXPECT_EQ(stats.evictions, 19u);
-  EXPECT_EQ(stats.writebacks, 1u);
+  EXPECT_EQ(Count(stats_, "misses"), 40u);
+  EXPECT_EQ(Count(stats_, "readahead_pages"), 11u);
+  EXPECT_EQ(Count(stats_, "evictions"), 19u);
+  EXPECT_EQ(Count(stats_, "writebacks"), 1u);
   // The 32 survivors fill the pool, so probing each one as a hit proves
   // the resident set is exactly them.
-  pool.ResetStats();
+  stats_.Reset();
   std::vector<BlockNumber> resident = {15, 8, 9, 10, 11, 48, 40};
   resident.insert(resident.end(), late.begin(), late.end());
   ASSERT_EQ(resident.size(), pool.num_frames());
   for (BlockNumber b : resident) {
     touch(b);
-    EXPECT_EQ(pool.stats().misses, 0u) << "block " << b << " was evicted";
+    EXPECT_EQ(Count(stats_, "misses"), 0u) << "block " << b << " was evicted";
   }
-  EXPECT_EQ(pool.stats().hits, 32u);
+  EXPECT_EQ(Count(stats_, "hits"), 32u);
 }
 
 TEST(BufferPoolClusteringTest, EvictionWritesAreClustered) {
@@ -772,6 +788,9 @@ TEST(BufferPoolClusteringTest, EvictionWritesAreClustered) {
   pglo::testing::TempDir dir;
   SimClock clock;
   MagneticDiskModel device(&clock, DiskModelParams{});
+  StatsRegistry stats;
+  stats.SetClock(&clock);  // command counts are the histograms' counts
+  device.BindStats(&stats, "disk");
   SmgrRegistry smgrs;
   ASSERT_OK(smgrs.Register(0, std::make_unique<DiskSmgr>(dir.Sub("d"),
                                                          &device)));
@@ -784,7 +803,7 @@ TEST(BufferPoolClusteringTest, EvictionWritesAreClustered) {
   for (BlockNumber b = 0; b < 400; ++b) {
     ASSERT_OK(smgr->WriteBlock(1, b, zero));
   }
-  device.ResetStats();
+  stats.Reset();
 
   BufferPool pool(&smgrs, 64);
   // Interleave: read file 1 sequentially, append dirty pages to file 2.
@@ -802,10 +821,11 @@ TEST(BufferPoolClusteringTest, EvictionWritesAreClustered) {
   // Without clustering every eviction would seek (~800 writes + 400 reads
   // all random): seeks ≈ I/O count. With 64-page batches, seeks are a
   // small fraction.
-  const DeviceStats& stats = device.stats();
-  uint64_t ios = stats.reads + stats.writes;
-  EXPECT_LT(stats.seeks, ios / 3) << "seeks " << stats.seeks << " of "
-                                  << ios << " I/Os";
+  uint64_t ios = stats.histogram("device.disk.read_ns")->count() +
+                 stats.histogram("device.disk.write_ns")->count();
+  uint64_t seeks = stats.counter("device.disk.seeks")->value();
+  EXPECT_LT(seeks, ios / 3) << "seeks " << seeks << " of " << ios
+                            << " I/Os";
 }
 
 }  // namespace

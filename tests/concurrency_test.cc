@@ -316,12 +316,13 @@ TEST_F(ConcurrencyTest, CommitConsumesTheTransaction) {
   Status stale = db.txns().Commit(txn).status();
   EXPECT_TRUE(stale.IsInvalidArgument()) << stale.ToString();
 
-  // A fresh Begin works; stats counted both outcomes.
+  // A fresh Begin works; the activity slot counted both outcomes.
   session->Begin();
   ASSERT_OK(session->Abort());
-  EXPECT_EQ(session->stats().begun, 2u);
-  EXPECT_EQ(session->stats().committed, 1u);
-  EXPECT_EQ(session->stats().aborted, 1u);
+  const BackendSlot* slot = session->activity_slot();
+  EXPECT_EQ(slot->begun.load(), 2u);
+  EXPECT_EQ(slot->committed.load(), 1u);
+  EXPECT_EQ(slot->aborted.load(), 1u);
   ASSERT_OK(db.Close());
 }
 

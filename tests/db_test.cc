@@ -206,7 +206,7 @@ TEST_F(DatabaseTest, WormStorageManagerUsableForLargeObjects) {
   ASSERT_OK_AND_ASSIGN(fd, session->OpenLo(oid, false));
   ASSERT_OK_AND_ASSIGN(Bytes data, fd->Read(64));
   EXPECT_EQ(Slice(data).ToString(), "on the jukebox");
-  EXPECT_GT(db.worm()->stats().optical_writes, 0u);
+  EXPECT_GT(db.Stats().Value("smgr.worm.optical_writes"), 0u);
   ASSERT_OK(session->Abort());
 }
 
@@ -316,7 +316,8 @@ TEST_F(DatabaseTest, SimulatedTimeAdvancesWithCharging) {
   ASSERT_OK(fd->Write(Slice(data)));
   ASSERT_OK(session->Commit().status());
   EXPECT_GT(db.clock().NowNanos(), 0u);
-  EXPECT_GT(db.disk_device()->stats().writes, 0u);
+  EXPECT_GT(db.stats_registry()->histogram("device.disk.write_ns")->count(),
+            0u);
 }
 
 }  // namespace

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "device/cpu_cost.h"
 #include "device/device_model.h"
 #include "device/sim_clock.h"
@@ -40,6 +44,8 @@ TEST(DiskModelTest, SequentialCheaperThanRandom) {
 
   clock.Reset();
   MagneticDiskModel disk2(&clock, DiskModelParams{});
+  StatsRegistry stats;
+  disk2.BindStats(&stats, "disk");
   disk2.ChargeRead(1'000'000, 1);
   uint64_t base = clock.NowNanos();
   for (int i = 1; i < 100; ++i) {
@@ -47,7 +53,7 @@ TEST(DiskModelTest, SequentialCheaperThanRandom) {
   }
   uint64_t random = clock.NowNanos() - base;
   EXPECT_GT(random, sequential * 5);
-  EXPECT_EQ(disk2.stats().seeks, 100u);
+  EXPECT_EQ(stats.counter("device.disk.seeks")->value(), 100u);
 }
 
 TEST(DiskModelTest, NearSeekCheaperThanFarSeek) {
@@ -67,15 +73,64 @@ TEST(DiskModelTest, NearSeekCheaperThanFarSeek) {
 TEST(DiskModelTest, StatsCountBlocks) {
   SimClock clock;
   MagneticDiskModel disk(&clock, DiskModelParams{});
+  StatsRegistry stats;
+  stats.SetClock(&clock);  // command counts are the histograms' counts
+  disk.BindStats(&stats, "disk");
   disk.ChargeRead(0, 4);
   disk.ChargeWrite(4, 2);
-  EXPECT_EQ(disk.stats().reads, 1u);
-  EXPECT_EQ(disk.stats().writes, 1u);
-  EXPECT_EQ(disk.stats().blocks_read, 4u);
-  EXPECT_EQ(disk.stats().blocks_written, 2u);
-  EXPECT_GT(disk.stats().busy_ns, 0u);
-  disk.ResetStats();
-  EXPECT_EQ(disk.stats().reads, 0u);
+  EXPECT_EQ(stats.histogram("device.disk.read_ns")->count(), 1u);
+  EXPECT_EQ(stats.histogram("device.disk.write_ns")->count(), 1u);
+  EXPECT_EQ(stats.counter("device.disk.blocks_read")->value(), 4u);
+  EXPECT_EQ(stats.counter("device.disk.blocks_written")->value(), 2u);
+  EXPECT_GT(stats.counter("device.disk.busy_ns")->value(), 0u);
+  stats.Reset();
+  EXPECT_EQ(stats.histogram("device.disk.read_ns")->count(), 0u);
+}
+
+// Records each completed span's name and detail.
+class DetailSink : public TraceSink {
+ public:
+  void OnSpan(const TraceEvent& event) override {
+    spans.emplace_back(std::string(event.name), event.detail);
+  }
+  std::vector<std::pair<std::string, uint64_t>> spans;
+};
+
+TEST(DeviceSpanTest, SpansCarryTheirCommandsSeekCount) {
+  // A far read seeks and the sequential read after it does not, on both
+  // positional models; each span's detail says so, and the registry's
+  // seeks, blocks and command counts agree with the calls made.
+  SimClock clock;
+  MagneticDiskModel disk(&clock, DiskModelParams{});
+  WormJukeboxModel worm(&clock, WormModelParams{});
+  StatsRegistry stats;
+  stats.SetClock(&clock);
+  DetailSink sink;
+  stats.SetTraceSink(&sink);
+  disk.BindStats(&stats, "disk");
+  worm.BindStats(&stats, "worm");
+  for (DeviceModel* device : {static_cast<DeviceModel*>(&disk),
+                              static_cast<DeviceModel*>(&worm)}) {
+    device->ChargeRead(5000, 2);  // far
+    device->ChargeRead(5002, 3);  // sequential
+  }
+  std::vector<std::pair<std::string, uint64_t>> want = {
+      {"device.disk.read", 1},
+      {"device.disk.read", 0},
+      {"device.worm.read", 1},
+      {"device.worm.read", 0}};
+  EXPECT_EQ(sink.spans, want);
+  for (std::string label : {"disk", "worm"}) {
+    std::string prefix = "device." + label;
+    EXPECT_EQ(stats.counter(prefix + ".seeks")->value(), 1u) << label;
+    EXPECT_EQ(stats.counter(prefix + ".blocks_read")->value(), 5u) << label;
+    EXPECT_EQ(stats.histogram(prefix + ".read_ns")->count(), 2u) << label;
+    EXPECT_EQ(stats.histogram(prefix + ".write_ns")->count(), 0u) << label;
+  }
+  // Every charged nanosecond is some device's busy time.
+  EXPECT_EQ(stats.counter("device.disk.busy_ns")->value() +
+                stats.counter("device.worm.busy_ns")->value(),
+            clock.NowNanos());
 }
 
 TEST(WormModelTest, PlatterSwitchIsExpensive) {

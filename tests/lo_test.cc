@@ -578,7 +578,7 @@ TEST_F(LoManagerTest, MigrateBetweenStorageManagers) {
     ASSERT_OK(session_->Commit().status());
   }
   verify();
-  EXPECT_GT(db_.worm()->stats().optical_writes, 0u);
+  EXPECT_GT(db_.Stats().Value("smgr.worm.optical_writes"), 0u);
   // WORM -> main memory.
   {
     Transaction* txn = session_->Begin();

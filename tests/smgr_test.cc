@@ -15,6 +15,11 @@ namespace {
 
 using pglo::testing::TempDir;
 
+/// The WORM counter `smgr.worm.<name>` of a manager bound to `stats`.
+uint64_t WormCount(StatsRegistry& stats, const std::string& name) {
+  return stats.counter("smgr.worm." + name)->value();
+}
+
 void FillBlock(uint8_t* buf, uint8_t seed) {
   for (uint32_t i = 0; i < kPageSize; ++i) {
     buf[i] = static_cast<uint8_t>(seed + i);
@@ -200,19 +205,24 @@ TEST(DiskSmgrTest, ChargesDevice) {
   TempDir dir;
   SimClock clock;
   MagneticDiskModel device(&clock, DiskModelParams{});
+  StatsRegistry stats;
+  stats.SetClock(&clock);  // command counts are the histograms' counts
+  device.BindStats(&stats, "disk");
   DiskSmgr smgr(dir.Sub("d"), &device);
   ASSERT_OK(smgr.CreateFile(1));
   uint8_t buf[kPageSize] = {};
   ASSERT_OK(smgr.WriteBlock(1, 0, buf));
   ASSERT_OK(smgr.ReadBlock(1, 0, buf));
-  EXPECT_EQ(device.stats().reads, 1u);
-  EXPECT_EQ(device.stats().writes, 1u);
+  EXPECT_EQ(stats.histogram("device.disk.read_ns")->count(), 1u);
+  EXPECT_EQ(stats.histogram("device.disk.write_ns")->count(), 1u);
   EXPECT_GT(clock.NowNanos(), 0u);
 }
 
 TEST(WormSmgrTest, RewriteRelocatesAndWastesPlatter) {
   TempDir dir;
   WormSmgr worm(dir.path(), nullptr, nullptr, 8);
+  StatsRegistry stats;
+  worm.BindStats(&stats);
   ASSERT_OK(worm.Open());
   ASSERT_OK(worm.CreateFile(1));
   uint8_t buf[kPageSize];
@@ -224,7 +234,7 @@ TEST(WormSmgrTest, RewriteRelocatesAndWastesPlatter) {
   ASSERT_OK(worm.WriteBlock(1, 0, buf));  // write-once: relocation
   ASSERT_OK_AND_ASSIGN(uint64_t bytes_after, worm.StorageBytes(1));
   EXPECT_EQ(bytes_after, 2 * kPageSize);  // dead platter space counted
-  EXPECT_EQ(worm.stats().relocations, 1u);
+  EXPECT_EQ(WormCount(stats, "relocations"), 1u);
   uint8_t rbuf[kPageSize];
   ASSERT_OK(worm.ReadBlock(1, 0, rbuf));
   EXPECT_EQ(std::memcmp(rbuf, buf, kPageSize), 0);  // newest version read
@@ -233,13 +243,15 @@ TEST(WormSmgrTest, RewriteRelocatesAndWastesPlatter) {
 TEST(WormSmgrTest, VectoredRewriteBurnsFreshRunAndRelocates) {
   TempDir dir;
   WormSmgr worm(dir.path(), nullptr, nullptr, 8);
+  StatsRegistry stats;
+  worm.BindStats(&stats);
   ASSERT_OK(worm.Open());
   ASSERT_OK(worm.CreateFile(1));
   uint8_t buf[4 * kPageSize];
   for (uint8_t b = 0; b < 4; ++b) FillBlock(buf + b * kPageSize, b);
   ASSERT_OK(worm.WriteBlocks(1, 0, 4, buf));
-  EXPECT_EQ(worm.stats().optical_writes, 4u);
-  EXPECT_EQ(worm.stats().relocations, 0u);
+  EXPECT_EQ(WormCount(stats, "optical_writes"), 4u);
+  EXPECT_EQ(WormCount(stats, "relocations"), 0u);
   ASSERT_OK_AND_ASSIGN(uint64_t bytes, worm.StorageBytes(1));
   EXPECT_EQ(bytes, 4 * kPageSize);
   // Write-once platter: rewriting blocks 1..2 in one run burns two fresh
@@ -248,8 +260,8 @@ TEST(WormSmgrTest, VectoredRewriteBurnsFreshRunAndRelocates) {
   FillBlock(buf2, 20);
   FillBlock(buf2 + kPageSize, 21);
   ASSERT_OK(worm.WriteBlocks(1, 1, 2, buf2));
-  EXPECT_EQ(worm.stats().optical_writes, 6u);
-  EXPECT_EQ(worm.stats().relocations, 2u);
+  EXPECT_EQ(WormCount(stats, "optical_writes"), 6u);
+  EXPECT_EQ(WormCount(stats, "relocations"), 2u);
   ASSERT_OK_AND_ASSIGN(bytes, worm.StorageBytes(1));
   EXPECT_EQ(bytes, 6 * kPageSize);
   uint8_t rbuf[4 * kPageSize];
@@ -261,6 +273,8 @@ TEST(WormSmgrTest, VectoredRewriteBurnsFreshRunAndRelocates) {
 TEST(WormSmgrTest, VectoredReadMixesCacheHitsAndOpticalRuns) {
   TempDir dir;
   WormSmgr worm(dir.path(), nullptr, nullptr, 8);
+  StatsRegistry stats;
+  worm.BindStats(&stats);
   ASSERT_OK(worm.Open());
   ASSERT_OK(worm.CreateFile(1));
   uint8_t buf[5 * kPageSize];
@@ -269,50 +283,54 @@ TEST(WormSmgrTest, VectoredReadMixesCacheHitsAndOpticalRuns) {
   worm.DropCache();
   uint8_t rbuf[5 * kPageSize];
   ASSERT_OK(worm.ReadBlock(1, 2, rbuf));  // cache block 2 only
-  worm.ResetStats();
+  stats.Reset();
   // The run is served as cached block 2 plus two optical sub-runs around
   // it, and every block still comes back with the right contents.
   ASSERT_OK(worm.ReadBlocks(1, 0, 5, rbuf));
   EXPECT_EQ(std::memcmp(rbuf, buf, sizeof buf), 0);
-  EXPECT_EQ(worm.stats().cache_hits, 1u);
-  EXPECT_EQ(worm.stats().cache_misses, 4u);
-  EXPECT_EQ(worm.stats().optical_reads, 4u);
+  EXPECT_EQ(WormCount(stats, "cache_hits"), 1u);
+  EXPECT_EQ(WormCount(stats, "cache_misses"), 4u);
+  EXPECT_EQ(WormCount(stats, "optical_reads"), 4u);
 }
 
 TEST(WormSmgrTest, CacheServesRepeatReads) {
   TempDir dir;
   WormSmgr worm(dir.path(), nullptr, nullptr, 4);
+  StatsRegistry stats;
+  worm.BindStats(&stats);
   ASSERT_OK(worm.Open());
   ASSERT_OK(worm.CreateFile(1));
   uint8_t buf[kPageSize];
   FillBlock(buf, 3);
   ASSERT_OK(worm.WriteBlock(1, 0, buf));
-  worm.ResetStats();
+  stats.Reset();
   worm.DropCache();
   uint8_t rbuf[kPageSize];
   ASSERT_OK(worm.ReadBlock(1, 0, rbuf));  // miss -> optical
   ASSERT_OK(worm.ReadBlock(1, 0, rbuf));  // hit -> magnetic cache
-  EXPECT_EQ(worm.stats().cache_misses, 1u);
-  EXPECT_EQ(worm.stats().cache_hits, 1u);
-  EXPECT_EQ(worm.stats().optical_reads, 1u);
+  EXPECT_EQ(WormCount(stats, "cache_misses"), 1u);
+  EXPECT_EQ(WormCount(stats, "cache_hits"), 1u);
+  EXPECT_EQ(WormCount(stats, "optical_reads"), 1u);
 }
 
 TEST(WormSmgrTest, CacheEvictsAtCapacity) {
   TempDir dir;
   WormSmgr worm(dir.path(), nullptr, nullptr, /*cache_blocks=*/2);
+  StatsRegistry stats;
+  worm.BindStats(&stats);
   ASSERT_OK(worm.Open());
   ASSERT_OK(worm.CreateFile(1));
   uint8_t buf[kPageSize] = {};
   for (BlockNumber b = 0; b < 4; ++b) {
     ASSERT_OK(worm.WriteBlock(1, b, buf));
   }
-  worm.ResetStats();
+  stats.Reset();
   uint8_t rbuf[kPageSize];
   // Blocks 0 and 1 were evicted when 2 and 3 were written.
   ASSERT_OK(worm.ReadBlock(1, 0, rbuf));
-  EXPECT_EQ(worm.stats().cache_misses, 1u);
+  EXPECT_EQ(WormCount(stats, "cache_misses"), 1u);
   ASSERT_OK(worm.ReadBlock(1, 3, rbuf));
-  EXPECT_EQ(worm.stats().cache_hits, 1u);
+  EXPECT_EQ(WormCount(stats, "cache_hits"), 1u);
 }
 
 TEST(WormSmgrTest, PersistsAcrossReopen) {

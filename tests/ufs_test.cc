@@ -350,6 +350,10 @@ TEST_F(UfsTest, DeviceChargedOnMissesOnly) {
   TempDir dir;
   SimClock clock;
   MagneticDiskModel device(&clock, DiskModelParams{});
+  StatsRegistry stats;
+  stats.SetClock(&clock);  // command counts are the histograms' counts
+  device.BindStats(&stats, "ufs");
+  Histogram* reads = stats.histogram("device.ufs.read_ns");
   UnixFileSystem::Params params;
   params.capacity_blocks = 1024;
   params.cache_blocks = 64;
@@ -358,13 +362,13 @@ TEST_F(UfsTest, DeviceChargedOnMissesOnly) {
   ASSERT_OK_AND_ASSIGN(uint32_t ino, fs.Create("f"));
   Bytes data(kPageSize, 2);
   ASSERT_OK(fs.WriteAt(ino, 0, Slice(data)));
-  uint64_t before = device.stats().reads;
+  uint64_t before = reads->count();
   uint8_t buf[64];
   // Repeated reads of a cached block charge nothing.
   for (int i = 0; i < 50; ++i) {
     ASSERT_OK(fs.ReadAt(ino, 0, sizeof(buf), buf).status());
   }
-  EXPECT_EQ(device.stats().reads, before);
+  EXPECT_EQ(reads->count(), before);
   // Whole-block writes to uncached blocks charge no read either: fresh
   // blocks past the 64-block cache, then the evicted direct blocks
   // overwritten whole. The cache installs them without fetching them.
@@ -374,7 +378,7 @@ TEST_F(UfsTest, DeviceChargedOnMissesOnly) {
   for (uint64_t b = 0; b < UfsInode::kNumDirect; ++b) {
     ASSERT_OK(fs.WriteAt(ino, b * kPageSize, Slice(data)));
   }
-  EXPECT_EQ(device.stats().reads, before);
+  EXPECT_EQ(reads->count(), before);
 }
 
 // Property test: random writes/reads against an in-memory reference file.

@@ -9,8 +9,14 @@
 //       (config, op). A row regresses when
 //           new.simulated_seconds > base.simulated_seconds * (1 + tol)
 //       or when a timed baseline row is missing from NEW (coverage loss).
-//       Improvements, new rows, and counter/value drift are reported
-//       informationally only. Exit 0 when no regression, 1 otherwise.
+//       At --tolerance=0.0 each row's `values` are gated too: a baseline
+//       value (Figure 1's storage bytes, an ablation's hit rate) regresses
+//       when NEW lacks it or holds a different number. Values only in NEW
+//       are informational. At a nonzero tolerance every value is
+//       informational, because some benches record wall-clock numbers
+//       there (the obs bench's overheads). Improvements, new rows, and
+//       counter drift are reported informationally only. Exit 0 when no
+//       regression, 1 otherwise.
 //
 // Simulated time is deterministic, so the tolerance guards against real
 // behavioural change (extra I/O, lost cache hits), not measurement noise;
@@ -18,6 +24,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -34,6 +41,7 @@ struct Row {
   std::string op;
   double seconds = 0.0;
   bool has_seconds = false;
+  std::map<std::string, double> values;
 };
 
 /// Validates the pglo-bench-v1 shape; appends human-readable problems.
@@ -166,6 +174,12 @@ std::vector<Row> Rows(const JsonValue& doc) {
       row.seconds = seconds->number;
       row.has_seconds = true;
     }
+    const JsonValue* values = r.Get("values");
+    if (values != nullptr && values->is_object()) {
+      for (const auto& [key, value] : values->object) {
+        if (value.is_number()) row.values[key] = value.number;
+      }
+    }
     rows.push_back(std::move(row));
   }
   return rows;
@@ -290,6 +304,37 @@ int main(int argc, char** argv) {
     }
   }
 
+  // Exact mode gates the values as well: every baseline value must be in
+  // NEW, bit for bit.
+  int values_compared = 0;
+  if (tolerance == 0.0) {
+    for (const Row& b : base_rows) {
+      const Row* n = FindRow(next_rows, b);
+      for (const auto& [key, value] : b.values) {
+        const double* got = nullptr;
+        if (n != nullptr) {
+          auto it = n->values.find(key);
+          if (it != n->values.end()) got = &it->second;
+        }
+        if (got == nullptr) {
+          std::printf("REGRESSION %s / %s value %s: present in baseline, "
+                      "missing from %s\n",
+                      b.config.c_str(), b.op.c_str(), key.c_str(),
+                      files[1].c_str());
+          ++regressions;
+          continue;
+        }
+        ++values_compared;
+        if (*got != value) {
+          std::printf("REGRESSION %s / %s value %s: %.17g -> %.17g\n",
+                      b.config.c_str(), b.op.c_str(), key.c_str(), value,
+                      *got);
+          ++regressions;
+        }
+      }
+    }
+  }
+
   // Informational physical-work drift: device seek counts and storage-
   // manager block reads explain *why* simulated times moved (e.g. vectored
   // I/O should show seeks falling alongside times), and the fragmentation
@@ -335,7 +380,9 @@ int main(int argc, char** argv) {
                 compared);
     return 1;
   }
-  std::printf("OK: %d row(s) within +%.0f%% of baseline\n", compared,
+  std::printf("OK: %d row(s) within +%.0f%% of baseline", compared,
               100.0 * tolerance);
+  if (tolerance == 0.0) std::printf(", %d value(s) equal", values_compared);
+  std::printf("\n");
   return 0;
 }
