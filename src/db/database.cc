@@ -126,16 +126,11 @@ Status Database::OpenBody(bool after_crash) {
   DeviceModel* worm_dev = nullptr;
   DeviceModel* mem_dev = nullptr;
   if (options_.charge_devices) {
-    disk_device_ = std::make_unique<MagneticDiskModel>(clock_.get(),
-                                                       options_.disk_params);
-    ufs_device_ = std::make_unique<MagneticDiskModel>(clock_.get(),
-                                                      options_.disk_params);
-    worm_cache_device_ = std::make_unique<MagneticDiskModel>(
-        clock_.get(), options_.disk_params);
-    worm_device_ = std::make_unique<WormJukeboxModel>(clock_.get(),
-                                                      options_.worm_params);
-    memory_device_ = std::make_unique<MemoryDeviceModel>(
-        clock_.get(), options_.memory_params);
+    disk_device_ = std::make_unique<MagneticDiskModel>(clock_.get());
+    ufs_device_ = std::make_unique<MagneticDiskModel>(clock_.get());
+    worm_cache_device_ = std::make_unique<MagneticDiskModel>(clock_.get());
+    worm_device_ = std::make_unique<WormJukeboxModel>(clock_.get());
+    memory_device_ = std::make_unique<MemoryDeviceModel>(clock_.get());
     disk_dev = disk_device_.get();
     ufs_dev = ufs_device_.get();
     worm_cache_dev = worm_cache_device_.get();

@@ -32,12 +32,10 @@ struct DatabaseOptions {
   /// sequence (and its exact simulated times).
   uint32_t readahead_pages = 8;
 
-  /// Device timing models; set `charge_devices` false to run without
-  /// simulated-time accounting (unit tests).
+  /// Device timing models, each with its default parameters; set
+  /// `charge_devices` false to run without simulated-time accounting (unit
+  /// tests).
   bool charge_devices = true;
-  DiskModelParams disk_params;
-  WormModelParams worm_params;
-  MemoryModelParams memory_params;
   double cpu_mips = 10.0;
   /// Simulated instructions charged per page/block cache access (buffer
   /// pool and OS buffer cache alike). 0 = no per-access CPU accounting.

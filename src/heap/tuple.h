@@ -34,8 +34,12 @@ struct TupleHeader {
 inline Bytes MakeTupleImage(const TupleHeader& header, Slice payload) {
   Bytes image(TupleHeader::kSize + payload.size());
   header.EncodeTo(image.data());
-  std::memcpy(image.data() + TupleHeader::kSize, payload.data(),
-              payload.size());
+  // An empty payload may carry a null data pointer, which memcpy must not
+  // see.
+  if (!payload.empty()) {
+    std::memcpy(image.data() + TupleHeader::kSize, payload.data(),
+                payload.size());
+  }
   return image;
 }
 

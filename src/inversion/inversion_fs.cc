@@ -134,17 +134,19 @@ Result<InversionFs::StatInfo> InversionFs::DecodeStat(Slice image) {
 InversionFs::InversionFs(const DbContext& ctx, LoManager* lo)
     : ctx_(ctx),
       lo_(lo),
-      directory_(ctx.pool, RelFileId{kMetaSmgr, kDirectoryRelfile}),
+      directory_(ctx,
+                 IndexedClass::Files{
+                     RelFileId{kMetaSmgr, kDirectoryRelfile},
+                     RelFileId{kMetaSmgr, kDirIndexRelfile}},
+                 &DirRecordKey),
       storage_(ctx.pool, RelFileId{kMetaSmgr, kStorageRelfile}),
-      filestat_(ctx.pool, RelFileId{kMetaSmgr, kFilestatRelfile}),
-      dir_index_(ctx.pool, RelFileId{kMetaSmgr, kDirIndexRelfile}) {
+      filestat_(ctx.pool, RelFileId{kMetaSmgr, kFilestatRelfile}) {
   if (ctx_.stats != nullptr) {
     c_path_resolutions_ = ctx_.stats->counter("inversion.path_resolutions");
     c_index_probes_ = ctx_.stats->counter("inversion.index_probes");
     h_resolve_ = ctx_.stats->histogram("inversion.resolve_ns");
     h_file_read_ = ctx_.stats->histogram("inversion.file.read_ns");
     h_file_write_ = ctx_.stats->histogram("inversion.file.write_ns");
-    dir_index_.BindStats(ctx_.stats);
   }
 }
 
@@ -158,8 +160,9 @@ uint64_t InversionFs::DirKey(FileId parent, const std::string& name) {
   return h;
 }
 
-Status InversionFs::IndexDirEntry(const DirRecord& rec, Tid tid) {
-  return dir_index_.InsertIfAbsent(DirKey(rec.parent, rec.name), tid);
+Result<std::optional<uint64_t>> InversionFs::DirRecordKey(Slice image) {
+  PGLO_ASSIGN_OR_RETURN(DirRecord rec, DecodeDir(image));
+  return std::optional<uint64_t>(DirKey(rec.parent, rec.name));
 }
 
 Status InversionFs::Bootstrap(Transaction* txn) {
@@ -199,9 +202,8 @@ Status InversionFs::Bootstrap(Transaction* txn) {
   if (existing_root.ok()) return Status::OK();
   if (!existing_root.status().IsNotFound()) return existing_root.status();
   DirRecord root{"/", kRootFileId, kInvalidFileId, /*is_dir=*/true};
-  PGLO_ASSIGN_OR_RETURN(Tid root_tid,
-                        directory_.Insert(txn, Slice(EncodeDir(root))));
-  PGLO_RETURN_IF_ERROR(IndexDirEntry(root, root_tid));
+  PGLO_RETURN_IF_ERROR(directory_.Insert(txn, DirKey(root.parent, root.name),
+                                         Slice(EncodeDir(root))));
   StatInfo st;
   st.file_id = kRootFileId;
   st.is_dir = true;
@@ -230,27 +232,22 @@ Result<std::vector<std::string>> InversionFs::SplitPath(
 
 Result<std::pair<InversionFs::DirRecord, Tid>> InversionFs::LookupIn(
     Transaction* txn, FileId parent, const std::string& name) {
-  // Index probe: candidates are (possibly colliding or stale) tuple
-  // addresses; visibility and the actual (parent, name) are rechecked. The
-  // DIRECTORY heap holds only directory records, so a recycled slot still
-  // decodes (and fails the name check); a record that does not decode is
-  // damage, reported as Corruption just as ReadDir reports it.
+  // IndexedClass visits only visible records filed under the key (a record
+  // that does not decode is Corruption, just as ReadDir reports it). A name
+  // whose hash collides is declined, so the key's other entries are probed.
   StatInc(c_index_probes_);
-  PGLO_ASSIGN_OR_RETURN(std::vector<uint64_t> candidates,
-                        dir_index_.Lookup(DirKey(parent, name)));
-  for (uint64_t packed : candidates) {
-    Tid tid = Btree::UnpackTid(packed);
-    Result<Bytes> payload = directory_.Get(txn, tid);
-    if (!payload.ok()) {
-      if (payload.status().IsNotFound()) continue;  // invisible version
-      return payload.status();
-    }
-    PGLO_ASSIGN_OR_RETURN(DirRecord rec, DecodeDir(Slice(payload.value())));
-    if (rec.parent == parent && rec.name == name) {
-      return std::make_pair(std::move(rec), tid);
-    }
-  }
-  return Status::NotFound("no such file or directory: " + name);
+  std::optional<std::pair<DirRecord, Tid>> found;
+  uint64_t key = DirKey(parent, name);
+  PGLO_RETURN_IF_ERROR(directory_.Scan(
+      txn, key, key,
+      [&](uint64_t, Tid tid, const Bytes& image) -> Result<bool> {
+        PGLO_ASSIGN_OR_RETURN(DirRecord rec, DecodeDir(Slice(image)));
+        if (rec.parent != parent || rec.name != name) return false;
+        found.emplace(std::move(rec), tid);
+        return true;
+      }));
+  if (!found) return Status::NotFound("no such file or directory: " + name);
+  return std::move(*found);
 }
 
 Result<std::pair<InversionFs::DirRecord, Tid>> InversionFs::Resolve(
@@ -300,9 +297,8 @@ Result<FileId> InversionFs::MkDir(Transaction* txn, const std::string& path) {
   }
   FileId id = ctx_.oids->Allocate();
   DirRecord rec{leaf, id, parent, /*is_dir=*/true};
-  PGLO_ASSIGN_OR_RETURN(Tid dir_tid,
-                        directory_.Insert(txn, Slice(EncodeDir(rec))));
-  PGLO_RETURN_IF_ERROR(IndexDirEntry(rec, dir_tid));
+  PGLO_RETURN_IF_ERROR(
+      directory_.Insert(txn, DirKey(parent, leaf), Slice(EncodeDir(rec))));
   StatInfo st;
   st.file_id = id;
   st.is_dir = true;
@@ -322,9 +318,8 @@ Result<FileId> InversionFs::Create(Transaction* txn, const std::string& path,
   PGLO_ASSIGN_OR_RETURN(Oid lo_oid, lo_->Create(txn, spec));
   FileId id = ctx_.oids->Allocate();
   DirRecord rec{leaf, id, parent, /*is_dir=*/false};
-  PGLO_ASSIGN_OR_RETURN(Tid dir_tid,
-                        directory_.Insert(txn, Slice(EncodeDir(rec))));
-  PGLO_RETURN_IF_ERROR(IndexDirEntry(rec, dir_tid));
+  PGLO_RETURN_IF_ERROR(
+      directory_.Insert(txn, DirKey(parent, leaf), Slice(EncodeDir(rec))));
   PGLO_RETURN_IF_ERROR(
       storage_.Insert(txn, Slice(EncodeStorage(id, lo_oid))).status());
   StatInfo st;
@@ -422,9 +417,8 @@ Status InversionFs::Rename(Transaction* txn, const std::string& from,
   DirRecord rec = found.first;
   rec.name = new_leaf;
   rec.parent = new_parent;
-  PGLO_ASSIGN_OR_RETURN(
-      Tid new_tid, directory_.Update(txn, found.second, Slice(EncodeDir(rec))));
-  return IndexDirEntry(rec, new_tid);
+  return directory_.Update(txn, found.second, DirKey(new_parent, new_leaf),
+                           Slice(EncodeDir(rec)));
 }
 
 Result<InversionFs::StatInfo> InversionFs::Stat(Transaction* txn,
@@ -450,7 +444,7 @@ Result<std::vector<InversionFs::DirEntryInfo>> InversionFs::ReadDir(
     return Status::InvalidArgument("not a directory: " + path);
   }
   std::vector<DirEntryInfo> out;
-  HeapScan scan(&directory_, txn);
+  HeapScan scan(&directory_.heap(), txn);
   Tid tid;
   Bytes payload;
   for (;;) {

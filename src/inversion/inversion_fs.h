@@ -5,9 +5,9 @@
 #include <string>
 #include <vector>
 
-#include "btree/btree.h"
 #include "db/context.h"
 #include "heap/heap_class.h"
+#include "lo/indexed_class.h"
 #include "lo/lo_manager.h"
 
 namespace pglo {
@@ -143,7 +143,7 @@ class InversionFs {
   /// Direct handles to the metadata classes so the query layer can scan
   /// them ("a user can use the query language to perform searches on the
   /// DIRECTORY class", §8).
-  HeapClass& directory_class() { return directory_; }
+  HeapClass& directory_class() { return directory_.heap(); }
   HeapClass& storage_class() { return storage_; }
   HeapClass& filestat_class() { return filestat_; }
 
@@ -166,16 +166,16 @@ class InversionFs {
   static Result<std::vector<std::string>> SplitPath(const std::string& path);
 
   /// Finds the entry `name` in directory `parent` via the (parent, name)
-  /// hash index on DIRECTORY (candidates are rechecked against the actual
-  /// record, so hash collisions and stale entries are harmless).
+  /// hash index on DIRECTORY. Names that collide on the hash are filed
+  /// under the same key, so the match is checked against the record.
   Result<std::pair<DirRecord, Tid>> LookupIn(Transaction* txn, FileId parent,
                                              const std::string& name);
 
   /// Hash key for the DIRECTORY index.
   static uint64_t DirKey(FileId parent, const std::string& name);
-
-  /// Adds an index entry for a (new) DIRECTORY tuple version.
-  Status IndexDirEntry(const DirRecord& rec, Tid tid);
+  /// The key a DIRECTORY record is filed under: DirKey of its (parent,
+  /// name).
+  static Result<std::optional<uint64_t>> DirRecordKey(Slice image);
 
   /// Resolves a full path to its directory record.
   Result<std::pair<DirRecord, Tid>> Resolve(Transaction* txn,
@@ -193,10 +193,9 @@ class InversionFs {
 
   DbContext ctx_;
   LoManager* lo_;
-  HeapClass directory_;
+  IndexedClass directory_;  ///< B-tree on DirKey(parent, name)
   HeapClass storage_;
   HeapClass filestat_;
-  Btree dir_index_;  ///< hash(parent, name) -> DIRECTORY tuple address
   // Observability (null when ctx.stats is null).
   friend class InversionFile;  // reads the file-I/O histograms below
   Counter* c_path_resolutions_ = nullptr;

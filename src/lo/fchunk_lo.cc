@@ -69,9 +69,9 @@ Result<FChunkLo::ChunkRecord> FChunkLo::DecodeChunk(Slice image) {
   return rec;
 }
 
-Result<uint64_t> FChunkLo::ChunkKey(Slice image) {
+Result<std::optional<uint64_t>> FChunkLo::ChunkKey(Slice image) {
   PGLO_ASSIGN_OR_RETURN(ChunkRecord rec, DecodeChunk(image));
-  return rec.seqno;
+  return std::optional<uint64_t>(rec.seqno);
 }
 
 Result<bool> FChunkLo::LoadChunk(Transaction* txn, uint32_t seqno,

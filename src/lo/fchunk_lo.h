@@ -75,7 +75,7 @@ class FChunkLo : public LargeObject {
                            Slice payload);
   static Result<ChunkRecord> DecodeChunk(Slice image);
   /// The key a chunk or size record is filed under: its sequence number.
-  static Result<uint64_t> ChunkKey(Slice image);
+  static Result<std::optional<uint64_t>> ChunkKey(Slice image);
 
   /// Fetches and decompresses chunk `seqno` into `out` (raw bytes).
   /// Returns false when the chunk does not exist (hole or beyond EOF).

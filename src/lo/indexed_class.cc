@@ -17,7 +17,7 @@ IndexedClass::IndexedClass(const DbContext& ctx, Files files, KeyOf key_of)
       files_(files),
       heap_(ctx.pool, files.heap),
       index_(ctx.pool, files.index),
-      key_of_(key_of) {
+      key_of_(std::move(key_of)) {
   index_.BindStats(ctx_.stats);
 }
 
@@ -28,7 +28,8 @@ Result<std::optional<Bytes>> IndexedClass::Resolve(Transaction* txn,
     if (image.status().IsNotFound()) return std::optional<Bytes>();
     return image.status();
   }
-  PGLO_ASSIGN_OR_RETURN(uint64_t filed_under, key_of_(Slice(image.value())));
+  PGLO_ASSIGN_OR_RETURN(std::optional<uint64_t> filed_under,
+                        key_of_(Slice(image.value())));
   if (filed_under != key) return std::optional<Bytes>();
   return std::optional<Bytes>(std::move(image).value());
 }
@@ -46,13 +47,17 @@ Result<std::optional<IndexedClass::Record>> IndexedClass::Get(
 
 Status IndexedClass::Insert(Transaction* txn, uint64_t key, Slice image) {
   PGLO_ASSIGN_OR_RETURN(Tid tid, heap_.Insert(txn, image));
+  return AddEntry(key, tid);
+}
+
+Status IndexedClass::AddEntry(uint64_t key, Tid tid) {
   return index_.InsertIfAbsent(key, tid);
 }
 
 Status IndexedClass::Update(Transaction* txn, Tid tid, uint64_t key,
                             Slice image) {
   PGLO_ASSIGN_OR_RETURN(Tid new_tid, heap_.Update(txn, tid, image));
-  return index_.InsertIfAbsent(key, new_tid);
+  return AddEntry(key, new_tid);
 }
 
 Status IndexedClass::Put(Transaction* txn, uint64_t key, Slice image) {
@@ -108,7 +113,7 @@ Result<uint64_t> IndexedClass::Vacuum(const CommitLog& clog,
     Result<std::pair<TupleHeader, Bytes>> any = heap_.GetAnyVersion(it.tid());
     bool dead;
     if (any.ok()) {
-      PGLO_ASSIGN_OR_RETURN(uint64_t filed_under,
+      PGLO_ASSIGN_OR_RETURN(std::optional<uint64_t> filed_under,
                             key_of_(Slice(any.value().second)));
       dead = filed_under != it.key();
     } else if (any.status().IsNotFound()) {
@@ -143,7 +148,7 @@ Result<uint64_t> IndexedClass::Relocate(
     PGLO_ASSIGN_OR_RETURN(Tid new_tid,
                           heap_.InsertAppend(txn, Slice(image.value())));
     PGLO_RETURN_IF_ERROR(heap_.Delete(txn, tid));
-    PGLO_RETURN_IF_ERROR(index_.InsertIfAbsent(key, new_tid));
+    PGLO_RETURN_IF_ERROR(AddEntry(key, new_tid));
     ++moved;
     if (new_tid.block != prev_block) {
       StatInc(pages_relocated);

@@ -14,18 +14,22 @@
 
 namespace pglo {
 
-/// A POSTGRES class plus its unversioned secondary B-tree on a uint64 key:
+/// A POSTGRES class plus an unversioned secondary B-tree on a uint64 key:
 /// the mechanism §6.3 builds for f-chunk (chunks keyed by sequence number)
-/// and §6.4 for v-segment (segment records keyed by locn). Its owner keeps
-/// the record format; this class keeps every heap and index call.
+/// and §6.4 for v-segment (segment records keyed by locn), that Inversion
+/// keeps DIRECTORY in (§8, keyed by a hash of (parent, name)), and that
+/// each query-layer index opens over its class (keyed by one field). Its
+/// owner keeps the record format; this class is the only code that turns
+/// an index entry into a tuple.
 ///
 /// An update leaves the key's old entry in place and adds one for the new
 /// version, so a key may have several entries. One rule decides which
 /// counts: an entry counts only when heap visibility admits its tuple and
 /// the owner's key-of-record function returns the entry's key. An entry
-/// whose slot holds another key's record is stale (an in-place self-update
-/// or a Vacuum recycled the slot); readers skip it and Vacuum drops it. A
-/// record that does not decode is Corruption, never a stale entry.
+/// whose slot holds another key's record, or a record filed under no key,
+/// is stale (an in-place self-update or a Vacuum recycled the slot);
+/// readers skip it and Vacuum drops it. A record that does not decode is
+/// Corruption, never a stale entry.
 class IndexedClass {
  public:
   struct Files {
@@ -33,9 +37,10 @@ class IndexedClass {
     RelFileId index;
   };
 
-  /// Returns the key a record is filed under, or Corruption when the
-  /// record does not decode.
-  using KeyOf = Result<uint64_t> (*)(Slice record);
+  /// Returns the key a record is filed under, nullopt when it is filed
+  /// under none (a null field), or Corruption when the record does not
+  /// decode.
+  using KeyOf = std::function<Result<std::optional<uint64_t>>(Slice record)>;
 
   /// Allocates and creates both relation files on storage manager `smgr`.
   static Result<Files> Create(const DbContext& ctx, uint8_t smgr);
@@ -54,6 +59,9 @@ class IndexedClass {
 
   /// Files a new record under `key`.
   Status Insert(Transaction* txn, uint64_t key, Slice image);
+  /// Files an entry under `key` for the tuple already stored at `tid`
+  /// (a class with several indexes stores each tuple once).
+  Status AddEntry(uint64_t key, Tid tid);
   /// Replaces the record at `tid` with a new version filed under `key`.
   Status Update(Transaction* txn, Tid tid, uint64_t key, Slice image);
   /// Updates the record filed under `key`, or inserts one when none exists.
@@ -98,6 +106,10 @@ class IndexedClass {
   Status Drop();
   /// The heap's bytes as data_bytes and the index's as index_bytes.
   Result<LargeObject::StorageFootprint> Footprint();
+
+  /// The class's heap, for sequential scans and direct access to its
+  /// records.
+  HeapClass& heap() { return heap_; }
 
  private:
   /// The one rule: the image at `tid` if `txn` sees it and it is filed

@@ -82,15 +82,15 @@ Result<VSegmentLo::SegRecord> VSegmentLo::DecodeSegment(Slice image) {
   return rec;
 }
 
-Result<uint64_t> VSegmentLo::SegmentKey(Slice image) {
+Result<std::optional<uint64_t>> VSegmentLo::SegmentKey(Slice image) {
   if (!image.empty() && image[0] == kTypeSize) {
     if (image.size() < kSizeRecordSize) {
       return Status::Corruption("bad size record");
     }
-    return kSizeKey;
+    return std::optional<uint64_t>(kSizeKey);
   }
   PGLO_ASSIGN_OR_RETURN(SegRecord rec, DecodeSegment(image));
-  return rec.locn;
+  return std::optional<uint64_t>(rec.locn);
 }
 
 Result<std::vector<VSegmentLo::SegRecord>> VSegmentLo::FindSegments(

@@ -64,6 +64,14 @@ void EncodeDatum(const Datum& d, Bytes* out) {
   }
 }
 
+/// The key an indexed field's value is filed under; nullopt for a null,
+/// which no index entry covers.
+Result<std::optional<uint64_t>> FieldKey(const Datum& value) {
+  if (value.is_null()) return std::optional<uint64_t>();
+  PGLO_ASSIGN_OR_RETURN(uint64_t key, IndexCatalog::EncodeKey(value));
+  return std::optional<uint64_t>(key);
+}
+
 }  // namespace
 
 Result<size_t> Executor::ClassInfo::FieldIndex(
@@ -584,15 +592,28 @@ Status Executor::MaintainIndexes(Transaction* txn, const ClassInfo& cls,
   PGLO_ASSIGN_OR_RETURN(std::vector<IndexCatalog::IndexInfo> infos,
                         indexes_.ForClass(txn, cls.name));
   for (const IndexCatalog::IndexInfo& info : infos) {
-    PGLO_ASSIGN_OR_RETURN(size_t idx, cls.FieldIndex(info.field));
-    PGLO_RETURN_IF_ERROR(indexes_.InsertEntry(info, row[idx], tid));
+    PGLO_ASSIGN_OR_RETURN(size_t field, cls.FieldIndex(info.field));
+    PGLO_ASSIGN_OR_RETURN(std::optional<uint64_t> key, FieldKey(row[field]));
+    if (!key) continue;
+    PGLO_RETURN_IF_ERROR(
+        OpenIndex(cls, info.btree_file, field).AddEntry(*key, tid));
   }
   return Status::OK();
 }
 
-Result<std::optional<std::vector<Tid>>> Executor::TryIndexCandidates(
+IndexedClass Executor::OpenIndex(const ClassInfo& cls, RelFileId btree_file,
+                                 size_t field) {
+  return IndexedClass(
+      ctx_, IndexedClass::Files{cls.file, btree_file},
+      [this, cls, field](Slice image) -> Result<std::optional<uint64_t>> {
+        PGLO_ASSIGN_OR_RETURN(std::vector<Datum> row, DecodeRow(cls, image));
+        return FieldKey(row[field]);
+      });
+}
+
+Result<std::optional<Executor::IndexPlan>> Executor::PlanIndexScan(
     Transaction* txn, const ClassInfo& cls, const Expr* where) {
-  if (where == nullptr) return std::optional<std::vector<Tid>>();
+  if (where == nullptr) return std::optional<IndexPlan>();
   // Walk the top-level AND conjuncts collecting `field <op> <const expr>`
   // constraints: equality, lower bounds (>, >=), and upper bounds (<, <=).
   struct Constraint {
@@ -633,61 +654,92 @@ Result<std::optional<std::vector<Tid>>> Executor::TryIndexCandidates(
       break;
     }
   }
-  if (constraints.empty()) return std::optional<std::vector<Tid>>();
+  if (constraints.empty()) return std::optional<IndexPlan>();
 
   PGLO_ASSIGN_OR_RETURN(std::vector<IndexCatalog::IndexInfo> infos,
                         indexes_.ForClass(txn, cls.name));
-  auto const_key = [&](const std::string& field,
-                       const Expr* value_expr) -> Result<Datum> {
+  // The key bounding one side of the range: `unbounded` without a
+  // constant. The constant is coerced the way appends coerce it, so that
+  // it encodes like the stored values; nullopt when it is null or does not
+  // take the field's type (its key would be in another order).
+  auto bound_key = [&](size_t field, const Expr* value_expr,
+                       uint64_t unbounded) -> Result<std::optional<uint64_t>> {
+    if (value_expr == nullptr) return std::optional<uint64_t>(unbounded);
     RowContext no_row;
     PGLO_ASSIGN_OR_RETURN(Datum value, Eval(txn, *value_expr, no_row));
-    // Coerce the literal the same way appends do, so the key encoding
-    // matches what was stored.
-    PGLO_ASSIGN_OR_RETURN(size_t idx, cls.FieldIndex(field));
-    return CoerceForLookup(txn, cls.fields[idx], value);
+    PGLO_ASSIGN_OR_RETURN(value,
+                          CoerceForLookup(txn, cls.fields[field], value));
+    if (value.type() != cls.fields[field].type_oid) {
+      return std::optional<uint64_t>();
+    }
+    return FieldKey(value);
   };
 
-  // Equality constraints first (most selective), then ranges.
+  // Equality constraints first (most selective), then ranges. The encoded
+  // bounds are inclusive supersets: strict bounds and text-prefix
+  // truncation are handled by the recheck.
   for (bool want_eq : {true, false}) {
-    for (const auto& [field, c] : constraints) {
+    for (const auto& [field_name, c] : constraints) {
       if (want_eq != (c.eq != nullptr)) continue;
-      if (!want_eq && c.lower == nullptr && c.upper == nullptr) continue;
       for (const IndexCatalog::IndexInfo& info : infos) {
-        if (info.field != field) continue;
-        if (c.eq != nullptr) {
-          PGLO_ASSIGN_OR_RETURN(Datum value, const_key(field, c.eq));
-          if (value.is_null()) {
-            return std::optional<std::vector<Tid>>(std::vector<Tid>{});
-          }
-          PGLO_ASSIGN_OR_RETURN(std::vector<Tid> tids,
-                                indexes_.LookupCandidates(info, value));
-          return std::optional<std::vector<Tid>>(std::move(tids));
-        }
-        // Range scan: the encoded bounds are inclusive supersets (strict
-        // bounds and text-prefix truncation are handled by the recheck).
-        uint64_t low_key = 0, high_key = ~0ull;
-        if (c.lower != nullptr) {
-          PGLO_ASSIGN_OR_RETURN(Datum v, const_key(field, c.lower));
-          if (v.is_null()) continue;
-          Result<uint64_t> k = IndexCatalog::EncodeKey(v);
-          if (!k.ok()) continue;
-          low_key = k.value();
-        }
-        if (c.upper != nullptr) {
-          PGLO_ASSIGN_OR_RETURN(Datum v, const_key(field, c.upper));
-          if (v.is_null()) continue;
-          Result<uint64_t> k = IndexCatalog::EncodeKey(v);
-          if (!k.ok()) continue;
-          high_key = k.value();
-        }
+        if (info.field != field_name) continue;
+        PGLO_ASSIGN_OR_RETURN(size_t field, cls.FieldIndex(field_name));
         PGLO_ASSIGN_OR_RETURN(
-            std::vector<Tid> tids,
-            indexes_.RangeCandidates(info, low_key, high_key));
-        return std::optional<std::vector<Tid>>(std::move(tids));
+            std::optional<uint64_t> low,
+            bound_key(field, want_eq ? c.eq : c.lower, 0));
+        PGLO_ASSIGN_OR_RETURN(
+            std::optional<uint64_t> high,
+            bound_key(field, want_eq ? c.eq : c.upper, ~0ull));
+        if (low && high) {
+          return std::optional<IndexPlan>(
+              IndexPlan{info.btree_file, field, *low, *high});
+        }
       }
     }
   }
-  return std::optional<std::vector<Tid>>();
+  return std::optional<IndexPlan>();
+}
+
+Result<bool> Executor::Qualifies(Transaction* txn, const Expr* where,
+                                 const RowContext& row) {
+  if (where == nullptr) return true;
+  PGLO_ASSIGN_OR_RETURN(Datum qual, Eval(txn, *where, row));
+  if (!qual.is_bool()) {
+    return Status::InvalidArgument("where clause is not boolean");
+  }
+  return qual.as_bool();
+}
+
+Status Executor::ForEachMatch(Transaction* txn, const ClassInfo& cls,
+                              const Expr* where, const RowVisitor& visit) {
+  auto accept = [&](Tid tid, Slice image) -> Status {
+    PGLO_ASSIGN_OR_RETURN(std::vector<Datum> row, DecodeRow(cls, image));
+    PGLO_ASSIGN_OR_RETURN(bool match,
+                          Qualifies(txn, where, RowContext{&cls, &row}));
+    return match ? visit(tid, std::move(row)) : Status::OK();
+  };
+  PGLO_ASSIGN_OR_RETURN(std::optional<IndexPlan> plan,
+                        PlanIndexScan(txn, cls, where));
+  if (plan) {
+    // Declining every key visits every row filed under it, not only the
+    // first.
+    IndexedClass index = OpenIndex(cls, plan->btree_file, plan->field);
+    return index.Scan(txn, plan->low, plan->high,
+                      [&](uint64_t, Tid tid, const Bytes& image)
+                          -> Result<bool> {
+                        PGLO_RETURN_IF_ERROR(accept(tid, Slice(image)));
+                        return false;
+                      });
+  }
+  HeapClass heap(ctx_.pool, cls.file);
+  HeapScan scan(&heap, txn);
+  Tid tid;
+  Bytes payload;
+  for (;;) {
+    PGLO_ASSIGN_OR_RETURN(bool more, scan.Next(&tid, &payload));
+    if (!more) return Status::OK();
+    PGLO_RETURN_IF_ERROR(accept(tid, Slice(payload)));
+  }
 }
 
 Result<Datum> Executor::CoerceForLookup(Transaction* txn,
@@ -787,13 +839,6 @@ Result<QueryResult> Executor::ExecRetrieve(Transaction* txn,
   }
 
   auto emit = [&](const RowContext& row) -> Status {
-    if (stmt.where != nullptr) {
-      PGLO_ASSIGN_OR_RETURN(Datum qual, Eval(txn, *stmt.where, row));
-      if (!qual.is_bool()) {
-        return Status::InvalidArgument("where clause is not boolean");
-      }
-      if (!qual.as_bool()) return Status::OK();
-    }
     if (aggregate_mode) {
       for (size_t i = 0; i < stmt.targets.size(); ++i) {
         PGLO_ASSIGN_OR_RETURN(
@@ -847,39 +892,16 @@ Result<QueryResult> Executor::ExecRetrieve(Transaction* txn,
   if (class_name.empty()) {
     // Constant query, e.g. `retrieve (result = newfilename())`.
     RowContext no_row;
-    PGLO_RETURN_IF_ERROR(emit(no_row));
+    PGLO_ASSIGN_OR_RETURN(bool match,
+                          Qualifies(txn, stmt.where.get(), no_row));
+    if (match) PGLO_RETURN_IF_ERROR(emit(no_row));
   } else {
     PGLO_ASSIGN_OR_RETURN(ClassInfo cls, LookupClass(txn, class_name));
-    HeapClass heap(ctx_.pool, cls.file);
-    PGLO_ASSIGN_OR_RETURN(std::optional<std::vector<Tid>> candidates,
-                          TryIndexCandidates(txn, cls, stmt.where.get()));
-    if (candidates.has_value()) {
-      // Index-assisted scan: probe candidates, apply visibility, and
-      // re-evaluate the full qualification (entries are a superset).
-      for (Tid tid : *candidates) {
-        Result<Bytes> payload = heap.Get(txn, tid);
-        if (!payload.ok()) {
-          if (payload.status().IsNotFound()) continue;  // dead version
-          return payload.status();
-        }
-        PGLO_ASSIGN_OR_RETURN(std::vector<Datum> row,
-                              DecodeRow(cls, Slice(payload.value())));
-        RowContext rctx{&cls, &row};
-        PGLO_RETURN_IF_ERROR(emit(rctx));
-      }
-    } else {
-      HeapScan scan(&heap, txn);
-      Tid tid;
-      Bytes payload;
-      for (;;) {
-        PGLO_ASSIGN_OR_RETURN(bool more, scan.Next(&tid, &payload));
-        if (!more) break;
-        PGLO_ASSIGN_OR_RETURN(std::vector<Datum> row,
-                              DecodeRow(cls, Slice(payload)));
-        RowContext rctx{&cls, &row};
-        PGLO_RETURN_IF_ERROR(emit(rctx));
-      }
-    }
+    PGLO_RETURN_IF_ERROR(ForEachMatch(
+        txn, cls, stmt.where.get(),
+        [&](Tid, std::vector<Datum> row) -> Status {
+          return emit(RowContext{&cls, &row});
+        }));
   }
 
   if (aggregate_mode) {
@@ -965,26 +987,15 @@ Status Executor::MaterializeInto(Transaction* txn,
 Result<QueryResult> Executor::ExecReplace(Transaction* txn,
                                           const Stmt& stmt) {
   PGLO_ASSIGN_OR_RETURN(ClassInfo cls, LookupClass(txn, stmt.class_name));
-  HeapClass heap(ctx_.pool, cls.file);
   // Materialize matches first so the scan does not chase its own updates.
   std::vector<std::pair<Tid, std::vector<Datum>>> matches;
-  {
-    HeapScan scan(&heap, txn);
-    Tid tid;
-    Bytes payload;
-    for (;;) {
-      PGLO_ASSIGN_OR_RETURN(bool more, scan.Next(&tid, &payload));
-      if (!more) break;
-      PGLO_ASSIGN_OR_RETURN(std::vector<Datum> row,
-                            DecodeRow(cls, Slice(payload)));
-      if (stmt.where != nullptr) {
-        RowContext rctx{&cls, &row};
-        PGLO_ASSIGN_OR_RETURN(Datum qual, Eval(txn, *stmt.where, rctx));
-        if (!qual.is_bool() || !qual.as_bool()) continue;
-      }
-      matches.emplace_back(tid, std::move(row));
-    }
-  }
+  PGLO_RETURN_IF_ERROR(ForEachMatch(
+      txn, cls, stmt.where.get(),
+      [&](Tid tid, std::vector<Datum> row) -> Status {
+        matches.emplace_back(tid, std::move(row));
+        return Status::OK();
+      }));
+  HeapClass heap(ctx_.pool, cls.file);
   for (auto& [tid, row] : matches) {
     RowContext rctx{&cls, &row};
     std::vector<Datum> updated = row;
@@ -1005,25 +1016,13 @@ Result<QueryResult> Executor::ExecReplace(Transaction* txn,
 
 Result<QueryResult> Executor::ExecDelete(Transaction* txn, const Stmt& stmt) {
   PGLO_ASSIGN_OR_RETURN(ClassInfo cls, LookupClass(txn, stmt.class_name));
-  HeapClass heap(ctx_.pool, cls.file);
   std::vector<Tid> doomed;
-  {
-    HeapScan scan(&heap, txn);
-    Tid tid;
-    Bytes payload;
-    for (;;) {
-      PGLO_ASSIGN_OR_RETURN(bool more, scan.Next(&tid, &payload));
-      if (!more) break;
-      if (stmt.where != nullptr) {
-        PGLO_ASSIGN_OR_RETURN(std::vector<Datum> row,
-                              DecodeRow(cls, Slice(payload)));
-        RowContext rctx{&cls, &row};
-        PGLO_ASSIGN_OR_RETURN(Datum qual, Eval(txn, *stmt.where, rctx));
-        if (!qual.is_bool() || !qual.as_bool()) continue;
-      }
-      doomed.push_back(tid);
-    }
-  }
+  PGLO_RETURN_IF_ERROR(ForEachMatch(txn, cls, stmt.where.get(),
+                                    [&](Tid tid, std::vector<Datum>) {
+                                      doomed.push_back(tid);
+                                      return Status::OK();
+                                    }));
+  HeapClass heap(ctx_.pool, cls.file);
   for (Tid tid : doomed) {
     PGLO_RETURN_IF_ERROR(heap.Delete(txn, tid));
   }
@@ -1034,8 +1033,9 @@ Result<QueryResult> Executor::ExecDelete(Transaction* txn, const Stmt& stmt) {
 
 Result<QueryResult> Executor::ExecDestroy(Transaction* txn,
                                           const Stmt& stmt) {
-  // Remove the catalog row (MVCC — the class data stays reachable through
-  // time travel; its file is not physically dropped here).
+  // Remove the catalog rows of the class and of its indexes (MVCC — the
+  // class data and its indexes stay reachable through time travel; no file
+  // is physically dropped here).
   HeapScan scan(&catalog_, txn);
   Tid tid;
   Bytes payload;
@@ -1049,6 +1049,11 @@ Result<QueryResult> Executor::ExecDestroy(Transaction* txn,
     }
     if (cname.ToStringView() == stmt.class_name) {
       PGLO_RETURN_IF_ERROR(catalog_.Delete(txn, tid));
+      PGLO_ASSIGN_OR_RETURN(std::vector<IndexCatalog::IndexInfo> infos,
+                            indexes_.ForClass(txn, stmt.class_name));
+      for (const IndexCatalog::IndexInfo& info : infos) {
+        PGLO_RETURN_IF_ERROR(indexes_.Remove(txn, info.name));
+      }
       QueryResult result;
       result.affected = 1;
       return result;
@@ -1060,26 +1065,21 @@ Result<QueryResult> Executor::ExecDestroy(Transaction* txn,
 Result<QueryResult> Executor::ExecDefineIndex(Transaction* txn,
                                               const Stmt& stmt) {
   PGLO_ASSIGN_OR_RETURN(ClassInfo cls, LookupClass(txn, stmt.class_name));
-  PGLO_ASSIGN_OR_RETURN(size_t field_idx, cls.FieldIndex(stmt.index_field));
-  // Collect the class's current visible rows to back-fill the index.
-  std::vector<std::pair<Tid, Datum>> existing;
-  HeapClass heap(ctx_.pool, cls.file);
-  HeapScan scan(&heap, txn);
-  Tid tid;
-  Bytes payload;
-  for (;;) {
-    PGLO_ASSIGN_OR_RETURN(bool more, scan.Next(&tid, &payload));
-    if (!more) break;
-    PGLO_ASSIGN_OR_RETURN(std::vector<Datum> row,
-                          DecodeRow(cls, Slice(payload)));
-    existing.emplace_back(tid, row[field_idx]);
-  }
-  PGLO_RETURN_IF_ERROR(indexes_
-                           .Define(txn, stmt.index_name, stmt.class_name,
-                                   stmt.index_field, existing)
-                           .status());
+  PGLO_ASSIGN_OR_RETURN(size_t field, cls.FieldIndex(stmt.index_field));
+  PGLO_ASSIGN_OR_RETURN(IndexCatalog::IndexInfo info,
+                        indexes_.Define(txn, stmt.index_name,
+                                        stmt.class_name, stmt.index_field));
+  // Back-fill from the class's visible rows (affected = rows scanned).
+  IndexedClass index = OpenIndex(cls, info.btree_file, field);
   QueryResult result;
-  result.affected = existing.size();
+  PGLO_RETURN_IF_ERROR(ForEachMatch(
+      txn, cls, /*where=*/nullptr,
+      [&](Tid tid, std::vector<Datum> row) -> Status {
+        ++result.affected;
+        PGLO_ASSIGN_OR_RETURN(std::optional<uint64_t> key,
+                              FieldKey(row[field]));
+        return key ? index.AddEntry(*key, tid) : Status::OK();
+      }));
   return result;
 }
 

@@ -1,12 +1,14 @@
 #ifndef PGLO_QUERY_EXECUTOR_H_
 #define PGLO_QUERY_EXECUTOR_H_
 
+#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "db/context.h"
 #include "heap/heap_class.h"
+#include "lo/indexed_class.h"
 #include "lo/lo_manager.h"
 #include "query/ast.h"
 #include "query/secondary_index.h"
@@ -77,16 +79,41 @@ class Executor {
   Status MaterializeInto(Transaction* txn, const std::string& class_name,
                          QueryResult* result);
 
-  /// Adds an entry to every index of `cls` for a newly inserted row
-  /// version at `tid`.
+  /// Files a newly stored row version at `tid` in every index of `cls`.
   Status MaintainIndexes(Transaction* txn, const ClassInfo& cls,
                          const std::vector<Datum>& row, Tid tid);
 
-  /// When the qualification contains an equality conjunct
-  /// `Class.field = <constant>` on an indexed field, returns the index
-  /// candidates to probe instead of a full scan; nullopt otherwise.
-  Result<std::optional<std::vector<Tid>>> TryIndexCandidates(
-      Transaction* txn, const ClassInfo& cls, const Expr* where);
+  /// Opens the index in `btree_file` on field `field` of `cls` as an
+  /// IndexedClass over the class heap.
+  IndexedClass OpenIndex(const ClassInfo& cls, RelFileId btree_file,
+                         size_t field);
+
+  /// An index key range that holds every row a qualification can accept.
+  struct IndexPlan {
+    RelFileId btree_file;
+    size_t field = 0;
+    uint64_t low = 0;
+    uint64_t high = ~0ull;
+  };
+  /// When a top-level conjunct compares an indexed field with a constant
+  /// (equality first, then range bounds), the index range to scan instead
+  /// of the heap; nullopt otherwise.
+  Result<std::optional<IndexPlan>> PlanIndexScan(Transaction* txn,
+                                                 const ClassInfo& cls,
+                                                 const Expr* where);
+
+  /// Whether `where` (null = no qualification) accepts `row`;
+  /// InvalidArgument when it does not evaluate to a boolean.
+  Result<bool> Qualifies(Transaction* txn, const Expr* where,
+                         const RowContext& row);
+
+  using RowVisitor = std::function<Status(Tid tid, std::vector<Datum> row)>;
+  /// The one way the executor finds a class's rows: visits every row of
+  /// `cls` that `txn` sees and `where` accepts, through an index range
+  /// when PlanIndexScan finds one and by a heap scan otherwise. Either way
+  /// the full qualification is rechecked on each row.
+  Status ForEachMatch(Transaction* txn, const ClassInfo& cls,
+                      const Expr* where, const RowVisitor& visit);
 
   Result<Datum> Eval(Transaction* txn, const Expr& expr,
                      const RowContext& row);

@@ -2,6 +2,8 @@
 
 #include <cstring>
 
+#include "btree/btree.h"
+
 namespace pglo {
 namespace query {
 
@@ -83,8 +85,7 @@ Result<uint64_t> IndexCatalog::EncodeKey(const Datum& value) {
 
 Result<IndexCatalog::IndexInfo> IndexCatalog::Define(
     Transaction* txn, const std::string& index_name,
-    const std::string& class_name, const std::string& field,
-    const std::vector<std::pair<Tid, Datum>>& existing_rows) {
+    const std::string& class_name, const std::string& field) {
   // Uniqueness of the index name.
   {
     HeapScan scan(&catalog_, txn);
@@ -105,11 +106,6 @@ Result<IndexCatalog::IndexInfo> IndexCatalog::Define(
   info.field = field;
   info.btree_file = RelFileId{kCatalogSmgr, ctx_.oids->Allocate()};
   PGLO_RETURN_IF_ERROR(Btree::Create(ctx_.pool, info.btree_file));
-  // Back-fill from the class's current contents.
-  for (const auto& [tid, value] : existing_rows) {
-    if (value.is_null()) continue;
-    PGLO_RETURN_IF_ERROR(InsertEntry(info, value, tid));
-  }
   PGLO_RETURN_IF_ERROR(
       catalog_.Insert(txn, Slice(EncodeInfo(info))).status());
   return info;
@@ -143,32 +139,6 @@ Result<std::vector<IndexCatalog::IndexInfo>> IndexCatalog::ForClass(
     if (info.class_name == class_name) out.push_back(std::move(info));
   }
   return out;
-}
-
-Status IndexCatalog::InsertEntry(const IndexInfo& index, const Datum& value,
-                                 Tid tid) {
-  if (value.is_null()) return Status::OK();
-  PGLO_ASSIGN_OR_RETURN(uint64_t key, EncodeKey(value));
-  Btree tree(ctx_.pool, index.btree_file);
-  return tree.InsertIfAbsent(key, tid);
-}
-
-Result<std::vector<Tid>> IndexCatalog::LookupCandidates(
-    const IndexInfo& index, const Datum& value) {
-  PGLO_ASSIGN_OR_RETURN(uint64_t key, EncodeKey(value));
-  return RangeCandidates(index, key, key);
-}
-
-Result<std::vector<Tid>> IndexCatalog::RangeCandidates(
-    const IndexInfo& index, uint64_t low_key, uint64_t high_key) {
-  Btree tree(ctx_.pool, index.btree_file);
-  std::vector<Tid> tids;
-  PGLO_ASSIGN_OR_RETURN(Btree::Iterator it, tree.Seek(low_key));
-  while (it.valid() && it.key() <= high_key) {
-    tids.push_back(it.tid());
-    PGLO_RETURN_IF_ERROR(it.Next());
-  }
-  return tids;
 }
 
 }  // namespace query

@@ -4,7 +4,6 @@
 #include <string>
 #include <vector>
 
-#include "btree/btree.h"
 #include "db/context.h"
 #include "heap/heap_class.h"
 #include "types/datum.h"
@@ -15,17 +14,19 @@ namespace query {
 /// Secondary (B-tree) indexes over class fields.
 ///
 /// §3 motivates large ADTs partly because "indexing BLOBs can also be
-/// supported" once values live inside the DBMS. This module provides the
-/// machinery: `define index <name> on <Class> (<field>)` builds a B-tree
-/// over an order-preserving 64-bit encoding of the field, the executor
-/// maintains it on append/replace, and equality qualifications use it
-/// instead of a full scan.
+/// supported" once values live inside the DBMS. `define index <name> on
+/// <Class> (<field>)` builds a B-tree over an order-preserving 64-bit
+/// encoding of the field. This catalog keeps only the definitions; the
+/// executor opens each index as an IndexedClass over (class heap, index
+/// B-tree), whose key-of-record is EncodeKey of the decoded row's field,
+/// files entries as rows are appended and replaced, and scans it for
+/// equality and range qualifications.
 ///
-/// Index entries are a *superset* filter: the encoding truncates (text
-/// keys index an 8-byte prefix) and old versions keep their entries, so
-/// every index scan re-fetches the tuple, applies MVCC visibility, and
-/// re-evaluates the full qualification — exactly how POSTGRES treated
-/// secondary indexes under no-overwrite storage.
+/// IndexedClass applies the one stale-entry rule (a row counts for an
+/// entry only when it is visible and filed under the entry's key). The
+/// encoding truncates text to an 8-byte prefix, so an index scan is still
+/// a superset filter: the executor re-evaluates the full qualification on
+/// every row it visits.
 class IndexCatalog {
  public:
   struct IndexInfo {
@@ -40,12 +41,11 @@ class IndexCatalog {
   /// Creates the index catalog class on first use (idempotent).
   Status Bootstrap();
 
-  /// Defines an index and back-fills it from the class's visible rows.
-  /// `field_values` supplies (tid, field datum) for each existing row.
-  Result<IndexInfo> Define(
-      Transaction* txn, const std::string& index_name,
-      const std::string& class_name, const std::string& field,
-      const std::vector<std::pair<Tid, Datum>>& existing_rows);
+  /// Creates an empty B-tree and records the definition; the caller
+  /// back-fills it from the class's visible rows.
+  Result<IndexInfo> Define(Transaction* txn, const std::string& index_name,
+                           const std::string& class_name,
+                           const std::string& field);
 
   /// Removes the index definition (the B-tree file is reclaimed lazily).
   Status Remove(Transaction* txn, const std::string& index_name);
@@ -53,21 +53,6 @@ class IndexCatalog {
   /// All indexes defined on `class_name` (visible to `txn`).
   Result<std::vector<IndexInfo>> ForClass(Transaction* txn,
                                           const std::string& class_name);
-
-  /// Inserts an entry for a new row version. Null datums are not indexed.
-  Status InsertEntry(const IndexInfo& index, const Datum& value, Tid tid);
-
-  /// Candidate tids whose indexed field *may* equal `value` (callers must
-  /// re-check visibility and the actual value).
-  Result<std::vector<Tid>> LookupCandidates(const IndexInfo& index,
-                                            const Datum& value);
-
-  /// Candidate tids whose encoded key lies in [low_key, high_key]. The
-  /// encoding is order-preserving (monotone for truncating text keys), so
-  /// this is a superset of any value range — callers re-check.
-  Result<std::vector<Tid>> RangeCandidates(const IndexInfo& index,
-                                           uint64_t low_key,
-                                           uint64_t high_key);
 
   /// Order-preserving 64-bit key for an indexable datum; NotSupported for
   /// datum kinds that cannot be indexed (null handled by callers).

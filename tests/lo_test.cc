@@ -5,6 +5,7 @@
 #include "common/random.h"
 #include "db/database.h"
 #include "lo/byte_stream.h"
+#include "lo/indexed_class.h"
 #include "tests/test_util.h"
 
 namespace pglo {
@@ -1042,6 +1043,48 @@ TEST_F(LoManagerTest, RawSegmentTruncateKeepsAConcurrentOverwrite) {
     EXPECT_EQ(ReadWhole(db_, current, oid), image);
     ASSERT_OK(session_->Abort());
   }
+}
+
+using IndexedClassTest = LoManagerTest;
+
+TEST_F(IndexedClassTest, RecordFiledUnderNoKeyCountsForNoEntry) {
+  // A record is filed under the 8-byte key it holds, or under no key when
+  // it is empty (as a null field is in a query-layer index).
+  const DbContext& ctx = db_.context();
+  ASSERT_OK_AND_ASSIGN(IndexedClass::Files files,
+                       IndexedClass::Create(ctx, kSmgrDisk));
+  IndexedClass cls(ctx, files,
+                   [](Slice image) -> Result<std::optional<uint64_t>> {
+                     if (image.empty()) return std::optional<uint64_t>();
+                     if (image.size() != 8) {
+                       return Status::Corruption("bad record");
+                     }
+                     return std::optional<uint64_t>(
+                         DecodeFixed64(image.data()));
+                   });
+  Bytes five;
+  PutFixed64(&five, 5);
+  Transaction* txn = session_->Begin();
+  ASSERT_OK(cls.Insert(txn, 5, Slice(five)));
+  ASSERT_OK_AND_ASSIGN(std::optional<IndexedClass::Record> found,
+                       cls.Get(txn, 5));
+  ASSERT_TRUE(found.has_value());
+  // The appending transaction's update rewrites the tuple in place, so the
+  // entry for 5 now points at a record filed under no key.
+  ASSERT_OK_AND_ASSIGN(Tid tid, cls.heap().Update(txn, found->tid, Slice()));
+  EXPECT_EQ(tid, found->tid);
+  ASSERT_OK_AND_ASSIGN(found, cls.Get(txn, 5));
+  EXPECT_FALSE(found.has_value());
+  ASSERT_OK_AND_ASSIGN(auto entries, cls.Entries(txn, 0, ~0ull));
+  EXPECT_TRUE(entries.empty());
+  ASSERT_OK(session_->Commit().status());
+
+  // Vacuum drops the entry.
+  ASSERT_OK(
+      cls.Vacuum(db_.txns().commit_log(), db_.Now(), nullptr).status());
+  Btree index(&db_.pool(), files.index);
+  ASSERT_OK_AND_ASSIGN(uint64_t left, index.CountEntries());
+  EXPECT_EQ(left, 0u);
 }
 
 }  // namespace

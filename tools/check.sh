@@ -226,16 +226,30 @@ tsan_smoke_gate() {
       build-tsan/tests/recorder_test
 }
 
+# The default preset and its gates; "default" stops here. An optional
+# per-test ctest timeout is passed to run_preset.
+default_sequence() {
+  run_preset default "${1:-}"
+  bench_gate build
+  ablation_gate build
+  obs_gate build
+  crashtest_gate build --all-points
+  concurrency_gate build
+  fragmentation_gate build
+  server_gate build
+}
+
+# The "all" and "ci" sequence: the default one, then the sanitizers.
+full_sequence() {
+  default_sequence "${1:-}"
+  run_preset asan "${1:-}"
+  crashtest_gate build-asan --quick
+  tsan_smoke_gate
+}
+
 case "${1:-default}" in
   default)
-    run_preset default
-    bench_gate build
-    ablation_gate build
-    obs_gate build
-    crashtest_gate build --all-points
-    concurrency_gate build
-    fragmentation_gate build
-    server_gate build
+    default_sequence
     ;;
   asan)
     run_preset asan
@@ -245,33 +259,12 @@ case "${1:-default}" in
     tsan_smoke_gate
     ;;
   all)
-    run_preset default
-    bench_gate build
-    ablation_gate build
-    obs_gate build
-    crashtest_gate build --all-points
-    concurrency_gate build
-    fragmentation_gate build
-    server_gate build
-    run_preset asan
-    crashtest_gate build-asan --quick
-    tsan_smoke_gate
+    full_sequence
     ;;
   ci)
     # Unattended mode: same coverage as "all", plus per-test timeouts so a
     # hung test fails fast instead of stalling the pipeline.
-    timeout="${PGLO_TEST_TIMEOUT:-600}"
-    run_preset default "$timeout"
-    bench_gate build
-    ablation_gate build
-    obs_gate build
-    crashtest_gate build --all-points
-    concurrency_gate build
-    fragmentation_gate build
-    server_gate build
-    run_preset asan "$timeout"
-    crashtest_gate build-asan --quick
-    tsan_smoke_gate
+    full_sequence "${PGLO_TEST_TIMEOUT:-600}"
     ;;
   *)
     echo "usage: $0 [default|asan|tsan|all|ci]" >&2
