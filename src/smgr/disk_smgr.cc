@@ -133,7 +133,9 @@ Status DiskSmgr::WriteBlocks(Oid relfile, BlockNumber start, uint32_t nblocks,
 Status DiskSmgr::Sync(Oid relfile) {
   PGLO_ASSIGN_OR_RETURN(int fd, GetFd(relfile));
   if (::fdatasync(fd) != 0) {
-    return Status::IOError("fdatasync failed");
+    const int err = errno;
+    return Status::IOError("fdatasync of " + PathFor(relfile) +
+                           " failed: " + std::strerror(err));
   }
   return Status::OK();
 }

@@ -379,8 +379,13 @@ Status WormSmgr::WriteBlocks(Oid relfile, BlockNumber start, uint32_t nblocks,
 Status WormSmgr::Sync(Oid relfile) {
   (void)relfile;
   std::lock_guard<std::mutex> lock(mu_);
-  if (::fdatasync(optical_fd_) != 0 || ::fdatasync(map_fd_) != 0) {
-    return Status::IOError("worm sync failed");
+  const char* failed = ::fdatasync(optical_fd_) != 0 ? "/worm.optical"
+                       : ::fdatasync(map_fd_) != 0   ? "/worm.map"
+                                                     : nullptr;
+  if (failed != nullptr) {
+    const int err = errno;
+    return Status::IOError("worm sync of " + dir_ + failed +
+                           " failed: " + std::strerror(err));
   }
   return Status::OK();
 }

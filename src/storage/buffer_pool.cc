@@ -3,6 +3,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <cstring>
 #include <optional>
 #include <tuple>
@@ -59,14 +60,14 @@ BufferPool::~BufferPool() {
 }
 
 void BufferPool::AllLatches::Lock() {
-  WaitLock(pool_->mu_, pool_->wp_latch_);
+  if (pool_mutex_) WaitLock(pool_->mu_, pool_->wp_latch_);
   pool_->LockStripes();
   held_ = true;
 }
 
 void BufferPool::AllLatches::Unlock() {
   pool_->UnlockStripes();
-  pool_->mu_.unlock();
+  if (pool_mutex_) pool_->mu_.unlock();
   held_ = false;
 }
 
@@ -168,31 +169,17 @@ void BufferPool::AwaitEventLocked(AllLatches& all, const WaitPoint* wp) {
   all.Lock();
 }
 
-bool BufferPool::FileWritableLocked(RelFileId file) const {
+BufferPool::FileSet BufferPool::UnwritableFilesLocked() const {
+  // A dirty frame in flight is a flush's write (a read's frames are
+  // clean): another write-back must not plan the file's length meanwhile.
+  FileSet files;
   for (const Frame& f : frames_) {
-    if (f.in_use && f.id.file == file &&
-        f.dirty.load(std::memory_order_acquire) && !SafeToWriteLocked(f)) {
-      return false;
+    if (f.in_use && f.dirty.load(std::memory_order_acquire) &&
+        (f.io_in_progress || !SafeToWriteLocked(f))) {
+      files.insert(f.id.file);
     }
   }
-  return true;
-}
-
-Status BufferPool::EnsureMaterializedLocked(RelFileId file, BlockNumber upto) {
-  PGLO_ASSIGN_OR_RETURN(StorageManager * smgr, SmgrFor(file));
-  PGLO_ASSIGN_OR_RETURN(BlockNumber cur, smgr->NumBlocks(file.relfile));
-  for (BlockNumber b = cur; b < upto; ++b) {
-    const PageId id{file, b};
-    Stripe& s = StripeOf(id);
-    auto it = s.table.find(id);
-    if (it == s.table.end()) {
-      return Status::Internal(
-          "appended block evicted out of order: relfile " +
-          std::to_string(file.relfile) + " block " + std::to_string(b));
-    }
-    PGLO_RETURN_IF_ERROR(WriteRawRunLocked({&it->second, 1}));
-  }
-  return Status::OK();
+  return files;
 }
 
 template <typename Visit>
@@ -252,28 +239,42 @@ Result<size_t> BufferPool::FindVictimLocked() {
     StatInc(c_evictions_);
     return frame;
   }
-  LockStripes();
-  Result<size_t> victim = EvictOldestLocked();
-  UnlockStripes();
-  return victim;
+  AllLatches stripes(this, /*pool_mutex=*/false);
+  return EvictOldestLocked(stripes);
 }
 
-Result<size_t> BufferPool::EvictOldestLocked() {
+Result<size_t> BufferPool::EvictOldestLocked(AllLatches& stripes) {
   std::optional<size_t> victim;
-  ScanLruLocked([&](size_t frame) {
-    const Frame& f = frames_[frame];
-    // A dirty victim drags the rest of its file's appended tail into the
-    // write-back (gap materialization), so it is only eligible when no
-    // other backend pins a dirty page of that file. Clean victims are
-    // always eligible. Single-stream, every pin is our own, so the victim
-    // is the LRU head — the pre-concurrency choice exactly.
-    if (f.dirty.load(std::memory_order_acquire) &&
-        !FileWritableLocked(f.id.file)) {
-      return true;
-    }
-    victim = frame;
-    return false;
-  });
+  std::optional<FileSet> unwritable;  // found at the first dirty frame
+  while (true) {
+    bool writing = false;
+    unwritable.reset();
+    ScanLruLocked([&](size_t frame) {
+      const Frame& f = frames_[frame];
+      // Only a write leaves an in-flight frame on the list (a read keeps
+      // its frames off it until the read ends).
+      if (f.io_in_progress) {
+        writing = true;
+        return true;
+      }
+      // A dirty victim drags the rest of its file's appended tail into the
+      // write-back (gap materialization), so it is only eligible when no
+      // other backend pins a dirty page of that file. Clean victims are
+      // always eligible. Single-stream, every pin is our own, so the
+      // victim is the LRU head — the pre-concurrency choice exactly.
+      if (f.dirty.load(std::memory_order_acquire)) {
+        if (!unwritable.has_value()) unwritable = UnwritableFilesLocked();
+        if (unwritable->count(f.id.file) != 0) return true;
+      }
+      victim = frame;
+      return false;
+    });
+    if (victim.has_value() || !writing) break;
+    // Every evictable frame is being written back by a flush, which
+    // finishes its writes under the stripes alone: wait for one to end
+    // with the pool mutex still held, then walk again.
+    AwaitEventLocked(stripes, wp_io_wait_);
+  }
   if (!victim.has_value()) {
     // Nothing evictable right now. Fail rather than wait: waiting here
     // with the caller's stack (possibly holding pins) risks deadlock, and
@@ -291,14 +292,15 @@ Result<size_t> BufferPool::EvictOldestLocked() {
     // clean a batch of cold dirty pages in sorted block order, so that a
     // mixed read/append workload pays a few clustered write passes
     // instead of a head seek per evicted page.
-    PGLO_RETURN_IF_ERROR(WriteBackBatchLocked(frame));
+    PGLO_RETURN_IF_ERROR(WriteBackBatchLocked(frame, *unwritable));
   }
   s.table.erase(f.id);
   f.in_use = false;
   return frame;
 }
 
-Status BufferPool::WriteBackBatchLocked(size_t victim_frame) {
+Status BufferPool::WriteBackBatchLocked(size_t victim_frame,
+                                        const FileSet& unwritable) {
   constexpr size_t kBatch = 64;
   std::vector<size_t> batch;
   batch.push_back(victim_frame);
@@ -306,7 +308,7 @@ Status BufferPool::WriteBackBatchLocked(size_t victim_frame) {
     if (batch.size() >= kBatch) return false;
     const Frame& f = frames_[frame];
     if (f.dirty.load(std::memory_order_acquire) &&
-        FileWritableLocked(f.id.file)) {
+        unwritable.count(f.id.file) == 0) {
       batch.push_back(frame);
     }
     return true;
@@ -317,52 +319,38 @@ Status BufferPool::WriteBackBatchLocked(size_t victim_frame) {
     return std::tie(x.file.smgr_id, x.file.relfile, x.block) <
            std::tie(y.file.smgr_id, y.file.relfile, y.block);
   });
-  return WriteBackSortedLocked(batch);
+  WritePlan plan;
+  const Status planned = PlanWriteBackLocked(batch, &plan);
+  const Status wrote = WriteRuns(&plan);
+  FinishWriteLocked(plan);
+  PGLO_RETURN_IF_ERROR(wrote);
+  return planned;
 }
 
-Status BufferPool::WriteRawRunLocked(std::span<const size_t> run) {
-  TraceSpan span(registry_, h_writeback_ns_, span_writeback_);
-  span.AddDetail(run.size());
-  Frame& first = frames_[run.front()];
-  PGLO_ASSIGN_OR_RETURN(StorageManager * smgr, SmgrFor(first.id.file));
-  // Stamp a checksum into slotted pages on their way to stable storage so
-  // that media corruption is detected on the next read. Non-slotted
-  // formats (B-tree nodes, meta pages) carry their own magic; raw blocks
-  // are user bytes that merely may look like a slotted page. A run of one
-  // leaves straight from its frame; a longer run is gathered first.
-  const bool stamp = !smgr->raw_blocks();
-  const bool gather = run.size() > 1;
-  if (gather) write_scratch_.resize(run.size() * kPageSize);
-  for (size_t k = 0; k < run.size(); ++k) {
-    Frame& fr = frames_[run[k]];
-    SlottedPage page(fr.data.get());
-    if (stamp && page.IsInitialized()) {
-      page.UpdateChecksum();
-    }
-    if (gather) {
-      std::memcpy(write_scratch_.data() + k * kPageSize, fr.data.get(),
-                  kPageSize);
-    }
-  }
-  const uint8_t* src = gather ? write_scratch_.data() : first.data.get();
-  PGLO_RETURN_IF_ERROR(RetryTransient(smgrs_->retry_policy(), [&] {
-    return smgr->WriteBlocks(first.id.file.relfile, first.id.block,
-                             static_cast<uint32_t>(run.size()), src);
-  }));
-  ++file_writes_[first.id.file];
-  write_epoch_.fetch_add(1, std::memory_order_release);
-  for (size_t idx : run) {
-    frames_[idx].dirty.store(false, std::memory_order_release);
-  }
-  StatAdd(c_writebacks_, run.size());
-  return Status::OK();
-}
-
-Status BufferPool::WriteBackSortedLocked(const std::vector<size_t>& sorted) {
+Status BufferPool::PlanWriteBackLocked(const std::vector<size_t>& sorted,
+                                       WritePlan* plan) {
   // One device command per contiguous dirty run of up to 64 blocks (512
   // KB). Window 0 caps runs at one block: the per-page command sequence
   // the pool issued before vectored I/O, kept for the window-0 ablation.
   const size_t max_run = readahead_pages_ == 0 ? 1 : 64;
+  // Each appended file's length in its storage manager once the runs
+  // planned so far are written: the gap below a run is judged as if they
+  // had been, since the writes come after the planning.
+  std::unordered_map<RelFileId, BlockNumber, RelFileIdHash> length;
+  auto add_run = [&](std::span<const size_t> run) {
+    const PageId& first = frames_[run.front()].id;
+    auto it = length.find(first.file);
+    if (it != length.end()) {
+      it->second = std::max<BlockNumber>(
+          it->second, first.block + static_cast<BlockNumber>(run.size()));
+    }
+    ++file_writes_[first.file];
+    for (size_t idx : run) {
+      frames_[idx].io_in_progress = true;
+      plan->frames.push_back(idx);
+    }
+    plan->run_ends.push_back(plan->frames.size());
+  };
   size_t i = 0;
   while (i < sorted.size()) {
     if (!frames_[sorted[i]].dirty.load(std::memory_order_acquire)) {
@@ -380,24 +368,92 @@ Status BufferPool::WriteBackSortedLocked(const std::vector<size_t>& sorted) {
       }
       ++j;
     }
-    Frame& first = frames_[sorted[i]];
-    if (pending_size_.count(first.id.file) != 0) {
-      // Lazily-appended tail: fill the gap below the run first so the
-      // write extends the file contiguously. Only NewPage puts blocks past
-      // a file's end; a file without an append may hold holes.
-      PGLO_ASSIGN_OR_RETURN(StorageManager * smgr, SmgrFor(first.id.file));
-      PGLO_ASSIGN_OR_RETURN(BlockNumber cur_blocks,
-                            smgr->NumBlocks(first.id.file.relfile));
-      if (first.id.block > cur_blocks) {
-        PGLO_RETURN_IF_ERROR(
-            EnsureMaterializedLocked(first.id.file, first.id.block));
+    const PageId first = frames_[sorted[i]].id;
+    if (pending_size_.count(first.file) != 0) {
+      // Lazily-appended tail: fill the gap below the run first, one block
+      // per command, so the write extends the file contiguously. Only
+      // NewPage puts blocks past a file's end; a file without an append
+      // may hold holes.
+      auto it = length.find(first.file);
+      if (it == length.end()) {
+        PGLO_ASSIGN_OR_RETURN(StorageManager * smgr, SmgrFor(first.file));
+        PGLO_ASSIGN_OR_RETURN(BlockNumber n,
+                              smgr->NumBlocks(first.file.relfile));
+        it = length.emplace(first.file, n).first;
+      }
+      for (BlockNumber b = it->second; b < first.block; ++b) {
+        const PageId id{first.file, b};
+        Stripe& s = StripeOf(id);
+        auto t = s.table.find(id);
+        if (t == s.table.end()) {
+          return Status::Internal(
+              "appended block evicted out of order: relfile " +
+              std::to_string(first.file.relfile) + " block " +
+              std::to_string(b));
+        }
+        add_run({&t->second, 1});
       }
     }
-    PGLO_RETURN_IF_ERROR(
-        WriteRawRunLocked(std::span<const size_t>(sorted).subspan(i, j - i)));
+    add_run(std::span<const size_t>(sorted).subspan(i, j - i));
     i = j;
   }
   return Status::OK();
+}
+
+Status BufferPool::WriteRuns(WritePlan* plan) {
+  std::vector<uint8_t> staging;  // gathers a run longer than one block
+  size_t begin = 0;
+  for (size_t end : plan->run_ends) {
+    const std::span<const size_t> run(plan->frames.data() + begin,
+                                      end - begin);
+    begin = end;
+    TraceSpan span(registry_, h_writeback_ns_, span_writeback_);
+    span.AddDetail(run.size());
+    // The mark keeps the frame's page and bytes ours until it clears.
+    const PageId first = frames_[run.front()].id;
+    PGLO_ASSIGN_OR_RETURN(StorageManager * smgr, SmgrFor(first.file));
+    // Stamp a checksum into slotted pages on their way to stable storage so
+    // that media corruption is detected on the next read. Non-slotted
+    // formats (B-tree nodes, meta pages) carry their own magic; raw blocks
+    // are user bytes that merely may look like a slotted page. A run of one
+    // leaves straight from its frame; a longer run is gathered first.
+    const bool stamp = !smgr->raw_blocks();
+    const bool gather = run.size() > 1;
+    if (gather) staging.resize(run.size() * kPageSize);
+    for (size_t k = 0; k < run.size(); ++k) {
+      uint8_t* data = frames_[run[k]].data.get();
+      SlottedPage page(data);
+      if (stamp && page.IsInitialized()) {
+        page.UpdateChecksum();
+      }
+      if (gather) std::memcpy(staging.data() + k * kPageSize, data, kPageSize);
+    }
+    const uint8_t* src =
+        gather ? staging.data() : frames_[run.front()].data.get();
+    PGLO_RETURN_IF_ERROR(RetryTransient(smgrs_->retry_policy(), [&] {
+      return smgr->WriteBlocks(first.file.relfile, first.block,
+                               static_cast<uint32_t>(run.size()), src);
+    }));
+    // Only once the bytes are in the storage manager: a concurrent syncfs
+    // that reads this epoch then covers them.
+    write_epoch_.fetch_add(1, std::memory_order_release);
+    StatAdd(c_writebacks_, run.size());
+    ++plan->runs_written;
+  }
+  return Status::OK();
+}
+
+void BufferPool::FinishWriteLocked(const WritePlan& plan) {
+  const size_t written =
+      plan.runs_written == 0 ? 0 : plan.run_ends[plan.runs_written - 1];
+  for (size_t k = 0; k < plan.frames.size(); ++k) {
+    Frame& f = frames_[plan.frames[k]];
+    // No other thread could pin the frame while it was marked, so none
+    // re-dirtied it: a written frame is clean, an unwritten one dirty.
+    if (k < written) f.dirty.store(false, std::memory_order_release);
+    f.io_in_progress = false;
+    StripeOf(f.id).io_cv.notify_all();
+  }
 }
 
 void BufferPool::InstallFrameLocked(size_t frame, PageId id) {
@@ -421,8 +477,8 @@ bool BufferPool::PinResidentLocked(Stripe& s, std::unique_lock<std::mutex>& lk,
   auto it = s.table.find(id);
   if (it == s.table.end()) return false;
   if (frames_[it->second].io_in_progress) {
-    // Another backend is reading this page. Wait for that read, then
-    // probe again: a failed read unpublished the frame, and this call
+    // Another backend is reading or writing this page. Wait for that I/O,
+    // then probe again: a failed read unpublished the frame, and this call
     // then misses.
     WaitGuard wait(wp_io_wait_);
     s.io_cv.wait(lk, [&] {
@@ -646,9 +702,9 @@ Result<PageHandle> BufferPool::NewPage(RelFileId file,
 Status BufferPool::FlushSnapshotLocked(AllLatches& all) {
   // Capture the dirty set on entry; pages dirtied afterwards belong to
   // whatever operation dirtied them. Entries are revalidated by page id
-  // each round because writing (or waiting) below may let other backends
-  // run: a captured frame that another backend's eviction cleaned or
-  // recycled is simply done.
+  // each round because writing or waiting below lets other backends run:
+  // a captured frame that another backend's eviction cleaned or recycled
+  // is simply done.
   std::vector<std::pair<size_t, PageId>> snap;
   for (size_t i = 0; i < frames_.size(); ++i) {
     const Frame& f = frames_[i];
@@ -676,9 +732,10 @@ Status BufferPool::FlushSnapshotLocked(AllLatches& all) {
     // materialization, run coalescing). Never skip a file outright — a
     // commit's force-to-disk must not silently drop a page another backend
     // happens to be pinning, or a crash would lose committed data.
+    const FileSet unwritable = UnwritableFilesLocked();
     std::vector<size_t> ready;
     for (size_t idx : valid) {
-      if (FileWritableLocked(frames_[idx].id.file)) ready.push_back(idx);
+      if (unwritable.count(frames_[idx].id.file) == 0) ready.push_back(idx);
     }
     if (!ready.empty()) {
       // Sorted write-back: real systems cluster checkpoint writes; issuing
@@ -689,7 +746,22 @@ Status BufferPool::FlushSnapshotLocked(AllLatches& all) {
         return std::tie(x.file.smgr_id, x.file.relfile, x.block) <
                std::tie(y.file.smgr_id, y.file.relfile, y.block);
       });
-      PGLO_RETURN_IF_ERROR(WriteBackSortedLocked(ready));
+      // Plan under every latch, write with none held, finish under the
+      // stripes: meanwhile other backends hit, miss and append, and one
+      // that wants a page being written waits for its write. Finishing
+      // does not take the pool mutex, which a miss waiting for these
+      // writes to free a victim holds.
+      WritePlan plan;
+      const Status planned = PlanWriteBackLocked(ready, &plan);
+      all.Unlock();
+      const Status wrote = WriteRuns(&plan);
+      LockStripes();
+      FinishWriteLocked(plan);
+      UnlockStripes();
+      SignalEvent();
+      all.Lock();
+      PGLO_RETURN_IF_ERROR(wrote);
+      PGLO_RETURN_IF_ERROR(planned);
       written.insert(ready.begin(), ready.end());
       continue;  // single-stream: everything was ready, next round is empty
     }
@@ -708,6 +780,7 @@ Status BufferPool::FlushAll() {
   std::vector<std::pair<RelFileId, uint64_t>> targets;
   uint64_t epoch_target = 0;
   {
+    WaitLockGuard turn(flush_mu_, wp_latch_);
     AllLatches all(this);
     PGLO_RETURN_IF_ERROR(FlushSnapshotLocked(all));
     if (sync_fd_ >= 0) {
@@ -724,21 +797,23 @@ Status BufferPool::FlushAll() {
   if (sync_fd_ >= 0) {
     // One syncfs covers every database file on the filesystem — heap
     // files, indexes, catalogs, however many backends dirtied them — in a
-    // single journal commit. Outside mu_, with epoch piggybacking, exactly
-    // like the commit log's fdatasync protocol.
+    // single journal commit. Outside flush_mu_ and mu_, so the next flush
+    // writes back meanwhile, with epoch piggybacking, exactly like the
+    // commit log's fdatasync protocol.
     if (epoch_target == 0) return Status::OK();
     WaitLockGuard sync_lock(data_sync_mu_, wp_data_sync_);
     if (synced_epoch_ >= epoch_target) return Status::OK();
     uint64_t upto = write_epoch_.load(std::memory_order_acquire);
-    int rc;
+    int err = 0;
     {
       // The syscall itself is a blocking episode worth attributing: the
       // leader of a commit batch spends its force stall here.
       WaitGuard sync_wait(wp_data_sync_, /*count_acquire=*/false);
-      rc = ::syncfs(sync_fd_);
+      if (::syncfs(sync_fd_) != 0) err = errno;
     }
-    if (rc != 0) {
-      return Status::IOError("syncfs failed");
+    if (err != 0) {
+      return Status::IOError("syncfs of fd " + std::to_string(sync_fd_) +
+                             " failed: " + std::strerror(err));
     }
     synced_epoch_ = upto;
     return Status::OK();
@@ -774,7 +849,7 @@ void BufferPool::DiscardFile(RelFileId file, bool discard_dirty) {
   // the pool never touches it while holding its own latch.
   if (discard_dirty) fsm_->Forget(file);
   AllLatches all(this);
-  // A read in flight owns its frames until it finishes; let it finish.
+  // A read or write in flight owns its frames until it ends; let it end.
   while (std::any_of(frames_.begin(), frames_.end(), [&](const Frame& f) {
     return f.io_in_progress && f.id.file == file;
   })) {

@@ -11,6 +11,7 @@
 #include <string>
 #include <thread>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "common/result.h"
@@ -86,16 +87,16 @@ class PageHandle {
 /// list is in stamp order, and their stamp-ordered merge is one LRU order
 /// for the whole pool, from which victims are chosen. The pool mutex
 /// serializes misses, appends and the sync bookkeeping; it is the only
-/// latch that inserts or removes page-table entries. Write-back, dirty
-/// victims and discards freeze the pool (the pool mutex plus every
-/// stripe). Page bytes are touched only under a pin, and flushes wait out
-/// pins held by *other* threads (a flush may always write pages pinned by
-/// the calling thread, which preserves the single-stream behavior
-/// exactly). A miss reads with no latch held: it picks its victims and
-/// publishes its frames marked I/O-in-progress, reads, verifies and
-/// copies, then clears the marks; a backend that wants one of those pages
-/// meanwhile waits for that read (`bufpool.io_wait`), not for the pool.
-/// See DESIGN.md §13 for the full protocol and the lock order.
+/// latch that inserts or removes page-table entries. Dirty victims and
+/// discards freeze the pool (the pool mutex plus every stripe). Page bytes
+/// are touched only under a pin, and flushes wait out pins held by *other*
+/// threads (a flush may always write pages pinned by the calling thread,
+/// which preserves the single-stream behavior exactly). Misses and flushes
+/// do their I/O with no latch held: the frames they read or write are
+/// published marked I/O-in-progress and the marks are cleared when the I/O
+/// ends; a backend that wants one of those pages meanwhile waits for that
+/// I/O (`bufpool.io_wait`), not for the pool. See DESIGN.md §13 for the
+/// full protocol and the lock order.
 class BufferPool {
  public:
   BufferPool(SmgrRegistry* smgrs, size_t num_frames);
@@ -149,13 +150,12 @@ class BufferPool {
   /// Configuration-time only.
   void SetEventLog(EventLog* events) { events_ = events; }
 
-  /// Wait instrumentation (DESIGN.md §14): every acquisition of the pool
-  /// mutex or a stripe reports under `latch.bufpool`, the flush loop's pin
-  /// wait under
-  /// `bufpool.pin_wait`, a wait for another backend's in-flight read of a
-  /// page under `bufpool.io_wait`, and the commit-time syncfs (mutex +
-  /// syscall) under `bufpool.data_sync`. Also binds the hosted
-  /// relation-latch registry.
+  /// Wait instrumentation (DESIGN.md §14): every acquisition of the flush
+  /// mutex, the pool mutex or a stripe reports under `latch.bufpool`, the
+  /// flush loop's pin wait under `bufpool.pin_wait`, a wait for another
+  /// backend's in-flight read or write of a page under `bufpool.io_wait`,
+  /// and the commit-time syncfs (mutex + syscall) under
+  /// `bufpool.data_sync`. Also binds the hosted relation-latch registry.
   /// Null/unbound = raw paths. Configuration-time only.
   void BindWaits(const WaitStatsTable* waits) {
     if (waits == nullptr) return;
@@ -178,7 +178,7 @@ class BufferPool {
   /// RBM_ZERO_AND_LOCK). A resident page is pinned as is; a missing one
   /// gets a zero-filled frame. Charges the page-access CPU like GetPage but
   /// counts neither a hit nor a miss, and waits out another backend's
-  /// in-flight read of the page first.
+  /// in-flight read or write of the page first.
   Result<PageHandle> OverwritePage(PageId id) { return AccessPage(id, true); }
 
   /// Allocates a new block at the end of `file`, zero-filled and pinned.
@@ -198,16 +198,18 @@ class BufferPool {
   /// Snapshot semantics under concurrency: the dirty set is captured on
   /// entry; pages another backend dirties afterwards are its own commit's
   /// problem. Waits for pins held by other threads on captured frames.
-  /// The syncs run OUTSIDE the pool latch (they are the longest blocking
-  /// syscalls in a commit; other backends keep using the pool meanwhile)
-  /// and piggyback per file: a concurrent flush that already covered this
-  /// caller's writes makes the fdatasync a no-op. Under group commit one
-  /// FlushAll covers the whole batch.
+  /// Flushes run one at a time. The write-back holds no pool latch: each
+  /// round marks the frames it writes I/O-in-progress under every latch,
+  /// writes them with none held, and clears the marks under the stripes,
+  /// so other backends' hits, misses and appends proceed meanwhile. The
+  /// syncs run outside the flush's turn too and piggyback: a concurrent
+  /// flush that already covered this caller's writes makes the syscall a
+  /// no-op. Under group commit one FlushAll covers the whole batch.
   Status FlushAll();
 
   /// Drops every frame of `file` without writing back (used by drop-class
   /// and by tests that simulate a crash losing volatile state). Waits for
-  /// in-flight reads of the file to finish first.
+  /// in-flight reads and writes of the file to finish first.
   void DiscardFile(RelFileId file, bool discard_dirty = false);
 
   /// Simulates losing all volatile state: drops clean *and* dirty frames.
@@ -269,8 +271,10 @@ class BufferPool {
     bool on_lru = false;
     uint64_t lru_stamp = 0;  ///< pool-wide order of joining an LRU list
     bool prefetched = false;  ///< installed by read-ahead, not yet accessed
-    /// Published by a miss whose read is still running with no latch held:
-    /// the bytes are not valid yet and belong to the reading thread.
+    /// Published by a miss whose read, or a write-back whose write, is
+    /// running with no latch held: a read's bytes are not valid yet and
+    /// belong to the reading thread; a write's are being stamped and
+    /// written, and the frame stays dirty until the mark clears.
     bool io_in_progress = false;
   };
 
@@ -278,7 +282,7 @@ class BufferPool {
   /// on a cache line of its own.
   struct alignas(64) Stripe {
     mutable std::mutex mu;
-    std::condition_variable io_cv;  ///< signaled when a read of its pages ends
+    std::condition_variable io_cv;  ///< signaled when I/O of its pages ends
     /// Written only with the pool mutex held as well, so either latch
     /// suffices to look a page up.
     std::unordered_map<PageId, size_t, PageIdHash> table;
@@ -293,10 +297,15 @@ class BufferPool {
 
   /// The pool mutex plus every stripe, taken in lock order: the pool
   /// frozen, so no page is pinned, unpinned, mapped or unmapped while it
-  /// is held. Unlock/Lock bracket a wait (AwaitEventLocked).
+  /// is held. With `pool_mutex` false, the stripes alone, for a caller that
+  /// already holds the pool mutex. Unlock/Lock bracket a wait
+  /// (AwaitEventLocked).
   class AllLatches {
    public:
-    explicit AllLatches(const BufferPool* pool) : pool_(pool) { Lock(); }
+    explicit AllLatches(const BufferPool* pool, bool pool_mutex = true)
+        : pool_(pool), pool_mutex_(pool_mutex) {
+      Lock();
+    }
     ~AllLatches() {
       if (held_) Unlock();
     }
@@ -307,7 +316,16 @@ class BufferPool {
 
    private:
     const BufferPool* pool_;
+    const bool pool_mutex_;
     bool held_ = false;
+  };
+
+  /// The WriteBlocks commands of one write-back, in issue order. Each run
+  /// is a slice of `frames`: consecutive blocks of one file.
+  struct WritePlan {
+    std::vector<size_t> frames;
+    std::vector<size_t> run_ends;  ///< end of each run within `frames`
+    size_t runs_written = 0;       ///< set by WriteRuns
   };
 
   /// GetPage, or OverwritePage when `overwrite` is set.
@@ -322,8 +340,9 @@ class BufferPool {
   void UnlockStripes() const;
 
   // Stripe helpers: `s` is held and maps the frame (or page) named.
-  /// Pins `id` if `s` maps it, first waiting out a read of it in flight
-  /// (`bufpool.io_wait`); false, with `s` still held, if it is absent.
+  /// Pins `id` if `s` maps it, first waiting out a read or write of it in
+  /// flight (`bufpool.io_wait`); false, with `s` still held, if it is
+  /// absent.
   bool PinResidentLocked(Stripe& s, std::unique_lock<std::mutex>& lk,
                          const PageId& id, bool overwrite, size_t* frame);
   void PinLocked(Stripe& s, size_t frame);
@@ -340,7 +359,8 @@ class BufferPool {
     return s.table.count(id) != 0;
   }
   /// A free frame, or the oldest unpinned one evicted: a clean head under
-  /// its one stripe, otherwise by EvictOldestLocked.
+  /// its one stripe, otherwise by EvictOldestLocked. Keeps the pool mutex
+  /// throughout.
   Result<size_t> FindVictimLocked();
   /// Installs a free frame as page `id`: zero-filled, pinned and dirty
   /// (NewPage, and OverwritePage on a miss).
@@ -356,8 +376,10 @@ class BufferPool {
   template <typename Visit>
   void ScanLruLocked(Visit visit);
   /// The exact LRU victim walk: the oldest clean frame, or the oldest dirty
-  /// one whose file is writable, with its write-back batch.
-  Result<size_t> EvictOldestLocked();
+  /// one whose file is writable, with its write-back batch. Never picks a
+  /// frame whose write is in flight; when only such frames are evictable
+  /// it releases `stripes` (the pool mutex stays held) until a write ends.
+  Result<size_t> EvictOldestLocked(AllLatches& stripes);
   /// True when writing the frame's bytes cannot race a mutator: unpinned,
   /// or pinned exclusively by the calling thread (which is in the pool,
   /// not mutating). The self-pin case is what keeps eviction and flush
@@ -366,33 +388,43 @@ class BufferPool {
     return f.pin_count == 0 ||
            (!f.pin_shared && f.pin_owner == std::this_thread::get_id());
   }
-  /// True when every dirty frame of `file` is safe to write — the gate for
-  /// eviction-path write-back, which may have to materialize appended
-  /// blocks of the file other than the one it is evicting.
-  bool FileWritableLocked(RelFileId file) const;
-  /// Cleans a sorted batch of cold dirty pages, starting with
-  /// `victim_frame` (background-writer style clustering).
-  Status WriteBackBatchLocked(size_t victim_frame);
-  /// Writes back an already-sorted list of frames, skipping clean ones and
-  /// coalescing adjacent dirty (file, block) runs into single WriteBlocks
-  /// commands; at read-ahead window 0 every run is one block long. Only a
-  /// file with a NewPage append fills the gap below a run past its end
-  /// first; any other file (the UFS image, which may hold holes) has its
-  /// runs written as they are.
-  Status WriteBackSortedLocked(const std::vector<size_t>& sorted);
-  /// Stamps checksums (on slotted pages of a manager that is not raw) and
-  /// writes one run of frames of one file at consecutive blocks with a
-  /// single WriteBlocks.
-  Status WriteRawRunLocked(std::span<const size_t> run);
-  /// Writes out any resident dirty blocks of `file` below `upto` that the
-  /// storage manager does not have yet, one block per command, so a
-  /// write-back never leaves a hole.
-  Status EnsureMaterializedLocked(RelFileId file, BlockNumber upto);
-  /// FlushAll's snapshot-flush loop; releases every latch while waiting
-  /// out other threads' pins.
+  using FileSet = std::unordered_set<RelFileId, RelFileIdHash>;
+  /// The files write-back must leave alone: those with a dirty frame that
+  /// is not safe to write or is being written. Write-back may touch more
+  /// of a file than the frames it was asked to write (gap
+  /// materialization, run coalescing), so a file is writable only when
+  /// all of its dirty frames are. One pass over the frames.
+  FileSet UnwritableFilesLocked() const;
+  /// Cleans a sorted batch of cold dirty pages of files outside
+  /// `unwritable`, starting with `victim_frame` (background-writer style
+  /// clustering), with the pool still frozen.
+  Status WriteBackBatchLocked(size_t victim_frame, const FileSet& unwritable);
+  /// Plans the write-back of an already-sorted list of frames and marks
+  /// every frame it will write I/O-in-progress. Clean frames are skipped
+  /// and adjacent dirty (file, block) runs coalesce into one WriteBlocks of
+  /// up to 64 blocks; at read-ahead window 0 every run is one block long.
+  /// A run past the end of a file with a NewPage append is preceded by the
+  /// gap below it, one block per command, so a write-back never leaves a
+  /// hole; any other file (the UFS image, which may hold holes) has its
+  /// runs written as they are. Counts each run in `file_writes_`. An error
+  /// stops the planning: the runs planned before it are still written,
+  /// and the write-back then fails with it, as if it had been met between
+  /// two writes.
+  Status PlanWriteBackLocked(const std::vector<size_t>& sorted,
+                             WritePlan* plan);
+  /// The run writer: stamps checksums (on slotted pages of a manager that
+  /// is not raw) and issues the plan's commands in order, stopping at the
+  /// first failure. Takes no latch, so it may run with none held.
+  Status WriteRuns(WritePlan* plan);
+  /// Clears the plan's marks, and the dirty flags of the frames its
+  /// written runs covered, and wakes their stripes' waiters. Every stripe
+  /// is held.
+  void FinishWriteLocked(const WritePlan& plan);
+  /// FlushAll's snapshot-flush loop; releases every latch while it writes
+  /// and while it waits out other threads' pins.
   Status FlushSnapshotLocked(AllLatches& all);
-  /// Releases every latch, sleeps until the next event (an unpin to zero,
-  /// or the end of a read) and retakes them; counted under `wp`.
+  /// Releases `all`, sleeps until the next event (an unpin to zero, or the
+  /// end of a read or a write) and retakes it; counted under `wp`.
   void AwaitEventLocked(AllLatches& all, const WaitPoint* wp);
   /// Wakes AwaitEventLocked sleepers; one relaxed load when there are none.
   void SignalEvent();
@@ -423,13 +455,17 @@ class BufferPool {
   const WaitPoint* wp_io_wait_ = nullptr;
   const WaitPoint* wp_data_sync_ = nullptr;
 
+  /// Serializes flushes, so a flush never syncs before writes another
+  /// flush still has in flight. Lock order: flush_mu_, then mu_, then
+  /// stripes in index order, then event_mu_.
+  std::mutex flush_mu_;
   /// The pool mutex. Guards the fields below `stripes_` and serializes
-  /// misses, appends and write-back: page-table entries are inserted and
-  /// removed only under it (plus the entry's stripe). Hits and unpins never
-  /// take it. Lock order: mu_, then stripes in index order, then
-  /// event_mu_. A miss releases it for its read: its frames stay published
-  /// with `io_in_progress` set, so other backends neither read nor evict
-  /// them, and their bytes are written only by the reading thread.
+  /// misses, appends and the planning of write-back: page-table entries
+  /// are inserted and removed only under it (plus the entry's stripe).
+  /// Hits and unpins never take it. A miss releases it for its read and a
+  /// flush for its writes: their frames stay published with
+  /// `io_in_progress` set, so other backends neither pin nor evict them,
+  /// and their bytes are touched only by the thread doing the I/O.
   mutable std::mutex mu_;
   std::array<Stripe, kStripes> stripes_;
   std::atomic<uint64_t> lru_clock_{0};  ///< next LRU stamp
@@ -444,16 +480,17 @@ class BufferPool {
   std::vector<size_t> free_frames_;
   uint32_t readahead_pages_ = 0;
   std::unordered_map<RelFileId, ReadAhead, RelFileIdHash> readahead_;
-  /// Durability bookkeeping for FlushAll's sync pass: writes ever issued
+  /// Durability bookkeeping for FlushAll's sync pass: writes ever planned
   /// per file vs. writes known covered by an fdatasync. A file is due for a
   /// sync when written > synced; after syncing through write count n a
-  /// flusher records synced = n. Entries are erased when the file's frames
-  /// are discarded (drop), so a commit never tries to sync a dropped file.
+  /// flusher records synced = n. A write counts when it is planned, under
+  /// mu_, not when it lands: a drop waits out the file's writes and then
+  /// erases its entries, so a commit never tries to sync a dropped file.
   /// Used only when no sync_fd_ is installed; the syncfs path replaces the
   /// per-file maps with one global write epoch.
   std::unordered_map<RelFileId, uint64_t, RelFileIdHash> file_writes_;
   std::unordered_map<RelFileId, uint64_t, RelFileIdHash> file_synced_;
-  /// syncfs-path durability epoch: bumped (under mu_) on every smgr write;
+  /// syncfs-path durability epoch: bumped after every smgr write returns;
   /// synced_epoch_ (under data_sync_mu_) records the highest epoch known
   /// covered by a syncfs. A flusher whose captured epoch is already covered
   /// piggybacks and skips the syscall.
@@ -461,10 +498,6 @@ class BufferPool {
   std::atomic<uint64_t> write_epoch_{0};
   std::mutex data_sync_mu_;  ///< serializes syncfs; never nests inside mu_
   uint64_t synced_epoch_ = 0;
-  /// Staging buffer for coalesced write-back; sized lazily to the largest
-  /// run seen. Only touched under mu_. (A read-ahead miss stages its run in
-  /// a buffer of its own, since it reads without mu_.)
-  std::vector<uint8_t> write_scratch_;
   RelLatchRegistry rel_latches_;  ///< self-synchronized, not under mu_
   /// Self-synchronized; may call back into the pool, so the pool only
   /// touches it outside mu_ (see DiscardFile / CrashDiscardAll).

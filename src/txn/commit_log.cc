@@ -156,15 +156,16 @@ Status CommitLog::SyncTo(uint64_t target) {
   // Snapshot the append frontier BEFORE the syscall: everything appended up
   // to here is covered, anything appended during the sync may not be.
   uint64_t upto = appended_size_.load(std::memory_order_acquire);
-  int rc;
+  int err = 0;
   {
     // The syscall is the blocking episode that matters: the committer that
     // pays the fdatasync (instead of piggybacking) stalls right here.
     WaitGuard sync_wait(wp_fsync_, /*count_acquire=*/false);
-    rc = ::fdatasync(fd_);
+    if (::fdatasync(fd_) != 0) err = errno;
   }
-  if (rc != 0) {
-    return Status::IOError("commit log sync failed");
+  if (err != 0) {
+    return Status::IOError("commit log sync of " + path_ +
+                           " failed: " + std::strerror(err));
   }
   fsyncs_.fetch_add(1, std::memory_order_relaxed);
   synced_size_.store(upto, std::memory_order_release);

@@ -30,11 +30,12 @@ namespace pglo {
 /// invisible: atomicity without undo.
 ///
 /// Thread-safe: backends (Sessions) begin, commit, and abort concurrently.
-/// Commits serialize — the force policy flushes the whole pool, so there
-/// is nothing to overlap — either behind a plain mutex (default, preserving
-/// the single-stream sequence exactly) or through the group-commit queue
-/// (SetGroupCommit), where one leader flushes once and appends every
-/// waiting committer's record in a single pwrite + fdatasync.
+/// Commits serialize — each force flushes the whole pool — either behind a
+/// plain mutex (default, preserving the single-stream sequence exactly) or
+/// through the group-commit queue (SetGroupCommit), where one leader
+/// flushes once and appends every waiting committer's record in a single
+/// pwrite + fdatasync. Other backends' work overlaps a force: its
+/// write-back holds no buffer-pool latch while it writes.
 class TxnManager {
  public:
   TxnManager(CommitLog* clog, BufferPool* pool)

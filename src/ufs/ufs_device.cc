@@ -16,6 +16,7 @@ UfsDevice::~UfsDevice() {
 
 Status UfsDevice::Open(const std::string& path) {
   if (fd_ >= 0) ::close(fd_);
+  path_ = path;
   fd_ = ::open(path.c_str(), O_RDWR | O_CREAT, 0644);
   if (fd_ < 0) {
     return Status::IOError("cannot open ufs backing file: " +
@@ -77,7 +78,11 @@ Status UfsDevice::WriteBlocks(Oid, BlockNumber start, uint32_t nblocks,
 }
 
 Status UfsDevice::Sync(Oid) {
-  if (::fdatasync(fd_) != 0) return Status::IOError("ufs fsync failed");
+  if (::fdatasync(fd_) != 0) {
+    const int err = errno;
+    return Status::IOError("ufs fsync of " + path_ +
+                           " failed: " + std::strerror(err));
+  }
   return Status::OK();
 }
 

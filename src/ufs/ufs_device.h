@@ -71,6 +71,7 @@ class UfsDevice : public StorageManager {
 
   DeviceModel* device_;
   FaultInjector* injector_ = nullptr;
+  std::string path_;  ///< the host image, for error messages
   int fd_ = -1;
   std::atomic<BlockNumber> extent_{0};  ///< read-ahead clips here
 };

@@ -389,21 +389,18 @@ TEST_F(BufferPoolTest, DamagedReadAheadPageFailsOnlyItsOwnRead) {
   EXPECT_GT(Count(stats_, "readahead_pages"), 0u);
 }
 
-// A main-memory storage manager that holds the next read of one block
-// until the test releases it, then completes it (or fails it with a chosen
-// status).
+// A main-memory storage manager that holds the next read, or the next
+// write, that covers one block until the test releases it, then completes
+// it (or fails it with a chosen status, before any byte is written).
 class HoldingSmgr : public MainMemorySmgr {
  public:
   HoldingSmgr() : MainMemorySmgr(nullptr) {}
 
   void HoldNextRead(BlockNumber block, Status result = Status::OK()) {
-    std::lock_guard<std::mutex> lock(hold_mu_);
-    block_ = block;
-    result_ = std::move(result);
-    armed_ = true;
-    held_ = false;
-    released_ = false;
-    reads_ = 0;
+    Arm(/*write=*/false, block, std::move(result));
+  }
+  void HoldNextWrite(BlockNumber block, Status result = Status::OK()) {
+    Arm(/*write=*/true, block, std::move(result));
   }
   /// Waits up to `timeout` for the held read to start.
   bool WaitHeld(std::chrono::milliseconds timeout) {
@@ -420,6 +417,11 @@ class HoldingSmgr : public MainMemorySmgr {
     std::lock_guard<std::mutex> lock(hold_mu_);
     return reads_;
   }
+  /// WriteBlocks runs that covered the held block so far.
+  int writes_of_block() {
+    std::lock_guard<std::mutex> lock(hold_mu_);
+    return writes_;
+  }
   /// Every ReadBlocks call so far.
   int all_reads() {
     std::lock_guard<std::mutex> lock(hold_mu_);
@@ -428,34 +430,51 @@ class HoldingSmgr : public MainMemorySmgr {
 
   Status ReadBlocks(Oid relfile, BlockNumber start, uint32_t nblocks,
                     uint8_t* buf) override {
-    Status result;
-    {
-      std::unique_lock<std::mutex> lock(hold_mu_);
-      ++all_reads_;
-      if (start <= block_ && block_ - start < nblocks) {
-        ++reads_;
-        if (armed_) {
-          armed_ = false;
-          held_ = true;
-          hold_cv_.notify_all();
-          hold_cv_.wait(lock, [&] { return released_; });
-          result = result_;
-        }
-      }
-    }
-    if (!result.ok()) return result;
+    PGLO_RETURN_IF_ERROR(Pass(/*write=*/false, start, nblocks));
     return MainMemorySmgr::ReadBlocks(relfile, start, nblocks, buf);
+  }
+  Status WriteBlocks(Oid relfile, BlockNumber start, uint32_t nblocks,
+                     const uint8_t* buf) override {
+    PGLO_RETURN_IF_ERROR(Pass(/*write=*/true, start, nblocks));
+    return MainMemorySmgr::WriteBlocks(relfile, start, nblocks, buf);
   }
 
  private:
+  void Arm(bool write, BlockNumber block, Status result) {
+    std::lock_guard<std::mutex> lock(hold_mu_);
+    write_ = write;
+    block_ = block;
+    result_ = std::move(result);
+    armed_ = true;
+    held_ = false;
+    released_ = false;
+    reads_ = 0;
+    writes_ = 0;
+  }
+  /// Counts a run and, if it is the armed one, holds it until released.
+  Status Pass(bool write, BlockNumber start, uint32_t nblocks) {
+    std::unique_lock<std::mutex> lock(hold_mu_);
+    if (!write) ++all_reads_;
+    if (start > block_ || block_ - start >= nblocks) return Status::OK();
+    ++(write ? writes_ : reads_);
+    if (!armed_ || write != write_) return Status::OK();
+    armed_ = false;
+    held_ = true;
+    hold_cv_.notify_all();
+    hold_cv_.wait(lock, [&] { return released_; });
+    return result_;
+  }
+
   std::mutex hold_mu_;
   std::condition_variable hold_cv_;
+  bool write_ = false;
   BlockNumber block_ = 0;
   Status result_;
   bool armed_ = false;
   bool held_ = false;
   bool released_ = false;
   int reads_ = 0;
+  int writes_ = 0;
   int all_reads_ = 0;
 };
 
@@ -479,15 +498,17 @@ class InFlightReadTest : public ::testing::Test {
     PopulateAndEmpty(pool_.get(), file_, 16, &stats_);
   }
 
-  /// Reads block `b` on another thread; yields its first byte.
-  std::future<Result<uint8_t>> ReadAsync(BlockNumber b) {
-    return std::async(std::launch::async, [this, b]() -> Result<uint8_t> {
-      PGLO_ASSIGN_OR_RETURN(PageHandle h, pool_->GetPage({file_, b}));
-      return h.data()[0];
-    });
+  /// Reads block `b` on another thread; yields its byte at `offset`.
+  std::future<Result<uint8_t>> ReadAsync(BlockNumber b, size_t offset = 0) {
+    return std::async(std::launch::async,
+                      [this, b, offset]() -> Result<uint8_t> {
+                        PGLO_ASSIGN_OR_RETURN(PageHandle h,
+                                              pool_->GetPage({file_, b}));
+                        return h.data()[offset];
+                      });
   }
 
-  /// Waits until `n` backends have waited on an in-flight read, up to the
+  /// Waits until `n` backends have waited on in-flight I/O, up to the
   /// deadline.
   bool IoWaitsReach(uint64_t n,
                     std::chrono::steady_clock::time_point deadline) {
@@ -622,6 +643,187 @@ TEST_F(InFlightReadTest, OverwritePageWaitsOutAnInFlightRead) {
   EXPECT_EQ(smgr_->reads_of_block(), 1);
   EXPECT_EQ(Count(stats_, "misses"), 1u);
   EXPECT_EQ(Count(stats_, "hits"), 0u);
+}
+
+// A flush's write held in the storage manager must not stall the pool
+// either: the flush writes with no latch held, so only the pages being
+// written wait for it.
+class InFlightWriteTest : public InFlightReadTest {
+ protected:
+  /// Sets byte 1 of block `b` to `byte` and leaves the page dirty.
+  void Dirty(BlockNumber b, uint8_t byte) {
+    ASSERT_OK_AND_ASSIGN(PageHandle h, pool_->GetPage({file_, b}));
+    h.data()[1] = byte;
+    h.MarkDirty();
+  }
+
+  std::future<Status> FlushAsync() {
+    return std::async(std::launch::async, [this] { return pool_->FlushAll(); });
+  }
+
+  /// Byte 1 of block `b` as the storage manager holds it.
+  uint8_t Stored(BlockNumber b) {
+    uint8_t buf[kPageSize];
+    EXPECT_OK(smgr_->ReadBlock(file_.relfile, b, buf));
+    return buf[1];
+  }
+};
+
+TEST_F(InFlightWriteTest, OtherBackendsProceedWhileAFlushWriteIsHeld) {
+  for (BlockNumber b = 0; b < 4; ++b) {  // resident: later reads are hits
+    ASSERT_OK_AND_ASSIGN(PageHandle h, pool_->GetPage({file_, b}));
+  }
+  Dirty(kHeld, 0x77);
+  const RelFileId other{0, 2};
+  ASSERT_OK(smgr_->CreateFile(other.relfile));
+  stats_.Reset();
+  std::future<Status> flush, second_flush;
+  std::future<Result<uint8_t>> reread, overwrite;
+  std::future<Result<BlockNumber>> append;
+  std::vector<std::pair<BlockNumber, std::future<Result<uint8_t>>>> others;
+  ReleaseOnExit release{smgr_};
+  smgr_->HoldNextWrite(kHeld);
+  auto deadline = std::chrono::steady_clock::now() + kBound;
+  flush = FlushAsync();
+  ASSERT_TRUE(smgr_->WaitHeld(kBound));
+  // While the write is held: hits and misses on other pages and an append
+  // to another file finish.
+  for (BlockNumber b : {0u, 1u, 2u, 3u, 10u, 11u}) {
+    others.emplace_back(b, ReadAsync(b));
+  }
+  append = std::async(std::launch::async, [&]() -> Result<BlockNumber> {
+    BlockNumber block;
+    PGLO_ASSIGN_OR_RETURN(PageHandle h, pool_->NewPage(other, &block));
+    return block;
+  });
+  for (auto& [b, f] : others) {
+    ASSERT_EQ(f.wait_until(deadline), std::future_status::ready)
+        << "block " << b << " stalled behind the held write";
+    Result<uint8_t> r = f.get();
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(r.value(), static_cast<uint8_t>(b + 1));
+  }
+  ASSERT_EQ(append.wait_until(deadline), std::future_status::ready)
+      << "an append stalled behind the held write";
+  Result<BlockNumber> appended = append.get();
+  ASSERT_TRUE(appended.ok()) << appended.status().ToString();
+  EXPECT_EQ(appended.value(), 0u);
+  // The page being written waits for its write, for a reader and an
+  // overwriter alike, and so does a second flush.
+  reread = ReadAsync(kHeld, 1);
+  overwrite = std::async(std::launch::async, [this]() -> Result<uint8_t> {
+    PGLO_ASSIGN_OR_RETURN(PageHandle h, pool_->OverwritePage({file_, kHeld}));
+    return h.data()[1];
+  });
+  second_flush = FlushAsync();
+  ASSERT_TRUE(IoWaitsReach(2, deadline));
+  EXPECT_EQ(second_flush.wait_for(std::chrono::milliseconds(50)),
+            std::future_status::timeout);
+  EXPECT_NE(reread.wait_for(std::chrono::milliseconds(0)),
+            std::future_status::ready);
+  EXPECT_NE(overwrite.wait_for(std::chrono::milliseconds(0)),
+            std::future_status::ready);
+  EXPECT_NE(Stored(kHeld), 0x77);
+  smgr_->Release();
+  ASSERT_OK(flush.get());
+  ASSERT_OK(second_flush.get());
+  EXPECT_EQ(Stored(kHeld), 0x77);
+  for (auto* f : {&reread, &overwrite}) {
+    Result<uint8_t> r = f->get();
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(r.value(), 0x77);
+  }
+  EXPECT_EQ(stats_.counter("wait.bufpool.io_wait.contended")->value(), 2u);
+  EXPECT_EQ(Count(stats_, "misses"), 2u);  // 10 and 11
+}
+
+TEST_F(InFlightWriteTest, DiscardFileWaitsOutAHeldWrite) {
+  Dirty(kHeld, 0x77);
+  stats_.Reset();
+  std::future<Status> flush;
+  std::future<void> discard;
+  ReleaseOnExit release{smgr_};
+  smgr_->HoldNextWrite(kHeld);
+  auto deadline = std::chrono::steady_clock::now() + kBound;
+  flush = FlushAsync();
+  ASSERT_TRUE(smgr_->WaitHeld(kBound));
+  discard =
+      std::async(std::launch::async, [this] { pool_->DiscardFile(file_); });
+  ASSERT_TRUE(IoWaitsReach(1, deadline));
+  EXPECT_NE(discard.wait_for(std::chrono::milliseconds(0)),
+            std::future_status::ready);
+  smgr_->Release();
+  ASSERT_OK(flush.get());
+  discard.get();
+  // The discard dropped the page once its write landed: reading it again
+  // misses and finds the written bytes.
+  stats_.Reset();
+  Result<uint8_t> r = ReadAsync(kHeld, 1).get();
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r.value(), 0x77);
+  EXPECT_EQ(Count(stats_, "misses"), 1u);
+}
+
+TEST_F(InFlightWriteTest, FailedHeldWriteLeavesThePageDirty) {
+  Dirty(kHeld, 0x77);
+  std::future<Status> flush;
+  std::future<Result<uint8_t>> reread;
+  ReleaseOnExit release{smgr_};
+  smgr_->HoldNextWrite(kHeld, Status::IOError("injected write failure"));
+  auto deadline = std::chrono::steady_clock::now() + kBound;
+  flush = FlushAsync();
+  ASSERT_TRUE(smgr_->WaitHeld(kBound));
+  reread = ReadAsync(kHeld, 1);
+  ASSERT_TRUE(IoWaitsReach(1, deadline));
+  smgr_->Release();
+  Status failed = flush.get();
+  ASSERT_TRUE(failed.IsIOError()) << failed.ToString();
+  Result<uint8_t> r = reread.get();
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r.value(), 0x77);
+  EXPECT_NE(Stored(kHeld), 0x77);
+  // The page stayed dirty, so the next flush writes it.
+  ASSERT_OK(pool_->FlushAll());
+  EXPECT_EQ(Stored(kHeld), 0x77);
+  EXPECT_EQ(smgr_->writes_of_block(), 2);
+}
+
+TEST_F(InFlightWriteTest, MissWaitsWhenOnlyPagesBeingWrittenAreEvictable) {
+  // Fill every frame with a dirty page: the 16 stored blocks, then 16
+  // appended ones. A flush then marks them all, and holds its first write.
+  for (BlockNumber b = 0; b < 16; ++b) Dirty(b, 0x55);
+  for (BlockNumber b = 16; b < pool_->num_frames(); ++b) {
+    BlockNumber got;
+    ASSERT_OK_AND_ASSIGN(PageHandle h, pool_->NewPage(file_, &got));
+    h.data()[0] = static_cast<uint8_t>(got + 1);
+    h.MarkDirty();
+  }
+  const RelFileId other{0, 2};
+  ASSERT_OK(smgr_->CreateFile(other.relfile));
+  uint8_t page[kPageSize] = {0x42};
+  ASSERT_OK(smgr_->WriteBlock(other.relfile, 0, page));
+  stats_.Reset();
+  std::future<Status> flush;
+  std::future<Result<uint8_t>> miss;
+  ReleaseOnExit release{smgr_};
+  smgr_->HoldNextWrite(0);
+  auto deadline = std::chrono::steady_clock::now() + kBound;
+  flush = FlushAsync();
+  ASSERT_TRUE(smgr_->WaitHeld(kBound));
+  // A miss finds no victim but pages being written: it waits for a write
+  // to end rather than failing.
+  miss = std::async(std::launch::async, [&]() -> Result<uint8_t> {
+    PGLO_ASSIGN_OR_RETURN(PageHandle h, pool_->GetPage({other, 0}));
+    return h.data()[0];
+  });
+  ASSERT_TRUE(IoWaitsReach(1, deadline));
+  EXPECT_NE(miss.wait_for(std::chrono::milliseconds(0)),
+            std::future_status::ready);
+  smgr_->Release();
+  ASSERT_OK(flush.get());
+  Result<uint8_t> r = miss.get();
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r.value(), 0x42);
 }
 
 TEST_F(BufferPoolTest, ConcurrentMissesSeeTheirOwnPages) {

@@ -206,9 +206,10 @@ tsan_smoke_gate() {
   # session lifecycle); server_test adds the socket server's
   # thread-per-connection paths (accept/serve/stop handshakes, admission
   # control, cross-thread Shutdown, disconnect-abort); buffer_pool_test
-  # adds misses that read outside the pool mutex while other backends hit
-  # their stripes, miss and wait on the same in-flight read, and dirty
-  # victims and flushes that freeze the pool under concurrent hits;
+  # adds misses that read and flushes that write outside the pool latches
+  # while other backends hit their stripes, miss, append and wait on the
+  # same in-flight read or write, and dirty victims that freeze the pool
+  # under concurrent hits;
   # recorder_test adds backends filing spans in their recorder shards
   # while a reader merges the tail.
   echo "== tsan smoke: concurrency_test + server_test + buffer_pool_test + recorder_test under ThreadSanitizer =="
