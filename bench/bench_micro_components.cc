@@ -279,6 +279,59 @@ BENCHMARK(BM_LoThroughput)
     ->ArgsProduct({{0, 1}, {0, 1}})
     ->ArgNames({"vseg", "write"});
 
+// Opening a large object with 8, 100 and 1,000 rows in the LO catalog
+// (devices uncharged, a 4,096-frame pool): the mean latency of an open of
+// a random object and its close, 200 opens per transaction. The objects
+// are f-chunk on the main-memory storage manager, so they hold no host
+// descriptors.
+void BM_LoOpen(benchmark::State& state) {
+  constexpr int kOpensPerTxn = 200;
+  char tmpl[] = "/tmp/pglo_micro_db_XXXXXX";
+  char* dir = ::mkdtemp(tmpl);
+  Database database;
+  DatabaseOptions options;
+  options.dir = dir ? dir : "/tmp/pglo_micro_db";
+  options.charge_devices = false;
+  options.buffer_pool_frames = 4096;
+  if (!database.Open(options).ok()) {
+    state.SkipWithError("open failed");
+    return;
+  }
+  std::unique_ptr<Session> session = database.Connect();
+  LoSpec spec;
+  spec.smgr = kSmgrMemory;
+  std::vector<Oid> oids;
+  session->Begin();
+  for (int64_t i = 0; i < state.range(0); ++i) {
+    oids.push_back(session->CreateLo(spec).value());
+  }
+  benchmark::DoNotOptimize(session->Commit().ok());
+  session->Begin();
+  Random rng(5);
+  int opens = 0;
+  for (auto _ : state) {
+    auto fd = session->OpenLo(oids[rng.Uniform(oids.size())], false);
+    if (!fd.ok() || !session->CloseLo(fd.value()).ok()) {
+      state.SkipWithError("open failed");
+      break;
+    }
+    if (++opens % kOpensPerTxn == 0) {
+      state.PauseTiming();
+      benchmark::DoNotOptimize(session->Abort().ok());
+      session->Begin();
+      state.ResumeTiming();
+    }
+  }
+  benchmark::DoNotOptimize(session->Abort().ok());
+  session.reset();
+  benchmark::DoNotOptimize(database.Close().ok());
+  if (dir) {
+    int rc = std::system(("rm -rf '" + std::string(dir) + "'").c_str());
+    (void)rc;
+  }
+}
+BENCHMARK(BM_LoOpen)->Arg(8)->Arg(100)->Arg(1000)->ArgName("rows");
+
 // Console reporter that also copies every finished run into the BenchRun
 // JSON: one row per benchmark, wall-clock values only.
 class JsonCapturingReporter : public benchmark::ConsoleReporter {

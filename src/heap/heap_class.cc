@@ -1,6 +1,7 @@
 #include "heap/heap_class.h"
 
 #include <cstring>
+#include <vector>
 
 #include "common/logging.h"
 #include "storage/free_space_map.h"
@@ -273,36 +274,50 @@ Result<uint64_t> HeapClass::Vacuum(const CommitLog& clog, CommitTime horizon,
   return removed;
 }
 
-Result<bool> HeapScan::Next(Tid* tid, Bytes* payload) {
-  RelLatchGuard latch(heap_->pool_->rel_latches(), heap_->file_, WaitEvent::kLatchRelHeap);
-  if (exhausted_) return false;
-  PGLO_ASSIGN_OR_RETURN(BlockNumber nblocks, heap_->NumBlocks());
-  while (block_ < nblocks) {
-    PGLO_ASSIGN_OR_RETURN(PageHandle handle,
-                          heap_->pool_->GetPage({heap_->file_, block_}));
-    SlottedPage page(handle.data());
-    if (page.IsInitialized()) {
-      uint16_t nslots = page.NumSlots();
-      while (slot_ < nslots) {
-        uint16_t s = slot_++;
+Result<bool> HeapClass::Scan(Transaction* txn, const Visitor& visit) {
+  // One page's visible versions: their payloads back to back in `copies`.
+  struct Row {
+    Tid tid;
+    size_t offset;
+    size_t size;
+  };
+  std::vector<Row> rows;
+  Bytes copies;
+  for (BlockNumber block = 0;; ++block) {
+    rows.clear();
+    copies.clear();
+    bool short_tuple = false;
+    {
+      RelLatchGuard latch(pool_->rel_latches(), file_,
+                          WaitEvent::kLatchRelHeap);
+      PGLO_ASSIGN_OR_RETURN(BlockNumber nblocks, NumBlocks());
+      if (block >= nblocks) return false;
+      PGLO_ASSIGN_OR_RETURN(PageHandle handle, pool_->GetPage({file_, block}));
+      SlottedPage page(handle.data());
+      uint16_t nslots = page.IsInitialized() ? page.NumSlots() : 0;
+      for (uint16_t s = 0; s < nslots; ++s) {
         Result<Slice> item = page.GetItem(s);
         if (!item.ok()) continue;
         if (item.value().size() < TupleHeader::kSize) {
-          return Status::Corruption("tuple shorter than its header");
+          short_tuple = true;
+          break;
         }
         TupleHeader header = TupleHeader::Decode(item.value().data());
-        if (!txn_->snapshot().IsVisible(header.xmin, header.xmax)) continue;
-        *tid = Tid{block_, s};
-        *payload =
-            item.value().Sub(TupleHeader::kSize, item.value().size()).ToBytes();
-        return true;
+        if (!txn->snapshot().IsVisible(header.xmin, header.xmax)) continue;
+        Slice payload =
+            item.value().Sub(TupleHeader::kSize, item.value().size());
+        rows.push_back({Tid{block, s}, copies.size(), payload.size()});
+        copies.insert(copies.end(), payload.data(),
+                      payload.data() + payload.size());
       }
     }
-    ++block_;
-    slot_ = 0;
+    for (const Row& row : rows) {
+      Slice payload(copies.data() + row.offset, row.size);
+      PGLO_ASSIGN_OR_RETURN(bool stop, visit(row.tid, payload));
+      if (stop) return true;
+    }
+    if (short_tuple) return Status::Corruption("tuple shorter than its header");
   }
-  exhausted_ = true;
-  return false;
 }
 
 }  // namespace pglo

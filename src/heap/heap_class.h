@@ -1,6 +1,7 @@
 #ifndef PGLO_HEAP_HEAP_CLASS_H_
 #define PGLO_HEAP_HEAP_CLASS_H_
 
+#include <functional>
 #include <optional>
 
 #include "common/result.h"
@@ -24,10 +25,11 @@ namespace pglo {
 /// query layer and the large-object implementations impose structure.
 ///
 /// Multi-backend: every public operation holds the relation's exclusive
-/// latch (from the pool's RelLatchRegistry) for its duration, so two
-/// backends' operations on one class serialize; visibility between their
-/// transactions is still decided by snapshots. The insert hint is
-/// per-HeapClass-instance and protected by the same latch.
+/// latch (from the pool's RelLatchRegistry) for its duration (Scan for
+/// one page at a time), so two backends' operations on one class
+/// serialize; visibility between their transactions is still decided by
+/// snapshots. The insert hint is per-HeapClass-instance and protected by
+/// the same latch.
 class HeapClass {
  public:
   /// Wraps an existing relation file (create it via Create()).
@@ -61,6 +63,17 @@ class HeapClass {
   /// header too); used by vacuum-style maintenance and tests.
   Result<std::pair<TupleHeader, Bytes>> GetAnyVersion(Tid tid);
 
+  /// Visits, in physical order, the versions `txn` sees until `visit`
+  /// returns true; returns whether it did. For each page it takes the
+  /// relation latch, reads the file length and pins the page once, copies
+  /// out the versions `txn` sees, and releases both before visiting them,
+  /// so the visitor may use this class. Visibility is therefore decided
+  /// as the walk reaches a page, pages appended before then are visited,
+  /// and a tuple shorter than its header is Corruption once the walk
+  /// reaches it.
+  using Visitor = std::function<Result<bool>(Tid tid, Slice payload)>;
+  Result<bool> Scan(Transaction* txn, const Visitor& visit);
+
   /// Reclaims space held by versions that can never become visible again
   /// (inserted by an aborted transaction, or deleted before `horizon`).
   /// Passing horizon = 0 reclaims only aborted versions, preserving all
@@ -84,8 +97,6 @@ class HeapClass {
   }
 
  private:
-  friend class HeapScan;
-
   /// Shared tail of Insert/InsertAppend: stores `image` into a page chosen
   /// from `candidates` (first fit), consulting the FSM when `use_fsm`,
   /// extending the file as a last resort. Latch already held.
@@ -96,24 +107,6 @@ class HeapClass {
   RelFileId file_;
   // Insertion hint: last page observed to have free space.
   BlockNumber insert_hint_ = kInvalidBlock;
-};
-
-/// Forward scan over the versions of a class visible to a transaction's
-/// snapshot.
-class HeapScan {
- public:
-  HeapScan(HeapClass* heap, Transaction* txn) : heap_(heap), txn_(txn) {}
-
-  /// Advances to the next visible tuple. Returns false at end-of-class.
-  /// On success fills `tid` and `payload`.
-  Result<bool> Next(Tid* tid, Bytes* payload);
-
- private:
-  HeapClass* heap_;
-  Transaction* txn_;
-  BlockNumber block_ = 0;
-  uint16_t slot_ = 0;
-  bool exhausted_ = false;
 };
 
 }  // namespace pglo

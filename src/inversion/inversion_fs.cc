@@ -330,32 +330,42 @@ Result<FileId> InversionFs::Create(Transaction* txn, const std::string& path,
   return id;
 }
 
+namespace {
+/// The record of file `id` in `heap` that `txn` sees, and its address:
+/// STORAGE and FILESTAT records both lead with the 8-byte file id. `what`
+/// names the class in errors.
+Result<std::pair<Bytes, Tid>> FindFileRecord(Transaction* txn,
+                                             HeapClass* heap, FileId id,
+                                             const std::string& what) {
+  std::pair<Bytes, Tid> found;
+  auto match = [&](Tid tid, Slice record) -> Result<bool> {
+    if (record.size() < 8) {
+      return Status::Corruption("bad " + what + " record");
+    }
+    if (DecodeFixed64(record.data()) != id) return false;
+    found = {record.ToBytes(), tid};
+    return true;
+  };
+  PGLO_ASSIGN_OR_RETURN(bool hit, heap->Scan(txn, match));
+  if (!hit) return Status::NotFound("no " + what + " record for file");
+  return found;
+}
+}  // namespace
+
 Result<std::pair<Oid, Tid>> InversionFs::FindStorage(Transaction* txn,
                                                      FileId id) {
-  HeapScan scan(&storage_, txn);
-  Tid tid;
-  Bytes payload;
-  for (;;) {
-    PGLO_ASSIGN_OR_RETURN(bool more, scan.Next(&tid, &payload));
-    if (!more) break;
-    PGLO_ASSIGN_OR_RETURN(auto rec, DecodeStorage(Slice(payload)));
-    if (rec.first == id) return std::make_pair(rec.second, tid);
-  }
-  return Status::NotFound("no STORAGE record for file");
+  PGLO_ASSIGN_OR_RETURN(auto found,
+                        FindFileRecord(txn, &storage_, id, "STORAGE"));
+  PGLO_ASSIGN_OR_RETURN(auto rec, DecodeStorage(Slice(found.first)));
+  return std::make_pair(rec.second, found.second);
 }
 
 Result<std::pair<InversionFs::StatInfo, Tid>> InversionFs::FindStat(
     Transaction* txn, FileId id) {
-  HeapScan scan(&filestat_, txn);
-  Tid tid;
-  Bytes payload;
-  for (;;) {
-    PGLO_ASSIGN_OR_RETURN(bool more, scan.Next(&tid, &payload));
-    if (!more) break;
-    PGLO_ASSIGN_OR_RETURN(StatInfo st, DecodeStat(Slice(payload)));
-    if (st.file_id == id) return std::make_pair(st, tid);
-  }
-  return Status::NotFound("no FILESTAT record for file");
+  PGLO_ASSIGN_OR_RETURN(auto found,
+                        FindFileRecord(txn, &filestat_, id, "FILESTAT"));
+  PGLO_ASSIGN_OR_RETURN(StatInfo st, DecodeStat(Slice(found.first)));
+  return std::make_pair(st, found.second);
 }
 
 Result<std::unique_ptr<InversionFile>> InversionFs::Open(
@@ -444,17 +454,14 @@ Result<std::vector<InversionFs::DirEntryInfo>> InversionFs::ReadDir(
     return Status::InvalidArgument("not a directory: " + path);
   }
   std::vector<DirEntryInfo> out;
-  HeapScan scan(&directory_.heap(), txn);
-  Tid tid;
-  Bytes payload;
-  for (;;) {
-    PGLO_ASSIGN_OR_RETURN(bool more, scan.Next(&tid, &payload));
-    if (!more) break;
-    PGLO_ASSIGN_OR_RETURN(DirRecord rec, DecodeDir(Slice(payload)));
+  auto collect = [&](Tid, Slice record) -> Result<bool> {
+    PGLO_ASSIGN_OR_RETURN(DirRecord rec, DecodeDir(record));
     if (rec.parent == found.first.file_id && rec.file_id != kRootFileId) {
       out.push_back({rec.name, rec.file_id, rec.is_dir});
     }
-  }
+    return false;
+  };
+  PGLO_RETURN_IF_ERROR(directory_.heap().Scan(txn, collect).status());
   return out;
 }
 

@@ -119,18 +119,28 @@ Result<LoManager::CatalogEntry> LoManager::DecodeEntry(Slice image) {
   return e;
 }
 
+Result<bool> LoManager::ScanCatalog(Transaction* txn,
+                                    const EntryVisitor& visit) {
+  return catalog_.Scan(txn, [&](Tid tid, Slice row) -> Result<bool> {
+    PGLO_ASSIGN_OR_RETURN(CatalogEntry entry, DecodeEntry(row));
+    return visit(entry, tid);
+  });
+}
+
 Result<std::pair<LoManager::CatalogEntry, Tid>> LoManager::FindEntry(
     Transaction* txn, Oid oid) {
-  HeapScan scan(&catalog_, txn);
-  Tid tid;
-  Bytes payload;
-  for (;;) {
-    PGLO_ASSIGN_OR_RETURN(bool more, scan.Next(&tid, &payload));
-    if (!more) break;
-    PGLO_ASSIGN_OR_RETURN(CatalogEntry entry, DecodeEntry(Slice(payload)));
-    if (entry.oid == oid) return std::make_pair(entry, tid);
+  std::pair<CatalogEntry, Tid> found;
+  auto match = [&](const CatalogEntry& entry, Tid tid) -> Result<bool> {
+    if (entry.oid != oid) return false;
+    found = {entry, tid};
+    return true;
+  };
+  PGLO_ASSIGN_OR_RETURN(bool hit, ScanCatalog(txn, match));
+  if (!hit) {
+    return Status::NotFound("no large object with oid " +
+                            std::to_string(oid));
   }
-  return Status::NotFound("no large object with oid " + std::to_string(oid));
+  return found;
 }
 
 Result<std::unique_ptr<LargeObject>> LoManager::InstantiateEntry(
@@ -386,20 +396,11 @@ Status LoManager::CollectGarbage() {
 
 Result<std::vector<LoManager::ObjectInfo>> LoManager::List(Transaction* txn) {
   std::vector<ObjectInfo> out;
-  HeapScan scan(&catalog_, txn);
-  Tid tid;
-  Bytes payload;
-  for (;;) {
-    PGLO_ASSIGN_OR_RETURN(bool more, scan.Next(&tid, &payload));
-    if (!more) break;
-    PGLO_ASSIGN_OR_RETURN(CatalogEntry entry, DecodeEntry(Slice(payload)));
-    ObjectInfo info;
-    info.oid = entry.oid;
-    info.spec = entry.spec;
-    info.temp = entry.temp;
-    info.files = entry.files;
-    out.push_back(std::move(info));
-  }
+  auto collect = [&](const CatalogEntry& entry, Tid) -> Result<bool> {
+    out.push_back(entry);
+    return false;
+  };
+  PGLO_RETURN_IF_ERROR(ScanCatalog(txn, collect).status());
   return out;
 }
 
@@ -474,29 +475,15 @@ Status LoManager::Migrate(Transaction* txn, Oid oid, uint8_t new_smgr) {
 }
 
 Result<uint64_t> LoManager::Vacuum(CommitTime horizon) {
-  uint64_t removed = 0;
   // Collect the surviving entries under a read snapshot, then vacuum each
   // object's heaps (vacuum itself operates below the transaction layer).
-  std::vector<CatalogEntry> entries;
-  {
-    Transaction* txn = ctx_.txns->Begin();
-    HeapScan scan(&catalog_, txn);
-    Tid tid;
-    Bytes payload;
-    for (;;) {
-      Result<bool> more = scan.Next(&tid, &payload);
-      if (!more.ok()) {
-        Status abort_status = ctx_.txns->Abort(txn);
-        (void)abort_status;
-        return more.status();
-      }
-      if (!more.value()) break;
-      PGLO_ASSIGN_OR_RETURN(CatalogEntry entry, DecodeEntry(Slice(payload)));
-      entries.push_back(std::move(entry));
-    }
-    PGLO_RETURN_IF_ERROR(ctx_.txns->Abort(txn));
-  }
-  for (const CatalogEntry& entry : entries) {
+  Transaction* txn = ctx_.txns->Begin();
+  Result<std::vector<CatalogEntry>> entries = List(txn);
+  Status aborted = ctx_.txns->Abort(txn);
+  PGLO_RETURN_IF_ERROR(entries.status());
+  PGLO_RETURN_IF_ERROR(aborted);
+  uint64_t removed = 0;
+  for (const CatalogEntry& entry : entries.value()) {
     PGLO_ASSIGN_OR_RETURN(std::unique_ptr<LargeObject> lo,
                           InstantiateEntry(entry));
     PGLO_ASSIGN_OR_RETURN(uint64_t n, lo->Vacuum(*ctx_.clog, horizon));
@@ -523,40 +510,18 @@ Result<uint64_t> LoManager::Compact(Transaction* txn, Oid oid) {
 Result<uint64_t> LoManager::CompactAll() {
   Transaction* txn = ctx_.txns->Begin();
   uint64_t moved = 0;
-  Status failed = Status::OK();
-  {
-    HeapScan scan(&catalog_, txn);
-    Tid tid;
-    Bytes payload;
-    for (;;) {
-      Result<bool> more = scan.Next(&tid, &payload);
-      if (!more.ok()) {
-        failed = more.status();
-        break;
-      }
-      if (!more.value()) break;
-      Result<CatalogEntry> entry = DecodeEntry(Slice(payload));
-      if (!entry.ok()) {
-        failed = entry.status();
-        break;
-      }
-      Result<std::unique_ptr<LargeObject>> lo = InstantiateEntry(entry.value());
-      if (!lo.ok()) {
-        failed = lo.status();
-        break;
-      }
-      Result<uint64_t> n = lo.value()->Compact(txn);
-      if (!n.ok()) {
-        failed = n.status();
-        break;
-      }
-      moved += n.value();
-    }
-  }
-  if (!failed.ok()) {
+  auto compact = [&](const CatalogEntry& entry, Tid) -> Result<bool> {
+    PGLO_ASSIGN_OR_RETURN(std::unique_ptr<LargeObject> lo,
+                          InstantiateEntry(entry));
+    PGLO_ASSIGN_OR_RETURN(uint64_t n, lo->Compact(txn));
+    moved += n;
+    return false;
+  };
+  Status walked = ScanCatalog(txn, compact).status();
+  if (!walked.ok()) {
     Status abort_status = ctx_.txns->Abort(txn);
     (void)abort_status;
-    return failed;
+    return walked;
   }
   PGLO_RETURN_IF_ERROR(ctx_.txns->Commit(txn).status());
   return moved;

@@ -1,6 +1,7 @@
 #ifndef PGLO_LO_LO_MANAGER_H_
 #define PGLO_LO_LO_MANAGER_H_
 
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
@@ -185,17 +186,18 @@ class LoManager {
   Result<LargeObject::StorageFootprint> Footprint(Transaction* txn, Oid oid);
 
  private:
-  struct CatalogEntry {
-    Oid oid = kInvalidOid;
-    LoSpec spec;
-    bool temp = false;
-    // Backing relation files in spec.smgr; interpretation per spec.kind.
-    BackingFiles files;
-  };
+  /// A catalog row is what List reports of an object.
+  using CatalogEntry = ObjectInfo;
 
   static Bytes EncodeEntry(const CatalogEntry& e);
   static Result<CatalogEntry> DecodeEntry(Slice image);
 
+  /// The one catalog walk: visits the rows `txn` sees, decoded, in
+  /// physical order until `visit` returns true; returns whether it did.
+  /// A row that does not decode is Corruption once the walk reaches it.
+  using EntryVisitor =
+      std::function<Result<bool>(const CatalogEntry& entry, Tid tid)>;
+  Result<bool> ScanCatalog(Transaction* txn, const EntryVisitor& visit);
   Result<std::pair<CatalogEntry, Tid>> FindEntry(Transaction* txn, Oid oid);
   Result<std::unique_ptr<LargeObject>> InstantiateEntry(
       const CatalogEntry& entry);

@@ -211,43 +211,53 @@ Result<std::vector<Datum>> Executor::DecodeRow(const ClassInfo& cls,
 // --------------------------------------------------------------------------
 // Class catalog
 
-Result<Executor::ClassInfo> Executor::LookupClass(Transaction* txn,
-                                                  const std::string& name) {
-  HeapScan scan(&catalog_, txn);
-  Tid tid;
-  Bytes payload;
-  for (;;) {
-    PGLO_ASSIGN_OR_RETURN(bool more, scan.Next(&tid, &payload));
-    if (!more) break;
-    ByteReader reader{Slice(payload)};
+Result<std::pair<Tid, Bytes>> Executor::FindClassRow(Transaction* txn,
+                                                     const std::string& name) {
+  std::pair<Tid, Bytes> found;
+  auto match = [&](Tid tid, Slice record) -> Result<bool> {
+    ByteReader reader{record};
     Slice cname;
-    uint32_t relfile;
-    uint16_t smgr, nfields;
-    if (!reader.GetLengthPrefixed(&cname) || !reader.GetFixed32(&relfile) ||
-        !reader.GetFixed16(&smgr) || !reader.GetFixed16(&nfields)) {
+    if (!reader.GetLengthPrefixed(&cname)) {
       return Status::Corruption("bad class catalog record");
     }
-    if (cname.ToStringView() != name) continue;
-    ClassInfo info;
-    info.name = name;
-    info.file = RelFileId{static_cast<uint8_t>(smgr), relfile};
-    for (uint16_t i = 0; i < nfields; ++i) {
-      Slice fname, ftype;
-      if (!reader.GetLengthPrefixed(&fname) ||
-          !reader.GetLengthPrefixed(&ftype)) {
-        return Status::Corruption("bad class catalog record");
-      }
-      FieldInfo field;
-      field.name = fname.ToString();
-      field.type_name = ftype.ToString();
-      PGLO_ASSIGN_OR_RETURN(const TypeRegistry::TypeInfo* tinfo,
-                            types_->ByName(field.type_name));
-      field.type_oid = tinfo->oid;
-      info.fields.push_back(std::move(field));
-    }
-    return info;
+    if (cname.ToStringView() != name) return false;
+    found = {tid, record.ToBytes()};
+    return true;
+  };
+  PGLO_ASSIGN_OR_RETURN(bool hit, catalog_.Scan(txn, match));
+  if (!hit) return Status::NotFound("no class named " + name);
+  return found;
+}
+
+Result<Executor::ClassInfo> Executor::LookupClass(Transaction* txn,
+                                                  const std::string& name) {
+  PGLO_ASSIGN_OR_RETURN(auto row, FindClassRow(txn, name));
+  ByteReader reader{Slice(row.second)};
+  Slice cname;
+  uint32_t relfile;
+  uint16_t smgr, nfields;
+  if (!reader.GetLengthPrefixed(&cname) || !reader.GetFixed32(&relfile) ||
+      !reader.GetFixed16(&smgr) || !reader.GetFixed16(&nfields)) {
+    return Status::Corruption("bad class catalog record");
   }
-  return Status::NotFound("no class named " + name);
+  ClassInfo info;
+  info.name = name;
+  info.file = RelFileId{static_cast<uint8_t>(smgr), relfile};
+  for (uint16_t i = 0; i < nfields; ++i) {
+    Slice fname, ftype;
+    if (!reader.GetLengthPrefixed(&fname) ||
+        !reader.GetLengthPrefixed(&ftype)) {
+      return Status::Corruption("bad class catalog record");
+    }
+    FieldInfo field;
+    field.name = fname.ToString();
+    field.type_name = ftype.ToString();
+    PGLO_ASSIGN_OR_RETURN(const TypeRegistry::TypeInfo* tinfo,
+                          types_->ByName(field.type_name));
+    field.type_oid = tinfo->oid;
+    info.fields.push_back(std::move(field));
+  }
+  return info;
 }
 
 Result<QueryResult> Executor::ExecCreateClass(Transaction* txn,
@@ -712,34 +722,27 @@ Result<bool> Executor::Qualifies(Transaction* txn, const Expr* where,
 
 Status Executor::ForEachMatch(Transaction* txn, const ClassInfo& cls,
                               const Expr* where, const RowVisitor& visit) {
-  auto accept = [&](Tid tid, Slice image) -> Status {
+  // Returns false, so a heap walk goes on and an index scan, told that no
+  // key resolved, visits every row filed under a key, not only the first.
+  auto accept = [&](Tid tid, Slice image) -> Result<bool> {
     PGLO_ASSIGN_OR_RETURN(std::vector<Datum> row, DecodeRow(cls, image));
     PGLO_ASSIGN_OR_RETURN(bool match,
                           Qualifies(txn, where, RowContext{&cls, &row}));
-    return match ? visit(tid, std::move(row)) : Status::OK();
+    if (match) PGLO_RETURN_IF_ERROR(visit(tid, std::move(row)));
+    return false;
   };
   PGLO_ASSIGN_OR_RETURN(std::optional<IndexPlan> plan,
                         PlanIndexScan(txn, cls, where));
   if (plan) {
-    // Declining every key visits every row filed under it, not only the
-    // first.
     IndexedClass index = OpenIndex(cls, plan->btree_file, plan->field);
-    return index.Scan(txn, plan->low, plan->high,
-                      [&](uint64_t, Tid tid, const Bytes& image)
-                          -> Result<bool> {
-                        PGLO_RETURN_IF_ERROR(accept(tid, Slice(image)));
-                        return false;
-                      });
+    return index.Scan(
+        txn, plan->low, plan->high,
+        [&](uint64_t, Tid tid, const Bytes& image) -> Result<bool> {
+          return accept(tid, Slice(image));
+        });
   }
   HeapClass heap(ctx_.pool, cls.file);
-  HeapScan scan(&heap, txn);
-  Tid tid;
-  Bytes payload;
-  for (;;) {
-    PGLO_ASSIGN_OR_RETURN(bool more, scan.Next(&tid, &payload));
-    if (!more) return Status::OK();
-    PGLO_RETURN_IF_ERROR(accept(tid, Slice(payload)));
-  }
+  return heap.Scan(txn, accept).status();
 }
 
 Result<Datum> Executor::CoerceForLookup(Transaction* txn,
@@ -1036,30 +1039,16 @@ Result<QueryResult> Executor::ExecDestroy(Transaction* txn,
   // Remove the catalog rows of the class and of its indexes (MVCC — the
   // class data and its indexes stay reachable through time travel; no file
   // is physically dropped here).
-  HeapScan scan(&catalog_, txn);
-  Tid tid;
-  Bytes payload;
-  for (;;) {
-    PGLO_ASSIGN_OR_RETURN(bool more, scan.Next(&tid, &payload));
-    if (!more) break;
-    ByteReader reader{Slice(payload)};
-    Slice cname;
-    if (!reader.GetLengthPrefixed(&cname)) {
-      return Status::Corruption("bad class catalog record");
-    }
-    if (cname.ToStringView() == stmt.class_name) {
-      PGLO_RETURN_IF_ERROR(catalog_.Delete(txn, tid));
-      PGLO_ASSIGN_OR_RETURN(std::vector<IndexCatalog::IndexInfo> infos,
-                            indexes_.ForClass(txn, stmt.class_name));
-      for (const IndexCatalog::IndexInfo& info : infos) {
-        PGLO_RETURN_IF_ERROR(indexes_.Remove(txn, info.name));
-      }
-      QueryResult result;
-      result.affected = 1;
-      return result;
-    }
+  PGLO_ASSIGN_OR_RETURN(auto row, FindClassRow(txn, stmt.class_name));
+  PGLO_RETURN_IF_ERROR(catalog_.Delete(txn, row.first));
+  PGLO_ASSIGN_OR_RETURN(std::vector<IndexCatalog::IndexInfo> infos,
+                        indexes_.ForClass(txn, stmt.class_name));
+  for (const IndexCatalog::IndexInfo& info : infos) {
+    PGLO_RETURN_IF_ERROR(indexes_.Remove(txn, info.name));
   }
-  return Status::NotFound("no class named " + stmt.class_name);
+  QueryResult result;
+  result.affected = 1;
+  return result;
 }
 
 Result<QueryResult> Executor::ExecDefineIndex(Transaction* txn,

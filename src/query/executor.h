@@ -64,6 +64,11 @@ class Executor {
     const std::vector<Datum>* row = nullptr;
   };
 
+  /// The class catalog row named `name` that `txn` sees: its address and
+  /// its record. NotFound when there is none.
+  Result<std::pair<Tid, Bytes>> FindClassRow(Transaction* txn,
+                                             const std::string& name);
+
   Result<QueryResult> ExecCreateClass(Transaction* txn, const Stmt& stmt);
   Result<QueryResult> ExecCreateLargeType(Transaction* txn, const Stmt& stmt);
   Result<QueryResult> ExecAppend(Transaction* txn, const Stmt& stmt);

@@ -83,23 +83,24 @@ Result<uint64_t> IndexCatalog::EncodeKey(const Datum& value) {
   return Status::NotSupported("field type is not indexable");
 }
 
+Result<std::optional<Tid>> IndexCatalog::Find(Transaction* txn,
+                                               const std::string& index_name) {
+  std::optional<Tid> found;
+  auto match = [&](Tid tid, Slice record) -> Result<bool> {
+    PGLO_ASSIGN_OR_RETURN(IndexInfo info, DecodeInfo(record));
+    if (info.name != index_name) return false;
+    found = tid;
+    return true;
+  };
+  PGLO_RETURN_IF_ERROR(catalog_.Scan(txn, match).status());
+  return found;
+}
+
 Result<IndexCatalog::IndexInfo> IndexCatalog::Define(
     Transaction* txn, const std::string& index_name,
     const std::string& class_name, const std::string& field) {
-  // Uniqueness of the index name.
-  {
-    HeapScan scan(&catalog_, txn);
-    Tid tid;
-    Bytes payload;
-    for (;;) {
-      PGLO_ASSIGN_OR_RETURN(bool more, scan.Next(&tid, &payload));
-      if (!more) break;
-      PGLO_ASSIGN_OR_RETURN(IndexInfo info, DecodeInfo(Slice(payload)));
-      if (info.name == index_name) {
-        return Status::AlreadyExists("index exists: " + index_name);
-      }
-    }
-  }
+  PGLO_ASSIGN_OR_RETURN(std::optional<Tid> existing, Find(txn, index_name));
+  if (existing) return Status::AlreadyExists("index exists: " + index_name);
   IndexInfo info;
   info.name = index_name;
   info.class_name = class_name;
@@ -112,32 +113,20 @@ Result<IndexCatalog::IndexInfo> IndexCatalog::Define(
 }
 
 Status IndexCatalog::Remove(Transaction* txn, const std::string& index_name) {
-  HeapScan scan(&catalog_, txn);
-  Tid tid;
-  Bytes payload;
-  for (;;) {
-    PGLO_ASSIGN_OR_RETURN(bool more, scan.Next(&tid, &payload));
-    if (!more) break;
-    PGLO_ASSIGN_OR_RETURN(IndexInfo info, DecodeInfo(Slice(payload)));
-    if (info.name == index_name) {
-      return catalog_.Delete(txn, tid);
-    }
-  }
-  return Status::NotFound("no index named " + index_name);
+  PGLO_ASSIGN_OR_RETURN(std::optional<Tid> tid, Find(txn, index_name));
+  if (!tid) return Status::NotFound("no index named " + index_name);
+  return catalog_.Delete(txn, *tid);
 }
 
 Result<std::vector<IndexCatalog::IndexInfo>> IndexCatalog::ForClass(
     Transaction* txn, const std::string& class_name) {
   std::vector<IndexInfo> out;
-  HeapScan scan(&catalog_, txn);
-  Tid tid;
-  Bytes payload;
-  for (;;) {
-    PGLO_ASSIGN_OR_RETURN(bool more, scan.Next(&tid, &payload));
-    if (!more) break;
-    PGLO_ASSIGN_OR_RETURN(IndexInfo info, DecodeInfo(Slice(payload)));
+  auto collect = [&](Tid, Slice record) -> Result<bool> {
+    PGLO_ASSIGN_OR_RETURN(IndexInfo info, DecodeInfo(record));
     if (info.class_name == class_name) out.push_back(std::move(info));
-  }
+    return false;
+  };
+  PGLO_RETURN_IF_ERROR(catalog_.Scan(txn, collect).status());
   return out;
 }
 

@@ -1,6 +1,7 @@
 #ifndef PGLO_QUERY_SECONDARY_INDEX_H_
 #define PGLO_QUERY_SECONDARY_INDEX_H_
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -59,6 +60,10 @@ class IndexCatalog {
   static Result<uint64_t> EncodeKey(const Datum& value);
 
  private:
+  /// The address of the definition named `index_name` that `txn` sees.
+  Result<std::optional<Tid>> Find(Transaction* txn,
+                                  const std::string& index_name);
+
   DbContext ctx_;
   HeapClass catalog_;
 };

@@ -17,6 +17,8 @@
 #include <chrono>
 #include <cstdint>
 #include <cstring>
+#include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -395,6 +397,131 @@ TEST_F(ConcurrencyTest, ConcurrentForcesKeepEveryCommittedBlock) {
           << ", seed " << seed;
     }
   }
+  ASSERT_OK(session->Abort());
+  ASSERT_OK(db.Close());
+}
+
+TEST_F(ConcurrencyTest, CatalogWalksRaceCreatesOpensAndListings) {
+  // Four sessions create objects and open their own and other sessions'
+  // committed ones while a fifth lists the LO catalog in a loop, so every
+  // catalog walk runs against pages other sessions are appending to. A
+  // third of the creating transactions abort. Every open of a committed
+  // object, or of the session's own, must succeed; a listing must hold
+  // every object committed before it began and no object whose
+  // transaction had not begun to commit. Replays under PGLO_TEST_SEED.
+  constexpr int kSessions = 4;
+  constexpr int kRounds = 12;
+  constexpr int kPreloaded = 150;  // the catalog spans two pages
+  const uint64_t seed = testing::TestSeed();
+  Database db;
+  ASSERT_OK(db.Open(Options()));
+  LoSpec spec;
+  spec.smgr = kSmgrMemory;  // no host descriptor per relation file
+  std::mutex mu;
+  std::vector<Oid> committed;    // guarded by mu; listed once committed
+  std::set<Oid> may_be_visible;  // guarded by mu; added before Commit
+  {
+    auto session = db.Connect();
+    session->Begin();
+    for (int i = 0; i < kPreloaded; ++i) {
+      ASSERT_OK_AND_ASSIGN(Oid oid, session->CreateLo(spec));
+      committed.push_back(oid);
+      may_be_visible.insert(oid);
+    }
+    ASSERT_OK(session->Commit().status());
+  }
+  std::atomic<int> failures{0};
+  auto ok = [&](int who, const Status& s) {
+    if (!s.ok()) {
+      ADD_FAILURE() << "session " << who << ": " << s.ToString();
+      ++failures;
+    }
+    return s.ok();
+  };
+  auto worker = [&](int t) {
+    auto session = db.Connect();
+    Random rnd(seed * 31 + t + 1);
+    for (int r = 0; r < kRounds; ++r) {
+      std::vector<Oid> others;
+      {
+        std::lock_guard<std::mutex> lock(mu);
+        others = committed;
+      }
+      session->Begin();
+      Result<Oid> mine = session->CreateLo(spec);
+      if (!ok(t, mine.status())) return;
+      Result<LoDescriptor*> fd = session->OpenLo(mine.value(), true);
+      if (!ok(t, fd.status()) || !ok(t, fd.value()->Write(Slice("mine")))) {
+        return;
+      }
+      for (int k = 0; k < 2; ++k) {
+        Oid other = others[rnd.Uniform(others.size())];
+        if (!ok(t, session->OpenLo(other, false).status())) return;
+      }
+      if (r % 3 == 2) {
+        if (!ok(t, session->Abort())) return;
+        continue;
+      }
+      {
+        std::lock_guard<std::mutex> lock(mu);
+        may_be_visible.insert(mine.value());
+      }
+      if (!ok(t, session->Commit().status())) return;
+      std::lock_guard<std::mutex> lock(mu);
+      committed.push_back(mine.value());
+    }
+  };
+  std::atomic<bool> stop{false};
+  int listings = 0;
+  auto lister = [&] {
+    auto session = db.Connect();
+    while (!stop.load()) {
+      std::vector<Oid> floor;
+      {
+        std::lock_guard<std::mutex> lock(mu);
+        floor = committed;
+      }
+      Transaction* txn = session->Begin();
+      Result<std::vector<LoManager::ObjectInfo>> listed =
+          db.large_objects().List(txn);
+      if (!ok(kSessions, listed.status()) || !ok(kSessions, session->Abort())) {
+        return;
+      }
+      ++listings;
+      std::set<Oid> seen;
+      for (const LoManager::ObjectInfo& info : listed.value()) {
+        seen.insert(info.oid);
+      }
+      std::lock_guard<std::mutex> lock(mu);
+      for (Oid oid : seen) {
+        if (may_be_visible.count(oid) == 0) {
+          ADD_FAILURE() << "listed object " << oid << " was never committing";
+          ++failures;
+        }
+      }
+      for (Oid oid : floor) {
+        if (seen.count(oid) == 0) {
+          ADD_FAILURE() << "listing lost committed object " << oid;
+          ++failures;
+        }
+      }
+    }
+  };
+  std::thread listing(lister);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kSessions; ++t) threads.emplace_back(worker, t);
+  for (std::thread& th : threads) th.join();
+  stop = true;
+  listing.join();
+  ASSERT_EQ(failures.load(), 0) << "seed " << seed;
+  EXPECT_GT(listings, 0);
+
+  auto session = db.Connect();
+  Transaction* txn = session->Begin();
+  ASSERT_OK_AND_ASSIGN(std::vector<LoManager::ObjectInfo> listed,
+                       db.large_objects().List(txn));
+  EXPECT_EQ(listed.size(),
+            static_cast<size_t>(kPreloaded + kSessions * kRounds * 2 / 3));
   ASSERT_OK(session->Abort());
   ASSERT_OK(db.Close());
 }

@@ -11,6 +11,21 @@ namespace {
 
 using pglo::testing::TempDir;
 
+/// The payloads `txn` sees, in the order a full walk visits them.
+std::vector<std::string> VisibleRows(HeapClass* heap, Transaction* txn) {
+  std::vector<std::string> out;
+  Result<bool> stopped =
+      heap->Scan(txn, [&](Tid, Slice payload) -> Result<bool> {
+        out.push_back(payload.ToString());
+        return false;
+      });
+  EXPECT_OK(stopped.status());
+  if (stopped.ok()) {
+    EXPECT_FALSE(stopped.value());
+  }
+  return out;
+}
+
 class HeapTest : public ::testing::Test {
  protected:
   HeapTest() : pool_(&smgrs_, 32) {
@@ -26,17 +41,15 @@ class HeapTest : public ::testing::Test {
   void Abort(Transaction* txn) { ASSERT_OK(txns_->Abort(txn)); }
 
   std::vector<std::string> VisibleRows(Transaction* txn) {
-    std::vector<std::string> out;
-    HeapScan scan(heap_.get(), txn);
-    Tid tid;
-    Bytes payload;
-    for (;;) {
-      Result<bool> more = scan.Next(&tid, &payload);
-      EXPECT_OK(more.status());
-      if (!more.ok() || !more.value()) break;
-      out.push_back(Slice(payload).ToString());
-    }
-    return out;
+    return pglo::VisibleRows(heap_.get(), txn);
+  }
+
+  /// Appends an item too short to hold a tuple header to `block`.
+  void PlantShortTuple(BlockNumber block) {
+    ASSERT_OK_AND_ASSIGN(PageHandle handle, pool_.GetPage({file_, block}));
+    SlottedPage page(handle.data());
+    ASSERT_OK(page.AddItem(Slice("xy")).status());
+    handle.MarkDirty();
   }
 
   TempDir dir_;
@@ -215,9 +228,78 @@ TEST_F(HeapTest, ScanSpansManyPages) {
   Commit(t1);
   Transaction* t2 = Begin();
   auto rows = VisibleRows(t2);
-  EXPECT_EQ(rows.size(), static_cast<size_t>(kRows));
+  ASSERT_EQ(rows.size(), static_cast<size_t>(kRows));
+  for (int i = 0; i < kRows; ++i) {
+    EXPECT_EQ(static_cast<uint8_t>(rows[i][0]), i) << "physical order";
+  }
   ASSERT_OK_AND_ASSIGN(BlockNumber blocks, heap_->NumBlocks());
   EXPECT_GE(blocks, 25u);
+  Abort(t2);
+}
+
+TEST_F(HeapTest, ScanStopsWhereTheVisitorSaysSo) {
+  Transaction* t1 = Begin();
+  for (const char* row : {"a", "b", "c", "d"}) {
+    ASSERT_OK(heap_->Insert(t1, Slice(row)).status());
+  }
+  Commit(t1);
+  Transaction* t2 = Begin();
+  std::vector<std::string> seen;
+  ASSERT_OK_AND_ASSIGN(
+      bool stopped, heap_->Scan(t2, [&](Tid, Slice payload) -> Result<bool> {
+        seen.push_back(payload.ToString());
+        return payload.ToString() == "b";
+      }));
+  EXPECT_TRUE(stopped);
+  EXPECT_EQ(seen, (std::vector<std::string>{"a", "b"}));
+  Abort(t2);
+}
+
+TEST_F(HeapTest, ScanVisitsPagesAppendedBeforeItReachesThem) {
+  // On page 0 the visitor appends three full pages, which the walk has
+  // not reached yet, so it visits them too.
+  Transaction* txn = Begin();
+  ASSERT_OK(heap_->Insert(txn, Slice("first")).status());
+  Bytes full(HeapClass::MaxPayload(), 0x42);
+  std::vector<BlockNumber> blocks;
+  ASSERT_OK_AND_ASSIGN(
+      bool stopped, heap_->Scan(txn, [&](Tid tid, Slice) -> Result<bool> {
+        if (blocks.empty()) {
+          for (int i = 0; i < 3; ++i) {
+            PGLO_RETURN_IF_ERROR(heap_->Insert(txn, Slice(full)).status());
+          }
+        }
+        blocks.push_back(tid.block);
+        return false;
+      }));
+  EXPECT_FALSE(stopped);
+  EXPECT_EQ(blocks, (std::vector<BlockNumber>{0, 1, 2, 3}));
+  Commit(txn);
+}
+
+TEST_F(HeapTest, ShortTupleFailsOnlyAWalkThatReachesIt) {
+  Transaction* t1 = Begin();
+  ASSERT_OK(heap_->Insert(t1, Slice("a")).status());
+  ASSERT_OK(heap_->Insert(t1, Slice("b")).status());
+  Commit(t1);
+  PlantShortTuple(0);
+  Transaction* t2 = Begin();
+  // A walk that stops at "b" never reaches the short tuple after it on
+  // the same page.
+  ASSERT_OK_AND_ASSIGN(
+      bool stopped, heap_->Scan(t2, [&](Tid, Slice payload) -> Result<bool> {
+        return payload.ToString() == "b";
+      }));
+  EXPECT_TRUE(stopped);
+  // A walk that goes on visits the versions before it, then fails.
+  std::vector<std::string> seen;
+  Result<bool> walked =
+      heap_->Scan(t2, [&](Tid, Slice payload) -> Result<bool> {
+        seen.push_back(payload.ToString());
+        return false;
+      });
+  EXPECT_TRUE(walked.status().IsCorruption()) << walked.status().ToString();
+  EXPECT_EQ(seen, (std::vector<std::string>{"a", "b"}));
   Abort(t2);
 }
 
@@ -335,15 +417,7 @@ TEST_P(HeapMvccFuzz, HistoryIsConsistent) {
   // Every recorded historical state must be reproducible via time travel.
   for (const auto& [time, expected] : history) {
     Transaction* historical = txns.BeginAsOf(time);
-    std::vector<std::string> got;
-    HeapScan scan(&heap, historical);
-    Tid tid;
-    Bytes payload;
-    for (;;) {
-      ASSERT_OK_AND_ASSIGN(bool more, scan.Next(&tid, &payload));
-      if (!more) break;
-      got.push_back(Slice(payload).ToString());
-    }
+    std::vector<std::string> got = VisibleRows(&heap, historical);
     std::sort(got.begin(), got.end());
     std::vector<std::string> want = expected;
     std::sort(want.begin(), want.end());

@@ -355,15 +355,14 @@ TEST_F(InversionTest, MetadataQueryableViaClasses) {
   ASSERT_OK(fs_->MkDir(txn, "/music").status());
   ASSERT_OK(fs_->Create(txn, "/music/a.au", LoSpec{}).status());
   ASSERT_OK(fs_->Create(txn, "/music/b.au", LoSpec{}).status());
-  HeapScan scan(&fs_->directory_class(), txn);
-  Tid tid;
-  Bytes payload;
   int rows = 0;
-  for (;;) {
-    ASSERT_OK_AND_ASSIGN(bool more, scan.Next(&tid, &payload));
-    if (!more) break;
-    ++rows;
-  }
+  ASSERT_OK(fs_->directory_class()
+                .Scan(txn,
+                      [&](Tid, Slice) -> Result<bool> {
+                        ++rows;
+                        return false;
+                      })
+                .status());
   // root + music + 2 files
   EXPECT_EQ(rows, 4);
   ASSERT_OK(session_->Commit().status());

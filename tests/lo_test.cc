@@ -722,6 +722,40 @@ TEST_F(LoManagerTest, VacuumWithZeroHorizonPreservesTimeTravel) {
   ASSERT_OK(session_->Abort());
 }
 
+TEST_F(LoManagerTest, VacuumEndsItsCatalogReadWhenARowDoesNotDecode) {
+  // A two-byte row in the LO catalog (relation file 10 on the disk
+  // storage manager) fails Vacuum's catalog read, which must still end
+  // the transaction it read under.
+  {
+    Transaction* txn = session_->Begin();
+    HeapClass catalog(&db_.pool(), RelFileId{kSmgrDisk, 10});
+    ASSERT_OK(catalog.Insert(txn, Slice("xy")).status());
+    ASSERT_OK(session_->Commit().status());
+  }
+  Status vacuumed = db_.large_objects().Vacuum(0).status();
+  EXPECT_TRUE(vacuumed.IsCorruption()) << vacuumed.ToString();
+  EXPECT_EQ(db_.txns().active_count(), 0u);
+}
+
+TEST_F(LoManagerTest, OpenAccessesEachCatalogPageOnce) {
+  // 100 f-chunk objects on the main-memory storage manager, so they hold
+  // no host descriptors; opening the last one walks every catalog row,
+  // but pins each catalog page only once.
+  LoSpec spec;
+  spec.smgr = kSmgrMemory;
+  Oid last = kInvalidOid;
+  session_->Begin();
+  for (int i = 0; i < 100; ++i) {
+    ASSERT_OK_AND_ASSIGN(last, session_->CreateLo(spec));
+  }
+  ASSERT_OK(session_->Commit().status());
+  session_->Begin();
+  uint64_t before = db_.Stats().Value("bufpool.hits");
+  ASSERT_OK(session_->OpenLo(last, /*writable=*/false).status());
+  EXPECT_LE(db_.Stats().Value("bufpool.hits") - before, 10u);
+  ASSERT_OK(session_->Abort());
+}
+
 TEST_F(LoManagerTest, FootprintReflectsCompression) {
   // A compressible object stored with the strong codec occupies roughly
   // half the chunk storage of its uncompressed twin (Figure 1's
