@@ -91,7 +91,6 @@ Result<Timings> RunInversion(Database* db, InversionFs* fs,
       Bytes frame = MakeFrame(kCreateSeed, i, params);
       PGLO_RETURN_IF_ERROR(file->Write(Slice(frame)));
     }
-    file.reset();
     PGLO_RETURN_IF_ERROR(session->Commit().status());
     t.seq_write = timer.ElapsedSeconds();
   }
@@ -105,7 +104,6 @@ Result<Timings> RunInversion(Database* db, InversionFs* fs,
       if (n != kFrameSize) return Status::Internal("short read");
     }
     t.seq_read = timer.ElapsedSeconds();
-    file.reset();
     PGLO_RETURN_IF_ERROR(session->Commit().status());
   }
   {
@@ -122,7 +120,6 @@ Result<Timings> RunInversion(Database* db, InversionFs* fs,
       if (n != kFrameSize) return Status::Internal("short read");
     }
     t.rand_read = timer.ElapsedSeconds();
-    file.reset();
     PGLO_RETURN_IF_ERROR(session->Commit().status());
   }
   return t;

@@ -58,7 +58,7 @@ Status Database::OpenInternal(bool after_crash) {
     // An unclean Open is exactly what the black box exists for: whatever
     // the recorder captured before the failure (the recovery-start event,
     // injected faults, repairs attempted) is the post-mortem.
-    if (recorder_ != nullptr && !options_.blackbox_path.empty()) {
+    if (recorder_ != nullptr) {
       Status dump = recorder_->DumpToFile(blackbox_file(),
                                           "open-failed: " + s.ToString());
       if (!dump.ok()) {
@@ -86,10 +86,7 @@ Status Database::OpenBody(bool after_crash) {
            std::filesystem::directory_iterator(options_.dir, ec)) {
         // The black-box dump is post-mortem evidence of the interrupted
         // creation, not half-created database state: it survives the wipe.
-        if (!options_.blackbox_path.empty() &&
-            entry.path().filename() == options_.blackbox_path) {
-          continue;
-        }
+        if (entry.path().filename() == kBlackboxName) continue;
         std::filesystem::remove_all(entry.path(), ec);
       }
       wiped = true;
@@ -343,7 +340,6 @@ Result<std::string> Database::DumpBlackbox(const std::string& reason) {
     return Status::InvalidArgument("flight recorder is not enabled");
   }
   std::string path = blackbox_file();
-  if (path.empty()) path = options_.dir + "/pglo_blackbox.json";
   PGLO_RETURN_IF_ERROR(recorder_->DumpToFile(path, reason));
   return path;
 }
@@ -352,7 +348,7 @@ Status Database::SimulateCrashAndReopen() {
   if (!open_) return Status::InvalidArgument("database not open");
   // Serialize the black box before the "power" goes: the dump is the
   // flight recorder's whole point — the history leading up to this crash.
-  if (recorder_ != nullptr && !options_.blackbox_path.empty()) {
+  if (recorder_ != nullptr) {
     Status dump = recorder_->DumpToFile(blackbox_file(), "simulated-crash");
     if (!dump.ok()) {
       PGLO_LOG(Error) << "blackbox dump failed: " << dump.ToString();

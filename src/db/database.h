@@ -57,7 +57,8 @@ struct DatabaseOptions {
   /// the registry's recorder slot for the life of the instance: rolling
   /// trace tail, periodic snapshot deltas, slow-op capture, and the typed
   /// event log. On SimulateCrashAndReopen or a failed Open the recorder
-  /// dumps to `blackbox_path`. Like stats, never advances the clock.
+  /// dumps to Database::kBlackboxName in `dir`. Like stats, never advances
+  /// the clock.
   bool enable_flight_recorder = true;
   FlightRecorderOptions recorder_options;
 
@@ -75,10 +76,6 @@ struct DatabaseOptions {
   /// so black-box dumps name the stalls that mattered. 0 records every
   /// contended wait — diagnostic mode, noisy under real contention.
   uint64_t wait_event_threshold_ns = 1000000;
-
-  /// Black-box dump file name, relative to `dir`. Empty disables the
-  /// automatic crash/failed-open dump (DumpBlackbox still works).
-  std::string blackbox_path = "pglo_blackbox.json";
 
   /// When set, every stable-storage write in the instance (smgr blocks,
   /// UFS backing store, WORM burns, commit-log and relocation-map appends)
@@ -185,13 +182,14 @@ class Database {
   /// Serializes the recorder to the instance's black-box file and returns
   /// its path. Fails when the recorder is off.
   Result<std::string> DumpBlackbox(const std::string& reason);
-  /// Full path of the black-box dump file ("" when disabled).
+  /// Name of the black-box dump file in the database directory.
+  static constexpr const char* kBlackboxName = "pglo_blackbox.json";
+  /// Full path of the black-box dump file.
   std::string blackbox_file() const {
-    if (options_.blackbox_path.empty()) return std::string();
     std::string dir = options_.dir;
-    // Normalize so "dir/" + "/name" style options never produce "//".
+    // Normalize so a "dir/" option never produces "//".
     while (!dir.empty() && dir.back() == '/') dir.pop_back();
-    return dir + "/" + options_.blackbox_path;
+    return dir + "/" + kBlackboxName;
   }
   /// Zeroes every counter and histogram (no-op when disabled).
   void ResetStats() {

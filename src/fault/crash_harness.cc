@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <filesystem>
+#include <functional>
 #include <memory>
 #include <optional>
 
@@ -376,13 +377,24 @@ class Replayer {
     return Status::OK();
   }
 
+  /// Runs `op` on Inversion slot `s` through a descriptor closed when
+  /// `op` returns, so every operation instantiates a fresh accessor.
+  Status WithFile(Transaction* txn, int s, bool writable,
+                  const std::function<Status(LoDescriptor*)>& op) {
+    PGLO_ASSIGN_OR_RETURN(LoDescriptor * fh,
+                          inv_->Open(txn, inv_paths_[s], writable));
+    Status done = op(fh);
+    PGLO_RETURN_IF_ERROR(db_->large_objects().Close(fh));
+    return done;
+  }
+
   Status WriteSlot(Transaction* txn, int s, uint64_t off, const Bytes& data) {
     if (IsInversionSlot(s)) {
-      PGLO_ASSIGN_OR_RETURN(std::unique_ptr<InversionFile> fh,
-                            inv_->Open(txn, inv_paths_[s], /*writable=*/true));
-      PGLO_RETURN_IF_ERROR(
-          fh->Seek(static_cast<int64_t>(off), Whence::kSet).status());
-      return fh->Write(Slice(data));
+      return WithFile(txn, s, /*writable=*/true, [&](LoDescriptor* fh) {
+        PGLO_RETURN_IF_ERROR(
+            fh->Seek(static_cast<int64_t>(off), Whence::kSet).status());
+        return fh->Write(Slice(data));
+      });
     }
     PGLO_ASSIGN_OR_RETURN(std::shared_ptr<LargeObject> lo,
                           db_->large_objects().Instantiate(txn, oids_[s]));
@@ -391,9 +403,8 @@ class Replayer {
 
   Status TruncateSlot(Transaction* txn, int s, uint64_t size) {
     if (IsInversionSlot(s)) {
-      PGLO_ASSIGN_OR_RETURN(std::unique_ptr<InversionFile> fh,
-                            inv_->Open(txn, inv_paths_[s], /*writable=*/true));
-      return fh->Truncate(size);
+      return WithFile(txn, s, /*writable=*/true,
+                      [&](LoDescriptor* fh) { return fh->Truncate(size); });
     }
     PGLO_ASSIGN_OR_RETURN(std::shared_ptr<LargeObject> lo,
                           db_->large_objects().Instantiate(txn, oids_[s]));
@@ -412,9 +423,13 @@ class Replayer {
 
   Result<uint64_t> SizeSlot(Transaction* txn, int s) {
     if (IsInversionSlot(s)) {
-      PGLO_ASSIGN_OR_RETURN(std::unique_ptr<InversionFile> fh,
-                            inv_->Open(txn, inv_paths_[s], /*writable=*/false));
-      return fh->Size();
+      uint64_t size = 0;
+      PGLO_RETURN_IF_ERROR(WithFile(txn, s, /*writable=*/false,
+                                    [&](LoDescriptor* fh) -> Status {
+                                      PGLO_ASSIGN_OR_RETURN(size, fh->Size());
+                                      return Status::OK();
+                                    }));
+      return size;
     }
     PGLO_ASSIGN_OR_RETURN(std::shared_ptr<LargeObject> lo,
                           db_->large_objects().Instantiate(txn, oids_[s]));
@@ -425,11 +440,13 @@ class Replayer {
     Bytes buf(static_cast<size_t>(size));
     if (size == 0) return buf;
     if (IsInversionSlot(s)) {
-      PGLO_ASSIGN_OR_RETURN(std::unique_ptr<InversionFile> fh,
-                            inv_->Open(txn, inv_paths_[s], /*writable=*/false));
-      PGLO_ASSIGN_OR_RETURN(size_t n,
-                            fh->Read(static_cast<size_t>(size), buf.data()));
-      if (n != size) return Status::Corruption("short inversion read");
+      PGLO_RETURN_IF_ERROR(WithFile(
+          txn, s, /*writable=*/false, [&](LoDescriptor* fh) -> Status {
+            PGLO_ASSIGN_OR_RETURN(
+                size_t n, fh->Read(static_cast<size_t>(size), buf.data()));
+            if (n != size) return Status::Corruption("short inversion read");
+            return Status::OK();
+          }));
       return buf;
     }
     PGLO_ASSIGN_OR_RETURN(std::shared_ptr<LargeObject> lo,
@@ -506,7 +523,7 @@ FaultPlan MakePlan(const CrashHarnessOptions& opts, uint64_t crash_after) {
 }
 
 std::string BlackboxIfExists(const std::string& dir) {
-  std::string path = dir + "/pglo_blackbox.json";
+  std::string path = dir + "/" + Database::kBlackboxName;
   std::error_code ec;
   return std::filesystem::exists(path, ec) ? path : std::string();
 }

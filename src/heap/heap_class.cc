@@ -247,10 +247,11 @@ Result<uint64_t> HeapClass::Vacuum(const CommitLog& clog, CommitTime horizon,
       bool dead = false;
       if (clog.GetState(h.xmin) == TxnState::kAborted) {
         dead = true;  // never visible to anyone
-      } else if (h.xmax != kInvalidXid &&
-                 clog.GetState(h.xmax) == TxnState::kCommitted &&
-                 clog.GetCommitTime(h.xmax) <= horizon) {
-        dead = true;  // deleted before the retained-history horizon
+      } else if (h.xmax != kInvalidXid) {
+        CommitLog::XidStatus deleter = clog.Lookup(h.xmax);
+        // Deleted before the retained-history horizon.
+        dead = deleter.state == TxnState::kCommitted &&
+               deleter.commit_time <= horizon;
       }
       if (dead) {
         PGLO_RETURN_IF_ERROR(page.DeleteItem(s));

@@ -15,46 +15,6 @@ constexpr uint8_t kMetaSmgr = kSmgrDisk;
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// InversionFile
-
-Status InversionFile::MarkDirty() {
-  if (!dirty_) {
-    dirty_ = true;
-    // Stamp mtime on first mutation under this handle (not per write — one
-    // FILESTAT version per open-for-write, not per I/O).
-    PGLO_RETURN_IF_ERROR(fs_->TouchMtime(txn_, file_id_));
-  }
-  return Status::OK();
-}
-
-Result<size_t> InversionFile::Read(size_t n, uint8_t* buf) {
-  TraceSpan span(fs_->ctx_.stats, fs_->h_file_read_, "inversion.file.read");
-  return cursor_.Read(n, buf);
-}
-
-Result<Bytes> InversionFile::Read(size_t n) {
-  TraceSpan span(fs_->ctx_.stats, fs_->h_file_read_, "inversion.file.read");
-  return cursor_.Read(n);
-}
-
-Status InversionFile::Write(Slice data) {
-  TraceSpan span(fs_->ctx_.stats, fs_->h_file_write_, "inversion.file.write");
-  if (!writable_) {
-    return Status::PermissionDenied("file opened read-only");
-  }
-  PGLO_RETURN_IF_ERROR(cursor_.Write(data));
-  return MarkDirty();
-}
-
-Status InversionFile::Truncate(uint64_t size) {
-  if (!writable_) {
-    return Status::PermissionDenied("file opened read-only");
-  }
-  PGLO_RETURN_IF_ERROR(MarkDirty());
-  return cursor_.Truncate(size);
-}
-
-// ---------------------------------------------------------------------------
 // Record codecs
 
 Bytes InversionFs::EncodeDir(const DirRecord& r) {
@@ -145,8 +105,6 @@ InversionFs::InversionFs(const DbContext& ctx, LoManager* lo)
     c_path_resolutions_ = ctx_.stats->counter("inversion.path_resolutions");
     c_index_probes_ = ctx_.stats->counter("inversion.index_probes");
     h_resolve_ = ctx_.stats->histogram("inversion.resolve_ns");
-    h_file_read_ = ctx_.stats->histogram("inversion.file.read_ns");
-    h_file_write_ = ctx_.stats->histogram("inversion.file.write_ns");
   }
 }
 
@@ -368,17 +326,20 @@ Result<std::pair<InversionFs::StatInfo, Tid>> InversionFs::FindStat(
   return std::make_pair(st, found.second);
 }
 
-Result<std::unique_ptr<InversionFile>> InversionFs::Open(
-    Transaction* txn, const std::string& path, bool writable) {
+Result<LoDescriptor*> InversionFs::Open(Transaction* txn,
+                                        const std::string& path,
+                                        bool writable) {
   PGLO_ASSIGN_OR_RETURN(auto found, Resolve(txn, path));
   if (found.first.is_dir) {
     return Status::InvalidArgument("is a directory: " + path);
   }
-  PGLO_ASSIGN_OR_RETURN(auto storage, FindStorage(txn, found.first.file_id));
-  PGLO_ASSIGN_OR_RETURN(std::shared_ptr<LargeObject> lo,
-                        lo_->Instantiate(txn, storage.first));
-  return std::unique_ptr<InversionFile>(new InversionFile(
-      this, txn, found.first.file_id, std::move(lo), writable));
+  FileId id = found.first.file_id;
+  PGLO_ASSIGN_OR_RETURN(auto storage, FindStorage(txn, id));
+  PGLO_ASSIGN_OR_RETURN(LoDescriptor * desc,
+                        lo_->Open(txn, storage.first, writable));
+  // One FILESTAT version per open-for-write, not one per I/O.
+  desc->OnFirstMutation([this, txn, id] { return TouchMtime(txn, id); });
+  return desc;
 }
 
 Status InversionFs::Remove(Transaction* txn, const std::string& path) {

@@ -17,43 +17,6 @@ using FileId = uint64_t;
 constexpr FileId kInvalidFileId = 0;
 constexpr FileId kRootFileId = 1;
 
-/// An open Inversion file: read/write/seek over the backing large object.
-/// The seek pointer is a SeekableCursor over the object's ByteStream. The
-/// first write under the handle stamps the FILESTAT modification time.
-class InversionFile {
- public:
-  Result<size_t> Read(size_t n, uint8_t* buf);
-  Result<Bytes> Read(size_t n);
-  Status Write(Slice data);
-  Result<uint64_t> Seek(int64_t off, Whence whence) {
-    return cursor_.Seek(off, whence);
-  }
-  uint64_t Tell() const { return cursor_.Tell(); }
-  Result<uint64_t> Size() { return cursor_.Size(); }
-  Status Truncate(uint64_t size);
-
-  FileId file_id() const { return file_id_; }
-
- private:
-  friend class InversionFs;
-  InversionFile(class InversionFs* fs, Transaction* txn, FileId file_id,
-                std::shared_ptr<LargeObject> lo, bool writable)
-      : fs_(fs), txn_(txn), file_id_(file_id), lo_(std::move(lo)),
-        stream_(lo_.get(), txn), cursor_(&stream_), writable_(writable) {}
-
-  /// Stamps FILESTAT.mtime on the first mutation under this handle.
-  Status MarkDirty();
-
-  class InversionFs* fs_;
-  Transaction* txn_;
-  FileId file_id_;
-  std::shared_ptr<LargeObject> lo_;
-  LoByteStream stream_;
-  SeekableCursor cursor_;
-  bool writable_;
-  bool dirty_ = false;
-};
-
 /// §8 — the Inversion file system: "POSTGRES exports a file system
 /// interface to conventional application programs... Because the file
 /// system is supported on top of the DBMS, we have called it the Inversion
@@ -104,10 +67,13 @@ class InversionFs {
   Result<FileId> Create(Transaction* txn, const std::string& path,
                         const LoSpec& spec);
 
-  /// Opens a file for reading (and writing when `writable`).
-  Result<std::unique_ptr<InversionFile>> Open(Transaction* txn,
-                                              const std::string& path,
-                                              bool writable);
+  /// Opens a file for reading (and writing when `writable`): the
+  /// descriptor LoManager::Open hands out for its large object, under the
+  /// same checks, which closes at transaction end. The first mutation
+  /// through the descriptor stamps FILESTAT's mtime through this
+  /// InversionFs, which must outlive the transaction.
+  Result<LoDescriptor*> Open(Transaction* txn, const std::string& path,
+                             bool writable);
 
   /// Removes a file; its storage is reclaimed at commit.
   Status Remove(Transaction* txn, const std::string& path);
@@ -130,7 +96,7 @@ class InversionFs {
   /// The backing large object of a file (for Footprint / direct access).
   Result<Oid> LargeObjectOf(Transaction* txn, const std::string& path);
 
-  /// Updates FILESTAT.mtime (called by InversionFile on dirty close).
+  /// Updates FILESTAT.mtime (run by an open file's first mutation).
   Status TouchMtime(Transaction* txn, FileId file_id);
 
   /// chmod/chown over the FILESTAT class — §8: "a separate class,
@@ -197,12 +163,9 @@ class InversionFs {
   HeapClass storage_;
   HeapClass filestat_;
   // Observability (null when ctx.stats is null).
-  friend class InversionFile;  // reads the file-I/O histograms below
   Counter* c_path_resolutions_ = nullptr;
   Counter* c_index_probes_ = nullptr;
   Histogram* h_resolve_ = nullptr;
-  Histogram* h_file_read_ = nullptr;
-  Histogram* h_file_write_ = nullptr;
 };
 
 }  // namespace pglo

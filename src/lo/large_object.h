@@ -1,6 +1,7 @@
 #ifndef PGLO_LO_LARGE_OBJECT_H_
 #define PGLO_LO_LARGE_OBJECT_H_
 
+#include <functional>
 #include <string>
 
 #include "common/result.h"
@@ -42,9 +43,19 @@ struct LoSpec {
   std::string ufile_path;
 };
 
+/// Seek origins for the file-oriented interface (§4).
+enum class Whence { kSet, kCur, kEnd };
+
 /// Byte-addressed accessor over one large object — the common substrate
 /// beneath the file-oriented descriptor API (§4). Implementations are
 /// stateless with respect to position; LoDescriptor adds the seek pointer.
+///
+/// This is also §4's portability surface: "A function can be written and
+/// debugged using files, and then moved into the database where it can
+/// manage large objects without being rewritten." A u-file is a plain
+/// UNIX file behind this interface, so a function written against
+/// LargeObject runs unchanged over a file and over every DBMS
+/// implementation.
 class LargeObject {
  public:
   virtual ~LargeObject() = default;
@@ -99,6 +110,14 @@ class LargeObject {
 
   virtual StorageKind kind() const = 0;
 };
+
+/// Streams `lo` through `fn` in bounded pieces, as `txn` sees it (the §3
+/// requirement that functions "request small chunks for individual
+/// operations" rather than materializing gigabytes). Returns the number of
+/// bytes visited.
+Result<uint64_t> ForEachPiece(
+    LargeObject* lo, Transaction* txn, size_t piece_size,
+    const std::function<Status(uint64_t off, Slice piece)>& fn);
 
 }  // namespace pglo
 

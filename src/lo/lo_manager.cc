@@ -37,21 +37,88 @@ Result<StorageKind> StorageKindFromString(std::string_view name) {
   return Status::InvalidArgument("unknown storage kind: " + std::string(name));
 }
 
+Result<uint64_t> ForEachPiece(
+    LargeObject* lo, Transaction* txn, size_t piece_size,
+    const std::function<Status(uint64_t off, Slice piece)>& fn) {
+  if (piece_size == 0) {
+    return Status::InvalidArgument("piece size must be positive");
+  }
+  PGLO_ASSIGN_OR_RETURN(uint64_t size, lo->Size(txn));
+  Bytes buf(piece_size);
+  uint64_t off = 0;
+  while (off < size) {
+    size_t want =
+        static_cast<size_t>(std::min<uint64_t>(piece_size, size - off));
+    PGLO_ASSIGN_OR_RETURN(size_t n, lo->Read(txn, off, want, buf.data()));
+    if (n == 0) break;
+    PGLO_RETURN_IF_ERROR(fn(off, Slice(buf).Sub(0, n)));
+    off += n;
+  }
+  return off;
+}
+
 // ---------------------------------------------------------------------------
 // LoDescriptor
+
+Result<size_t> LoDescriptor::Read(size_t n, uint8_t* buf) {
+  PGLO_ASSIGN_OR_RETURN(size_t got, lo_->Read(txn_, pos_, n, buf));
+  pos_ += got;
+  return got;
+}
+
+Result<Bytes> LoDescriptor::Read(size_t n) {
+  Bytes out(n);
+  PGLO_ASSIGN_OR_RETURN(size_t got, Read(n, out.data()));
+  out.resize(got);
+  return out;
+}
 
 Status LoDescriptor::Write(Slice data) {
   if (!writable_) {
     return Status::PermissionDenied("descriptor opened read-only");
   }
-  return cursor_.Write(data);
+  PGLO_RETURN_IF_ERROR(lo_->Write(txn_, pos_, data));
+  pos_ += data.size();
+  return Mutated();
+}
+
+Result<uint64_t> LoDescriptor::Seek(int64_t off, Whence whence) {
+  int64_t base = 0;
+  switch (whence) {
+    case Whence::kSet:
+      break;
+    case Whence::kCur:
+      base = static_cast<int64_t>(pos_);
+      break;
+    case Whence::kEnd: {
+      PGLO_ASSIGN_OR_RETURN(uint64_t size, Size());
+      base = static_cast<int64_t>(size);
+      break;
+    }
+  }
+  // `off` may come off the wire: overflow is an error, not a wrap.
+  int64_t target = 0;
+  if (__builtin_add_overflow(base, off, &target)) {
+    return Status::InvalidArgument("seek offset out of range");
+  }
+  if (target < 0) return Status::InvalidArgument("seek before start");
+  pos_ = static_cast<uint64_t>(target);
+  return pos_;
 }
 
 Status LoDescriptor::Truncate(uint64_t size) {
   if (!writable_) {
     return Status::PermissionDenied("descriptor opened read-only");
   }
-  return cursor_.Truncate(size);
+  PGLO_RETURN_IF_ERROR(Mutated());
+  return lo_->Truncate(txn_, size);
+}
+
+Status LoDescriptor::Mutated() {
+  if (!on_first_mutation_) return Status::OK();
+  std::function<Status()> stamp = std::move(on_first_mutation_);
+  on_first_mutation_ = nullptr;
+  return stamp();
 }
 
 // ---------------------------------------------------------------------------
@@ -314,7 +381,7 @@ Result<LoDescriptor*> LoManager::Open(Transaction* txn, Oid oid,
   PGLO_ASSIGN_OR_RETURN(std::shared_ptr<LargeObject> lo,
                         Instantiate(txn, oid));
   auto desc = std::unique_ptr<LoDescriptor>(
-      new LoDescriptor(this, txn, oid, std::move(lo), writable));
+      new LoDescriptor(txn, oid, std::move(lo), writable));
   LoDescriptor* raw = desc.get();
   {
     std::lock_guard<std::mutex> lock(mu_);

@@ -10,12 +10,9 @@
 
 #include "db/context.h"
 #include "heap/heap_class.h"
-#include "lo/byte_stream.h"
 #include "lo/large_object.h"
 
 namespace pglo {
-
-class LoManager;
 
 /// Names of the relation files backing a chunked large object. Which
 /// fields are used depends on the storage kind: f-chunk fills data/index,
@@ -33,29 +30,37 @@ struct BackingFiles {
 /// An open large object: the paper's file-oriented handle. "The
 /// application can then open the large object, seek to any byte location,
 /// and read any number of bytes." Bound to the transaction that opened it;
-/// closed automatically when that transaction ends. The seek pointer is a
-/// SeekableCursor over the object's ByteStream.
+/// closed automatically when that transaction ends. Every open handle is
+/// one of these — an Inversion file too (InversionFs::Open). The
+/// descriptor keeps the seek pointer and calls the transaction's shared
+/// accessor for everything else.
 class LoDescriptor {
  public:
   LoDescriptor(const LoDescriptor&) = delete;
   LoDescriptor& operator=(const LoDescriptor&) = delete;
 
   /// Reads up to `n` bytes at the seek pointer, advancing it.
-  Result<size_t> Read(size_t n, uint8_t* buf) { return cursor_.Read(n, buf); }
+  Result<size_t> Read(size_t n, uint8_t* buf);
   /// Convenience overload returning an owned buffer (shorter at EOF).
-  Result<Bytes> Read(size_t n) { return cursor_.Read(n); }
+  Result<Bytes> Read(size_t n);
 
   /// Writes at the seek pointer, advancing it. Requires write mode.
   Status Write(Slice data);
 
-  /// Moves the seek pointer; returns the new absolute position.
-  Result<uint64_t> Seek(int64_t off, Whence whence) {
-    return cursor_.Seek(off, whence);
-  }
-  uint64_t Tell() const { return cursor_.Tell(); }
+  /// Moves the seek pointer; returns the new absolute position. Seeking
+  /// past EOF is legal (a later write leaves a hole).
+  Result<uint64_t> Seek(int64_t off, Whence whence);
+  uint64_t Tell() const { return pos_; }
 
-  Result<uint64_t> Size() { return cursor_.Size(); }
+  Result<uint64_t> Size() { return lo_->Size(txn_); }
   Status Truncate(uint64_t size);
+
+  /// Runs `stamp` once, at the first mutation under this descriptor:
+  /// after the first successful Write, or before the first Truncate (whose
+  /// failure it then returns). Inversion stamps FILESTAT's mtime here.
+  void OnFirstMutation(std::function<Status()> stamp) {
+    on_first_mutation_ = std::move(stamp);
+  }
 
   Oid oid() const { return oid_; }
   bool writable() const { return writable_; }
@@ -63,18 +68,19 @@ class LoDescriptor {
 
  private:
   friend class LoManager;
-  LoDescriptor(LoManager* mgr, Transaction* txn, Oid oid,
-               std::shared_ptr<LargeObject> lo, bool writable)
-      : mgr_(mgr), txn_(txn), oid_(oid), lo_(std::move(lo)),
-        stream_(lo_.get(), txn), cursor_(&stream_), writable_(writable) {}
+  LoDescriptor(Transaction* txn, Oid oid, std::shared_ptr<LargeObject> lo,
+               bool writable)
+      : txn_(txn), oid_(oid), lo_(std::move(lo)), writable_(writable) {}
 
-  LoManager* mgr_;
+  /// Runs and clears the first-mutation callback, if one is pending.
+  Status Mutated();
+
   Transaction* txn_;
   Oid oid_;
   std::shared_ptr<LargeObject> lo_;  ///< the transaction's shared accessor
-  LoByteStream stream_;
-  SeekableCursor cursor_;
   bool writable_;
+  uint64_t pos_ = 0;
+  std::function<Status()> on_first_mutation_;
 };
 
 /// Creates, opens, and destroys large objects of all four storage kinds.
@@ -126,11 +132,11 @@ class LoManager {
   /// True if `oid` names a large object visible to `txn`.
   Result<bool> Exists(Transaction* txn, Oid oid);
 
-  /// Returns `txn`'s accessor for `oid`, without a descriptor (used by
-  /// Inversion and the function manager, which manage positions
+  /// Returns `txn`'s accessor for `oid`, without a descriptor (used by the
+  /// function manager and Inversion's Stat, which address bytes
   /// themselves). Handles on one object that are alive at the same time in
-  /// one transaction share one accessor — every descriptor, Inversion file
-  /// and function call: an accessor caches chunks and the object size, so
+  /// one transaction share one accessor — every descriptor and function
+  /// call: an accessor caches chunks and the object size, so
   /// private copies would read bytes another handle has since overwritten.
   /// The accessor is freed with its last handle; a later call builds a
   /// fresh one, whose caches start empty.

@@ -14,26 +14,30 @@ namespace pglo {
 using wire::Frame;
 using wire::FrameType;
 
-/// One open byte-stream handle: either a LoDescriptor (owned by the
-/// LoManager, auto-closed at transaction end) or an InversionFile (owned
-/// here). Both expose the same Read/Write/Seek surface, so LO_READ/WRITE/
-/// SEEK/CLOSE work identically on handles of either origin.
-struct StreamHandle {
-  LoDescriptor* lo = nullptr;
-  std::unique_ptr<InversionFile> inv;
-};
-
 struct PgloServer::ConnState {
   std::unique_ptr<Session> session;
-  std::unordered_map<uint32_t, StreamHandle> handles;
+  /// Open descriptors by wire handle id — large objects and Inversion
+  /// files alike. The LoManager owns them and frees them when the
+  /// transaction ends; DropHandlesOnTxnEnd then drops the ids without
+  /// dereferencing them.
+  std::unordered_map<uint32_t, LoDescriptor*> handles;
   uint32_t next_handle = 1;
 
-  /// Transaction end (commit consumed it / abort) invalidates every open
-  /// handle: LoDescriptors were already freed by the LoManager's
-  /// transaction-finish hook (the raw pointers must only be dropped, never
-  /// dereferenced), and InversionFiles are destroyed here.
+  /// Files an opened descriptor under the next handle id.
+  Frame AddHandle(const Result<LoDescriptor*>& desc) {
+    if (!desc.ok()) return wire::MakeError(desc.status());
+    uint32_t h = next_handle++;
+    handles[h] = desc.value();
+    return wire::MakeHandleOp(FrameType::kHandleReply, h);
+  }
+
+  /// The descriptor behind handle id `h`; null if none is open.
+  LoDescriptor* FindHandle(uint32_t h) const {
+    auto it = handles.find(h);
+    return it == handles.end() ? nullptr : it->second;
+  }
+
   void DropHandlesOnTxnEnd() {
-    for (auto& [id, h] : handles) h.lo = nullptr;
     handles.clear();
     next_handle = 1;
   }
@@ -227,6 +231,8 @@ Status NoTxn() {
   return Status::InvalidArgument("no transaction in progress (BEGIN first)");
 }
 
+Status NoHandle() { return Status::NotFound("no such handle"); }
+
 }  // namespace
 
 Frame PgloServer::Dispatch(ConnState& st, const Frame& req, bool* fatal) {
@@ -272,59 +278,37 @@ Frame PgloServer::Dispatch(ConnState& st, const Frame& req, bool* fatal) {
       return wire::MakeU64Reply(oid.value());
     }
 
-    case FrameType::kLoOpen: {
-      Result<LoDescriptor*> desc = session.OpenLo(req.u64, req.u8_a != 0);
-      if (!desc.ok()) return ErrorReply(desc.status());
-      uint32_t h = st.next_handle++;
-      st.handles[h].lo = desc.value();
-      return wire::MakeHandleOp(FrameType::kHandleReply, h);
-    }
+    case FrameType::kLoOpen:
+      return st.AddHandle(session.OpenLo(req.u64, req.u8_a != 0));
 
     case FrameType::kLoRead: {
-      auto it = st.handles.find(req.u32_a);
-      if (it == st.handles.end()) {
-        return ErrorReply(Status::NotFound("no such handle"));
-      }
-      Result<Bytes> data = it->second.lo != nullptr
-                               ? it->second.lo->Read(req.u32_b)
-                               : it->second.inv->Read(req.u32_b);
+      LoDescriptor* desc = st.FindHandle(req.u32_a);
+      if (desc == nullptr) return ErrorReply(NoHandle());
+      Result<Bytes> data = desc->Read(req.u32_b);
       if (!data.ok()) return ErrorReply(data.status());
       return wire::MakeDataReply(std::move(data).value());
     }
 
     case FrameType::kLoWrite: {
-      auto it = st.handles.find(req.u32_a);
-      if (it == st.handles.end()) {
-        return ErrorReply(Status::NotFound("no such handle"));
-      }
-      Status s = it->second.lo != nullptr
-                     ? it->second.lo->Write(Slice(req.data))
-                     : it->second.inv->Write(Slice(req.data));
-      return StatusReply(s);
+      LoDescriptor* desc = st.FindHandle(req.u32_a);
+      if (desc == nullptr) return ErrorReply(NoHandle());
+      return StatusReply(desc->Write(Slice(req.data)));
     }
 
     case FrameType::kLoSeek: {
-      auto it = st.handles.find(req.u32_a);
-      if (it == st.handles.end()) {
-        return ErrorReply(Status::NotFound("no such handle"));
-      }
-      Whence whence = static_cast<Whence>(req.u8_a);
+      LoDescriptor* desc = st.FindHandle(req.u32_a);
+      if (desc == nullptr) return ErrorReply(NoHandle());
       Result<uint64_t> pos =
-          it->second.lo != nullptr ? it->second.lo->Seek(req.i64, whence)
-                                   : it->second.inv->Seek(req.i64, whence);
+          desc->Seek(req.i64, static_cast<Whence>(req.u8_a));
       if (!pos.ok()) return ErrorReply(pos.status());
       return wire::MakeU64Reply(pos.value());
     }
 
     case FrameType::kLoClose: {
-      auto it = st.handles.find(req.u32_a);
-      if (it == st.handles.end()) {
-        return ErrorReply(Status::NotFound("no such handle"));
-      }
-      Status s;
-      if (it->second.lo != nullptr) s = session.CloseLo(it->second.lo);
-      st.handles.erase(it);  // InversionFile: destruction is the close
-      return StatusReply(s);
+      LoDescriptor* desc = st.FindHandle(req.u32_a);
+      if (desc == nullptr) return ErrorReply(NoHandle());
+      st.handles.erase(req.u32_a);
+      return StatusReply(session.CloseLo(desc));
     }
 
     case FrameType::kInvCreate:
@@ -344,12 +328,7 @@ Frame PgloServer::Dispatch(ConnState& st, const Frame& req, bool* fatal) {
         return wire::MakeU64Reply(id.value());
       }
       if (req.type == FrameType::kInvOpen) {
-        Result<std::unique_ptr<InversionFile>> file =
-            inv_->Open(txn, req.text, req.u8_a != 0);
-        if (!file.ok()) return ErrorReply(file.status());
-        uint32_t h = st.next_handle++;
-        st.handles[h].inv = std::move(file).value();
-        return wire::MakeHandleOp(FrameType::kHandleReply, h);
+        return st.AddHandle(inv_->Open(txn, req.text, req.u8_a != 0));
       }
       if (req.type == FrameType::kInvMkdir) {
         Result<FileId> id = inv_->MkDir(txn, req.text);

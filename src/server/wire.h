@@ -6,7 +6,6 @@
 
 #include "common/bytes.h"
 #include "common/result.h"
-#include "lo/byte_stream.h"
 #include "lo/large_object.h"
 
 namespace pglo {

@@ -59,7 +59,7 @@ Status CommitLog::Open(const std::string& path) {
   max_xid_ = kInvalidXid;
   // Bootstrap transaction is implicitly committed at time 0 so catalog rows
   // are visible to every snapshot.
-  entries_[kBootstrapXid] = Entry{TxnState::kCommitted, 0};
+  entries_[kBootstrapXid] = XidStatus{TxnState::kCommitted, 0};
 
   uint8_t rec[kRecordSize];
   off_t pos = 0;
@@ -82,7 +82,7 @@ Status CommitLog::Open(const std::string& path) {
       }
       break;
     }
-    entries_[xid] = Entry{state, time};
+    entries_[xid] = XidStatus{state, time};
     if (xid > max_xid_) max_xid_ = xid;
     if (state == TxnState::kCommitted && time >= next_commit_time_) {
       next_commit_time_ = time + 1;
@@ -196,7 +196,7 @@ Result<CommitTime> CommitLog::RecordCommitBatch(
     times_out->reserve(xids.size());
     for (size_t i = 0; i < xids.size(); ++i) {
       CommitTime time = first + i;
-      entries_[xids[i]] = Entry{TxnState::kCommitted, time};
+      entries_[xids[i]] = XidStatus{TxnState::kCommitted, time};
       if (xids[i] > max_xid_) max_xid_ = xids[i];
       times_out->push_back(time);
     }
@@ -215,25 +215,15 @@ Status CommitLog::RecordAbort(Xid xid) {
   uint64_t end = 0;
   PGLO_RETURN_IF_ERROR(
       AppendRecordLocked(xid, TxnState::kAborted, kInvalidCommitTime, &end));
-  entries_[xid] = Entry{TxnState::kAborted, kInvalidCommitTime};
+  entries_[xid] = XidStatus{TxnState::kAborted, kInvalidCommitTime};
   if (xid > max_xid_) max_xid_ = xid;
   return Status::OK();
 }
 
-TxnState CommitLog::GetState(Xid xid) const {
+CommitLog::XidStatus CommitLog::Lookup(Xid xid) const {
   WaitLockGuard lock(mu_, wp_mutex_);
   auto it = entries_.find(xid);
-  if (it == entries_.end()) return TxnState::kAborted;
-  return it->second.state;
-}
-
-CommitTime CommitLog::GetCommitTime(Xid xid) const {
-  WaitLockGuard lock(mu_, wp_mutex_);
-  auto it = entries_.find(xid);
-  if (it == entries_.end() || it->second.state != TxnState::kCommitted) {
-    return kInvalidCommitTime;
-  }
-  return it->second.commit_time;
+  return it == entries_.end() ? XidStatus{} : it->second;
 }
 
 }  // namespace pglo

@@ -29,7 +29,7 @@ class FaultInjector;
 ///
 /// Thread-safe, with the durability syscall kept OFF the hot mutex: `mu_`
 /// serializes appends and protects the in-memory map (visibility checks hit
-/// GetState/GetCommitTime on every tuple), while the fdatasync that makes a
+/// Lookup on every tuple), while the fdatasync that makes a
 /// record durable runs afterwards under a separate `sync_mu_`. Because
 /// fdatasync covers the whole file, a committer first checks whether a later
 /// caller's sync already reached its append ("piggybacking") and skips the
@@ -74,15 +74,25 @@ class CommitLog {
   /// correctly demotes it to aborted).
   void RecordBegin(Xid xid) {
     WaitLockGuard lock(mu_, wp_mutex_);
-    entries_[xid] = Entry{TxnState::kInProgress, kInvalidCommitTime};
+    entries_[xid] = XidStatus{TxnState::kInProgress, kInvalidCommitTime};
   }
 
-  /// Status of `xid`. Unknown transactions are reported kAborted — exactly
-  /// the crash-recovery rule that makes no-overwrite storage atomic.
-  TxnState GetState(Xid xid) const;
+  /// What the log knows of one transaction. The commit time is
+  /// kInvalidCommitTime unless the state is kCommitted.
+  struct XidStatus {
+    TxnState state = TxnState::kAborted;
+    CommitTime commit_time = kInvalidCommitTime;
+  };
 
-  /// Commit time of `xid`; kInvalidCommitTime unless committed.
-  CommitTime GetCommitTime(Xid xid) const;
+  /// State and commit time of `xid` from one acquisition of `mu_`, the
+  /// visibility hot path. Unknown transactions are reported kAborted —
+  /// exactly the crash-recovery rule that makes no-overwrite storage
+  /// atomic. The state must be read, not inferred from the time: the
+  /// bootstrap transaction commits at tick 0, which is also
+  /// kInvalidCommitTime.
+  XidStatus Lookup(Xid xid) const;
+
+  TxnState GetState(Xid xid) const { return Lookup(xid).state; }
 
   /// Current value of the commit-time counter (the tick of the most recent
   /// commit). Snapshots taken at this value see all committed data.
@@ -127,11 +137,6 @@ class CommitLog {
   }
 
  private:
-  struct Entry {
-    TxnState state;
-    CommitTime commit_time;
-  };
-
   /// Appends `nbytes` of already-encoded records (no sync — see SyncTo).
   /// Assumes mu_ is held. `*end_out` receives the file size after the
   /// append, the durability target to pass to SyncTo.
@@ -151,7 +156,7 @@ class CommitLog {
   const WaitPoint* wp_fsync_ = nullptr;
   int fd_ = -1;
   std::string path_;
-  std::unordered_map<Xid, Entry> entries_;
+  std::unordered_map<Xid, XidStatus> entries_;
   CommitTime next_commit_time_ = 1;
   Xid max_xid_ = kInvalidXid;
   FaultInjector* injector_ = nullptr;

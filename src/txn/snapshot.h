@@ -28,7 +28,7 @@ class Snapshot {
 
   /// Whether a tuple stamped (xmin, xmax) is visible to this snapshot.
   bool IsVisible(Xid xmin, Xid xmax) const {
-    return InserterVisible(xmin) && !DeleterVisible(xmax);
+    return StampVisible(xmin) && !StampVisible(xmax);
   }
 
   /// Commit-log state of `xid` (used for write-conflict detection).
@@ -39,18 +39,14 @@ class Snapshot {
     return historical() ? as_of_ : snap_time_;
   }
 
-  bool InserterVisible(Xid xmin) const {
-    if (xmin == kInvalidXid) return false;
-    if (!historical() && xmin == my_xid_) return true;
-    if (clog_->GetState(xmin) != TxnState::kCommitted) return false;
-    return clog_->GetCommitTime(xmin) <= Horizon();
-  }
-
-  bool DeleterVisible(Xid xmax) const {
-    if (xmax == kInvalidXid) return false;
-    if (!historical() && xmax == my_xid_) return true;
-    if (clog_->GetState(xmax) != TxnState::kCommitted) return false;
-    return clog_->GetCommitTime(xmax) <= Horizon();
+  /// Whether the transaction that stamped a version (as inserter or
+  /// deleter) counts for this snapshot: one commit-log lookup per xid.
+  bool StampVisible(Xid xid) const {
+    if (xid == kInvalidXid) return false;
+    if (!historical() && xid == my_xid_) return true;
+    CommitLog::XidStatus status = clog_->Lookup(xid);
+    return status.state == TxnState::kCommitted &&
+           status.commit_time <= Horizon();
   }
 
   const CommitLog* clog_ = nullptr;

@@ -1,9 +1,12 @@
-// Property-based differential testing of the byte-stream surface: seeded
-// random operation sequences (random-offset writes, cursor writes, reads,
-// seeks, truncates, appends) run against every large-object
-// implementation and checked, byte for byte, against a std::vector
-// oracle. On divergence the test prints the seed and the full op trace,
-// so the failure replays with PGLO_TEST_SEED=<seed>.
+// Property-based differential testing of the open handle: seeded random
+// operation sequences (random-offset writes, cursor writes, reads, seeks,
+// truncates, appends) run through a LoDescriptor over every large-object
+// implementation, opened both as a large object (LoManager::Open) and as
+// an Inversion file (InversionFs::Open), and are checked, byte for byte,
+// against a std::vector oracle. Object-interface operations go through
+// the accessor the descriptor shares. On divergence the test prints the
+// seed and the full op trace, so the failure replays with
+// PGLO_TEST_SEED=<seed>.
 
 #include <gtest/gtest.h>
 
@@ -13,7 +16,7 @@
 
 #include "common/random.h"
 #include "db/database.h"
-#include "lo/byte_stream.h"
+#include "inversion/inversion_fs.h"
 #include "tests/test_util.h"
 
 namespace pglo {
@@ -25,7 +28,11 @@ using pglo::testing::TestSeed;
 constexpr uint64_t kMaxBytes = 48 * 1024;
 constexpr uint32_t kNumOps = 120;
 
-void RunDifferential(const char* label, LoSpec spec, uint64_t seed) {
+/// How the handle under test is opened.
+enum class Door { kLargeObject, kInversion };
+
+void RunDifferential(const char* label, LoSpec spec, uint64_t seed,
+                     Door door = Door::kLargeObject) {
   TempDir td;
   DatabaseOptions opts;
   opts.dir = td.Sub("db");
@@ -33,12 +40,27 @@ void RunDifferential(const char* label, LoSpec spec, uint64_t seed) {
   Database db;
   ASSERT_OK(db.Open(opts));
   auto session = db.Connect();
+  InversionFs fs(db.context(), &db.large_objects());
+  const std::string path = "/prop";
+  Oid oid = kInvalidOid;
+  if (door == Door::kInversion) {
+    Transaction* txn = session->Begin();
+    ASSERT_OK(fs.Bootstrap(txn));
+    ASSERT_OK(fs.Create(txn, path, spec).status());
+    ASSERT_OK_AND_ASSIGN(oid, fs.LargeObjectOf(txn, path));
+    ASSERT_OK(session->Commit().status());
+  }
+  // A fresh descriptor on the object under test in `t`.
+  auto open = [&](Transaction* t, bool writable) -> Result<LoDescriptor*> {
+    if (door == Door::kInversion) return fs.Open(t, path, writable);
+    return db.large_objects().Open(t, oid, writable);
+  };
   Transaction* txn = session->Begin();
-  ASSERT_OK_AND_ASSIGN(Oid oid, db.large_objects().Create(txn, spec));
-  ASSERT_OK_AND_ASSIGN(std::shared_ptr<LargeObject> lo,
-                       db.large_objects().Instantiate(txn, oid));
-  LoByteStream stream(lo.get(), txn);
-  SeekableCursor cursor(&stream);
+  if (door == Door::kLargeObject) {
+    ASSERT_OK_AND_ASSIGN(oid, db.large_objects().Create(txn, spec));
+  }
+  ASSERT_OK_AND_ASSIGN(LoDescriptor * cursor, open(txn, /*writable=*/true));
+  LargeObject* lo = cursor->object();
 
   Random rng(seed);
   Bytes oracle;
@@ -76,13 +98,13 @@ void RunDifferential(const char* label, LoSpec spec, uint64_t seed) {
       Bytes data = rng.RandomBytes(len);
       trace.push_back("cursor-write off=" + std::to_string(off) +
                       " len=" + std::to_string(len));
-      Result<uint64_t> at = cursor.Seek(static_cast<int64_t>(off),
-                                        Whence::kSet);
+      Result<uint64_t> at = cursor->Seek(static_cast<int64_t>(off),
+                                         Whence::kSet);
       if (!at.ok()) { ADD_FAILURE() << fail(at.status().ToString()); return; }
-      Status s = cursor.Write(Slice(data));
+      Status s = cursor->Write(Slice(data));
       if (!s.ok()) { ADD_FAILURE() << fail(s.ToString()); return; }
-      if (cursor.Tell() != off + len) {
-        ADD_FAILURE() << fail("cursor at " + std::to_string(cursor.Tell()) +
+      if (cursor->Tell() != off + len) {
+        ADD_FAILURE() << fail("cursor at " + std::to_string(cursor->Tell()) +
                               " after write, want " +
                               std::to_string(off + len));
         return;
@@ -115,10 +137,10 @@ void RunDifferential(const char* label, LoSpec spec, uint64_t seed) {
       size_t len = static_cast<size_t>(rng.Range(1, 6000));
       trace.push_back("cursor-read off=" + std::to_string(off) +
                       " len=" + std::to_string(len));
-      Result<uint64_t> at = cursor.Seek(static_cast<int64_t>(off),
-                                        Whence::kSet);
+      Result<uint64_t> at = cursor->Seek(static_cast<int64_t>(off),
+                                         Whence::kSet);
       if (!at.ok()) { ADD_FAILURE() << fail(at.status().ToString()); return; }
-      Result<Bytes> got = cursor.Read(len);
+      Result<Bytes> got = cursor->Read(len);
       if (!got.ok()) { ADD_FAILURE() << fail(got.status().ToString()); return; }
       size_t want = static_cast<size_t>(
           std::min<uint64_t>(len, size - off));
@@ -131,7 +153,7 @@ void RunDifferential(const char* label, LoSpec spec, uint64_t seed) {
     } else if (pick < 85) {  // truncate to a random smaller size
       uint64_t nsize = rng.Uniform(size + 1);
       trace.push_back("truncate to=" + std::to_string(nsize));
-      Status s = lo->Truncate(txn, nsize);
+      Status s = cursor->Truncate(nsize);
       if (!s.ok()) { ADD_FAILURE() << fail(s.ToString()); return; }
       oracle.resize(nsize);
     } else {  // append
@@ -158,21 +180,14 @@ void RunDifferential(const char* label, LoSpec spec, uint64_t seed) {
     }
   }
 
-  // Full-image comparison, then once more after commit in a fresh
-  // transaction (visibility across the commit boundary).
+  // Full-image comparison through a fresh descriptor, then once more after
+  // commit in a fresh transaction (visibility across the commit boundary).
   auto compare_all = [&](Transaction* t) {
-    Bytes buf(oracle.size());
-    ASSERT_OK_AND_ASSIGN(std::shared_ptr<LargeObject> check,
-                         db.large_objects().Instantiate(t, oid));
-    if (!oracle.empty()) {
-      ASSERT_OK_AND_ASSIGN(
-          size_t n, check->Read(t, 0, buf.size(), buf.data()));
-      ASSERT_EQ(n, buf.size()) << fail("final read short");
-    }
-    EXPECT_EQ(buf, oracle) << fail("final image diverged");
+    ASSERT_OK_AND_ASSIGN(LoDescriptor * check, open(t, /*writable=*/false));
+    ASSERT_OK_AND_ASSIGN(Bytes image, check->Read(oracle.size() + 1));
+    EXPECT_EQ(image, oracle) << fail("final image diverged");
   };
   compare_all(txn);
-  lo.reset();
   ASSERT_OK(session->Commit().status());
   Transaction* probe = session->Begin();
   compare_all(probe);
@@ -180,21 +195,21 @@ void RunDifferential(const char* label, LoSpec spec, uint64_t seed) {
   ASSERT_OK(db.Close());
 }
 
-TEST(ByteStreamPropertyTest, FChunkDisk) {
+TEST(DescriptorPropertyTest, FChunkDisk) {
   LoSpec spec;
   spec.kind = StorageKind::kFChunk;
   spec.smgr = kSmgrDisk;
   RunDifferential("fchunk/disk", spec, TestSeed());
 }
 
-TEST(ByteStreamPropertyTest, FChunkWorm) {
+TEST(DescriptorPropertyTest, FChunkWorm) {
   LoSpec spec;
   spec.kind = StorageKind::kFChunk;
   spec.smgr = kSmgrWorm;
   RunDifferential("fchunk/worm", spec, TestSeed());
 }
 
-TEST(ByteStreamPropertyTest, VSegmentDiskRle) {
+TEST(DescriptorPropertyTest, VSegmentDiskRle) {
   LoSpec spec;
   spec.kind = StorageKind::kVSegment;
   spec.smgr = kSmgrDisk;
@@ -202,7 +217,7 @@ TEST(ByteStreamPropertyTest, VSegmentDiskRle) {
   RunDifferential("vsegment/disk+rle", spec, TestSeed());
 }
 
-TEST(ByteStreamPropertyTest, VSegmentWormLzss) {
+TEST(DescriptorPropertyTest, VSegmentWormLzss) {
   LoSpec spec;
   spec.kind = StorageKind::kVSegment;
   spec.smgr = kSmgrWorm;
@@ -210,22 +225,53 @@ TEST(ByteStreamPropertyTest, VSegmentWormLzss) {
   RunDifferential("vsegment/worm+lzss", spec, TestSeed());
 }
 
-TEST(ByteStreamPropertyTest, UserFile) {
+TEST(DescriptorPropertyTest, UserFile) {
   LoSpec spec;
   spec.kind = StorageKind::kUserFile;
   spec.ufile_path = "prop_u.dat";
   RunDifferential("ufile", spec, TestSeed());
 }
 
-TEST(ByteStreamPropertyTest, PostgresFile) {
+TEST(DescriptorPropertyTest, PostgresFile) {
   LoSpec spec;
   spec.kind = StorageKind::kPostgresFile;
   RunDifferential("pfile", spec, TestSeed());
 }
 
+// The same sequences through the handle InversionFs::Open returns, one per
+// storage kind.
+TEST(DescriptorPropertyTest, InversionFChunk) {
+  LoSpec spec;
+  spec.kind = StorageKind::kFChunk;
+  spec.smgr = kSmgrDisk;
+  RunDifferential("inversion/fchunk", spec, TestSeed(), Door::kInversion);
+}
+
+TEST(DescriptorPropertyTest, InversionVSegment) {
+  LoSpec spec;
+  spec.kind = StorageKind::kVSegment;
+  spec.smgr = kSmgrDisk;
+  spec.codec = "rle";
+  RunDifferential("inversion/vsegment+rle", spec, TestSeed(),
+                  Door::kInversion);
+}
+
+TEST(DescriptorPropertyTest, InversionUserFile) {
+  LoSpec spec;
+  spec.kind = StorageKind::kUserFile;
+  spec.ufile_path = "prop_inv_u.dat";
+  RunDifferential("inversion/ufile", spec, TestSeed(), Door::kInversion);
+}
+
+TEST(DescriptorPropertyTest, InversionPostgresFile) {
+  LoSpec spec;
+  spec.kind = StorageKind::kPostgresFile;
+  RunDifferential("inversion/pfile", spec, TestSeed(), Door::kInversion);
+}
+
 // Distinct fixed seeds widen coverage beyond the default; each failure
 // message names the seed it replays with.
-TEST(ByteStreamPropertyTest, FChunkDiskMoreSeeds) {
+TEST(DescriptorPropertyTest, FChunkDiskMoreSeeds) {
   for (uint64_t seed : {7ull, 1234ull, 4242ull}) {
     LoSpec spec;
     spec.kind = StorageKind::kFChunk;
@@ -235,7 +281,7 @@ TEST(ByteStreamPropertyTest, FChunkDiskMoreSeeds) {
   }
 }
 
-TEST(ByteStreamPropertyTest, VSegmentRleMoreSeeds) {
+TEST(DescriptorPropertyTest, VSegmentRleMoreSeeds) {
   for (uint64_t seed : {7ull, 1234ull, 4242ull}) {
     LoSpec spec;
     spec.kind = StorageKind::kVSegment;

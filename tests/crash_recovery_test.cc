@@ -370,7 +370,8 @@ TEST(PostCommitGcCrashTest, DurableCommitIsReportedAndConsumed) {
       hit = true;
       ASSERT_TRUE(tick.ok()) << "point " << point << ": "
                              << tick.status().ToString();
-      EXPECT_EQ(tick.value(), db.txns().commit_log().GetCommitTime(xid));
+      EXPECT_EQ(tick.value(),
+                db.txns().commit_log().Lookup(xid).commit_time);
       EXPECT_FALSE(session->in_txn());
       EXPECT_EQ(db.txns().active_count(), 0u);
       EXPECT_TRUE(session->Abort().IsInvalidArgument());
@@ -449,18 +450,16 @@ TEST(InversionCrashTest, BootstrapIsCrashRepairable) {
     spec.kind = StorageKind::kFChunk;
     spec.smgr = kSmgrDisk;
     ASSERT_OK(fs.Create(txn, "/d/f", spec).status());
-    ASSERT_OK_AND_ASSIGN(std::unique_ptr<InversionFile> fh,
+    ASSERT_OK_AND_ASSIGN(LoDescriptor * fh,
                          fs.Open(txn, "/d/f", /*writable=*/true));
     Bytes data(3000, 0x42);
     ASSERT_OK(fh->Write(Slice(data)));
-    fh.reset();
     ASSERT_OK(session->Commit().status());
     Transaction* probe = session->Begin();
-    ASSERT_OK_AND_ASSIGN(std::unique_ptr<InversionFile> back,
+    ASSERT_OK_AND_ASSIGN(LoDescriptor * back,
                          fs.Open(probe, "/d/f", /*writable=*/false));
     ASSERT_OK_AND_ASSIGN(Bytes got, back->Read(data.size()));
     EXPECT_EQ(got, data) << "point " << point;
-    back.reset();
     ASSERT_OK(session->Abort());
     ASSERT_OK(db->Close());
   }

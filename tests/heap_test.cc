@@ -2,6 +2,8 @@
 
 #include "common/random.h"
 #include "heap/heap_class.h"
+#include "obs/stats.h"
+#include "obs/wait_event.h"
 #include "smgr/mm_smgr.h"
 #include "tests/test_util.h"
 #include "txn/txn_manager.h"
@@ -77,6 +79,29 @@ TEST_F(HeapTest, CommittedRowVisibleToLaterTxn) {
   ASSERT_OK_AND_ASSIGN(Bytes payload, heap_->Get(t2, tid));
   EXPECT_EQ(Slice(payload).ToString(), "hello");
   Abort(t2);
+}
+
+// Visibility resolves each xid with one commit-log lookup, state and
+// commit time together: a scan over N committed live rows takes the
+// commit log's mutex N times (a row's absent deleter needs no lookup).
+TEST_F(HeapTest, ScanTakesTheClogMutexOncePerLiveRow) {
+  constexpr uint64_t kRows = 40;
+  Transaction* writer = Begin();
+  for (uint64_t i = 0; i < kRows; ++i) {
+    ASSERT_OK(heap_->Insert(writer, Slice("row " + std::to_string(i)))
+                  .status());
+  }
+  Commit(writer);
+  StatsRegistry stats;
+  WaitStatsTable waits;
+  waits.Bind(&stats, nullptr, 0);
+  clog_.BindWaits(&waits);
+  Counter* acquires = stats.counter("wait.clog.mutex.acquires");
+  Transaction* reader = Begin();
+  uint64_t before = acquires->value();
+  EXPECT_EQ(VisibleRows(reader).size(), kRows);
+  EXPECT_EQ(acquires->value() - before, kRows);
+  Abort(reader);
 }
 
 TEST_F(HeapTest, UncommittedRowInvisibleToOthers) {

@@ -240,6 +240,38 @@ TEST_F(InversionTest, TimeTravelOverFileTree) {
   ASSERT_OK(session_->Abort());
 }
 
+// A time-travel transaction is read-only, so opening a file for write
+// under BeginAsOf is refused, as it is for any large object. File-backed
+// kinds have no versions to refuse the write later: the refusal at open
+// is what keeps their bytes.
+TEST_F(InversionTest, TimeTravelOpenForWriteIsRefused) {
+  for (StorageKind kind :
+       {StorageKind::kPostgresFile, StorageKind::kUserFile}) {
+    LoSpec spec;
+    spec.kind = kind;
+    spec.ufile_path = "as_of.dat";  // u-file only
+    const std::string path = "/" + std::string(StorageKindToString(kind));
+    Transaction* txn = session_->Begin();
+    ASSERT_OK(fs_->Create(txn, path, spec).status());
+    ASSERT_OK_AND_ASSIGN(auto file, fs_->Open(txn, path, true));
+    ASSERT_OK(file->Write(Slice("ORIGINAL")));
+    ASSERT_OK_AND_ASSIGN(CommitTime tick, session_->Commit());
+
+    Transaction* historical = session_->BeginAsOf(tick);
+    auto opened = fs_->Open(historical, path, true);
+    EXPECT_TRUE(opened.status().IsPermissionDenied())
+        << path << ": " << opened.status().ToString();
+    if (opened.ok()) (void)opened.value()->Write(Slice("CLOBBERD"));
+    ASSERT_OK(session_->Abort());
+
+    txn = session_->Begin();
+    ASSERT_OK_AND_ASSIGN(auto check, fs_->Open(txn, path, false));
+    ASSERT_OK_AND_ASSIGN(Bytes data, check->Read(16));
+    EXPECT_EQ(Slice(data).ToString(), "ORIGINAL") << path;
+    ASSERT_OK(session_->Abort());
+  }
+}
+
 TEST_F(InversionTest, CompressedFileStorageKind) {
   // §10: "Inversion can use either the f-chunk or v-segment large object
   // implementations for file storage."

@@ -1,11 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <limits>
 
 #include "common/random.h"
 #include "db/database.h"
-#include "lo/byte_stream.h"
 #include "lo/indexed_class.h"
+#include "lo/ufile_lo.h"
 #include "tests/test_util.h"
 
 namespace pglo {
@@ -90,6 +91,11 @@ TEST_P(LoTest, SeekSemantics) {
   ASSERT_OK_AND_ASSIGN(Bytes tail, fd->Read(100));
   EXPECT_EQ(Slice(tail).ToString(), "789");
   EXPECT_TRUE(fd->Seek(-1, Whence::kSet).status().IsInvalidArgument());
+  // An offset whose sum with the origin overflows is refused, not wrapped.
+  EXPECT_TRUE(fd->Seek(std::numeric_limits<int64_t>::max(), Whence::kEnd)
+                  .status()
+                  .IsInvalidArgument());
+  EXPECT_EQ(fd->Tell(), 10u);
   ASSERT_OK(session_->Commit().status());
 }
 
@@ -500,16 +506,18 @@ TEST_F(LoManagerTest, UnknownCodecRejected) {
 // into the database where it can manage large objects without being
 // rewritten." The same checksum function body runs against a UNIX file
 // and against each large-object implementation, producing identical
-// results, while only ever holding 4 KB in memory.
+// results, while only ever holding 4 KB in memory. The portable surface
+// is LargeObject; the UNIX file is a u-file over a plain file in the
+// simulated file system, outside the LO catalog.
 TEST_F(LoManagerTest, FunctionsPortBetweenFilesAndLargeObjects) {
   Random rng(2024);
   Bytes data = rng.RandomBytes(150'000);
 
-  auto checksum = [](ByteStream* stream) -> Result<uint64_t> {
+  auto checksum = [](LargeObject* lo, Transaction* txn) -> Result<uint64_t> {
     uint64_t sum = 14695981039346656037ull;
     PGLO_ASSIGN_OR_RETURN(
         uint64_t seen,
-        ForEachPiece(stream, 4096,
+        ForEachPiece(lo, txn, 4096,
                      [&](uint64_t, Slice piece) -> Status {
                        for (size_t i = 0; i < piece.size(); ++i) {
                          sum = (sum ^ piece[i]) * 1099511628211ull;
@@ -523,8 +531,8 @@ TEST_F(LoManagerTest, FunctionsPortBetweenFilesAndLargeObjects) {
   // Debugged against a plain file first...
   ASSERT_OK_AND_ASSIGN(uint32_t ino, db_.ufs().Create("debug_input"));
   ASSERT_OK(db_.ufs().WriteAt(ino, 0, Slice(data)));
-  UfsByteStream file_stream(&db_.ufs(), ino);
-  ASSERT_OK_AND_ASSIGN(uint64_t file_sum, checksum(&file_stream));
+  UfileLo file(db_.context(), "debug_input", StorageKind::kUserFile);
+  ASSERT_OK_AND_ASSIGN(uint64_t file_sum, checksum(&file, nullptr));
 
   // ...then run unmodified against every DBMS implementation.
   for (StorageKind kind : {StorageKind::kFChunk, StorageKind::kVSegment}) {
@@ -535,8 +543,7 @@ TEST_F(LoManagerTest, FunctionsPortBetweenFilesAndLargeObjects) {
     ASSERT_OK_AND_ASSIGN(Oid oid, db_.large_objects().Create(txn, spec));
     ASSERT_OK_AND_ASSIGN(auto lo, db_.large_objects().Instantiate(txn, oid));
     ASSERT_OK(lo->Write(txn, 0, Slice(data)));
-    LoByteStream lo_stream(lo.get(), txn);
-    ASSERT_OK_AND_ASSIGN(uint64_t lo_sum, checksum(&lo_stream));
+    ASSERT_OK_AND_ASSIGN(uint64_t lo_sum, checksum(lo.get(), txn));
     EXPECT_EQ(lo_sum, file_sum) << static_cast<int>(kind);
     ASSERT_OK(session_->Commit().status());
   }

@@ -163,6 +163,35 @@ TEST_F(ServerTest, InversionPathsOverTheWire) {
   ASSERT_OK(client->Bye());
 }
 
+// An Inversion file opens under the same checks as a large object: a
+// time-travel transaction cannot open one for write.
+TEST_F(ServerTest, TimeTravelInversionOpenForWriteIsRefused) {
+  StartServer();
+  ASSERT_OK_AND_ASSIGN(auto client, Connect("inv-as-of"));
+  LoSpec spec;
+  spec.kind = StorageKind::kPostgresFile;
+  ASSERT_OK(client->Begin());
+  ASSERT_OK(client->InvCreate("/frozen", spec).status());
+  ASSERT_OK_AND_ASSIGN(uint32_t h,
+                       client->InvOpen("/frozen", /*writable=*/true));
+  ASSERT_OK(client->Write(h, Slice("ORIGINAL")));
+  ASSERT_OK_AND_ASSIGN(uint64_t tick, client->Commit());
+
+  ASSERT_OK(client->BeginAsOf(tick));
+  Result<uint32_t> opened = client->InvOpen("/frozen", /*writable=*/true);
+  EXPECT_TRUE(opened.status().IsPermissionDenied())
+      << opened.status().ToString();
+  if (opened.ok()) (void)client->Write(opened.value(), Slice("CLOBBERD"));
+  ASSERT_OK(client->Abort());
+
+  ASSERT_OK(client->Begin());
+  ASSERT_OK_AND_ASSIGN(h, client->InvOpen("/frozen", /*writable=*/false));
+  ASSERT_OK_AND_ASSIGN(Bytes content, client->Read(h, 64));
+  EXPECT_EQ(Slice(content).ToString(), "ORIGINAL");
+  ASSERT_OK(client->Abort());
+  ASSERT_OK(client->Bye());
+}
+
 TEST_F(ServerTest, TypedEngineErrorsSurviveTheWire) {
   StartServer();
   ASSERT_OK_AND_ASSIGN(auto client, Connect("errors"));

@@ -25,7 +25,7 @@ TEST_F(CommitLogTest, CommitAssignsIncreasingTimes) {
   EXPECT_LT(t1, t2);
   EXPECT_EQ(clog.Now(), t2);
   EXPECT_EQ(clog.GetState(2), TxnState::kCommitted);
-  EXPECT_EQ(clog.GetCommitTime(2), t1);
+  EXPECT_EQ(clog.Lookup(2).commit_time, t1);
 }
 
 TEST_F(CommitLogTest, AbortRecorded) {
@@ -33,7 +33,7 @@ TEST_F(CommitLogTest, AbortRecorded) {
   ASSERT_OK(clog.Open(dir_.Sub("clog")));
   ASSERT_OK(clog.RecordAbort(5));
   EXPECT_EQ(clog.GetState(5), TxnState::kAborted);
-  EXPECT_EQ(clog.GetCommitTime(5), kInvalidCommitTime);
+  EXPECT_EQ(clog.Lookup(5).commit_time, kInvalidCommitTime);
 }
 
 TEST_F(CommitLogTest, UnknownXidIsAborted) {
@@ -64,7 +64,7 @@ TEST_F(CommitLogTest, ReplayAfterReopen) {
   EXPECT_EQ(clog.MaxRecordedXid(), 4u);
   // New commits continue after the replayed high-water mark.
   ASSERT_OK_AND_ASSIGN(CommitTime t, clog.RecordCommit(5));
-  EXPECT_GT(t, clog.GetCommitTime(4));
+  EXPECT_GT(t, clog.Lookup(4).commit_time);
 }
 
 TEST_F(CommitLogTest, TruncatesTornTail) {

@@ -9,14 +9,15 @@
 //       (config, op). A row regresses when
 //           new.simulated_seconds > base.simulated_seconds * (1 + tol)
 //       or when a timed baseline row is missing from NEW (coverage loss).
-//       At --tolerance=0.0 each row's `values` are gated too: a baseline
-//       value (Figure 1's storage bytes, an ablation's hit rate) regresses
-//       when NEW lacks it or holds a different number. Values only in NEW
-//       are informational. At a nonzero tolerance every value is
-//       informational, because some benches record wall-clock numbers
-//       there (the obs bench's overheads). Improvements, new rows, and
-//       counter drift are reported informationally only. Exit 0 when no
-//       regression, 1 otherwise.
+//       --tolerance=0.0 means equal: a row whose simulated time changed
+//       in either direction fails, and each row's `values` are gated too
+//       (a baseline value — Figure 1's storage bytes, an ablation's hit
+//       rate — fails when NEW lacks it or holds a different number).
+//       Values only in NEW are informational. At a nonzero tolerance
+//       faster rows pass and every value is informational, because some
+//       benches record wall-clock numbers there (the obs bench's
+//       overheads). New rows and counter drift are reported
+//       informationally only. Exit 0 when no regression, 1 otherwise.
 //
 // Simulated time is deterministic, so the tolerance guards against real
 // behavioural change (extra I/O, lost cache hits), not measurement noise;
@@ -269,6 +270,7 @@ int main(int argc, char** argv) {
 
   std::vector<Row> base_rows = Rows(base.value());
   std::vector<Row> next_rows = Rows(next.value());
+  const bool exact = tolerance == 0.0;
   int regressions = 0;
   int compared = 0;
   for (const Row& b : base_rows) {
@@ -285,7 +287,13 @@ int main(int argc, char** argv) {
     double limit = b.seconds * (1.0 + tolerance);
     double delta =
         b.seconds > 0 ? 100.0 * (n->seconds / b.seconds - 1.0) : 0.0;
-    if (n->seconds > limit) {
+    if (exact && n->seconds != b.seconds) {
+      std::printf("REGRESSION %s / %s: %.17gs -> %.17gs (%+.3g%%, must be "
+                  "equal)\n",
+                  b.config.c_str(), b.op.c_str(), b.seconds, n->seconds,
+                  delta);
+      ++regressions;
+    } else if (n->seconds > limit) {
       std::printf("REGRESSION %s / %s: %.4fs -> %.4fs (%+.1f%%, limit "
                   "+%.0f%%)\n",
                   b.config.c_str(), b.op.c_str(), b.seconds, n->seconds,
@@ -307,7 +315,7 @@ int main(int argc, char** argv) {
   // Exact mode gates the values as well: every baseline value must be in
   // NEW, bit for bit.
   int values_compared = 0;
-  if (tolerance == 0.0) {
+  if (exact) {
     for (const Row& b : base_rows) {
       const Row* n = FindRow(next_rows, b);
       for (const auto& [key, value] : b.values) {
@@ -380,9 +388,12 @@ int main(int argc, char** argv) {
                 compared);
     return 1;
   }
-  std::printf("OK: %d row(s) within +%.0f%% of baseline", compared,
-              100.0 * tolerance);
-  if (tolerance == 0.0) std::printf(", %d value(s) equal", values_compared);
-  std::printf("\n");
+  if (exact) {
+    std::printf("OK: %d row(s) and %d value(s) equal to baseline\n",
+                compared, values_compared);
+  } else {
+    std::printf("OK: %d row(s) within +%.0f%% of baseline\n", compared,
+                100.0 * tolerance);
+  }
   return 0;
 }

@@ -39,8 +39,8 @@
 # A fragmentation gate closes the loop on long-horizon churn:
 # bench_fragmentation --quick must show sequential reads degrading >= 20%
 # after the churn epochs and landing back within 10% of fresh after
-# CompactAll + Vacuum, then bench_compare guards its simulated times
-# against the committed baseline.
+# CompactAll + Vacuum, then bench_compare guards its simulated times and
+# values against the committed baseline bit for bit (--tolerance=0.0).
 #
 # A server gate smoke-runs the wire protocol end to end: bench_traffic
 # --quick drives dozens of concurrent pglo-wire-v1 clients through an
@@ -142,20 +142,21 @@ obs_gate() {
 fragmentation_gate() {
   builddir="$1"
   baseline="bench/baselines/BENCH_fragmentation_quick.json"
-  echo "== fragmentation gate: bench_fragmentation --quick vs $baseline =="
+  echo "== fragmentation gate: bench_fragmentation --quick vs $baseline (exact) =="
   workdir="$(mktemp -d /tmp/pglo_frag_gate_XXXXXX)"
   trap 'rm -rf "$workdir"' EXIT
   out="$workdir/BENCH_fragmentation_quick.json"
   # The bench gates its own shape: churn must degrade sequential reads by
   # >= 20% (the fragmentation problem manifests) and the post-compaction
   # read must land within 10% of the fresh read (online compaction
-  # restores locality). bench_compare then guards the absolute simulated
-  # times against the committed baseline.
+  # restores locality). bench_compare then requires the absolute simulated
+  # times and values to equal the committed baseline's: all are simulated,
+  # so deterministic.
   "$builddir/bench/bench_fragmentation" --quick \
       --gate-degradation-pct=20 --gate-restore-pct=10 \
       --json="$out" "$workdir/db" > "$workdir/bench.log"
   "$builddir/tools/bench_compare" --validate "$out"
-  "$builddir/tools/bench_compare" "$baseline" "$out"
+  "$builddir/tools/bench_compare" --tolerance=0.0 "$baseline" "$out"
   rm -rf "$workdir"
   trap - EXIT
 }
