@@ -25,6 +25,7 @@
 #include "obs/flight_recorder.h"
 #include "smgr/mm_smgr.h"
 #include "storage/page.h"
+#include "storage/rel_latch.h"
 #include "workload/frames.h"
 
 namespace pglo {
@@ -75,12 +76,34 @@ void BM_Crc32c(benchmark::State& state) {
 }
 BENCHMARK(BM_Crc32c);
 
+// The observability Database::Open binds in the served configuration
+// (stats on, devices uncharged): a registry on a clock, the flight
+// recorder, and every wait class.
+struct ServedObs {
+  ServedObs() {
+    stats.SetClock(&clock);
+    recorder =
+        std::make_unique<FlightRecorder>(FlightRecorderOptions{}, &stats);
+    stats.SetRecorder(recorder.get());
+    waits.Bind(&stats, &recorder->events(),
+               DatabaseOptions{}.wait_event_threshold_ns);
+  }
+  ~ServedObs() { stats.SetRecorder(nullptr); }
+
+  SimClock clock;
+  StatsRegistry stats;
+  std::unique_ptr<FlightRecorder> recorder;
+  WaitStatsTable waits;
+};
+
 // Page hits from 1 and 4 threads on one pool, each thread on its own
-// eight resident pages, so all they share is the pool's latches. Thread 0
-// builds the pool before the loop's start barrier and drops it after the
-// stop barrier. Real time: at 4 threads, wall per hit across all threads.
-void BM_BufferPoolHit(benchmark::State& state) {
+// eight resident pages, so all they share is the pool's latches (and,
+// `served`, its counters). Thread 0 builds the pool before the loop's
+// start barrier and drops it after the stop barrier. Real time: at 4
+// threads, wall per hit across all threads.
+void RunPoolHits(benchmark::State& state, bool served) {
   constexpr int kPagesPerThread = 8;
+  static std::unique_ptr<ServedObs> obs;
   static std::unique_ptr<SmgrRegistry> smgrs;
   static std::unique_ptr<BufferPool> pool;
   if (state.thread_index() == 0) {
@@ -88,6 +111,11 @@ void BM_BufferPoolHit(benchmark::State& state) {
     (void)smgrs->Register(0, std::make_unique<MainMemorySmgr>(nullptr));
     (void)smgrs->Get(0).value()->CreateFile(1);
     pool = std::make_unique<BufferPool>(smgrs.get(), 64);
+    if (served) {
+      obs = std::make_unique<ServedObs>();
+      pool->BindStats(&obs->stats);
+      pool->BindWaits(&obs->waits);
+    }
     for (int i = 0; i < state.threads() * kPagesPerThread; ++i) {
       BlockNumber block;
       (void)pool->NewPage({0, 1}, &block);
@@ -102,9 +130,46 @@ void BM_BufferPoolHit(benchmark::State& state) {
   if (state.thread_index() == 0) {
     pool.reset();
     smgrs.reset();
+    obs.reset();
   }
 }
+
+void BM_BufferPoolHit(benchmark::State& state) { RunPoolHits(state, false); }
 BENCHMARK(BM_BufferPoolHit)->Threads(1)->Threads(4)->UseRealTime();
+
+// The same hits with the served configuration's observability bound: each
+// also counts the hit, the stripe latch's acquisition and the
+// bufpool.get_ns span, whose histogram and recorder shard it files into.
+void BM_BufferPoolHitServed(benchmark::State& state) {
+  RunPoolHits(state, true);
+}
+BENCHMARK(BM_BufferPoolHitServed)->Threads(1)->Threads(4)->UseRealTime();
+
+// What an access-method operation pays for its relation latch: an outer
+// Lock plus one re-entrant Lock/Unlock (Update = Delete + Insert), wait
+// classes bound as served. Each thread latches its own relation, so at 4
+// threads all they share is the registry.
+void BM_RelLatch(benchmark::State& state) {
+  static std::unique_ptr<ServedObs> obs;
+  static std::unique_ptr<RelLatchRegistry> latches;
+  if (state.thread_index() == 0) {
+    obs = std::make_unique<ServedObs>();
+    latches = std::make_unique<RelLatchRegistry>();
+    latches->BindWaits(&obs->waits);
+  }
+  const RelFileId file{0, static_cast<Oid>(1 + state.thread_index())};
+  for (auto _ : state) {
+    latches->Lock(file, WaitEvent::kLatchRelHeap);
+    latches->Lock(file, WaitEvent::kLatchRelHeap);
+    latches->Unlock(file);
+    latches->Unlock(file);
+  }
+  if (state.thread_index() == 0) {
+    latches.reset();
+    obs.reset();
+  }
+}
+BENCHMARK(BM_RelLatch)->Threads(1)->Threads(4)->UseRealTime();
 
 // One trace span with the flight recorder on, from 1 and 4 threads: the
 // cost every instrumented call pays in the served configuration. The

@@ -34,7 +34,15 @@
 // complete transactions without errors, and the bottom rung (far below
 // any plausible saturation) must get through >= 80% of its offered load.
 //
+// Each rung also records what the whole process (server and clients) paid
+// for it: getrusage(RUSAGE_SELF) deltas of voluntary and involuntary
+// context switches and of user and system CPU, from before its clients
+// start to after the last one exits. Voluntary switches per transaction
+// are the wakeups a rung's latches and queues cost.
+//
 // Run: bench_traffic [--quick] [--json=FILE] [workdir]
+
+#include <sys/resource.h>
 
 #include <algorithm>
 #include <chrono>
@@ -227,6 +235,31 @@ double Percentile(std::vector<double>& v, double p) {
   return v[k];
 }
 
+/// getrusage(RUSAGE_SELF) counts, or the difference of two readings.
+struct ProcessUsage {
+  double voluntary_switches = 0;
+  double involuntary_switches = 0;
+  double user_s = 0;
+  double sys_s = 0;
+
+  static ProcessUsage Now() {
+    rusage ru{};
+    getrusage(RUSAGE_SELF, &ru);
+    auto seconds = [](const timeval& tv) {
+      return static_cast<double>(tv.tv_sec) +
+             static_cast<double>(tv.tv_usec) * 1e-6;
+    };
+    return {static_cast<double>(ru.ru_nvcsw),
+            static_cast<double>(ru.ru_nivcsw), seconds(ru.ru_utime),
+            seconds(ru.ru_stime)};
+  }
+  ProcessUsage operator-(const ProcessUsage& o) const {
+    return {voluntary_switches - o.voluntary_switches,
+            involuntary_switches - o.involuntary_switches, user_s - o.user_s,
+            sys_s - o.sys_s};
+  }
+};
+
 struct LoadPoint {
   double offered = 0;
   double achieved = 0;
@@ -240,6 +273,7 @@ struct LoadPoint {
   uint64_t errors = 0;
   double wall_seconds = 0;  ///< schedule start to the last client's exit
   double sim_seconds = 0;
+  ProcessUsage usage;  ///< the whole process's cost of the rung
 
   /// Transactions the server got through per wall second: completed plus
   /// conflicts (each ran up to its commit).
@@ -311,9 +345,11 @@ int Main(int argc, char** argv) {
       "(zipf s=%.2f), %.0f%% reads / %.0f%% appends, %.1fs per load point\n\n",
       shape.clients, shape.objects, kZipfSkew, kReadFraction * 100,
       (1 - kReadFraction) * 100, shape.seconds_per_point);
-  std::printf("%12s %12s %8s %10s %10s %10s %9s %10s %8s\n", "offered/s",
-              "achieved/s", "wall s", "p50 ms", "p99 ms", "mean ms", "txns",
-              "conflicts", "errors");
+  std::printf(
+      "%12s %12s %8s %10s %10s %10s %9s %10s %8s %10s %10s %9s %8s %8s\n",
+      "offered/s", "achieved/s", "wall s", "p50 ms", "p99 ms", "mean ms",
+      "txns", "conflicts", "errors", "vol csw", "invol csw", "vcsw/txn",
+      "user s", "sys s");
 
   std::vector<LoadPoint> points;
   for (size_t pi = 0; pi < shape.offered.size(); ++pi) {
@@ -321,6 +357,7 @@ int Main(int argc, char** argv) {
     double per_client = offered / shape.clients;
     std::vector<ClientResult> results(shape.clients);
     uint64_t sim_begin = db.clock().NowNanos();
+    ProcessUsage usage_begin = ProcessUsage::Now();
 
     // Clients connect first (setup excluded from the measured window),
     // then the schedule opens at `start`.
@@ -339,6 +376,7 @@ int Main(int argc, char** argv) {
     for (auto& t : threads) t.join();
 
     LoadPoint point;
+    point.usage = ProcessUsage::Now() - usage_begin;
     point.offered = offered;
     // A client that never connected has no exit time.
     Clock::time_point finished = end;
@@ -369,12 +407,20 @@ int Main(int argc, char** argv) {
         latencies.empty() ? 0 : sum / static_cast<double>(latencies.size());
     point.p50_ms = Percentile(latencies, 0.50);
     point.p99_ms = Percentile(latencies, 0.99);
-    std::printf("%12.0f %12.0f %8.2f %10.2f %10.2f %10.2f %9llu %10llu %8llu\n",
-                point.offered, point.achieved, point.wall_seconds,
-                point.p50_ms, point.p99_ms, point.mean_ms,
-                static_cast<unsigned long long>(point.completed),
-                static_cast<unsigned long long>(point.conflicts),
-                static_cast<unsigned long long>(point.errors));
+    const double through =
+        static_cast<double>(point.completed + point.conflicts);
+    const double switches_per_txn =
+        through > 0 ? point.usage.voluntary_switches / through : 0;
+    std::printf(
+        "%12.0f %12.0f %8.2f %10.2f %10.2f %10.2f %9llu %10llu %8llu %10.0f "
+        "%10.0f %9.1f %8.2f %8.2f\n",
+        point.offered, point.achieved, point.wall_seconds, point.p50_ms,
+        point.p99_ms, point.mean_ms,
+        static_cast<unsigned long long>(point.completed),
+        static_cast<unsigned long long>(point.conflicts),
+        static_cast<unsigned long long>(point.errors),
+        point.usage.voluntary_switches, point.usage.involuntary_switches,
+        switches_per_txn, point.usage.user_s, point.usage.sys_s);
 
     run.StartConfig("offered_" + std::to_string(static_cast<int>(offered)),
                     &db,
@@ -404,6 +450,14 @@ int Main(int argc, char** argv) {
     run.RecordValue("traffic", "wall_seconds", point.wall_seconds);
     run.RecordValue("traffic", "clients",
                     static_cast<double>(shape.clients));
+    run.RecordValue("traffic", "voluntary_switches",
+                    point.usage.voluntary_switches);
+    run.RecordValue("traffic", "involuntary_switches",
+                    point.usage.involuntary_switches);
+    run.RecordValue("traffic", "voluntary_switches_per_txn",
+                    switches_per_txn);
+    run.RecordValue("traffic", "user_cpu_s", point.usage.user_s);
+    run.RecordValue("traffic", "sys_cpu_s", point.usage.sys_s);
     run.FinishConfig();
     points.push_back(point);
   }

@@ -56,16 +56,6 @@ FlightRecorder::FlightRecorder(const FlightRecorderOptions& options,
   }
 }
 
-size_t FlightRecorder::ThreadShard() {
-  static std::atomic<size_t> next_shard{0};
-  // Trivially initialized, so the hot path reads it without a TLS guard.
-  thread_local size_t shard = kShards;
-  if (shard == kShards) {
-    shard = next_shard.fetch_add(1, std::memory_order_relaxed) % kShards;
-  }
-  return shard;
-}
-
 void FlightRecorder::ShareSequence(size_t index) {
   size_t sole = kShards;
   if (sole_shard_.compare_exchange_strong(sole, index) || sole == index) {
@@ -78,7 +68,7 @@ void FlightRecorder::ShareSequence(size_t index) {
 }
 
 void FlightRecorder::OnSpan(const TraceEvent& event) {
-  const size_t index = ThreadShard();
+  const size_t index = ThreadSlot();
   if (!shared_sequence_.load(std::memory_order_acquire) &&
       sole_shard_.load(std::memory_order_relaxed) != index) {
     ShareSequence(index);

@@ -158,9 +158,9 @@ class FlightRecorder : public TraceSink {
   Status DumpToFile(const std::string& path, const std::string& reason);
 
  private:
-  /// Span shards: a constant. A thread keeps the shard it first records
-  /// in, handed out round robin, so threads share one only past kShards.
-  static constexpr size_t kShards = 16;
+  /// Span shards: one per thread slot (ThreadSlot, stats.h), so threads
+  /// share one only past kThreadSlots.
+  static constexpr size_t kShards = kThreadSlots;
 
   /// One retained span and its place in the recorder-wide order.
   struct Slot {
@@ -177,8 +177,6 @@ class FlightRecorder : public TraceSink {
     SpanTreeBuilder trees;
   };
 
-  /// The calling thread's shard index.
-  static size_t ThreadShard();
   /// Called before shard `index` first records while the sequence is not
   /// yet shared: makes it the sole shard, or ends sole numbering.
   void ShareSequence(size_t index);

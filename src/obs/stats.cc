@@ -1,6 +1,7 @@
 #include "obs/stats.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
 
 #include "common/json.h"
@@ -10,20 +11,28 @@ namespace pglo {
 namespace {
 
 // Index of the most significant set bit (0 for value 0/1).
-size_t BucketFor(uint64_t ns) {
-  size_t b = 0;
-  while (ns > 1) {
-    ns >>= 1;
-    ++b;
-  }
-  return b;
-}
+size_t BucketFor(uint64_t ns) { return std::bit_width(ns | 1) - 1; }
 
 }  // namespace
 
+uint64_t Counter::value() const {
+  uint64_t sum = 0;
+  const size_t in_use = ThreadSlotsInUse();
+  for (size_t i = 0; i < in_use; ++i) {
+    sum += cells_[i].value.load(std::memory_order_relaxed);
+  }
+  return sum;
+}
+
+void Counter::Reset() {
+  for (Cell& c : cells_) c.value.store(0, std::memory_order_relaxed);
+}
+
 void Histogram::Record(uint64_t ns) {
-  count_.fetch_add(1, std::memory_order_relaxed);
-  sum_.fetch_add(ns, std::memory_order_relaxed);
+  Cell& cell = cells_[ThreadSlot()];
+  cell.count.fetch_add(1, std::memory_order_relaxed);
+  cell.sum.fetch_add(ns, std::memory_order_relaxed);
+  cell.buckets[BucketFor(ns)].fetch_add(1, std::memory_order_relaxed);
   uint64_t cur = min_.load(std::memory_order_relaxed);
   while (ns < cur &&
          !min_.compare_exchange_weak(cur, ns, std::memory_order_relaxed)) {
@@ -32,32 +41,55 @@ void Histogram::Record(uint64_t ns) {
   while (ns > cur &&
          !max_.compare_exchange_weak(cur, ns, std::memory_order_relaxed)) {
   }
-  buckets_[BucketFor(ns)].fetch_add(1, std::memory_order_relaxed);
 }
 
 void Histogram::Reset() {
-  count_.store(0, std::memory_order_relaxed);
-  sum_.store(0, std::memory_order_relaxed);
+  for (Cell& cell : cells_) {
+    cell.count.store(0, std::memory_order_relaxed);
+    cell.sum.store(0, std::memory_order_relaxed);
+    for (auto& b : cell.buckets) b.store(0, std::memory_order_relaxed);
+  }
   min_.store(~0ull, std::memory_order_relaxed);
   max_.store(0, std::memory_order_relaxed);
-  for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
 }
 
-uint64_t Histogram::PercentileNs(double p) const {
-  uint64_t total = count();
-  if (total == 0) return 0;
-  uint64_t rank = static_cast<uint64_t>(p / 100.0 * total);
-  if (rank >= total) rank = total - 1;
+Histogram::Totals Histogram::Fold() const {
+  Totals t;
+  // Folds run on every snapshot, and so on each of the flight recorder's
+  // periodic deltas. They read only the slots some thread has taken, skip
+  // a cell nothing recorded in since the last Reset, and stop at the
+  // bucket of the largest sample.
+  t.max_ns = max_.load(std::memory_order_relaxed);
+  const size_t top = BucketFor(t.max_ns);
+  const size_t in_use = ThreadSlotsInUse();
+  for (size_t s = 0; s < in_use; ++s) {
+    const Cell& cell = cells_[s];
+    const uint64_t count = cell.count.load(std::memory_order_relaxed);
+    if (count == 0) continue;
+    t.count += count;
+    t.sum_ns += cell.sum.load(std::memory_order_relaxed);
+    for (size_t i = 0; i <= top; ++i) {
+      t.buckets[i] += cell.buckets[i].load(std::memory_order_relaxed);
+    }
+  }
+  t.min_ns = t.count == 0 ? 0 : min_.load(std::memory_order_relaxed);
+  return t;
+}
+
+uint64_t Histogram::Totals::PercentileNs(double p) const {
+  if (count == 0) return 0;
+  uint64_t rank = static_cast<uint64_t>(p / 100.0 * count);
+  if (rank >= count) rank = count - 1;
   uint64_t seen = 0;
   for (size_t i = 0; i < kNumBuckets; ++i) {
-    seen += bucket(i);
+    seen += buckets[i];
     if (seen > rank) {
       // Upper bound of bucket i, clamped to the observed max.
       uint64_t bound = i + 1 >= 64 ? ~0ull : (1ull << (i + 1)) - 1;
-      return std::min(bound, max_ns());
+      return std::min(bound, max_ns);
     }
   }
-  return max_ns();
+  return max_ns;
 }
 
 uint64_t StatsSnapshot::Value(std::string_view name) const {
@@ -251,14 +283,15 @@ StatsSnapshot StatsRegistry::Snapshot() const {
   }
   snap.histograms.reserve(histograms_.size());
   for (const auto& [name, hist] : histograms_) {
+    Histogram::Totals t = hist->Fold();
     StatsSnapshot::HistogramEntry e;
     e.name = name;
-    e.count = hist->count();
-    e.sum_ns = hist->sum_ns();
-    e.min_ns = hist->min_ns();
-    e.max_ns = hist->max_ns();
-    e.p50_ns = hist->PercentileNs(50.0);
-    e.p99_ns = hist->PercentileNs(99.0);
+    e.count = t.count;
+    e.sum_ns = t.sum_ns;
+    e.min_ns = t.min_ns;
+    e.max_ns = t.max_ns;
+    e.p50_ns = t.PercentileNs(50.0);
+    e.p99_ns = t.PercentileNs(99.0);
     snap.histograms.push_back(std::move(e));
   }
   return snap;

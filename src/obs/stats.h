@@ -1,6 +1,7 @@
 #ifndef PGLO_OBS_STATS_H_
 #define PGLO_OBS_STATS_H_
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <map>
@@ -25,10 +26,11 @@ namespace pglo {
 /// implementation its per-op counts and codec time.
 ///
 /// Design constraints, in order:
-///   1. Near-zero overhead. A Counter increment is one add on a pre-resolved
-///      pointer; layers resolve their counters once at construction, never
-///      per operation. When stats are disabled the layer holds a null
-///      registry and skips even that.
+///   1. Near-zero overhead. A Counter increment is one add, through a
+///      pre-resolved pointer, on a cache line of the calling thread's own;
+///      layers resolve their counters once at construction, never per
+///      operation. When stats are disabled the layer holds a null registry
+///      and skips even that.
 ///   2. Simulated time only. Histograms and trace spans are stamped against
 ///      the shared SimClock, never the wall clock, so recorded latencies are
 ///      exactly the simulated seconds the benchmarks report and output is
@@ -37,60 +39,117 @@ namespace pglo {
 ///      run with stats on reports identical simulated times to a run with
 ///      stats off.
 
+/// Per-thread slots: the cells of every Counter and Histogram, and the
+/// flight recorder's span shards. A constant, like the buffer pool's 16
+/// stripes.
+inline constexpr size_t kThreadSlots = 16;
+
+namespace internal {
+/// Threads that have taken a slot so far, process-wide.
+inline std::atomic<size_t> threads_with_slots{0};
+}  // namespace internal
+
+/// The calling thread's slot in [0, kThreadSlots). A thread keeps the slot
+/// it first gets; slots are handed out round robin, so threads share one
+/// only past kThreadSlots.
+inline size_t ThreadSlot() {
+  // Trivially initialized, so the hot path reads it without a TLS guard.
+  static thread_local size_t slot = kThreadSlots;
+  if (slot == kThreadSlots) {
+    slot = internal::threads_with_slots.fetch_add(
+               1, std::memory_order_relaxed) %
+           kThreadSlots;
+  }
+  return slot;
+}
+
+/// Slots any thread has taken: cells at or past this index were never
+/// written, so a fold stops here. A process with a few threads folds a few
+/// cells, not kThreadSlots.
+inline size_t ThreadSlotsInUse() {
+  return std::min(
+      internal::threads_with_slots.load(std::memory_order_relaxed),
+      kThreadSlots);
+}
+
 /// A named monotonic counter. Obtained from (and owned by) a StatsRegistry;
 /// the pointer is stable for the registry's lifetime, so hot paths hold it
-/// and increment without any lookup. Increments are relaxed atomic adds, so
-/// concurrent backends can share one counter without losing updates.
+/// and increment without any lookup.
+///
+/// The count lives in one cache-line cell per thread slot, and value()
+/// folds them. An increment is a relaxed add on the calling thread's cell,
+/// a line no other backend writes until more than kThreadSlots threads
+/// run, and threads sharing a cell still lose no update.
 class Counter {
  public:
-  void Add(uint64_t n) { value_.fetch_add(n, std::memory_order_relaxed); }
-  void Inc() { value_.fetch_add(1, std::memory_order_relaxed); }
-  uint64_t value() const { return value_.load(std::memory_order_relaxed); }
-  void Reset() { value_.store(0, std::memory_order_relaxed); }
+  void Add(uint64_t n) {
+    cells_[ThreadSlot()].value.fetch_add(n, std::memory_order_relaxed);
+  }
+  void Inc() { Add(1); }
+  uint64_t value() const;
+  void Reset();
 
  private:
-  std::atomic<uint64_t> value_{0};
+  struct alignas(64) Cell {
+    std::atomic<uint64_t> value{0};
+  };
+  Cell cells_[kThreadSlots];
 };
 
 /// Latency histogram over simulated nanoseconds: power-of-two buckets
 /// (bucket i counts samples in [2^i, 2^(i+1))), plus exact count/sum/min/max.
 ///
-/// All fields are relaxed atomics: concurrent Records never lose samples,
-/// and min/max converge via CAS. A snapshot taken while backends are
-/// recording may observe fields from slightly different instants (count from
-/// before a Record, sum from after) — acceptable for monitoring output, and
-/// impossible in a single execution stream.
+/// Count, sum and buckets live in one cell per thread slot, like Counter's,
+/// and every read folds the cells; min and max are single atomics, written
+/// (by CAS) only on a new extreme. Concurrent Records never lose samples. A
+/// read taken while backends are recording may observe fields from
+/// slightly different instants (count from before a Record, sum from
+/// after) — acceptable for monitoring output, and impossible in a single
+/// execution stream.
 class Histogram {
  public:
   static constexpr size_t kNumBuckets = 64;
 
+  /// Every cell folded into one reading.
+  struct Totals {
+    uint64_t count = 0;
+    uint64_t sum_ns = 0;
+    uint64_t min_ns = 0;
+    uint64_t max_ns = 0;
+    uint64_t buckets[kNumBuckets] = {};
+
+    /// Upper bound of the bucket holding the p-th percentile sample
+    /// (p in [0, 100]); 0 when empty.
+    uint64_t PercentileNs(double p) const;
+  };
+
   void Record(uint64_t ns);
   void Reset();
 
-  uint64_t count() const { return count_.load(std::memory_order_relaxed); }
-  uint64_t sum_ns() const { return sum_.load(std::memory_order_relaxed); }
-  uint64_t min_ns() const {
-    return count() == 0 ? 0 : min_.load(std::memory_order_relaxed);
-  }
+  /// Folds the cells once. The accessors below each fold; a reader of
+  /// several fields folds once and reads them here.
+  Totals Fold() const;
+
+  uint64_t count() const { return Fold().count; }
+  uint64_t sum_ns() const { return Fold().sum_ns; }
+  uint64_t min_ns() const { return Fold().min_ns; }
   uint64_t max_ns() const { return max_.load(std::memory_order_relaxed); }
   double mean_ns() const {
-    uint64_t c = count();
-    return c == 0 ? 0.0 : static_cast<double>(sum_ns()) / c;
+    Totals t = Fold();
+    return t.count == 0 ? 0.0 : static_cast<double>(t.sum_ns) / t.count;
   }
-  /// Upper bound of the bucket holding the p-th percentile sample
-  /// (p in [0, 100]); 0 when empty.
-  uint64_t PercentileNs(double p) const;
-
-  uint64_t bucket(size_t i) const {
-    return buckets_[i].load(std::memory_order_relaxed);
-  }
+  uint64_t PercentileNs(double p) const { return Fold().PercentileNs(p); }
+  uint64_t bucket(size_t i) const { return Fold().buckets[i]; }
 
  private:
-  std::atomic<uint64_t> count_{0};
-  std::atomic<uint64_t> sum_{0};
+  struct alignas(64) Cell {
+    std::atomic<uint64_t> count{0};
+    std::atomic<uint64_t> sum{0};
+    std::atomic<uint64_t> buckets[kNumBuckets] = {};
+  };
+  Cell cells_[kThreadSlots];
   std::atomic<uint64_t> min_{~0ull};
   std::atomic<uint64_t> max_{0};
-  std::atomic<uint64_t> buckets_[kNumBuckets] = {};
 };
 
 /// One completed trace span, delivered to a TraceSink.

@@ -18,6 +18,8 @@ const char* WaitEventName(WaitEvent e) {
       return "latch.rel.btree";
     case WaitEvent::kLatchRelOther:
       return "latch.rel.other";
+    case WaitEvent::kLatchRelRegistry:
+      return "latch.rel.registry";
     case WaitEvent::kBufPoolPinWait:
       return "bufpool.pin_wait";
     case WaitEvent::kBufPoolDataSync:

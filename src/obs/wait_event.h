@@ -39,6 +39,7 @@ enum class WaitEvent : uint8_t {
   kLatchRelHeap,         ///< latch.rel.heap — per-relation latch, heap AM
   kLatchRelBtree,        ///< latch.rel.btree — per-relation latch, B-tree AM
   kLatchRelOther,        ///< latch.rel.other — relation latch, unnamed caller
+  kLatchRelRegistry,     ///< latch.rel.registry — a relation-latch shard mutex
   kBufPoolPinWait,       ///< bufpool.pin_wait — flush waiting for a pin drop
   kBufPoolDataSync,      ///< bufpool.data_sync — commit-time syncfs(2)
   kBufPoolIoWait,        ///< bufpool.io_wait — waiting out another's page read

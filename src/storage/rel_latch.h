@@ -1,12 +1,14 @@
 #ifndef PGLO_STORAGE_REL_LATCH_H_
 #define PGLO_STORAGE_REL_LATCH_H_
 
+#include <algorithm>
+#include <array>
 #include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <thread>
 #include <unordered_map>
+#include <vector>
 
 #include "obs/wait_event.h"
 #include "storage/page.h"
@@ -21,7 +23,7 @@ namespace pglo {
 /// latch crabbing, each public access-method operation takes the relation's
 /// exclusive latch for its (short) duration — coarse, but exactly the
 /// granularity the 1993 backend got from its lock table, and invisible to
-/// single-stream runs (uncontended acquisition is a couple of atomic ops
+/// single-stream runs (an uncontended acquisition takes one shard mutex
 /// and never advances the simulated clock).
 ///
 /// Latches are re-entrant for their owning thread because operations
@@ -31,6 +33,14 @@ namespace pglo {
 /// acquired in the same access-method-imposed order (index after heap,
 /// catalog outermost), so cycles cannot form between two LO operations on
 /// the same object kind. See DESIGN.md §13 for the ordering argument.
+///
+/// Nothing here is process-wide. The latches live in kShards shards keyed
+/// by RelFileIdHash, each with its own mutex; each latch has its own
+/// condition variable and waiter count, and a release wakes one of that
+/// latch's waiters, only when one waits (PostgreSQL's LWLocks keep one
+/// wait list per lock the same way). A thread keeps the latches it holds
+/// in a thread-local list, so a re-entrant Lock or Unlock touches no
+/// shared state at all.
 class RelLatchRegistry {
  public:
   RelLatchRegistry() = default;
@@ -38,64 +48,108 @@ class RelLatchRegistry {
   RelLatchRegistry& operator=(const RelLatchRegistry&) = delete;
 
   /// Wait instrumentation for contended latch acquisitions, keyed by the
-  /// caller-supplied access-method kind (latch.rel.heap / .btree / .other).
-  /// Null or unbound = uninstrumented. Configuration-time only.
-  void BindWaits(const WaitStatsTable* waits) { waits_ = waits; }
-
-  void Lock(RelFileId file, WaitEvent kind = WaitEvent::kLatchRelOther) {
-    std::unique_lock<std::mutex> lk(mu_);
-    LatchState& st = *StateFor(file);
-    std::thread::id self = std::this_thread::get_id();
-    if (st.depth > 0 && st.owner == self) {
-      ++st.depth;  // re-entrant: not a new acquisition for the stats
-      return;
-    }
-    const WaitPoint* wp = waits_ != nullptr ? waits_->point(kind) : nullptr;
-    if (wp != nullptr) StatInc(wp->acquires);
-    if (st.depth > 0) {
-      WaitGuard guard(wp, /*count_acquire=*/false);
-      while (st.depth > 0) {
-        cv_.wait(lk);
-      }
-    }
-    st.owner = self;
-    st.depth = 1;
+  /// caller-supplied access-method kind (latch.rel.heap / .btree / .other);
+  /// the shard mutexes report under latch.rel.registry. Null or unbound =
+  /// uninstrumented. Configuration-time only.
+  void BindWaits(const WaitStatsTable* waits) {
+    waits_ = waits;
+    wp_registry_ = waits != nullptr
+                       ? waits->point(WaitEvent::kLatchRelRegistry)
+                       : nullptr;
   }
 
-  void Unlock(RelFileId file) {
-    std::lock_guard<std::mutex> lk(mu_);
-    auto it = latches_.find(file);
-    if (it == latches_.end()) return;  // tolerate unlock of never-locked
-    LatchState& st = *it->second;
-    if (st.depth == 0) return;
-    if (--st.depth == 0) {
-      cv_.notify_all();
+  void Lock(RelFileId file, WaitEvent kind = WaitEvent::kLatchRelOther) {
+    std::vector<Held>& held = HeldByThread();
+    auto it = FindHeld(held, file);
+    if (it != held.end()) {
+      ++it->depth;  // re-entrant: not a new acquisition for the stats
+      return;
     }
+    Shard& shard = ShardFor(file);
+    WaitLock(shard.mu, wp_registry_);
+    std::unique_lock<std::mutex> lk(shard.mu, std::adopt_lock);
+    std::unique_ptr<Latch>& slot = shard.latches[file];
+    if (slot == nullptr) slot = std::make_unique<Latch>();
+    Latch& latch = *slot;
+    const WaitPoint* wp = waits_ != nullptr ? waits_->point(kind) : nullptr;
+    if (wp != nullptr) StatInc(wp->acquires);
+    if (latch.held) {
+      WaitGuard guard(wp, /*count_acquire=*/false);
+      ++latch.waiters;
+      latch.cv.wait(lk, [&] { return !latch.held; });
+      --latch.waiters;
+    }
+    latch.held = true;
+    lk.unlock();
+    held.push_back(Held{this, file, &latch, 1});
+  }
+
+  /// Releases one level of the calling thread's hold on `file`; a latch
+  /// this thread does not hold is left alone.
+  void Unlock(RelFileId file) {
+    std::vector<Held>& held = HeldByThread();
+    auto it = FindHeld(held, file);
+    if (it == held.end()) return;
+    if (--it->depth > 0) return;
+    Latch& latch = *it->latch;
+    held.erase(it);
+    bool wake;
+    {
+      WaitLockGuard lk(ShardFor(file).mu, wp_registry_);
+      latch.held = false;
+      wake = latch.waiters > 0;
+    }
+    // Latches are never freed before the registry, so the notify may
+    // follow the unlock: the woken waiter does not then block on the
+    // shard mutex, and a barging thread only sends it back to wait.
+    if (wake) latch.cv.notify_one();
   }
 
  private:
-  struct LatchState {
-    std::thread::id owner;
-    uint32_t depth = 0;
+  /// Shards: a constant, like the buffer pool's stripes.
+  static constexpr size_t kShards = 16;
+
+  struct Latch {
+    std::condition_variable cv;
+    uint32_t waiters = 0;
+    bool held = false;
   };
 
-  LatchState* StateFor(RelFileId file) {
-    auto it = latches_.find(file);
-    if (it != latches_.end()) return it->second.get();
-    auto st = std::make_unique<LatchState>();
-    LatchState* raw = st.get();
-    latches_.emplace(file, std::move(st));
-    return raw;
+  /// A latch's shard mutex guards its `held` and `waiters`; the map only
+  /// grows, so a Latch's address is stable for the registry's lifetime.
+  struct alignas(64) Shard {
+    std::mutex mu;
+    std::unordered_map<RelFileId, std::unique_ptr<Latch>, RelFileIdHash>
+        latches;
+  };
+
+  /// One latch the calling thread holds, and how many times over.
+  struct Held {
+    const RelLatchRegistry* registry;
+    RelFileId file;
+    Latch* latch;
+    uint32_t depth;
+  };
+
+  static std::vector<Held>& HeldByThread() {
+    static thread_local std::vector<Held> held;
+    return held;
   }
 
-  std::mutex mu_;
-  // One condition variable for the whole registry: wakeups are rare (only
-  // contended relations) and backend counts are small, so the thundering
-  // herd costs less than a cv per latch.
-  std::condition_variable cv_;
-  std::unordered_map<RelFileId, std::unique_ptr<LatchState>, RelFileIdHash>
-      latches_;
+  std::vector<Held>::iterator FindHeld(std::vector<Held>& held,
+                                       RelFileId file) const {
+    return std::find_if(held.begin(), held.end(), [&](const Held& h) {
+      return h.registry == this && h.file == file;
+    });
+  }
+
+  Shard& ShardFor(RelFileId file) {
+    return shards_[RelFileIdHash()(file) % kShards];
+  }
+
+  std::array<Shard, kShards> shards_;
   const WaitStatsTable* waits_ = nullptr;
+  const WaitPoint* wp_registry_ = nullptr;
 };
 
 /// RAII scope for one relation latch. Null registry = no-op, so access

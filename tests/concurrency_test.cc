@@ -13,10 +13,16 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <mutex>
 #include <set>
 #include <string>
@@ -25,6 +31,7 @@
 
 #include "common/random.h"
 #include "db/database.h"
+#include "obs/stats.h"
 #include "obs/wait_event.h"
 #include "storage/rel_latch.h"
 #include "tests/test_util.h"
@@ -793,6 +800,314 @@ TEST_F(ConcurrencyTest, ActivityViewTracksSessionsAndTxnState) {
   auto c = db.Connect();
   EXPECT_EQ(db.activity().live_count(), 2u);
   ASSERT_OK(db.Close());
+}
+
+// ---- relation latches under concurrency --------------------------------
+
+/// A standalone registry with its wait classes bound to a registry of its
+/// own, as Database::Open binds the pool's.
+struct BoundLatches {
+  BoundLatches() {
+    waits.Bind(&stats, nullptr, 0);
+    latches.BindWaits(&waits);
+  }
+  uint64_t Value(const std::string& name) const {
+    return stats.Snapshot().Value(name);
+  }
+  /// Contended waits on the relation latches themselves (not the shards).
+  uint64_t LatchWaits() const {
+    StatsSnapshot s = stats.Snapshot();
+    return s.Value("wait.latch.rel.heap.contended") +
+           s.Value("wait.latch.rel.btree.contended") +
+           s.Value("wait.latch.rel.other.contended");
+  }
+
+  StatsRegistry stats;
+  WaitStatsTable waits;
+  RelLatchRegistry latches;
+};
+
+/// Voluntary context switches of the calling thread so far.
+long ThreadVoluntarySwitches() {
+  rusage usage{};
+  getrusage(RUSAGE_THREAD, &usage);
+  return usage.ru_nvcsw;
+}
+
+TEST(RelLatchTest, SeededStressKeepsMutualExclusionAndLosesNoWakeup) {
+  // 8 threads take random nested latch sets over two heaps and their
+  // indexes, always heap before its index (ascending here), and re-enter
+  // latches they hold. An owner word per relation proves mutual
+  // exclusion; a watchdog proves every thread finishes, so no release
+  // was lost on a waiter.
+  const uint64_t seed = pglo::testing::TestSeed();
+  SCOPED_TRACE("replay with PGLO_TEST_SEED=" + std::to_string(seed));
+  constexpr int kThreads = 8;
+  constexpr int kRelations = 4;
+  constexpr int kIterations = 2000;
+  // Relfiles 1 and 17 share a shard, as do 2 and 18: the stress covers
+  // two latches of one shard as well as latches of two shards.
+  const RelFileId rels[kRelations] = {
+      {kSmgrDisk, 1}, {kSmgrDisk, 17}, {kSmgrDisk, 2}, {kSmgrDisk, 18}};
+  const WaitEvent kinds[kRelations] = {
+      WaitEvent::kLatchRelHeap, WaitEvent::kLatchRelBtree,
+      WaitEvent::kLatchRelHeap, WaitEvent::kLatchRelBtree};
+
+  BoundLatches b;
+  std::atomic<int> owner[kRelations];
+  for (auto& o : owner) o.store(-1);
+  std::atomic<uint64_t> violations{0};
+  std::atomic<uint64_t> outermost[kRelations] = {};
+  std::mutex done_mu;
+  std::condition_variable done_cv;
+  int finished = 0;
+
+  auto worker = [&](int t) {
+    Random rng(seed * 1000003 + static_cast<uint64_t>(t));
+    std::vector<std::unique_ptr<RelLatchGuard>> guards;
+    std::vector<int> taken;
+    for (int i = 0; i < kIterations; ++i) {
+      const uint64_t mask = 1 + rng.Uniform((1u << kRelations) - 1);
+      for (int r = 0; r < kRelations; ++r) {
+        if ((mask & (1u << r)) == 0) continue;
+        guards.push_back(
+            std::make_unique<RelLatchGuard>(&b.latches, rels[r], kinds[r]));
+        int expected = -1;
+        if (!owner[r].compare_exchange_strong(expected, t)) ++violations;
+        ++outermost[r];
+        taken.push_back(r);
+        if (rng.Uniform(4) == 0) {
+          // Re-enter any latch already held (never out of order).
+          const int h = taken[rng.Uniform(taken.size())];
+          b.latches.Lock(rels[h], kinds[h]);
+          if (owner[h].load() != t) ++violations;
+          b.latches.Unlock(rels[h]);
+        }
+      }
+      if (rng.Uniform(8) == 0) std::this_thread::yield();
+      while (!taken.empty()) {
+        int expected = t;
+        if (!owner[taken.back()].compare_exchange_strong(expected, -1)) {
+          ++violations;
+        }
+        taken.pop_back();
+        guards.pop_back();
+      }
+    }
+    std::lock_guard<std::mutex> lock(done_mu);
+    ++finished;
+    done_cv.notify_all();
+  };
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) threads.emplace_back(worker, t);
+  {
+    std::unique_lock<std::mutex> lock(done_mu);
+    if (!done_cv.wait_for(lock, std::chrono::seconds(120),
+                          [&] { return finished == kThreads; })) {
+      // Blocked threads cannot be joined: fail the whole binary loudly.
+      std::fprintf(stderr,
+                   "%d of %d latch threads still blocked after 120 s: a "
+                   "lost wakeup (PGLO_TEST_SEED=%llu)\n",
+                   kThreads - finished, kThreads,
+                   static_cast<unsigned long long>(seed));
+      std::fflush(stderr);
+      std::_Exit(1);
+    }
+  }
+  for (auto& th : threads) th.join();
+
+  EXPECT_EQ(violations.load(), 0u);
+  // Only outermost acquisitions count, by kind; the shard mutex counts
+  // each of them and each final release.
+  const uint64_t heaps = outermost[0] + outermost[2];
+  const uint64_t btrees = outermost[1] + outermost[3];
+  EXPECT_EQ(b.Value("wait.latch.rel.heap.acquires"), heaps);
+  EXPECT_EQ(b.Value("wait.latch.rel.btree.acquires"), btrees);
+  EXPECT_EQ(b.Value("wait.latch.rel.registry.acquires"),
+            2 * (heaps + btrees));
+}
+
+TEST(RelLatchTest, ReleaseWakesOnlyTheLatchsOwnWaiters) {
+  // A holds X; B blocks on X; meanwhile C takes and releases Y 10,000
+  // times. B must stay blocked until A releases and then proceed, and it
+  // must not have been woken by C's releases: one wait, one wakeup.
+  BoundLatches b;
+  const RelFileId x{kSmgrDisk, 1};
+  const RelFileId y{kSmgrDisk, 2};  // another shard
+  const uint64_t waits_before = b.LatchWaits();
+  std::atomic<bool> a_holds{false};
+  std::atomic<bool> c_done{false};
+  std::atomic<bool> a_released{false};
+  std::atomic<bool> b_acquired{false};
+  std::atomic<bool> b_saw_release{false};
+  std::atomic<long> b_switches{-1};
+  WaitSlot b_slot;
+
+  std::thread a([&] {
+    b.latches.Lock(x, WaitEvent::kLatchRelHeap);
+    a_holds.store(true);
+    while (!c_done.load()) {
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+    }
+    a_released.store(true);
+    b.latches.Unlock(x);
+  });
+  std::thread bt([&] {
+    while (!a_holds.load()) std::this_thread::yield();
+    SetCurrentWaitSlot(&b_slot);
+    const long before = ThreadVoluntarySwitches();
+    b.latches.Lock(x, WaitEvent::kLatchRelHeap);
+    b_switches.store(ThreadVoluntarySwitches() - before);
+    b_saw_release.store(a_released.load());
+    b_acquired.store(true);
+    b.latches.Unlock(x);
+    SetCurrentWaitSlot(nullptr);
+  });
+  // B publishes its wait before it sleeps; bounded at ~10 s.
+  bool b_blocked = false;
+  for (int i = 0; i < 200000 && !b_blocked; ++i) {
+    b_blocked = b_slot.Read().event == WaitEvent::kLatchRelHeap;
+    if (!b_blocked) std::this_thread::sleep_for(std::chrono::microseconds(50));
+  }
+  std::thread c([&] {
+    for (int i = 0; i < 10000; ++i) {
+      b.latches.Lock(y, WaitEvent::kLatchRelHeap);
+      b.latches.Unlock(y);
+      // Space the releases out, so a registry that woke B on each would
+      // show it rather than coalesce the wakeups.
+      std::this_thread::yield();
+    }
+  });
+  c.join();
+  const bool acquired_early = b_acquired.load();
+  c_done.store(true);
+  a.join();
+  bt.join();
+
+  EXPECT_TRUE(b_blocked) << "B never published its wait on X";
+  EXPECT_FALSE(acquired_early) << "B took X while A held it";
+  EXPECT_TRUE(b_acquired.load());
+  EXPECT_TRUE(b_saw_release.load());
+  EXPECT_EQ(b.LatchWaits() - waits_before, 1u);
+  // Blocking once is one voluntary switch. A registry with one condition
+  // variable for every latch woke B on C's releases: 681 to 19,407
+  // switches in three runs.
+  EXPECT_LT(b_switches.load(), 50);
+}
+
+TEST(RelLatchTest, ReentrantLockCountsOnlyTheOutermostAcquisition) {
+  BoundLatches b;
+  const RelFileId x{kSmgrDisk, 7};
+  auto acquires = [&](const std::string& cls) {
+    return b.Value("wait.latch.rel." + cls + ".acquires");
+  };
+  b.latches.Lock(x, WaitEvent::kLatchRelHeap);
+  EXPECT_EQ(acquires("heap"), 1u);
+  EXPECT_EQ(acquires("registry"), 1u);
+
+  // Nested holds, of any kind, count nowhere.
+  b.latches.Lock(x, WaitEvent::kLatchRelHeap);
+  b.latches.Lock(x, WaitEvent::kLatchRelBtree);
+  b.latches.Unlock(x);
+  b.latches.Unlock(x);
+  EXPECT_EQ(acquires("heap"), 1u);
+  EXPECT_EQ(acquires("btree"), 0u);
+  EXPECT_EQ(acquires("other"), 0u);
+  EXPECT_EQ(acquires("registry"), 1u);
+
+  // The outermost release takes the shard mutex once more.
+  b.latches.Unlock(x);
+  EXPECT_EQ(acquires("registry"), 2u);
+  // A latch this thread does not hold is left alone.
+  b.latches.Unlock(x);
+  EXPECT_EQ(acquires("registry"), 2u);
+
+  // X is free: another thread takes it without waiting.
+  std::thread([&] {
+    b.latches.Lock(x, WaitEvent::kLatchRelHeap);
+    b.latches.Unlock(x);
+  }).join();
+  EXPECT_EQ(acquires("heap"), 2u);
+  EXPECT_EQ(b.LatchWaits(), 0u);
+}
+
+// ---- stat cells ----------------------------------------------------------
+
+TEST(StatCellsTest, ConcurrentUpdatesFoldToTheSingleThreadedReference) {
+  // Twice as many threads as cells, so every cell is shared.
+  constexpr int kThreads = 2 * static_cast<int>(kThreadSlots);
+  constexpr int kOps = 10000;
+  // A spread over 40 buckets, different for every thread.
+  auto sample = [](int t, int i) {
+    return (uint64_t{1} << ((t + i) % 40)) + static_cast<uint64_t>(i * 7 + t);
+  };
+  auto run = [&](Counter* c, Histogram* h, int t) {
+    for (int i = 0; i < kOps; ++i) {
+      if (i % 2 == 0) {
+        c->Inc();
+      } else {
+        c->Add(static_cast<uint64_t>(t + 1));
+      }
+      h->Record(sample(t, i));
+    }
+  };
+
+  StatsRegistry reference;
+  Counter* ref_c = reference.counter("cells.ops");
+  Histogram* ref_h = reference.histogram("cells.lat_ns");
+  for (int t = 0; t < kThreads; ++t) run(ref_c, ref_h, t);
+
+  StatsRegistry concurrent;
+  Counter* c = concurrent.counter("cells.ops");
+  Histogram* h = concurrent.histogram("cells.lat_ns");
+  auto run_all = [&](auto body) {
+    std::atomic<bool> go{false};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        while (!go.load()) std::this_thread::yield();
+        body(t);
+      });
+    }
+    go.store(true);
+    for (auto& th : threads) th.join();
+  };
+  run_all([&](int t) { run(c, h, t); });
+
+  EXPECT_EQ(c->value(), ref_c->value());
+  EXPECT_EQ(h->count(), ref_h->count());
+  EXPECT_EQ(h->count(), uint64_t{kThreads} * kOps);
+  EXPECT_EQ(h->sum_ns(), ref_h->sum_ns());
+  EXPECT_EQ(h->min_ns(), ref_h->min_ns());
+  EXPECT_EQ(h->max_ns(), ref_h->max_ns());
+  for (size_t i = 0; i < Histogram::kNumBuckets; ++i) {
+    EXPECT_EQ(h->bucket(i), ref_h->bucket(i)) << "bucket " << i;
+  }
+  EXPECT_EQ(h->PercentileNs(50), ref_h->PercentileNs(50));
+  EXPECT_EQ(h->PercentileNs(99), ref_h->PercentileNs(99));
+  EXPECT_EQ(concurrent.Snapshot().ToJson(), reference.Snapshot().ToJson());
+
+  concurrent.Reset();
+  EXPECT_EQ(c->value(), 0u);
+  EXPECT_EQ(h->count(), 0u);
+  EXPECT_EQ(h->sum_ns(), 0u);
+  EXPECT_EQ(h->min_ns(), 0u);
+  EXPECT_EQ(h->max_ns(), 0u);
+  for (size_t i = 0; i < Histogram::kNumBuckets; ++i) {
+    EXPECT_EQ(h->bucket(i), 0u) << "bucket " << i;
+  }
+  // Every cell was zeroed: one more update from each thread folds to
+  // exactly those updates.
+  run_all([&](int) {
+    c->Inc();
+    h->Record(5);
+  });
+  EXPECT_EQ(c->value(), uint64_t{kThreads});
+  EXPECT_EQ(h->count(), uint64_t{kThreads});
+  EXPECT_EQ(h->sum_ns(), 5u * kThreads);
+  EXPECT_EQ(h->bucket(2), uint64_t{kThreads});
+  EXPECT_EQ(h->min_ns(), 5u);
+  EXPECT_EQ(h->max_ns(), 5u);
 }
 
 }  // namespace
