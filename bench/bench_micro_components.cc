@@ -211,23 +211,36 @@ void BM_BtreeInsert(benchmark::State& state) {
 }
 BENCHMARK(BM_BtreeInsert);
 
+// One key's entries read through Btree::Scan, in a 100,000-entry tree
+// whose keys each hold `entries` versions: a one-entry key is one descent,
+// a 1,000-entry key one descent per leaf it spans.
 void BM_BtreeLookup(benchmark::State& state) {
+  const uint64_t per_key = static_cast<uint64_t>(state.range(0));
+  const uint64_t keys = 100'000 / per_key;
   SmgrRegistry smgrs;
   (void)smgrs.Register(0, std::make_unique<MainMemorySmgr>(nullptr));
   BufferPool pool(&smgrs, 4096);
   (void)Btree::Create(&pool, {0, 1});
   Btree tree(&pool, {0, 1});
-  for (uint64_t k = 0; k < 100'000; ++k) {
-    Status s = tree.Insert(k, k);
-    benchmark::DoNotOptimize(s.ok());
+  for (uint64_t k = 0; k < keys; ++k) {
+    for (uint64_t v = 0; v < per_key; ++v) {
+      Status s = tree.Insert(k, v);
+      benchmark::DoNotOptimize(s.ok());
+    }
   }
   Random rng(3);
   for (auto _ : state) {
-    auto values = tree.Lookup(rng.Uniform(100'000));
-    benchmark::DoNotOptimize(values.value().size());
+    uint64_t key = rng.Uniform(keys);
+    uint64_t seen = 0;
+    auto count = [&](uint64_t, uint64_t) -> Result<bool> {
+      ++seen;
+      return false;
+    };
+    benchmark::DoNotOptimize(tree.Scan(key, key, count).ok());
+    benchmark::DoNotOptimize(seen);
   }
 }
-BENCHMARK(BM_BtreeLookup);
+BENCHMARK(BM_BtreeLookup)->Arg(1)->Arg(1000)->ArgName("entries");
 
 void BM_HeapInsert(benchmark::State& state) {
   SmgrRegistry smgrs;

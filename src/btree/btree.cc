@@ -1,5 +1,9 @@
 #include "btree/btree.h"
 
+#include <string>
+#include <tuple>
+#include <utility>
+
 #include "btree/btree_page.h"
 #include "common/logging.h"
 #include "storage/free_space_map.h"
@@ -26,11 +30,11 @@ Status Btree::Create(BufferPool* pool, RelFileId file) {
   return Status::OK();
 }
 
-Result<BlockNumber> Btree::RootBlock() {
+Result<Btree::Meta> Btree::ReadMeta() {
   PGLO_ASSIGN_OR_RETURN(PageHandle handle, pool_->GetPage({file_, 0}));
   BtreeMeta meta(handle.data());
   if (!meta.IsValid()) return Status::Corruption("bad btree meta page (smgr=" + std::to_string(file_.smgr_id) + " relfile=" + std::to_string(file_.relfile) + ")");
-  return meta.root();
+  return Meta{meta.root(), meta.height()};
 }
 
 Status Btree::SetRoot(BlockNumber root, uint32_t height) {
@@ -58,21 +62,20 @@ Result<PageHandle> Btree::AllocateNode(BlockNumber* block_out) {
 
 Result<uint32_t> Btree::Height() {
   RelLatchGuard latch(pool_->rel_latches(), file_, WaitEvent::kLatchRelBtree);
-  PGLO_ASSIGN_OR_RETURN(PageHandle handle, pool_->GetPage({file_, 0}));
-  BtreeMeta meta(handle.data());
-  if (!meta.IsValid()) return Status::Corruption("bad btree meta page (smgr=" + std::to_string(file_.smgr_id) + " relfile=" + std::to_string(file_.relfile) + ")");
-  return meta.height();
+  PGLO_ASSIGN_OR_RETURN(Meta meta, ReadMeta());
+  return meta.height;
 }
 
-Result<BlockNumber> Btree::DescendToLeaf(uint64_t key, uint64_t value,
-                                         std::vector<PathEntry>* path) {
+Result<PageHandle> Btree::DescendToLeaf(uint64_t key, uint64_t value,
+                                        std::vector<PathEntry>* path) {
   TraceSpan span(registry_, h_descend_ns_, "btree.descend");
-  PGLO_ASSIGN_OR_RETURN(BlockNumber block, RootBlock());
+  PGLO_ASSIGN_OR_RETURN(Meta meta, ReadMeta());
+  BlockNumber block = meta.root;
   for (;;) {
     PGLO_ASSIGN_OR_RETURN(PageHandle handle, pool_->GetPage({file_, block}));
     BtreeNode node(handle.data());
     if (!node.IsValid()) return Status::Corruption("bad btree node");
-    if (node.is_leaf()) return block;
+    if (node.is_leaf()) return handle;
     if (node.nkeys() == 0) return Status::Corruption("empty internal node");
     // Child whose minimum bound is the last one <= (key, value). Entry 0 is
     // the (0, 0) sentinel (negative infinity), so UpperBound is always >= 1.
@@ -125,8 +128,8 @@ Status Btree::InsertIntoParent(std::vector<PathEntry>* path, uint64_t sep_key,
     right_child = new_block;
   }
   // The root itself split: grow the tree.
-  PGLO_ASSIGN_OR_RETURN(BlockNumber old_root, RootBlock());
-  PGLO_ASSIGN_OR_RETURN(uint32_t height, Height());
+  PGLO_ASSIGN_OR_RETURN(Meta meta, ReadMeta());
+  BlockNumber old_root = meta.root;
   BlockNumber new_root_block;
   PGLO_ASSIGN_OR_RETURN(PageHandle root_handle, AllocateNode(&new_root_block));
   BtreeNode new_root(root_handle.data());
@@ -142,15 +145,13 @@ Status Btree::InsertIntoParent(std::vector<PathEntry>* path, uint64_t sep_key,
   }
   new_root.InsertInternalEntry(1, sep_key, sep_value, right_child);
   root_handle.MarkDirty();
-  return SetRoot(new_root_block, height + 1);
+  return SetRoot(new_root_block, meta.height + 1);
 }
 
 Status Btree::Insert(uint64_t key, uint64_t value) {
   RelLatchGuard latch(pool_->rel_latches(), file_, WaitEvent::kLatchRelBtree);
   std::vector<PathEntry> path;
-  PGLO_ASSIGN_OR_RETURN(BlockNumber leaf_block,
-                        DescendToLeaf(key, value, &path));
-  PGLO_ASSIGN_OR_RETURN(PageHandle handle, pool_->GetPage({file_, leaf_block}));
+  PGLO_ASSIGN_OR_RETURN(PageHandle handle, DescendToLeaf(key, value, &path));
   BtreeNode leaf(handle.data());
   uint16_t pos = leaf.LowerBound(key, value);
   if (pos < leaf.nkeys() && leaf.KeyAt(pos) == key &&
@@ -185,12 +186,9 @@ Status Btree::Insert(uint64_t key, uint64_t value) {
 
 Status Btree::Delete(uint64_t key, uint64_t value) {
   RelLatchGuard latch(pool_->rel_latches(), file_, WaitEvent::kLatchRelBtree);
-  PGLO_ASSIGN_OR_RETURN(BlockNumber leaf_block,
-                        DescendToLeaf(key, value, nullptr));
+  PGLO_ASSIGN_OR_RETURN(PageHandle handle, DescendToLeaf(key, value, nullptr));
   // The entry may sit in a right sibling when equal keys straddle nodes.
-  BlockNumber block = leaf_block;
-  while (block != kInvalidBlock) {
-    PGLO_ASSIGN_OR_RETURN(PageHandle handle, pool_->GetPage({file_, block}));
+  for (;;) {
     BtreeNode leaf(handle.data());
     uint16_t pos = leaf.LowerBound(key, value);
     if (pos < leaf.nkeys()) {
@@ -201,83 +199,72 @@ Status Btree::Delete(uint64_t key, uint64_t value) {
       }
       return Status::NotFound("btree entry not found");
     }
-    block = leaf.right_sibling();
+    BlockNumber next = leaf.right_sibling();
+    if (next == kInvalidBlock) return Status::NotFound("btree entry not found");
+    PGLO_ASSIGN_OR_RETURN(handle, pool_->GetPage({file_, next}));
   }
-  return Status::NotFound("btree entry not found");
 }
 
-Result<std::vector<uint64_t>> Btree::Lookup(uint64_t key) {
-  RelLatchGuard latch(pool_->rel_latches(), file_, WaitEvent::kLatchRelBtree);
-  std::vector<uint64_t> out;
-  PGLO_ASSIGN_OR_RETURN(Iterator it, Seek(key));
-  while (it.valid() && it.key() == key) {
-    out.push_back(it.value());
-    PGLO_RETURN_IF_ERROR(it.Next());
-  }
-  return out;
-}
-
-Result<Btree::Iterator> Btree::Seek(uint64_t key) {
-  RelLatchGuard latch(pool_->rel_latches(), file_, WaitEvent::kLatchRelBtree);
-  PGLO_ASSIGN_OR_RETURN(BlockNumber leaf_block, DescendToLeaf(key, 0, nullptr));
-  PGLO_ASSIGN_OR_RETURN(PageHandle handle, pool_->GetPage({file_, leaf_block}));
-  BtreeNode leaf(handle.data());
-  uint16_t pos = leaf.LowerBound(key, 0);
-  Iterator it(this, leaf_block, pos);
-  PGLO_RETURN_IF_ERROR(it.LoadCurrent());
-  return it;
-}
-
-Result<Btree::Iterator> Btree::SeekFirst() { return Seek(0); }
-
-Status Btree::Iterator::LoadCurrent() {
-  RelLatchGuard latch(tree_->pool_->rel_latches(), tree_->file_, WaitEvent::kLatchRelBtree);
+Result<bool> Btree::Scan(uint64_t first, uint64_t last,
+                         const Visitor& visit) {
+  std::vector<std::pair<uint64_t, uint64_t>> batch;
+  // The walk's position: the first entry >= (key, value) comes next.
+  uint64_t key = first, value = 0;
   for (;;) {
-    if (block_ == kInvalidBlock) {
-      valid_ = false;
-      return Status::OK();
+    batch.clear();
+    bool more;
+    {
+      RelLatchGuard latch(pool_->rel_latches(), file_,
+                          WaitEvent::kLatchRelBtree);
+      PGLO_ASSIGN_OR_RETURN(PageHandle handle,
+                            DescendToLeaf(key, value, nullptr));
+      BtreeNode leaf(handle.data());
+      uint16_t pos = leaf.LowerBound(key, value);
+      while (pos == leaf.nkeys() && leaf.right_sibling() != kInvalidBlock) {
+        PGLO_ASSIGN_OR_RETURN(handle,
+                              pool_->GetPage({file_, leaf.right_sibling()}));
+        leaf = BtreeNode(handle.data());
+        pos = leaf.LowerBound(key, value);
+      }
+      for (; pos < leaf.nkeys() && leaf.KeyAt(pos) <= last; ++pos) {
+        batch.emplace_back(leaf.KeyAt(pos), leaf.ValueAt(pos));
+      }
+      more = pos == leaf.nkeys() && leaf.right_sibling() != kInvalidBlock;
     }
-    PGLO_ASSIGN_OR_RETURN(PageHandle handle,
-                          tree_->pool_->GetPage({tree_->file_, block_}));
-    BtreeNode leaf(handle.data());
-    if (index_ < leaf.nkeys()) {
-      key_ = leaf.KeyAt(index_);
-      value_ = leaf.ValueAt(index_);
-      valid_ = true;
-      return Status::OK();
+    for (const auto& [k, v] : batch) {
+      PGLO_ASSIGN_OR_RETURN(bool stop, visit(k, v));
+      if (stop) return true;
     }
-    block_ = leaf.right_sibling();
-    index_ = 0;
+    if (!more) return false;
+    // Resume just past the last entry visited: (key, max) is followed by
+    // (key + 1, 0), and nothing follows (max, max).
+    std::tie(key, value) = batch.back();
+    if (++value == 0 && ++key == 0) return false;
   }
-}
-
-Status Btree::Iterator::Next() {
-  PGLO_CHECK(valid_);
-  ++index_;
-  return LoadCurrent();
 }
 
 Result<uint64_t> Btree::CountEntries() {
-  RelLatchGuard latch(pool_->rel_latches(), file_, WaitEvent::kLatchRelBtree);
-  PGLO_ASSIGN_OR_RETURN(Iterator it, SeekFirst());
   uint64_t count = 0;
-  while (it.valid()) {
+  auto tally = [&](uint64_t, uint64_t) -> Result<bool> {
     ++count;
-    PGLO_RETURN_IF_ERROR(it.Next());
-  }
+    return false;
+  };
+  PGLO_RETURN_IF_ERROR(Scan(0, ~0ull, tally).status());
   return count;
 }
 
 Result<uint64_t> Btree::CheckStructure() {
   RelLatchGuard latch(pool_->rel_latches(), file_, WaitEvent::kLatchRelBtree);
-  PGLO_ASSIGN_OR_RETURN(BlockNumber root, RootBlock());
-  PGLO_ASSIGN_OR_RETURN(uint32_t height, Height());
+  PGLO_ASSIGN_OR_RETURN(Meta meta, ReadMeta());
   // Recursive subtree check: every node's entries sorted; every child's
   // minimum entry >= the parent entry's bound (entry 0 of the root level
   // is the -infinity sentinel and is exempt); levels decrease by one.
   struct Walker {
     Btree* tree;
     Status status = Status::OK();
+    BlockNumber first_leaf = kInvalidBlock;
+    uint64_t leaves = 0;
+    uint64_t entries = 0;
 
     void Check(BlockNumber block, uint32_t expected_level, uint64_t min_key,
                uint64_t min_val, bool unbounded) {
@@ -313,7 +300,12 @@ Result<uint64_t> Btree::CheckStructure() {
           return;
         }
       }
-      if (node.is_leaf()) return;
+      if (node.is_leaf()) {
+        if (first_leaf == kInvalidBlock) first_leaf = block;
+        ++leaves;
+        entries += n;
+        return;
+      }
       if (n == 0) {
         status = Status::Corruption("empty internal node");
         return;
@@ -329,24 +321,40 @@ Result<uint64_t> Btree::CheckStructure() {
     }
   };
   Walker walker{this};
-  walker.Check(root, height - 1, 0, 0, /*unbounded=*/true);
+  walker.Check(meta.root, meta.height - 1, 0, 0, /*unbounded=*/true);
   PGLO_RETURN_IF_ERROR(walker.status);
 
-  // Leaf chain: globally sorted, and its count matches an iterator walk.
-  uint64_t count = 0;
-  PGLO_ASSIGN_OR_RETURN(Iterator it, SeekFirst());
+  // Leaf chain, followed link by link from the leftmost leaf: globally
+  // sorted, and exactly the leaves and entries the tree reaches, so a link
+  // that skips, repeats or loops back over a leaf is Corruption.
+  uint64_t leaves = 0, count = 0;
   bool have_prev = false;
   uint64_t pk = 0, pv = 0;
-  while (it.valid()) {
-    if (have_prev &&
-        (pk > it.key() || (pk == it.key() && pv >= it.value()))) {
-      return Status::Corruption("leaf chain out of order");
+  for (BlockNumber block = walker.first_leaf; block != kInvalidBlock;) {
+    if (++leaves > walker.leaves) break;
+    PGLO_ASSIGN_OR_RETURN(PageHandle handle, pool_->GetPage({file_, block}));
+    BtreeNode leaf(handle.data());
+    if (!leaf.IsValid() || !leaf.is_leaf()) {
+      return Status::Corruption("leaf chain reaches a non-leaf");
     }
-    pk = it.key();
-    pv = it.value();
-    have_prev = true;
-    ++count;
-    PGLO_RETURN_IF_ERROR(it.Next());
+    for (uint16_t i = 0; i < leaf.nkeys(); ++i) {
+      uint64_t k = leaf.KeyAt(i), v = leaf.ValueAt(i);
+      if (have_prev && (pk > k || (pk == k && pv >= v))) {
+        return Status::Corruption("leaf chain out of order");
+      }
+      pk = k;
+      pv = v;
+      have_prev = true;
+    }
+    count += leaf.nkeys();
+    block = leaf.right_sibling();
+  }
+  if (leaves != walker.leaves || count != walker.entries) {
+    return Status::Corruption(
+        "leaf chain holds " + std::to_string(count) + " entries in " +
+        std::to_string(leaves) + " leaves, the tree " +
+        std::to_string(walker.entries) + " in " +
+        std::to_string(walker.leaves));
   }
   return count;
 }
@@ -409,14 +417,13 @@ Status Btree::MergeSubtree(BlockNumber block, uint64_t* freed) {
 Result<uint64_t> Btree::MergeUnderfull() {
   RelLatchGuard latch(pool_->rel_latches(), file_, WaitEvent::kLatchRelBtree);
   uint64_t freed = 0;
-  PGLO_ASSIGN_OR_RETURN(BlockNumber root, RootBlock());
-  PGLO_RETURN_IF_ERROR(MergeSubtree(root, &freed));
+  PGLO_ASSIGN_OR_RETURN(Meta meta, ReadMeta());
+  PGLO_RETURN_IF_ERROR(MergeSubtree(meta.root, &freed));
   // Collapse a root chain: an internal root left with a single child just
   // forwards every descent, so shrink the tree instead.
   for (;;) {
-    PGLO_ASSIGN_OR_RETURN(BlockNumber r, RootBlock());
-    PGLO_ASSIGN_OR_RETURN(uint32_t height, Height());
-    PGLO_ASSIGN_OR_RETURN(PageHandle handle, pool_->GetPage({file_, r}));
+    PGLO_ASSIGN_OR_RETURN(PageHandle handle,
+                          pool_->GetPage({file_, meta.root}));
     BtreeNode node(handle.data());
     if (!node.IsValid()) return Status::Corruption("bad btree node");
     if (node.is_leaf() || node.nkeys() != 1) break;
@@ -424,8 +431,9 @@ Result<uint64_t> Btree::MergeUnderfull() {
     FreeSpaceMap::StampFreePage(handle.data());
     handle.MarkDirty();
     handle.Release();
-    pool_->fsm()->RecordFreePage(file_, r);
-    PGLO_RETURN_IF_ERROR(SetRoot(child, height - 1));
+    pool_->fsm()->RecordFreePage(file_, meta.root);
+    meta = Meta{child, meta.height - 1};
+    PGLO_RETURN_IF_ERROR(SetRoot(meta.root, meta.height));
     ++freed;
   }
   return freed;

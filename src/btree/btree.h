@@ -2,6 +2,7 @@
 #define PGLO_BTREE_BTREE_H_
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "common/result.h"
@@ -15,24 +16,24 @@ namespace pglo {
 /// This is the "secondary btree index on the data blocks" that f-chunk
 /// maintains on chunk sequence numbers (§6.3) and that v-segment maintains
 /// on segment locations (§6.4). Because the heap below is no-overwrite, an
-/// updated chunk simply gains a second index entry; readers fetch every
-/// entry for a key and let heap visibility pick the right version, so the
-/// index itself needs no versioning.
+/// updated chunk simply gains a second index entry; readers walk a key's
+/// entries until heap visibility admits one, so the index itself needs no
+/// versioning.
 ///
 /// Layout: block 0 is a meta page (root pointer, height); other blocks are
 /// nodes holding sorted fixed-size entries. Internal entries carry the
 /// minimum (key, value) of their child subtree; the first entry of a node
-/// acts as negative infinity. Leaves are chained left-to-right for range
-/// scans. Deletion is by simple entry removal; underfull pages are merged
-/// only by MergeUnderfull, which Vacuum runs after its index sweep.
+/// acts as negative infinity. Leaves are chained left-to-right. Deletion
+/// is by simple entry removal; underfull pages are merged only by
+/// MergeUnderfull, which Vacuum runs after its index sweep.
 ///
-/// Multi-backend: every public operation (and iterator step) holds the
-/// index file's exclusive relation latch from the pool's RelLatchRegistry
-/// — the same coarse granularity HeapClass uses, and a deliberate match
-/// for the 1993 lock table rather than per-page latch crabbing. The latch
-/// is re-entrant, so an iterator obtained under Seek() may keep stepping
-/// while its owner holds other latches. Callers that latch a heap class
-/// and its index acquire heap first, index second (see DESIGN.md §13).
+/// Multi-backend: every public operation holds the index file's exclusive
+/// relation latch from the pool's RelLatchRegistry — the same coarse
+/// granularity HeapClass uses, and a deliberate match for the 1993 lock
+/// table rather than per-page latch crabbing. Scan holds it for one leaf
+/// at a time and never while its visitor runs, so a visitor may latch the
+/// heap the entries point into. Callers that latch a heap class and its
+/// index acquire heap first, index second (see DESIGN.md §13).
 class Btree {
  public:
   /// Packed (block, slot) value payload.
@@ -78,13 +79,21 @@ class Btree {
   /// Removes one exact (key, value) entry. NotFound if absent.
   Status Delete(uint64_t key, uint64_t value);
 
-  /// Collects the values of every entry with exactly `key`.
-  Result<std::vector<uint64_t>> Lookup(uint64_t key);
+  /// Visits, in (key, value) order, the entries whose key is in
+  /// [first, last] until `visit` returns true; returns whether it did.
+  /// For each leaf it takes the relation latch, descends and pins the leaf
+  /// once, copies out the leaf's entries in range, and releases both
+  /// before visiting them. The next leaf is found by descending again to
+  /// just past the last entry copied, so entries inserted, moved by a
+  /// split or deleted meanwhile are neither visited twice nor skipped:
+  /// every entry present for the whole walk is visited exactly once.
+  using Visitor = std::function<Result<bool>(uint64_t key, uint64_t value)>;
+  Result<bool> Scan(uint64_t first, uint64_t last, const Visitor& visit);
 
   /// Height of the tree (1 = just a leaf root).
   Result<uint32_t> Height();
 
-  /// Total entries (walks the leaf chain; O(n), for tests/benchmarks).
+  /// Total entries (a full Scan; O(n), for tests and benchmarks).
   Result<uint64_t> CountEntries();
 
   /// Number of blocks in the index file (Figure 1 reports index bytes).
@@ -92,8 +101,9 @@ class Btree {
 
   /// Structural invariant check (used by Database::CheckIntegrity and
   /// tests): node magic, in-node entry ordering, child level decrease,
-  /// parent bounds containing child minima, and globally sorted leaf
-  /// chain. Returns the total entry count on success.
+  /// parent bounds containing child minima, and a globally sorted leaf
+  /// chain that holds exactly the leaf entries the tree reaches. Returns
+  /// the total entry count on success.
   Result<uint64_t> CheckStructure();
 
   /// Vacuum-time page merging: absorbs underfull nodes into their left
@@ -104,46 +114,18 @@ class Btree {
   /// for entries left behind by plain Delete between merge passes.
   Result<uint64_t> MergeUnderfull();
 
-  class Iterator;
-  /// Positions an iterator at the first entry with key >= `key`.
-  Result<Iterator> Seek(uint64_t key);
-  /// Positions an iterator at the smallest entry.
-  Result<Iterator> SeekFirst();
-
-  /// Forward iterator over (key, value) entries in order.
-  class Iterator {
-   public:
-    bool valid() const { return valid_; }
-    uint64_t key() const { return key_; }
-    uint64_t value() const { return value_; }
-    Tid tid() const { return UnpackTid(value_); }
-
-    /// Advances; clears valid() at the end of the index.
-    Status Next();
-
-   private:
-    friend class Btree;
-    Iterator(Btree* tree, BlockNumber block, uint16_t index)
-        : tree_(tree), block_(block), index_(index) {}
-    Status LoadCurrent();
-
-    Btree* tree_ = nullptr;
-    BlockNumber block_ = kInvalidBlock;
-    uint16_t index_ = 0;
-    bool valid_ = false;
-    uint64_t key_ = 0;
-    uint64_t value_ = 0;
-  };
-
  private:
-  friend class Iterator;
-
   struct PathEntry {
     BlockNumber block;
     uint16_t index;  // descent position in the internal node
   };
 
-  Result<BlockNumber> RootBlock();
+  struct Meta {
+    BlockNumber root;
+    uint32_t height;
+  };
+  /// The meta page's root and height, in one read.
+  Result<Meta> ReadMeta();
   Status SetRoot(BlockNumber root, uint32_t height);
   /// New-node allocation: recycles a page from the free-space map's
   /// free-page list when one exists (verified by its stamp), otherwise
@@ -151,10 +133,11 @@ class Btree {
   Result<PageHandle> AllocateNode(BlockNumber* block_out);
   /// Post-order merge pass over the subtree rooted at `block`.
   Status MergeSubtree(BlockNumber block, uint64_t* freed);
-  /// Descends to the leaf that should contain (key, value); fills `path`
-  /// with the internal nodes visited (top-down) when non-null.
-  Result<BlockNumber> DescendToLeaf(uint64_t key, uint64_t value,
-                                    std::vector<PathEntry>* path);
+  /// Descends to the leaf that should contain (key, value) and returns it
+  /// pinned; fills `path` with the internal nodes visited (top-down) when
+  /// non-null.
+  Result<PageHandle> DescendToLeaf(uint64_t key, uint64_t value,
+                                   std::vector<PathEntry>* path);
   Status InsertIntoParent(std::vector<PathEntry>* path, uint64_t sep_key,
                           uint64_t sep_value, BlockNumber right_child);
 

@@ -36,13 +36,15 @@ Result<std::optional<Bytes>> IndexedClass::Resolve(Transaction* txn,
 
 Result<std::optional<IndexedClass::Record>> IndexedClass::Get(
     Transaction* txn, uint64_t key) {
-  PGLO_ASSIGN_OR_RETURN(std::vector<uint64_t> candidates, index_.Lookup(key));
-  for (uint64_t packed : candidates) {
-    Tid tid = Btree::UnpackTid(packed);
+  std::optional<Record> found;
+  auto resolve = [&](uint64_t, uint64_t value) -> Result<bool> {
+    Tid tid = Btree::UnpackTid(value);
     PGLO_ASSIGN_OR_RETURN(std::optional<Bytes> image, Resolve(txn, key, tid));
-    if (image) return std::optional<Record>(Record{tid, std::move(*image)});
-  }
-  return std::optional<Record>();
+    if (image) found = Record{tid, std::move(*image)};
+    return found.has_value();
+  };
+  PGLO_RETURN_IF_ERROR(index_.Scan(key, key, resolve).status());
+  return found;
 }
 
 Status IndexedClass::Insert(Transaction* txn, uint64_t key, Slice image) {
@@ -72,19 +74,17 @@ Status IndexedClass::Delete(Transaction* txn, Tid tid) {
 
 Status IndexedClass::Scan(Transaction* txn, uint64_t first, uint64_t last,
                           const Visitor& visit) {
-  PGLO_ASSIGN_OR_RETURN(Btree::Iterator it, index_.Seek(first));
   std::optional<uint64_t> resolved;
-  while (it.valid() && it.key() <= last) {
-    uint64_t key = it.key();
-    Tid tid = it.tid();
-    PGLO_RETURN_IF_ERROR(it.Next());
-    if (resolved == key) continue;
+  auto probe = [&](uint64_t key, uint64_t value) -> Result<bool> {
+    if (resolved == key) return false;
+    Tid tid = Btree::UnpackTid(value);
     PGLO_ASSIGN_OR_RETURN(std::optional<Bytes> image, Resolve(txn, key, tid));
-    if (!image) continue;
+    if (!image) return false;
     PGLO_ASSIGN_OR_RETURN(bool done, visit(key, tid, *image));
     if (done) resolved = key;
-  }
-  return Status::OK();
+    return resolved == last;
+  };
+  return index_.Scan(first, last, probe).status();
 }
 
 Result<std::vector<std::pair<uint64_t, Tid>>> IndexedClass::Entries(
@@ -105,25 +105,21 @@ Result<uint64_t> IndexedClass::Vacuum(const CommitLog& clog,
   uint64_t pages_emptied = 0;
   PGLO_ASSIGN_OR_RETURN(uint64_t removed,
                         heap_.Vacuum(clog, horizon, &pages_emptied));
-  // Collect first, then delete: Delete restructures pages under a live
-  // iterator.
+  // Collect every stale entry first, then delete them, so the index's
+  // writes, and the crash points among them, keep their order.
   std::vector<std::pair<uint64_t, uint64_t>> stale;
-  PGLO_ASSIGN_OR_RETURN(Btree::Iterator it, index_.SeekFirst());
-  while (it.valid()) {
-    Result<std::pair<TupleHeader, Bytes>> any = heap_.GetAnyVersion(it.tid());
-    bool dead;
+  auto judge = [&](uint64_t key, uint64_t value) -> Result<bool> {
+    Result<std::pair<TupleHeader, Bytes>> any =
+        heap_.GetAnyVersion(Btree::UnpackTid(value));
+    if (!any.ok() && !any.status().IsNotFound()) return any.status();
+    std::optional<uint64_t> filed_under;
     if (any.ok()) {
-      PGLO_ASSIGN_OR_RETURN(std::optional<uint64_t> filed_under,
-                            key_of_(Slice(any.value().second)));
-      dead = filed_under != it.key();
-    } else if (any.status().IsNotFound()) {
-      dead = true;
-    } else {
-      return any.status();
+      PGLO_ASSIGN_OR_RETURN(filed_under, key_of_(Slice(any.value().second)));
     }
-    if (dead) stale.push_back({it.key(), it.value()});
-    PGLO_RETURN_IF_ERROR(it.Next());
-  }
+    if (filed_under != key) stale.emplace_back(key, value);
+    return false;
+  };
+  PGLO_RETURN_IF_ERROR(index_.Scan(0, ~0ull, judge).status());
   for (const auto& [key, value] : stale) {
     Status s = index_.Delete(key, value);
     if (!s.ok() && !s.IsNotFound()) return s;

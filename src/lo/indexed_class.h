@@ -72,6 +72,8 @@ class IndexedClass {
   /// Visits, in key order, the record `txn` sees for each key in
   /// [first, last]. `visit` returns whether it resolved the key; the
   /// remaining entries of a key it did not resolve are probed as well.
+  /// The index walk stops once `last` is resolved. Neither `visit` nor a
+  /// heap probe runs with the index latched.
   using Visitor =
       std::function<Result<bool>(uint64_t key, Tid tid, const Bytes& image)>;
   Status Scan(Transaction* txn, uint64_t first, uint64_t last,
@@ -90,12 +92,13 @@ class IndexedClass {
 
   /// May rewrite a relocated record before it is stored again.
   using Rewrite = std::function<Status(uint64_t key, Bytes* image)>;
-  /// No-overwrite relocation of `live` (from Entries, taken before any
-  /// mutation shifts index pages): each record, rewritten when `rewrite`
-  /// is set, is appended at the end of the heap (InsertAppend skips the
-  /// free-space map on purpose: filling interior holes would defeat
-  /// compaction), the old version is MVCC-deleted so snapshot readers see
-  /// it until Vacuum, and the index gains an entry for the new address.
+  /// No-overwrite relocation of `live` (from Entries, taken before the
+  /// relocation files new entries the walk would meet): each record,
+  /// rewritten when `rewrite` is set, is appended at the end of the heap
+  /// (InsertAppend skips the free-space map on purpose: filling interior
+  /// holes would defeat compaction), the old version is MVCC-deleted so
+  /// snapshot readers see it until Vacuum, and the index gains an entry
+  /// for the new address.
   /// Counts each heap page it fills in `pages_relocated`; returns the
   /// records moved.
   Result<uint64_t> Relocate(Transaction* txn,

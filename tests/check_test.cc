@@ -4,6 +4,7 @@
 #include <unistd.h>
 
 #include "btree/btree.h"
+#include "btree/btree_page.h"
 #include "common/random.h"
 #include "db/check.h"
 #include "db/database.h"
@@ -128,7 +129,14 @@ TEST_F(CheckTest, UndecodableChunkRecordIsCorruption) {
     ASSERT_EQ(obj.oid, oid);
     HeapClass heap(&db_.pool(), RelFileId{obj.spec.smgr, obj.files.data});
     Btree index(&db_.pool(), RelFileId{obj.spec.smgr, obj.files.index});
-    ASSERT_OK_AND_ASSIGN(std::vector<uint64_t> entries, index.Lookup(0));
+    std::vector<uint64_t> entries;
+    ASSERT_OK(index
+                  .Scan(0, 0,
+                        [&](uint64_t, uint64_t value) -> Result<bool> {
+                          entries.push_back(value);
+                          return false;
+                        })
+                  .status());
     ASSERT_EQ(entries.size(), 1u);
     const uint8_t garbage[4] = {0xde, 0xad, 0xbe, 0xef};
     ASSERT_OK_AND_ASSIGN(Tid planted,
@@ -253,6 +261,36 @@ TEST_F(CheckTest, BtreeCheckStructureCatchesTampering) {
     handle.MarkDirty();
   }
   EXPECT_FALSE(tree.CheckStructure().ok());
+}
+
+TEST_F(CheckTest, BtreeCheckStructureCatchesASkippedLeaf) {
+  SmgrRegistry smgrs;
+  ASSERT_OK(smgrs.Register(0, std::make_unique<MainMemorySmgr>(nullptr)));
+  BufferPool pool(&smgrs, 256);
+  ASSERT_OK(Btree::Create(&pool, {0, 1}));
+  Btree tree(&pool, {0, 1});
+  for (uint64_t k = 0; k < 2000; ++k) {
+    ASSERT_OK(tree.Insert(k, k));
+  }
+  ASSERT_OK_AND_ASSIGN(uint64_t entries, tree.CheckStructure());
+  ASSERT_EQ(entries, 2000u);
+  // Tamper: link the leftmost leaf (block 1, the tree's first root) past
+  // its right sibling. Every node still passes its own checks and the
+  // chain stays sorted, but a walk along it skips a whole leaf.
+  {
+    ASSERT_OK_AND_ASSIGN(PageHandle first, pool.GetPage({{0, 1}, 1}));
+    BtreeNode leaf(first.data());
+    ASSERT_TRUE(leaf.is_leaf());
+    ASSERT_OK_AND_ASSIGN(PageHandle second,
+                         pool.GetPage({{0, 1}, leaf.right_sibling()}));
+    leaf.set_right_sibling(BtreeNode(second.data()).right_sibling());
+    first.MarkDirty();
+  }
+  Result<uint64_t> checked = tree.CheckStructure();
+  EXPECT_TRUE(checked.status().IsCorruption())
+      << (checked.ok() ? "OK with " + std::to_string(checked.value()) +
+                             " entries"
+                       : checked.status().ToString());
 }
 
 }  // namespace

@@ -15,6 +15,7 @@
 
 #include <sys/resource.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -29,10 +30,12 @@
 #include <thread>
 #include <vector>
 
+#include "btree/btree.h"
 #include "common/random.h"
 #include "db/database.h"
 #include "obs/stats.h"
 #include "obs/wait_event.h"
+#include "smgr/mm_smgr.h"
 #include "storage/rel_latch.h"
 #include "tests/test_util.h"
 
@@ -1029,6 +1032,111 @@ TEST(RelLatchTest, ReentrantLockCountsOnlyTheOutermostAcquisition) {
   }).join();
   EXPECT_EQ(acquires("heap"), 2u);
   EXPECT_EQ(b.LatchWaits(), 0u);
+}
+
+// ---- B-tree walks -----------------------------------------------------------
+
+TEST(BtreeScanTest, WalkerSeesEveryStableEntryOnceWhileAWriterSplits) {
+  // One thread walks a whole B-tree again and again while another files
+  // entries between the walker's until it owns 3,000 (splitting leaves),
+  // then deletes them all (emptying leaves), and so on, merging underfull
+  // pages every 500 writes, all on the same index. The walk holds the
+  // latch for one leaf at a time, and every 32 entries it waits for 16
+  // more writes, so the writer works between its leaves. Every walk must
+  // be in strictly ascending (key, value) order, so no entry is seen
+  // twice, and must hold each stable entry (never written during the
+  // walk) exactly once. Replays under PGLO_TEST_SEED.
+  const uint64_t seed = pglo::testing::TestSeed();
+  SCOPED_TRACE("replay with PGLO_TEST_SEED=" + std::to_string(seed));
+  constexpr uint64_t kStable = 2000;  // keys 0, 4, 8, ...; value 0
+  constexpr int kWalks = 12;
+  constexpr uint64_t kWrites = 15000;
+  SmgrRegistry smgrs;
+  ASSERT_OK(smgrs.Register(0, std::make_unique<MainMemorySmgr>(nullptr)));
+  BufferPool pool(&smgrs, 256);
+  const RelFileId file{0, 1};
+  ASSERT_OK(Btree::Create(&pool, file));
+  Btree tree(&pool, file);
+  for (uint64_t k = 0; k < kStable; ++k) ASSERT_OK(tree.Insert(k * 4, 0ull));
+  ASSERT_OK_AND_ASSIGN(BlockNumber blocks_before, tree.NumBlocks());
+
+  std::atomic<bool> walking{true};
+  std::atomic<uint64_t> writes{0};
+  std::atomic<int> failures{0};
+  auto fail = [&](const std::string& what) {
+    ADD_FAILURE() << what;
+    ++failures;
+  };
+  std::thread writer([&] {
+    Random rng(seed * 7919 + 1);
+    std::vector<std::pair<uint64_t, uint64_t>> mine;
+    uint64_t fresh = 1;
+    bool growing = true;
+    while (walking.load() && writes.load() < kWrites) {
+      if (mine.size() == (growing ? 3000u : 0u)) growing = !growing;
+      Status s;
+      if (growing) {
+        uint64_t key = rng.Uniform(kStable) * 4 + 1 + rng.Uniform(3);
+        s = tree.Insert(key, fresh);
+        mine.emplace_back(key, fresh++);
+      } else {
+        size_t i = rng.Uniform(mine.size());
+        s = tree.Delete(mine[i].first, mine[i].second);
+        mine[i] = mine.back();
+        mine.pop_back();
+      }
+      if (s.ok() && writes.load() % 500 == 499) {
+        s = tree.MergeUnderfull().status();
+      }
+      if (!s.ok()) {
+        fail("writer: " + s.ToString());
+        return;
+      }
+      writes.fetch_add(1);
+    }
+  });
+
+  uint64_t writes_during_walks = 0;
+  for (int w = 0; w < kWalks && failures.load() == 0; ++w) {
+    uint64_t seen = 0, stable = 0;
+    std::pair<uint64_t, uint64_t> prev;
+    auto visit = [&](uint64_t key, uint64_t value) -> Result<bool> {
+      std::pair<uint64_t, uint64_t> entry{key, value};
+      if (seen++ > 0 && !(prev < entry)) {
+        return Status::Corruption(
+            "walk went from (" + std::to_string(prev.first) + ", " +
+            std::to_string(prev.second) + ") to (" + std::to_string(key) +
+            ", " + std::to_string(value) + ")");
+      }
+      prev = entry;
+      if (value == 0) ++stable;
+      if (seen % 32 == 0) {
+        uint64_t want = std::min(kWrites, writes.load() + 16);
+        while (writes.load() < want && failures.load() == 0) {
+          std::this_thread::yield();
+        }
+      }
+      return false;
+    };
+    uint64_t start = writes.load();
+    Result<bool> walked = tree.Scan(0, ~0ull, visit);
+    writes_during_walks += writes.load() - start;
+    if (!walked.ok()) {
+      fail("walk " + std::to_string(w) + ": " + walked.status().ToString());
+    } else if (stable != kStable) {
+      fail("walk " + std::to_string(w) + " saw " + std::to_string(stable) +
+           " stable entries");
+    }
+  }
+  walking.store(false);
+  writer.join();
+  ASSERT_EQ(failures.load(), 0);
+  EXPECT_GE(writes_during_walks, kWrites / 2);
+  // The writer's entries outgrew the walker's leaves: they split.
+  ASSERT_OK_AND_ASSIGN(BlockNumber blocks_after, tree.NumBlocks());
+  EXPECT_GT(blocks_after, blocks_before);
+  ASSERT_OK_AND_ASSIGN(uint64_t entries, tree.CheckStructure());
+  EXPECT_GE(entries, kStable);
 }
 
 // ---- stat cells ----------------------------------------------------------

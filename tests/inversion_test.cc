@@ -16,11 +16,14 @@ using pglo::testing::TempDir;
 /// Every (key, packed tid) entry of a B-tree, in index order.
 Result<std::vector<std::pair<uint64_t, uint64_t>>> IndexEntries(Btree& index) {
   std::vector<std::pair<uint64_t, uint64_t>> out;
-  PGLO_ASSIGN_OR_RETURN(Btree::Iterator it, index.SeekFirst());
-  while (it.valid()) {
-    out.emplace_back(it.key(), it.value());
-    PGLO_RETURN_IF_ERROR(it.Next());
-  }
+  PGLO_RETURN_IF_ERROR(
+      index
+          .Scan(0, ~0ull,
+                [&](uint64_t key, uint64_t value) -> Result<bool> {
+                  out.emplace_back(key, value);
+                  return false;
+                })
+          .status());
   return out;
 }
 

@@ -14,7 +14,9 @@
 # validates each emitted BENCH_*_quick.json against the pglo-bench-v1
 # schema, and compares its simulated times against the checked-in
 # baseline in bench/baselines/ bit for bit (bench_compare
-# --tolerance=0.0). Simulated
+# --tolerance=0.0). It then runs Figures 1-3 at full scale (about 10 s in
+# all) and compares them bit for bit against the committed root
+# BENCH_figure{1,2,3}.json, the files EXPERIMENTS.md quotes. Simulated
 # time is deterministic, so any drift is a real behavioural change;
 # regenerate the baselines deliberately (see bench/baselines/README.md)
 # when one is intended.
@@ -84,6 +86,15 @@ bench_gate() {
     "$builddir/tools/bench_compare" --validate "$out"
     "$builddir/tools/bench_compare" --tolerance=0.0 \
         "bench/baselines/BENCH_${name}_quick.json" "$out"
+  done
+  echo "== bench gate: figures 1-3 at full scale vs BENCH_figure{1,2,3}.json (exact) =="
+  for bench in figure1_storage figure2_disk figure3_worm; do
+    name="${bench%%_*}"
+    out="$workdir/BENCH_${name}.json"
+    "$builddir/bench/bench_$bench" --json="$out" \
+        "$workdir/db_full_$name" > "$workdir/bench_full_$name.log"
+    "$builddir/tools/bench_compare" --validate "$out"
+    "$builddir/tools/bench_compare" --tolerance=0.0 "BENCH_${name}.json" "$out"
   done
   rm -rf "$workdir"
   trap - EXIT
